@@ -83,7 +83,6 @@ struct RenameFixture {
     // work the cache deliberately never serves (docs/CACHING.md), so it
     // would dilute the cold/warm contrast with identical time on both rows.
     opts.refutation_max_trees = 0;
-    opts.num_threads = 1;
     opts.memo = memo;
     return opts;
   }
@@ -98,7 +97,7 @@ void RunTypecheck(benchmark::State& state, TaMemoMode memo) {
     // Prime once so the timed loop measures the steady warm state.
     PEBBLETC_CHECK(tc.Typecheck(f->tau1, f->tau2, opts).ok());
   }
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   size_t hits = 0, misses = 0;
   for (auto _ : state) {
     auto r = tc.Typecheck(f->tau1, f->tau2, opts);
@@ -131,7 +130,6 @@ void BM_ComplementCold(benchmark::State& state) {
   NbtaIndex ia(a);
   for (auto _ : state) {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     auto r = ComplementNbta(ia, sigma, &ctx);
     PEBBLETC_CHECK(r.ok());
     benchmark::DoNotOptimize(r);
@@ -150,7 +148,6 @@ void BM_ComplementWarm(benchmark::State& state) {
   const TaAlgebra alg(&cache);
   auto memo_ctx = [] {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     ctx.budgets.memo = TaMemoMode::kInMemory;
     return ctx;
   };
@@ -190,7 +187,6 @@ void BM_WarmWorkingSet(benchmark::State& state) {
   for (auto _ : state) {
     for (size_t i = 0; i < kWorkingSet; ++i) {
       TaOpContext ctx;
-      ctx.budgets.num_threads = 1;
       ctx.budgets.memo = TaMemoMode::kInMemory;
       auto r = alg.Complement(*idx[i], sigma, &ctx);
       PEBBLETC_CHECK(r.ok());

@@ -1,48 +1,50 @@
-// E14 (docs/PARALLEL.md): the parallel execution layer measured in both of
-// its dimensions.
+// E14 (docs/PARALLEL.md): the parallel execution layer, and the serial
+// product construction it is measured against.
 //
-//  * Flat-memory rewrite: IntersectNbta's serial path swapped its
-//    std::map pair interner and std::set emitted-guard for an open-addressing
-//    interner keyed on packed uint64 pairs and a per-a-rule bitmap. The
-//    retired map-based construction is kept here (MapBasedIntersect, a
-//    verbatim copy of the pre-rewrite code) as the before-baseline.
-//  * Thread scaling: the sharded product construction, the op-level forks in
-//    the Theorem 4.4/4.7 typechecking pipeline, and the diffcheck sweep at
-//    1/2/4/8 workers. On a single-core host the >1 rows measure sharding
-//    overhead, not speedup — see the host note in BENCH_parallel.json.
+//  * Serial product: IntersectNbta's flat-memory construction (open-
+//    addressing interner keyed on packed uint64 pairs, per-a-rule emitted
+//    bitmap) on the dense diffcheck family — the bar any sharded product
+//    must clear by 1.5x at 4 threads (docs/PARALLEL.md, "What stays
+//    serial").
+//  * Thread scaling of the two workloads that fan out across TaThreadPool:
+//    the diffcheck sweep at 1/2/4/8 workers, and kValidateBatch's
+//    per-document fan-out (serve::ValidateBatch) at 1/2/4 workers. Both
+//    parallel rows are read as wall time (real_time); the CPU column only
+//    counts the calling thread.
 //
 // CI runs this binary in the bench-smoke job with tiny sizes and uploads the
 // JSON as the BENCH_parallel.json artifact; the checked-in
-// BENCH_parallel.json records the before/after and scaling rows.
+// BENCH_parallel.json records the measured rows.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/alphabet/alphabet.h"
 #include "src/check/diffcheck.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/core/typechecker.h"
 #include "src/dtd/dtd.h"
-#include "src/query/xslt.h"
+#include "src/serve/validate.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
-#include "src/ta/thread_pool.h"
-#include "src/tree/encode.h"
+#include "src/tree/random_tree.h"
+#include "src/xml/xml.h"
 
 namespace pebbletc {
 namespace {
 
 // The dense diffcheck instance family (bench_determinize's DrawDense shape):
-// rules ≈ 2 * n^2 * 0.3, so the n = 32 pair clears the parallel gate by an
-// order of magnitude and the product frontier has thousands of live pairs.
+// rules ≈ 2 * n^2 * 0.3, so at n = 48 the product frontier has thousands of
+// live pairs.
 Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   Rng rng(seed);
   RandomNbtaOptions opts;
@@ -51,78 +53,6 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   opts.leaf_density = 0.5;
   return RandomNbta(sigma, rng, opts);
 }
-
-// The retired IntersectNbta, verbatim (modulo the dropped context plumbing):
-// node-based std::map pair interner, std::set emitted guard. Kept only as
-// this benchmark's before-baseline for the flat-memory rewrite.
-Nbta MapBasedIntersect(const NbtaIndex& ia, const NbtaIndex& ib) {
-  const Nbta& a = ia.nbta();
-  const Nbta& b = ib.nbta();
-  Nbta out;
-  out.num_symbols = a.num_symbols;
-
-  std::map<std::pair<StateId, StateId>, StateId> index;
-  std::vector<std::pair<StateId, StateId>> worklist;
-  auto intern = [&](StateId x, StateId y) -> StateId {
-    auto [it, inserted] = index.emplace(std::make_pair(x, y), out.num_states);
-    if (inserted) {
-      StateId id = out.AddState();
-      out.accepting[id] = a.accepting[x] && b.accepting[y];
-      worklist.push_back({x, y});
-    }
-    return it->second;
-  };
-
-  for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    for (StateId ta : ia.LeafTargets(s)) {
-      for (StateId tb : ib.LeafTargets(s)) {
-        out.AddLeafRule(s, intern(ta, tb));
-      }
-    }
-  }
-
-  std::set<std::pair<uint32_t, uint32_t>> emitted;
-  auto try_emit = [&](uint32_t ra_i, uint32_t rb_i) {
-    const auto& ra = a.rules[ra_i];
-    const auto& rb = b.rules[rb_i];
-    if (ra.symbol != rb.symbol) return;
-    auto l = index.find({ra.left, rb.left});
-    if (l == index.end()) return;
-    auto r = index.find({ra.right, rb.right});
-    if (r == index.end()) return;
-    if (!emitted.emplace(ra_i, rb_i).second) return;
-    StateId to = intern(ra.to, rb.to);
-    out.AddRule(ra.symbol, l->second, r->second, to);
-  };
-
-  while (!worklist.empty()) {
-    auto [xa, xb] = worklist.back();
-    worklist.pop_back();
-    for (uint32_t ra_i : ia.RulesWithLeft(xa)) {
-      for (uint32_t rb_i : ib.RulesWithLeft(xb)) try_emit(ra_i, rb_i);
-    }
-    for (uint32_t ra_i : ia.RulesWithRight(xa)) {
-      for (uint32_t rb_i : ib.RulesWithRight(xb)) try_emit(ra_i, rb_i);
-    }
-  }
-  return out;
-}
-
-void BM_IntersectMapBased(benchmark::State& state) {
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  Nbta a = DrawDense(sigma, n, 13);
-  Nbta b = DrawDense(sigma, n, 17);
-  NbtaIndex ia(a), ib(b);
-  size_t product_states = 0;
-  for (auto _ : state) {
-    Nbta out = MapBasedIntersect(ia, ib);
-    product_states = out.num_states;
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["product_states"] = static_cast<double>(product_states);
-}
-BENCHMARK(BM_IntersectMapBased)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
 void BM_IntersectFlatSerial(benchmark::State& state) {
   RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
@@ -133,7 +63,6 @@ void BM_IntersectFlatSerial(benchmark::State& state) {
   size_t product_states = 0;
   for (auto _ : state) {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     Nbta out = IntersectNbta(ia, ib, &ctx);
     product_states = out.num_states;
     benchmark::DoNotOptimize(out);
@@ -141,66 +70,6 @@ void BM_IntersectFlatSerial(benchmark::State& state) {
   state.counters["product_states"] = static_cast<double>(product_states);
 }
 BENCHMARK(BM_IntersectFlatSerial)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
-
-void BM_IntersectThreads(benchmark::State& state) {
-  // Thread scaling on one large product (n = 48 on each side); the
-  // /1 row is the serial path and the scaling denominator.
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  Nbta a = DrawDense(sigma, 48, 13);
-  Nbta b = DrawDense(sigma, 48, 17);
-  NbtaIndex ia(a), ib(b);
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  size_t product_states = 0;
-  for (auto _ : state) {
-    TaOpContext ctx;
-    ctx.budgets.num_threads = threads;
-    Nbta out = IntersectNbta(ia, ib, &ctx);
-    product_states = out.num_states;
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["product_states"] = static_cast<double>(product_states);
-  state.counters["hw_workers"] =
-      static_cast<double>(TaThreadPool::HardwareWorkers());
-}
-BENCHMARK(BM_IntersectThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_TypecheckPipelineThreads(benchmark::State& state) {
-  // The Theorem 4.4/4.7 pipeline end to end (refutation pass + complete
-  // decision) with the op-level forks engaged: complement(tau2) runs
-  // alongside the refutation enumeration / forward image.
-  Alphabet in_tags, out_tags;
-  auto program =
-      std::move(ParseXslt("template a { b { apply } }\ntemplate c { d }",
-                          &in_tags, &out_tags))
-          .ValueOrDie();
-  auto in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
-  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
-  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
-  auto in_dtd = std::move(ParseDtd("a := (a|c)*\nc := ()")).ValueOrDie();
-  auto tau1 = std::move(CompileDtdToNbta(in_dtd, in_enc)).ValueOrDie();
-  auto good_dtd = std::move(ParseDtd("b := (b|d)*\nd := ()")).ValueOrDie();
-  auto tau2 = std::move(CompileDtdToNbta(good_dtd, out_enc)).ValueOrDie();
-  Typechecker tc(t, in_enc.ranked, out_enc.ranked);
-  TypecheckOptions opts;
-  opts.refutation_max_trees = 40;
-  opts.refutation_max_nodes = 15;
-  opts.num_threads = static_cast<uint32_t>(state.range(0));
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
-  for (auto _ : state) {
-    auto r = tc.Typecheck(tau1, tau2, opts);
-    PEBBLETC_CHECK(r.ok());
-    verdict = r->verdict;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["typechecks"] =
-      verdict == TypecheckVerdict::kTypechecks ? 1 : 0;
-}
-BENCHMARK(BM_TypecheckPipelineThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DiffcheckSweepThreads(benchmark::State& state) {
   // The sharded oracle sweep: 32 iterations of the full law catalogue
@@ -225,6 +94,71 @@ BENCHMARK(BM_DiffcheckSweepThreads)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// 64 documents of 100 B - 4 KB for the batch fan-out, sizes spread evenly
+// across the range: random p/q bodies under a <p> root, every fourth one
+// made invalid by an <r> with a child (r := () below), so the rejection
+// path's diagnostic is part of the measured work.
+constexpr char kBatchDtd[] = "p := (p|q|r)*\nq := (p|q|r)*\nr := ()\n";
+
+std::vector<std::string> BatchDocuments() {
+  Alphabet body_tags;
+  body_tags.Intern("p");
+  body_tags.Intern("q");
+  Rng rng(64);
+  RandomUnrankedOptions uo;
+  uo.target_size = 12;
+  uo.max_children = 4;
+  std::vector<std::string> docs;
+  for (size_t i = 0; i < 64; ++i) {
+    const size_t target = 100 + i * (3900 - 100) / 63;
+    const std::string tail = i % 4 == 3 ? "<r><q/></r></p>" : "</p>";
+    std::string doc = "<p>";
+    while (doc.size() + tail.size() < target) {
+      doc += XmlString(RandomUnrankedTree(body_tags, rng, uo), body_tags);
+    }
+    docs.push_back(doc + tail);
+  }
+  return docs;
+}
+
+void BM_ValidateBatchWorkers(benchmark::State& state) {
+  auto dtd = std::make_shared<SpecializedDtd>(
+      std::move(ParseDtd(kBatchDtd)).ValueOrDie());
+  const serve::ValidationPlan plan =
+      std::move(serve::CompileDtdPlan(dtd)).ValueOrDie();
+  PEBBLETC_CHECK(plan.engine.fast());
+  const std::vector<std::string> docs = BatchDocuments();
+  size_t valid = 0;
+  for (auto _ : state) {
+    TaOpContext ctx;
+    ctx.budgets.num_threads = static_cast<uint32_t>(state.range(0));
+    serve::BatchResult r = serve::ValidateBatch(plan, docs, &ctx);
+    valid = 0;
+    for (const serve::DocVerdict& v : r.verdicts) {
+      PEBBLETC_CHECK(v.code == StatusCode::kOk) << v.diagnostic;
+      valid += v.valid ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  size_t bytes = 0, min_bytes = docs.front().size(), max_bytes = 0;
+  for (const std::string& d : docs) {
+    bytes += d.size();
+    min_bytes = std::min(min_bytes, d.size());
+    max_bytes = std::max(max_bytes, d.size());
+  }
+  state.counters["docs"] = static_cast<double>(docs.size());
+  state.counters["valid_docs"] = static_cast<double>(valid);
+  state.counters["batch_bytes"] = static_cast<double>(bytes);
+  state.counters["min_doc_bytes"] = static_cast<double>(min_bytes);
+  state.counters["max_doc_bytes"] = static_cast<double>(max_bytes);
+}
+BENCHMARK(BM_ValidateBatchWorkers)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pebbletc

@@ -63,7 +63,7 @@ void BM_DownwardTypecheckWidth(benchmark::State& state) {
   Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
   TypecheckOptions opts;
   opts.refutation_max_trees = 0;
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   for (auto _ : state) {
     auto r = tc.Typecheck(f.tau1, f.tau2, opts);
     PEBBLETC_CHECK(r.ok());

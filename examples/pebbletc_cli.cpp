@@ -98,7 +98,7 @@ int CmdTypecheck(const std::string& program_path, const std::string& in_path,
       }
       return 1;
     }
-    case TypecheckVerdict::kInconclusive:
+    case TypecheckVerdict::kUnknown:
       std::cout << "INCONCLUSIVE";
       if (!r.notes.empty()) std::cout << " (" << r.notes << ")";
       std::cout << "\n";

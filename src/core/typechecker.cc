@@ -17,7 +17,6 @@
 #include "src/ta/inclusion.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_cache.h"
-#include "src/ta/thread_pool.h"
 #include "src/ta/topdown.h"
 #include "src/tree/random_tree.h"
 
@@ -40,7 +39,6 @@ TaOpContext MakeContext(const TypecheckOptions& options) {
   }
   budgets.cancel = options.cancel;
   budgets.checkpoint_stride = options.checkpoint_stride;
-  budgets.num_threads = options.num_threads;
   budgets.memo = options.memo;
   TaOpContext ctx(budgets);
   ctx.fault = options.fault_injector;
@@ -134,60 +132,17 @@ Result<bool> Typechecker::CheckOnInput(
   TaOpContext ctx = MakeContext(options);
   const TaAlgebra alg;
   if (UseAntichain(options, output_type)) {
-    // Complement-free: nothing to overlap with the forward image, so the
-    // antichain path is always serial (docs/INCLUSION.md).
+    // Complement-free: the antichain path never builds complement(τ2)
+    // (docs/INCLUSION.md).
     NbtaIndex tau2_idx(output_type, &ctx);
     return CheckOnInputAntichain(input, tau2_idx, &ctx, violating_output);
   }
-  if (TaEffectiveThreads(&ctx) < 2) {
-    PEBBLETC_ASSIGN_OR_RETURN(
-        Nbta not_tau2,
-        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
-    Nbta trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
-    return CheckOnInputImpl(input, NbtaIndex(trimmed, &ctx), &ctx,
-                            violating_output);
-  }
-  // Op-level fork (docs/PARALLEL.md): complement(τ2) and the forward image
-  // T(input) are independent — run them as two shares on their own forked
-  // contexts, then intersect on the parent. The complement's determinization
-  // usually dominates, so the forward image rides along for free.
-  TaOpContext c0 = ctx.Fork();
-  TaOpContext c1 = ctx.Fork();
-  std::optional<Result<Nbta>> not_tau2_or;
-  std::optional<Result<Nbta>> outputs_or;
-  TaThreadPool::Instance().Run(2, [&](uint32_t w) {
-    if (w == 0) {
-      auto complement =
-          alg.Complement(NbtaIndex(output_type, &c0), output_alphabet_, &c0);
-      if (!complement.ok()) {
-        not_tau2_or = complement.status();
-        return;
-      }
-      not_tau2_or = TrimNbta(NbtaIndex(*complement, &c0), &c0);
-    } else {
-      auto a_t = BuildOutputAutomaton(transducer_, input,
-                                      c1.budgets.max_configs, &c1);
-      if (!a_t.ok()) {
-        outputs_or = a_t.status();
-        return;
-      }
-      outputs_or = TopDownToNbta(a_t->automaton, &c1);
-    }
-  });
-  ctx.MergeChild(c0);
-  ctx.MergeChild(c1);
-  PEBBLETC_RETURN_IF_ERROR(not_tau2_or->status());
-  PEBBLETC_RETURN_IF_ERROR(outputs_or->status());
-  Nbta bad = IntersectNbta(NbtaIndex(**outputs_or, &ctx),
-                           NbtaIndex(**not_tau2_or, &ctx), &ctx);
-  std::optional<BinaryTree> witness = WitnessTree(NbtaIndex(bad, &ctx), &ctx);
-  if (witness.has_value()) {
-    if (violating_output != nullptr) *violating_output = std::move(witness);
-    return false;
-  }
-  // "No witness" is only trustworthy if nothing above drained early.
-  PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(&ctx));
-  return true;
+  PEBBLETC_ASSIGN_OR_RETURN(
+      Nbta not_tau2,
+      alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
+  Nbta trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
+  return CheckOnInputImpl(input, NbtaIndex(trimmed, &ctx), &ctx,
+                          violating_output);
 }
 
 Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
@@ -307,39 +262,15 @@ Result<TypecheckResult> Typechecker::Typecheck(
 
   // complement(τ2) is the workhorse of the explicit passes; compute it (and
   // its rule index) once and share it, instead of re-determinizing per pass
-  // — and, in the refutation pass, per enumerated input tree. With a
-  // parallel budget, pass 1's τ1 enumeration (independent of the complement)
-  // runs concurrently as a second share (docs/PARALLEL.md). On the antichain
-  // path (docs/INCLUSION.md) pass 1 never touches the complement, so it is
-  // deferred until a later pass asks for it (ensure_complement below): a
-  // pass-1 refutation returns without ever determinizing τ2.
+  // — and, in the refutation pass, per enumerated input tree. On the
+  // antichain path (docs/INCLUSION.md) pass 1 never touches the complement,
+  // so it is deferred until a later pass asks for it (ensure_complement
+  // below): a pass-1 refutation returns without ever determinizing τ2.
   const bool use_antichain = UseAntichain(options, output_type);
-  std::optional<std::vector<BinaryTree>> enumerated;
   std::optional<Result<Nbta>> complement_or;
   if (!use_antichain) {
-    if (TaEffectiveThreads(&ctx) >= 2 && options.refutation_max_trees > 0) {
-      TaOpContext c0 = ctx.Fork();
-      TaOpContext c1 = ctx.Fork();
-      std::vector<BinaryTree> inputs;
-      TaThreadPool::Instance().Run(2, [&](uint32_t w) {
-        if (w == 0) {
-          complement_or = alg.Complement(NbtaIndex(output_type, &c0),
-                                         output_alphabet_, &c0);
-        } else {
-          inputs =
-              EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
-                                     options.refutation_max_trees, &c1);
-        }
-      });
-      ctx.MergeChild(c0);
-      ctx.MergeChild(c1);
-      // An interrupted enumeration is a usable prefix — pass 1 is
-      // best-effort sampling anyway; exactness lives in passes 2/3.
-      enumerated = std::move(inputs);
-    } else {
-      complement_or =
-          alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
-    }
+    complement_or =
+        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
     if (!complement_or->ok()) {
       if (!IsExhaustion(complement_or->status().code())) {
         return complement_or->status();
@@ -394,10 +325,8 @@ Result<TypecheckResult> Typechecker::Typecheck(
     std::optional<NbtaIndex> tau2_idx;
     if (use_antichain) tau2_idx.emplace(output_type, &ctx);
     std::vector<BinaryTree> inputs =
-        enumerated.has_value()
-            ? std::move(*enumerated)
-            : EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
-                                     options.refutation_max_trees, &ctx);
+        EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
+                               options.refutation_max_trees, &ctx);
     for (BinaryTree& input : inputs) {
       std::optional<BinaryTree> violating;
       auto ok =

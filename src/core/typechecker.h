@@ -114,12 +114,10 @@ struct TypecheckOptions {
   /// Deterministic fault injection for robustness tests: trips the Nth
   /// checkpoint of the run with a chosen Status code. Not owned.
   TaFaultInjector* fault_injector = nullptr;
-  /// Worker count for the parallel execution layer (docs/PARALLEL.md):
-  /// 0 = hardware concurrency, 1 = the fully serial pipeline (deterministic
-  /// checkpoint ordinals; forced whenever `fault_injector` is set). Above 1,
-  /// independent pipeline ops (complement(τ2) vs. the forward image) fork
-  /// across TaThreadPool and the hot product construction shards its
-  /// worklist. Verdicts and witnesses stay language-equal across counts.
+  /// Ignored by Typecheck, CheckOnInput and InferInverseType: the pipeline
+  /// is one chain of dependent automaton ops and always runs serial
+  /// (docs/PARALLEL.md, "What stays serial"). Kept so existing callers that
+  /// set it still compile.
   uint32_t num_threads = 0;
 
   // --- graceful degradation (the verdict ladder's last rung) ---
@@ -148,8 +146,6 @@ enum class TypecheckVerdict {
   /// All enabled procedures exhausted their budgets / deadline; neither
   /// proven nor refuted.
   kUnknown,
-  /// Legacy name for kUnknown.
-  kInconclusive = kUnknown,
 };
 
 /// Why (and where) a run failed to reach an exact verdict. Populated the
@@ -159,7 +155,8 @@ enum class TypecheckVerdict {
 struct ExhaustionReport {
   /// Whether any pass was cut short.
   bool exhausted = false;
-  /// kResourceExhausted, kDeadlineExceeded, or kCancelled.
+  /// kResourceExhausted, kDeadlineExceeded, kCancelled, or kLimitExceeded
+  /// (a structural cap such as the MSO route's 20-track limit).
   StatusCode code = StatusCode::kOk;
   /// The pass that first exhausted: "output-complement",
   /// "bounded-refutation", "downward-fastpath", "complete-decision", or

@@ -9,8 +9,8 @@ namespace pebbletc {
 Result<TrackAlphabet> TrackAlphabet::Make(const RankedAlphabet& base,
                                           uint32_t num_tracks) {
   if (num_tracks > 20) {
-    return Status::InvalidArgument("too many MSO tracks (" +
-                                   std::to_string(num_tracks) + " > 20)");
+    return Status::LimitExceeded("too many MSO tracks (" +
+                                 std::to_string(num_tracks) + " > 20)");
   }
   const uint64_t ext_size = static_cast<uint64_t>(base.size())
                             << num_tracks;

@@ -18,7 +18,9 @@ namespace pebbletc {
 class TrackAlphabet {
  public:
   /// Builds the extended ranked alphabet; names are "a#0101" (low track
-  /// first). m up to 20 tracks (the alphabet size is |Σ|·2^m).
+  /// first). m up to 20 tracks (the alphabet size is |Σ|·2^m); more is a
+  /// structural limit, kLimitExceeded, on which the typechecker's ladder
+  /// degrades instead of failing the call.
   static Result<TrackAlphabet> Make(const RankedAlphabet& base,
                                     uint32_t num_tracks);
 

@@ -66,8 +66,12 @@ struct ServeOptions {
   /// forces the on-the-fly check; kAuto picks the antichain path when the
   /// output type is bottom-up deterministic (DTD-shaped schemas).
   TaInclusionPath inclusion = TaInclusionPath::kExplicit;
-  /// Worker threads per request (1 = serial; the daemon's concurrency comes
-  /// from serving requests in parallel, not from intra-request forking).
+  /// Pool workers a kValidateBatch request fans its documents across
+  /// (docs/PARALLEL.md); every other opcode is serial on its connection
+  /// thread. 1, the default, means no fan-out: the daemon's concurrency
+  /// comes from serving connections in parallel. BENCH_parallel.json records
+  /// the fan-out's 4-core scaling, the measurement to decide this default
+  /// from.
   uint32_t num_threads = 1;
   /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
   /// serving default: repeated requests against the same artifacts hit the

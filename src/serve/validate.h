@@ -8,8 +8,8 @@
 // plan only changes how the answer is computed: streaming DBTA fold when the
 // engine compiled, NbtaAccepts fallback when determinization blew its
 // budget. ValidateBatch runs one plan over N documents, sharding across
-// TaThreadPool workers with merge-on-join contexts — the first workload
-// where one request gives the pool real concurrent work.
+// TaThreadPool workers with merge-on-join contexts — the only workload
+// where one request gives the pool concurrent work (docs/PARALLEL.md).
 
 #ifndef PEBBLETC_SERVE_VALIDATE_H_
 #define PEBBLETC_SERVE_VALIDATE_H_

@@ -1,13 +1,8 @@
 #include "src/ta/nbta.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -15,7 +10,6 @@
 #include "src/common/check.h"
 #include "src/ta/inclusion.h"
 #include "src/ta/nbta_index.h"
-#include "src/ta/thread_pool.h"
 
 namespace pebbletc {
 
@@ -670,9 +664,10 @@ class EmittedGuard {
   std::vector<uint32_t> row_words_;  // symbol -> row width in words
 };
 
-// The serial product construction — also the parallel path's correctness
-// oracle: num_threads=1 runs exactly this code, with deterministic state
-// numbering and checkpoint ordinals.
+// The product construction. Worklist-driven and serial by design: one
+// product has too little independent work to pay for sharding (measured in
+// docs/PARALLEL.md, "What stays serial"), and serial keeps state numbering,
+// rule order and checkpoint ordinals a function of the operands alone.
 void IntersectSerial(const NbtaIndex& ia, const NbtaIndex& ib,
                      TaOpContext* ctx, Nbta& out) {
   const Nbta& a = ia.nbta();
@@ -756,346 +751,6 @@ void IntersectSerial(const NbtaIndex& ia, const NbtaIndex& ib,
   if (ctx != nullptr) ctx->counters.rules_scanned += rules_scanned;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded product construction (num_threads > 1).
-//
-// Workers share a striped pair interner and a striped emitted guard; each
-// keeps a local frontier of freshly discovered pairs and hands batches to a
-// global queue when the stash outgrows one worker. Result states and rules
-// are language-equal to the serial product but not bit-identical: id
-// assignment and rule order depend on the schedule (docs/PARALLEL.md).
-// ---------------------------------------------------------------------------
-
-// 64 independently locked open-addressing tables; the stripe is the hash's
-// low bits, probing uses the remaining bits and stays within one stripe.
-// Product ids come from one shared counter, so ids are dense.
-class StripedPairIndex {
- public:
-  static constexpr size_t kStripes = 64;
-
-  StripedPairIndex() {
-    for (Stripe& st : stripes_) {
-      st.keys.assign(1u << 7, kEmptyPairKey);
-      st.ids.assign(1u << 7, kPairNotFound);
-      st.mask = (1u << 7) - 1;
-    }
-  }
-
-  StateId Find(uint64_t key) {
-    const uint64_t h = HashPairKey(key);
-    Stripe& st = stripes_[h & (kStripes - 1)];
-    std::lock_guard<std::mutex> lock(st.mu);
-    size_t slot = (h / kStripes) & st.mask;
-    for (;;) {
-      const uint64_t k = st.keys[slot];
-      if (k == key) return st.ids[slot];
-      if (k == kEmptyPairKey) return kPairNotFound;
-      slot = (slot + 1) & st.mask;
-    }
-  }
-
-  // Existing id, or a fresh one from the shared counter; `*inserted = true`
-  // hands the caller ownership of queueing the pair (exactly one worker
-  // interns any given pair).
-  StateId FindOrInsert(uint64_t key, bool* inserted) {
-    const uint64_t h = HashPairKey(key);
-    Stripe& st = stripes_[h & (kStripes - 1)];
-    std::lock_guard<std::mutex> lock(st.mu);
-    size_t slot = (h / kStripes) & st.mask;
-    for (;;) {
-      const uint64_t k = st.keys[slot];
-      if (k == key) {
-        *inserted = false;
-        return st.ids[slot];
-      }
-      if (k == kEmptyPairKey) break;
-      slot = (slot + 1) & st.mask;
-    }
-    const StateId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    st.keys[slot] = key;
-    st.ids[slot] = id;
-    if (++st.size * 16 > (st.mask + 1) * 9) GrowStripe(st);
-    *inserted = true;
-    return id;
-  }
-
-  uint32_t TotalStates() const {
-    return next_id_.load(std::memory_order_acquire);
-  }
-
- private:
-  struct Stripe {
-    std::mutex mu;
-    std::vector<uint64_t> keys;
-    std::vector<StateId> ids;
-    size_t mask = 0;
-    size_t size = 0;
-  };
-
-  static void GrowStripe(Stripe& st) {
-    std::vector<uint64_t> old_keys = std::move(st.keys);
-    std::vector<StateId> old_ids = std::move(st.ids);
-    const size_t capacity = (st.mask + 1) * 2;
-    st.keys.assign(capacity, kEmptyPairKey);
-    st.ids.assign(capacity, kPairNotFound);
-    st.mask = capacity - 1;
-    for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmptyPairKey) continue;
-      size_t slot = (HashPairKey(old_keys[i]) / kStripes) & st.mask;
-      while (st.keys[slot] != kEmptyPairKey) slot = (slot + 1) & st.mask;
-      st.keys[slot] = old_keys[i];
-      st.ids[slot] = old_ids[i];
-    }
-  }
-
-  Stripe stripes_[kStripes];
-  std::atomic<StateId> next_id_{0};
-};
-
-// The emitted guard's parallel form: bitmap rows striped by a-rule index,
-// each stripe holding its own rows and arena behind its own lock (row
-// allocation grows the arena, which must not race with a test-and-set in the
-// same stripe). b_pos_ / row_words_ are read-only after construction.
-class StripedEmittedGuard {
- public:
-  static constexpr size_t kStripes = 64;
-
-  StripedEmittedGuard(const NbtaIndex& ib, size_t num_a_rules) {
-    const Nbta& b = ib.nbta();
-    b_pos_.resize(b.rules.size());
-    row_words_.resize(b.num_symbols);
-    for (SymbolId s = 0; s < b.num_symbols; ++s) {
-      const auto rules = ib.RulesWithSymbol(s);
-      row_words_[s] = static_cast<uint32_t>((rules.size() + 63) / 64);
-      uint32_t pos = 0;
-      for (uint32_t rb_i : rules) b_pos_[rb_i] = pos++;
-    }
-    const size_t rows_per_stripe = num_a_rules / kStripes + 1;
-    for (Stripe& st : stripes_) st.rows.assign(rows_per_stripe, kNoRow);
-  }
-
-  bool Mark(uint32_t ra_i, SymbolId symbol, uint32_t rb_i) {
-    Stripe& st = stripes_[ra_i % kStripes];
-    std::lock_guard<std::mutex> lock(st.mu);
-    uint64_t row = st.rows[ra_i / kStripes];
-    if (row == kNoRow) {
-      row = st.arena.size();
-      st.arena.resize(st.arena.size() + row_words_[symbol], 0);
-      st.rows[ra_i / kStripes] = row;
-    }
-    const uint32_t pos = b_pos_[rb_i];
-    uint64_t& word = st.arena[row + pos / 64];
-    const uint64_t bit = 1ull << (pos % 64);
-    if ((word & bit) != 0) return false;
-    word |= bit;
-    return true;
-  }
-
- private:
-  static constexpr uint64_t kNoRow = ~0ull;
-  struct Stripe {
-    std::mutex mu;
-    std::vector<uint64_t> rows;
-    std::vector<uint64_t> arena;
-  };
-  Stripe stripes_[kStripes];
-  std::vector<uint32_t> b_pos_;
-  std::vector<uint32_t> row_words_;
-};
-
-struct ParallelIntersectShared {
-  ParallelIntersectShared(const NbtaIndex& index_a, const NbtaIndex& index_b)
-      : ia(&index_a),
-        ib(&index_b),
-        a(&index_a.nbta()),
-        b(&index_b.nbta()),
-        emitted(index_b, index_a.nbta().rules.size()) {}
-
-  const NbtaIndex* ia;
-  const NbtaIndex* ib;
-  const Nbta* a;
-  const Nbta* b;
-  StripedPairIndex index;
-  StripedEmittedGuard emitted;
-
-  // Global hand-off queue of discovered pairs; idle workers park on `work`.
-  // `pending` counts pairs discovered but not yet fully expanded — it
-  // reaching zero is the sole termination signal. `stop` is the shared
-  // drain flag: the first worker whose checkpoint trips sets it and every
-  // worker (running or parked) exits promptly.
-  std::mutex mu;
-  std::condition_variable work;
-  std::vector<std::pair<StateId, StateId>> global;
-  std::atomic<size_t> pending{0};
-  std::atomic<bool> stop{false};
-
-  // Per-worker outputs and forked contexts, merged after the join.
-  struct WorkerOut {
-    std::vector<Nbta::BinaryRule> rules;
-    std::vector<std::pair<StateId, bool>> discovered;  // (id, accepting)
-    size_t rules_scanned = 0;
-  };
-  std::vector<WorkerOut> outs;
-  std::vector<TaOpContext> children;
-};
-
-void ParallelIntersectWorker(ParallelIntersectShared& sh, uint32_t w) {
-  const Nbta& a = *sh.a;
-  const Nbta& b = *sh.b;
-  TaOpContext* cctx = &sh.children[w];
-  ParallelIntersectShared::WorkerOut& out = sh.outs[w];
-  std::vector<std::pair<StateId, StateId>> local;
-  size_t next_poll = 4096;
-  bool interrupted = false;
-
-  auto intern = [&](StateId x, StateId y) -> StateId {
-    bool inserted = false;
-    const StateId id = sh.index.FindOrInsert(PackPair(x, y), &inserted);
-    if (inserted) {
-      out.discovered.push_back({id, a.accepting[x] && b.accepting[y]});
-      sh.pending.fetch_add(1, std::memory_order_acq_rel);
-      local.push_back({x, y});
-    }
-    return id;
-  };
-  auto try_emit = [&](uint32_t ra_i, uint32_t rb_i) {
-    ++out.rules_scanned;
-    const auto& ra = a.rules[ra_i];
-    const auto& rb = b.rules[rb_i];
-    if (ra.symbol != rb.symbol) return;
-    const StateId l = sh.index.Find(PackPair(ra.left, rb.left));
-    if (l == kPairNotFound) return;
-    const StateId r = sh.index.Find(PackPair(ra.right, rb.right));
-    if (r == kPairNotFound) return;
-    if (!sh.emitted.Mark(ra_i, ra.symbol, rb_i)) return;
-    const StateId to = intern(ra.to, rb.to);
-    out.rules.push_back({ra.symbol, l, r, to});
-  };
-  auto poll = [&]() {
-    if (out.rules_scanned >= next_poll) {
-      next_poll = out.rules_scanned + 4096;
-      if (!TaCheckpoint(cctx).ok()) interrupted = true;
-    }
-  };
-
-  for (;;) {
-    if (sh.stop.load(std::memory_order_acquire)) break;
-    if (local.empty()) {
-      std::unique_lock<std::mutex> lock(sh.mu);
-      sh.work.wait(lock, [&] {
-        return !sh.global.empty() ||
-               sh.pending.load(std::memory_order_acquire) == 0 ||
-               sh.stop.load(std::memory_order_acquire);
-      });
-      if (sh.stop.load(std::memory_order_acquire) ||
-          (sh.global.empty() &&
-           sh.pending.load(std::memory_order_acquire) == 0)) {
-        break;
-      }
-      const size_t take = std::min(sh.global.size(), size_t{64});
-      local.assign(sh.global.end() - take, sh.global.end());
-      sh.global.resize(sh.global.size() - take);
-      continue;
-    }
-
-    const auto [xa, xb] = local.back();
-    local.pop_back();
-    if (!TaCheckpoint(cctx).ok()) interrupted = true;
-    if (!interrupted) {
-      for (uint32_t ra_i : sh.ia->RulesWithLeft(xa)) {
-        for (uint32_t rb_i : sh.ib->RulesWithLeft(xb)) try_emit(ra_i, rb_i);
-        poll();
-        if (interrupted) break;
-      }
-    }
-    if (!interrupted) {
-      for (uint32_t ra_i : sh.ia->RulesWithRight(xa)) {
-        for (uint32_t rb_i : sh.ib->RulesWithRight(xb)) try_emit(ra_i, rb_i);
-        poll();
-        if (interrupted) break;
-      }
-    }
-    // The pair is expanded (or abandoned to the drain); either way it no
-    // longer counts against termination. The worker taking `pending` to
-    // zero wakes every parked peer so they can observe it.
-    if (sh.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.work.notify_all();
-    }
-    if (interrupted) {
-      sh.stop.store(true, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.work.notify_all();
-      break;
-    }
-    // Batched hand-off: once the local stash outgrows what one worker can
-    // usefully chew, donate the older half to idle peers.
-    if (local.size() > 64) {
-      const size_t give = local.size() / 2;
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.global.insert(sh.global.end(), local.end() - give, local.end());
-      local.resize(local.size() - give);
-      sh.work.notify_all();
-    }
-  }
-  // Flush thread-local accounting into the forked context on every exit
-  // path; the parent folds it in via MergeChild after the join.
-  TaCountRules(cctx, out.rules_scanned);
-}
-
-void IntersectParallel(const NbtaIndex& ia, const NbtaIndex& ib,
-                       uint32_t threads, TaOpContext* ctx, Nbta& out) {
-  const Nbta& a = ia.nbta();
-  const Nbta& b = ib.nbta();
-  ParallelIntersectShared sh(ia, ib);
-
-  // Serial seeding: leaf pairs intern in deterministic order, so the leaf
-  // block of the state space matches the serial construction and leaf rules
-  // land directly in `out`.
-  for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    for (StateId ta : ia.LeafTargets(s)) {
-      for (StateId tb : ib.LeafTargets(s)) {
-        bool inserted = false;
-        const StateId id = sh.index.FindOrInsert(PackPair(ta, tb), &inserted);
-        if (inserted) {
-          out.AddState();
-          out.accepting[id] = a.accepting[ta] && b.accepting[tb];
-          sh.global.push_back({ta, tb});
-          sh.pending.fetch_add(1, std::memory_order_relaxed);
-        }
-        out.AddLeafRule(s, id);
-      }
-    }
-  }
-
-  sh.outs.resize(threads);
-  sh.children.reserve(threads);
-  for (uint32_t w = 0; w < threads; ++w) {
-    sh.children.push_back(ctx != nullptr ? ctx->Fork() : TaOpContext());
-  }
-  TaThreadPool::Instance().Run(
-      threads, [&sh](uint32_t w) { ParallelIntersectWorker(sh, w); });
-
-  // Join: materialize the discovered states, splice the rule buffers, fold
-  // the per-worker counters and any sticky interrupt back into the parent.
-  const uint32_t total = sh.index.TotalStates();
-  while (out.num_states < total) out.AddState();
-  size_t total_rules = out.rules.size();
-  for (const auto& wo : sh.outs) total_rules += wo.rules.size();
-  out.rules.reserve(total_rules);
-  for (const auto& wo : sh.outs) {
-    for (const auto& [id, acc] : wo.discovered) out.accepting[id] = acc;
-    out.rules.insert(out.rules.end(), wo.rules.begin(), wo.rules.end());
-  }
-  if (ctx != nullptr) {
-    for (const TaOpContext& child : sh.children) ctx->MergeChild(child);
-  }
-}
-
-// Below this many total rules the sharding overhead (striped locks, forked
-// contexts, hand-off) outweighs the scan work; the serial path wins.
-constexpr size_t kParallelRuleGate = 256;
-
 }  // namespace
 
 Nbta IntersectNbta(const NbtaIndex& ia, const NbtaIndex& ib, TaOpContext* ctx) {
@@ -1106,12 +761,7 @@ Nbta IntersectNbta(const NbtaIndex& ia, const NbtaIndex& ib, TaOpContext* ctx) {
   TaOpTimer timer(ctx);
   Nbta out;
   out.num_symbols = a.num_symbols;
-  const uint32_t threads = TaEffectiveThreads(ctx);
-  if (threads > 1 && a.rules.size() + b.rules.size() >= kParallelRuleGate) {
-    IntersectParallel(ia, ib, threads, ctx, out);
-  } else {
-    IntersectSerial(ia, ib, ctx, out);
-  }
+  IntersectSerial(ia, ib, ctx, out);
   if (ctx != nullptr) {
     ctx->counters.intersections++;
     ctx->counters.states_materialized += out.num_states;

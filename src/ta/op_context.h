@@ -93,14 +93,13 @@ struct TaOpBudgets {
   /// dominate checkpoint cost, the counter bump is nearly free. Cancel and
   /// fault injection are checked every call regardless.
   uint32_t checkpoint_stride = 256;
-  /// Worker count for the parallel execution layer (docs/PARALLEL.md):
-  /// 0 = hardware concurrency (the default), 1 = the serial path (bit-for-
-  /// bit the pre-parallel behavior, and the only configuration with
-  /// deterministic checkpoint ordinals). Values above 1 let the hot
-  /// operations (IntersectNbta, the diffcheck sweep, op-level forks in the
-  /// typechecker) shard across TaThreadPool. A context carrying a fault
-  /// injector always runs serial regardless (injection ordinals must stay
-  /// deterministic); see TaEffectiveThreads in src/ta/thread_pool.h.
+  /// Worker count for the one op that fans out across TaThreadPool,
+  /// serve::ValidateBatch (docs/PARALLEL.md): 0 = hardware concurrency (the
+  /// default), 1 = serial. Every automaton op — determinize, complement,
+  /// intersect, inclusion, the typechecker's passes — is serial and ignores
+  /// it. A context carrying a fault injector always runs serial (injection
+  /// ordinals must stay deterministic); see TaEffectiveThreads in
+  /// src/ta/thread_pool.h.
   uint32_t num_threads = 0;
   /// Content-addressed memoization of expensive ops through TaAlgebra
   /// (docs/CACHING.md). Off by default; a context carrying a fault injector
@@ -245,6 +244,10 @@ class TaOpContext {
   /// deadline or cancellation observed by any worker propagates with its
   /// original code). Call exactly once per Fork(), after joining the worker.
   void MergeChild(const TaOpContext& child) {
+    // One summed line per TaOpCounters field below: a counter added to the
+    // struct without a line here fails the build instead of being dropped.
+    static_assert(sizeof(TaOpCounters) == 21 * sizeof(uint64_t),
+                  "TaOpCounters changed: update MergeChild");
     counters.states_materialized += child.counters.states_materialized;
     counters.rules_scanned += child.counters.rules_scanned;
     counters.determinizations += child.counters.determinizations;

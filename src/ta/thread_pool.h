@@ -1,5 +1,7 @@
-// A small, lazily-started worker pool for the automaton algebra's parallel
-// execution layer (docs/PARALLEL.md).
+// A small, lazily-started worker pool for the two embarrassingly parallel
+// workloads (docs/PARALLEL.md): the diffcheck sweep's iteration shards
+// (src/check/diffcheck.cc) and kValidateBatch's per-document fan-out
+// (src/serve/validate.cc). The automaton ops themselves are serial.
 //
 // The pool owns up to hardware_concurrency() - 1 persistent threads, spawned
 // on the first Run() that needs them; a process that never requests
@@ -7,14 +9,12 @@
 // body(n-1) — the *worker shares* of one parallel operation — across the
 // caller thread plus however many pool threads are idle, and blocks until
 // every share finished. Shares are claimed from a single atomic cursor, so an
-// idle pool thread steals whichever share the caller has not reached yet;
-// finer-grained stealing (batched frontier hand-off between shares) lives
-// inside the operations themselves, keyed to their own data structures.
+// idle pool thread steals whichever share the caller has not reached yet.
 //
 // Deadlock discipline: Run() never waits for a pool thread to pick a share
 // up — the calling thread claims shares itself until none remain, then waits
 // only for shares already *in flight* on other threads. Nested Run() calls
-// (an op-level fork inside a worker share) therefore always make progress:
+// (a batch fan-out inside a sweep shard) therefore always make progress:
 // worst case the nested caller executes every nested share serially.
 //
 // The pool is deliberately oblivious to budgets, deadlines, and counters:

@@ -362,7 +362,7 @@ TEST(TypecheckTest, InconclusiveWhenEverythingDisabled) {
   auto r = std::move(tc.Typecheck(UniversalNbta(sigma),
                                   AllLeaves(sigma, sigma.Find("l")), opts))
                .ValueOrDie();
-  EXPECT_EQ(r.verdict, TypecheckVerdict::kInconclusive);
+  EXPECT_EQ(r.verdict, TypecheckVerdict::kUnknown);
 }
 
 TEST(InverseInferenceTest, VacuousOutputsMakeEverythingConform) {

@@ -1,8 +1,8 @@
 // Tests for the parallel execution layer (docs/PARALLEL.md): TaThreadPool
-// share-stealing, TaOpContext fork/merge, serial-vs-parallel language
-// equality of the sharded product construction (checked through the
-// src/check reference ops, never the optimized suite under test), mid-flight
-// cancellation/deadline draining, and sharded diffcheck sweep equivalence.
+// share-stealing, TaOpContext fork/merge, and sharded diffcheck sweep
+// equivalence — plus deadline and cancellation draining inside the serial
+// IntersectNbta worklist, including a cancel flag flipped from another
+// thread mid-flight.
 
 #include <atomic>
 #include <chrono>
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/check/diffcheck.h"
-#include "src/check/reference_ops.h"
 #include "src/common/rng.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
@@ -103,15 +102,12 @@ TEST(OpContextForkTest, InterruptedParentForksInterruptedChildren) {
   EXPECT_EQ(child.interrupt().code(), StatusCode::kCancelled);
 }
 
-// ----------------------------------- serial vs parallel intersection -------
+// ------------------------------------- IntersectNbta interruption ---------
 
-// Dense enough that the product clears the parallel gate (>= 256 total
-// rules) and has a rich reachable pair space.
+// A dense random pair with a rich reachable pair space.
 Nbta DenseAutomaton(const RankedAlphabet& sigma, uint64_t seed) {
   Rng rng(seed);
   RandomNbtaOptions o;
-  // Expected binary rules ≈ symbols * states^2 * density ≈ 200 per
-  // automaton, so a pair of these clears the 256-rule parallel gate.
   o.num_states = 12;
   o.rule_density = 0.7;
   o.leaf_density = 0.6;
@@ -119,72 +115,11 @@ Nbta DenseAutomaton(const RankedAlphabet& sigma, uint64_t seed) {
   return RandomNbta(sigma, rng, o);
 }
 
-Nbta IntersectWithThreads(const Nbta& a, const Nbta& b, uint32_t threads,
-                          TaOpContext* out_ctx = nullptr) {
-  TaOpContext ctx;
-  ctx.budgets.num_threads = threads;
-  Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
-  EXPECT_FALSE(ctx.interrupted());
-  if (out_ctx != nullptr) *out_ctx = ctx;
-  return product;
-}
-
-TEST(ParallelIntersectTest, LanguageEqualAcrossSeedsAndThreadCounts) {
-  const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  const std::vector<BinaryTree> trees = AllTreesUpToNodes(sigma, 7, 500);
-  ASSERT_FALSE(trees.empty());
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    const Nbta a = DenseAutomaton(sigma, 0x5eed0000 + seed);
-    const Nbta b = DenseAutomaton(sigma, 0xb0b00000 + seed);
-    ASSERT_GE(a.rules.size() + b.rules.size(), 256u)
-        << "instance too sparse to exercise the sharded path";
-    const Nbta serial = IntersectWithThreads(a, b, 1);
-    for (uint32_t threads : {2u, 4u}) {
-      const Nbta parallel = IntersectWithThreads(a, b, threads);
-      ASSERT_TRUE(parallel.Validate(sigma).ok());
-      EXPECT_EQ(parallel.num_states, serial.num_states)
-          << "pair spaces diverged (seed " << seed << ", threads " << threads
-          << ")";
-      EXPECT_EQ(parallel.rules.size(), serial.rules.size());
-      // Language equality through the reference membership oracle alone:
-      // the product must accept exactly the trees both operands accept.
-      for (const BinaryTree& t : trees) {
-        const bool expect = RefAccepts(a, t) && RefAccepts(b, t);
-        ASSERT_EQ(RefAccepts(parallel, t), expect)
-            << "seed " << seed << ", threads " << threads;
-        ASSERT_EQ(RefAccepts(serial, t), expect) << "seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(ParallelIntersectTest, CountersMergeAcrossThreadCounts) {
-  const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  const Nbta a = DenseAutomaton(sigma, 0x11);
-  const Nbta b = DenseAutomaton(sigma, 0x22);
-  TaOpContext serial_ctx;
-  TaOpContext parallel_ctx;
-  IntersectWithThreads(a, b, 1, &serial_ctx);
-  IntersectWithThreads(a, b, 4, &parallel_ctx);
-  EXPECT_EQ(serial_ctx.counters.intersections, 1u);
-  EXPECT_EQ(parallel_ctx.counters.intersections, 1u);
-  // Every (a-rule, b-rule) candidate is scanned the same number of times
-  // regardless of sharding: scans are driven per discovered pair, and the
-  // discovered pair set is schedule-independent.
-  EXPECT_EQ(parallel_ctx.counters.rules_scanned,
-            serial_ctx.counters.rules_scanned);
-  EXPECT_EQ(parallel_ctx.counters.states_materialized,
-            serial_ctx.counters.states_materialized);
-  EXPECT_GT(parallel_ctx.counters.checkpoints, 0u)
-      << "worker checkpoints must merge back into the parent";
-}
-
-TEST(ParallelIntersectTest, ExpiredDeadlineDrainsAllWorkers) {
+TEST(IntersectInterruptTest, ExpiredDeadlineDrainsWorklist) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = DenseAutomaton(sigma, 0x33);
   const Nbta b = DenseAutomaton(sigma, 0x44);
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.deadline = std::chrono::steady_clock::now();
   ctx.budgets.checkpoint_stride = 1;
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
@@ -194,7 +129,7 @@ TEST(ParallelIntersectTest, ExpiredDeadlineDrainsAllWorkers) {
   EXPECT_TRUE(product.Validate(sigma).ok());
 }
 
-TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
+TEST(IntersectInterruptTest, MidFlightCancellationDrainsWorklist) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   // Large, near-total automata: the product has tens of thousands of pair
   // scans, far more than the canceller's latency on any host.
@@ -209,7 +144,6 @@ TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
 
   std::atomic<bool> cancel{false};
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.cancel = &cancel;
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -218,31 +152,30 @@ TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
   canceller.join();
 
-  // Either the cancellation landed mid-flight (the interesting case: every
-  // worker drained, the sticky kCancelled merged back) or the product beat
-  // the canceller; both must leave a consistent context and a sound result.
+  // Either the cancellation landed mid-flight (the interesting case: the
+  // worklist drained with a sticky kCancelled) or the product beat the
+  // canceller; both must leave a consistent context and a sound result.
   if (ctx.interrupted()) {
     EXPECT_EQ(ctx.interrupt().code(), StatusCode::kCancelled);
-    // The worker that observed the flag checkpointed (and merged back);
-    // rules_scanned may legitimately be zero if the flag landed before the
-    // first expansion (e.g. under sanitizer slowdown).
+    // The checkpoint that observed the flag was counted; rules_scanned may
+    // legitimately be zero if the flag landed before the first expansion
+    // (e.g. under sanitizer slowdown).
     EXPECT_GT(ctx.counters.checkpoints, 0u);
   } else {
     EXPECT_EQ(product.num_states,
-              IntersectWithThreads(a, b, 1).num_states);
+              IntersectNbta(NbtaIndex(a), NbtaIndex(b)).num_states);
     EXPECT_GT(ctx.counters.rules_scanned, 0u);
   }
   EXPECT_TRUE(product.Validate(sigma).ok());
   EXPECT_EQ(ctx.counters.intersections, 1u);
 }
 
-TEST(ParallelIntersectTest, CancelledBeforeStartProducesEmptyDrain) {
+TEST(IntersectInterruptTest, CancelledBeforeStartProducesEmptyDrain) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = DenseAutomaton(sigma, 0x55);
   const Nbta b = DenseAutomaton(sigma, 0x66);
   std::atomic<bool> cancel{true};
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.cancel = &cancel;
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
   EXPECT_TRUE(ctx.interrupted());

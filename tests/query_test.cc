@@ -236,5 +236,43 @@ TEST(XsltTypecheckTest, RenameAgainstDtds) {
   EXPECT_FALSE(std::move(out_dtd_bad.Accepts(image)).ValueOrDie());
 }
 
+// Example 4.3's typechecking story for Q2 under default options. Q2 needs
+// up-moves, so the downward fast path is out; the complete decision's MSO
+// route needs far more than the 20 tracks TrackAlphabet supports. That cap
+// is a structural limit the ladder degrades on: the good pair reports an
+// honest kUnknown after the salvage search, not a hard error, and the bad
+// pair is still refuted.
+TEST(XsltTypecheckTest, Q2GoodPairDegradesAtTheTrackLimit) {
+  Alphabet in, out;
+  auto program = std::move(ParseXslt(kQ2, &in, &out)).ValueOrDie();
+  auto in_enc = std::move(MakeEncodedAlphabet(in)).ValueOrDie();
+  auto out_enc = std::move(MakeEncodedAlphabet(out)).ValueOrDie();
+  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
+  auto in_dtd = std::move(ParseDtd("root := a*\na := ()")).ValueOrDie();
+  auto tau1 = std::move(CompileDtdOver(in_dtd, in_enc)).ValueOrDie();
+  auto good = std::move(ParseDtd("result := b.a*.b.a*.b.a*\n"
+                                 "b := ()\na := ()"))
+                  .ValueOrDie();
+  auto tau2_good = std::move(CompileDtdOver(good, out_enc)).ValueOrDie();
+  auto bad =
+      std::move(ParseDtd("result := b.a*.b.a*.b\nb := ()\na := ()"))
+          .ValueOrDie();
+  auto tau2_bad = std::move(CompileDtdOver(bad, out_enc)).ValueOrDie();
+  Typechecker tc(t, in_enc.ranked, out_enc.ranked);
+
+  Result<TypecheckResult> r_good = tc.Typecheck(tau1, tau2_good);
+  ASSERT_TRUE(r_good.ok()) << r_good.status().ToString();
+  EXPECT_EQ(r_good->verdict, TypecheckVerdict::kUnknown);
+  EXPECT_TRUE(r_good->exhausted.exhausted);
+  EXPECT_EQ(r_good->exhausted.code, StatusCode::kLimitExceeded);
+  EXPECT_EQ(r_good->exhausted.pass, "complete-decision");
+  EXPECT_NE(r_good->notes.find("degraded-enumeration"), std::string::npos)
+      << r_good->notes;
+
+  Result<TypecheckResult> r_bad = tc.Typecheck(tau1, tau2_bad);
+  ASSERT_TRUE(r_bad.ok()) << r_bad.status().ToString();
+  EXPECT_EQ(r_bad->verdict, TypecheckVerdict::kCounterexample);
+}
+
 }  // namespace
 }  // namespace pebbletc
