@@ -115,7 +115,6 @@ void BM_PathAntichain(benchmark::State& state) {
   tau1.AddLeafRule(inst->sigma.Find("m"), u);
   tau1.AddRule(inst->sigma.Find("n"), u, u, u);
   TypecheckOptions opts;
-  opts.inclusion = TaInclusionPath::kAntichain;
   opts.run_complete_decision = false;
   bool refuted = false;
   for (auto _ : state) {
@@ -167,7 +166,6 @@ void BM_PathsAgree(benchmark::State& state) {
     tau1.AddLeafRule(inst->sigma.Find("m"), u);
     tau1.AddRule(inst->sigma.Find("n"), u, u, u);
     TypecheckOptions opts;
-    opts.inclusion = TaInclusionPath::kAntichain;
     opts.run_complete_decision = false;
     auto tcr = tc.Typecheck(tau1, inst->tau2, opts);
     PEBBLETC_CHECK(tcr.ok()) << tcr.status().ToString();

@@ -48,11 +48,13 @@ void BM_BlowupInK(benchmark::State& state) {
   MsoCompileStats stats;
   MsoCompileOptions opts;
   opts.stats = &stats;
-  opts.max_det_states = 40000;
   bool saturated = false;
   size_t result_states = 0;
   for (auto _ : state) {
     stats = MsoCompileStats();
+    TaOpContext ctx;
+    ctx.budgets.max_det_states = 40000;
+    opts.ctx = &ctx;
     auto nbta = PebbleAutomatonToNbta(a, sigma, opts);
     if (!nbta.ok()) {
       PEBBLETC_CHECK(nbta.status().code() == StatusCode::kResourceExhausted)

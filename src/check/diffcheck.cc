@@ -1538,58 +1538,6 @@ void Harness::CheckTypechecker(size_t iter, Rng& rng) {
     }
   }
 
-  // Laws "typecheck/antichain-verdict" and "typecheck/antichain-witness":
-  // the whole ladder re-run on the antichain inclusion path
-  // (docs/INCLUSION.md) must reach the same verdict as the explicit
-  // pipeline, with the identical counterexample input; the violating output
-  // is engine-specific but for the copy transducer must equal the input.
-  if (!LawDone("typecheck/antichain-verdict") ||
-      !LawDone("typecheck/antichain-witness")) {
-    TypecheckOptions anti_opts = TcOptions();
-    anti_opts.inclusion = TaInclusionPath::kAntichain;
-    Result<TypecheckResult> ares = tc.Typecheck(tau1, tau2, anti_opts);
-    ++report_.comparisons;
-    if (!ares.ok()) {
-      Fail("typecheck/antichain-verdict", iter,
-           "Typecheck on the antichain path failed outright: " +
-               ares.status().ToString(),
-           Repro("typecheck/antichain-verdict", iter, false, &tau1, &tau2,
-                 nullptr, "antichain and explicit runs agree"));
-    } else if (ares->exhausted.exhausted || res->exhausted.exhausted) {
-      // A budget cut on either side makes the verdicts incomparable.
-      ++report_.budget_skips;
-    } else if (ares->verdict != res->verdict) {
-      Fail("typecheck/antichain-verdict", iter,
-           "verdict changed on the antichain path (explicit " +
-               std::to_string(static_cast<int>(res->verdict)) +
-               ", antichain " +
-               std::to_string(static_cast<int>(ares->verdict)) + ")",
-           Repro("typecheck/antichain-verdict", iter, false, &tau1, &tau2,
-                 nullptr, "antichain and explicit runs agree"));
-    } else if (ares->verdict == TypecheckVerdict::kCounterexample &&
-               !LawDone("typecheck/antichain-witness")) {
-      ++report_.comparisons;
-      const bool same_input =
-          ares->counterexample_input.has_value() &&
-          res->counterexample_input.has_value() &&
-          *ares->counterexample_input == *res->counterexample_input;
-      const bool output_ok =
-          !ares->counterexample_output.has_value() ||
-          *ares->counterexample_output == *ares->counterexample_input;
-      if (!same_input || !output_ok) {
-        Fail("typecheck/antichain-witness", iter,
-             "the antichain path must report the same counterexample input "
-             "as the explicit pipeline (and, for the copy transducer, an "
-             "output equal to it)",
-             Repro("typecheck/antichain-witness", iter, false, &tau1, &tau2,
-                   ares->counterexample_input.has_value()
-                       ? &*ares->counterexample_input
-                       : nullptr,
-                   "antichain counterexample matches explicit"));
-      }
-    }
-  }
-
   Pred2 violated = [this](const Nbta& c1, const Nbta& c2, const BinaryTree&) {
     const PebbleTransducer ccopy = MakeCopyTransducer(base_);
     const Typechecker ctc(ccopy, base_, base_);
@@ -1629,6 +1577,37 @@ void Harness::CheckTypechecker(size_t iter, Rng& rng) {
                      "verdict kCounterexample but the reference decision "
                      "proves τ1 ⊆ τ2 (copy transducer)");
         break;
+      }
+      // Law "typecheck/antichain-witness": a pass-1 refutation names the
+      // first τ1 tree of the pass's own enumeration (same order and caps)
+      // that the reference membership rejects. The copy transducer's only
+      // output on t is t, so any other input means the per-input antichain
+      // search skipped a violator or invented one.
+      if (res->method == "bounded-refutation" &&
+          !LawDone("typecheck/antichain-witness")) {
+        ++report_.comparisons;
+        const TypecheckOptions o = TcOptions();
+        std::optional<BinaryTree> first;
+        for (BinaryTree& t : EnumerateAcceptedTrees(
+                 tau1, o.refutation_max_nodes, o.refutation_max_trees)) {
+          if (!RefAccepts(tau2, t)) {
+            first = std::move(t);
+            break;
+          }
+        }
+        if (!first.has_value() || !res->counterexample_input.has_value() ||
+            !(*res->counterexample_input == *first)) {
+          Fail("typecheck/antichain-witness", iter,
+               "a bounded-refutation counterexample must be the first "
+               "enumerated τ1 tree that the reference membership rejects",
+               Repro("typecheck/antichain-witness", iter, false, &tau1,
+                     &tau2,
+                     res->counterexample_input.has_value()
+                         ? &*res->counterexample_input
+                         : nullptr,
+                     "counterexample_input is the first enumerated τ1 tree "
+                     "outside L(τ2)"));
+        }
       }
       if (LawDone("typecheck/witness")) break;
       ++report_.comparisons;

@@ -55,20 +55,6 @@ bool IsExhaustion(StatusCode code) {
          code == StatusCode::kCancelled || code == StatusCode::kLimitExceeded;
 }
 
-// Resolves the kAuto inclusion mode against the Martens–Neven fragment
-// detector: antichain when τ2 is bottom-up deterministic (DTD-shaped).
-bool UseAntichain(const TypecheckOptions& options, const Nbta& output_type) {
-  switch (options.inclusion) {
-    case TaInclusionPath::kExplicit:
-      return false;
-    case TaInclusionPath::kAntichain:
-      return true;
-    case TaInclusionPath::kAuto:
-      return NbtaIsBottomUpDeterministic(output_type);
-  }
-  return false;
-}
-
 }  // namespace
 
 Typechecker::Typechecker(const PebbleTransducer& transducer,
@@ -78,41 +64,21 @@ Typechecker::Typechecker(const PebbleTransducer& transducer,
       input_alphabet_(input_alphabet),
       output_alphabet_(output_alphabet) {}
 
-Result<bool> Typechecker::CheckOnInputImpl(
-    const BinaryTree& input, const NbtaIndex& not_tau2, TaOpContext* ctx,
-    std::optional<BinaryTree>* violating_output) const {
-  PEBBLETC_ASSIGN_OR_RETURN(
-      OutputAutomaton a_t,
-      BuildOutputAutomaton(transducer_, input, ctx->budgets.max_configs, ctx));
-  Nbta outputs = TopDownToNbta(a_t.automaton, ctx);
-  // The intersection's worklist only materializes inhabited product states,
-  // so the witness search runs on it directly (no extra trim needed). The
-  // per-input product deliberately bypasses the op cache: every enumerated
-  // tree yields a distinct operand, so entries would never be re-hit
-  // (docs/CACHING.md).
-  Nbta bad = IntersectNbta(NbtaIndex(outputs, ctx), not_tau2, ctx);
-  std::optional<BinaryTree> witness = WitnessTree(NbtaIndex(bad, ctx), ctx);
-  if (witness.has_value()) {
-    // A witness in a (possibly partial) product is a genuine violation.
-    if (violating_output != nullptr) *violating_output = std::move(witness);
-    return false;
-  }
-  // "No witness" is only trustworthy if nothing above drained early.
-  PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
-  return true;
-}
-
 Result<bool> Typechecker::CheckOnInputAntichain(
     const BinaryTree& input, const NbtaIndex& tau2_idx, TaOpContext* ctx,
     std::optional<BinaryTree>* violating_output) const {
   PEBBLETC_ASSIGN_OR_RETURN(
       OutputAutomaton a_t,
       BuildOutputAutomaton(transducer_, input, ctx->budgets.max_configs, ctx));
-  Nbta outputs = TopDownToNbta(a_t.automaton, ctx);
+  // Trim first: the search interns a pair per inhabited A-state, and most
+  // of A_t's configurations never reach an output (the paper's Q1 on a^5:
+  // 436,514 states, 153 useful), which would blow the pair budget.
+  Nbta outputs =
+      TrimNbta(NbtaIndex(TopDownToNbta(a_t.automaton, ctx), ctx), ctx);
   NbtaIndex outputs_idx(outputs, ctx);
-  // Like the per-input product above, the per-input inclusion bypasses the
-  // op cache: every enumerated tree yields a distinct operand hash that
-  // would never be re-hit (docs/CACHING.md).
+  // The per-input inclusion bypasses the op cache: every enumerated tree
+  // yields a distinct operand hash that would never be re-hit
+  // (docs/CACHING.md).
   PEBBLETC_ASSIGN_OR_RETURN(
       NbtaInclusionResult incl,
       NbtaIncludedIn(outputs_idx, tau2_idx, output_alphabet_, ctx));
@@ -129,24 +95,15 @@ Result<bool> Typechecker::CheckOnInput(
     const BinaryTree& input, const Nbta& output_type,
     const TypecheckOptions& options,
     std::optional<BinaryTree>* violating_output) const {
+  PEBBLETC_RETURN_IF_ERROR(
+      transducer_.Validate(input_alphabet_, output_alphabet_));
+  PEBBLETC_RETURN_IF_ERROR(output_type.Validate(output_alphabet_));
   TaOpContext ctx = MakeContext(options);
-  const TaAlgebra alg;
-  if (UseAntichain(options, output_type)) {
-    // Complement-free: the antichain path never builds complement(τ2)
-    // (docs/INCLUSION.md).
-    NbtaIndex tau2_idx(output_type, &ctx);
-    return CheckOnInputAntichain(input, tau2_idx, &ctx, violating_output);
-  }
-  PEBBLETC_ASSIGN_OR_RETURN(
-      Nbta not_tau2,
-      alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
-  Nbta trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
-  return CheckOnInputImpl(input, NbtaIndex(trimmed, &ctx), &ctx,
-                          violating_output);
+  NbtaIndex tau2_idx(output_type, &ctx);
+  return CheckOnInputAntichain(input, tau2_idx, &ctx, violating_output);
 }
 
 Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
-                                             const TypecheckOptions& options,
                                              MsoCompileStats* stats,
                                              std::string* method,
                                              TaOpContext* ctx) const {
@@ -157,11 +114,7 @@ Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
   // Regularize. For one pebble, behavior composition reaches machines the
   // MSO route cannot; fall back to Thm 4.7's construction otherwise.
   if (transducer_.max_pebbles() == 1) {
-    BehaviorOptions bopts;
-    bopts.max_state_bits = options.behavior_max_state_bits;
-    bopts.max_behaviors = options.behavior_max_behaviors;
-    auto by_behavior =
-        OnePebbleToNbtaByBehavior(product, input_alphabet_, bopts, ctx);
+    auto by_behavior = OnePebbleToNbtaByBehavior(product, input_alphabet_, ctx);
     if (by_behavior.ok()) {
       if (method != nullptr) *method = "behavior-complete";
       return by_behavior;
@@ -173,16 +126,17 @@ Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
     // checkpoint returns the same code immediately.
   }
   MsoCompileOptions mso;
-  mso.max_det_states = options.max_det_states;
   mso.stats = stats;
   mso.ctx = ctx;
-  mso.minimize_intermediate = options.minimize_intermediate;
   if (method != nullptr) *method = "mso-complete";
   return PebbleAutomatonToNbta(product, input_alphabet_, mso);
 }
 
 Result<Nbta> Typechecker::InferInverseType(
     const Nbta& output_type, const TypecheckOptions& options) const {
+  PEBBLETC_RETURN_IF_ERROR(
+      transducer_.Validate(input_alphabet_, output_alphabet_));
+  PEBBLETC_RETURN_IF_ERROR(output_type.Validate(output_alphabet_));
   TaOpContext ctx = MakeContext(options);
   const TaAlgebra alg;
   PEBBLETC_ASSIGN_OR_RETURN(
@@ -191,7 +145,7 @@ Result<Nbta> Typechecker::InferInverseType(
   Nbta not_tau2_trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta bad,
-      BadInputsAutomaton(not_tau2_trimmed, options, nullptr, nullptr, &ctx));
+      BadInputsAutomaton(not_tau2_trimmed, nullptr, nullptr, &ctx));
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta inverse,
       alg.Complement(NbtaIndex(bad, &ctx), input_alphabet_, &ctx));
@@ -260,79 +214,18 @@ Result<TypecheckResult> Typechecker::Typecheck(
     }
   };
 
-  // complement(τ2) is the workhorse of the explicit passes; compute it (and
-  // its rule index) once and share it, instead of re-determinizing per pass
-  // — and, in the refutation pass, per enumerated input tree. On the
-  // antichain path (docs/INCLUSION.md) pass 1 never touches the complement,
-  // so it is deferred until a later pass asks for it (ensure_complement
-  // below): a pass-1 refutation returns without ever determinizing τ2.
-  const bool use_antichain = UseAntichain(options, output_type);
-  std::optional<Result<Nbta>> complement_or;
-  if (!use_antichain) {
-    complement_or =
-        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
-    if (!complement_or->ok()) {
-      if (!IsExhaustion(complement_or->status().code())) {
-        return complement_or->status();
-      }
-      note_exhaustion("output-complement", complement_or->status());
-      // Every explicit pass needs the complement, but the degraded search
-      // tests τ2 membership directly and can still refute.
-      RunDegradedSearch(input_type, output_type, options, &result);
-      result.op_counters = ctx.counters;
-      return result;
-    }
-  }
-
-  // Lazily materialized complement artifacts. ensure_complement() yields
-  // true once the trimmed complement and its index are available, false
-  // after noting an exhaustion (at most once; later passes skip silently),
-  // and propagates hard errors. On the explicit path the complement already
-  // exists, so the first call only trims and indexes it — bit-for-bit the
-  // legacy sequence.
-  std::optional<Nbta> not_tau2;
-  std::optional<NbtaIndex> not_tau2_idx;
-  bool complement_failed = false;
-  auto ensure_complement = [&]() -> Result<bool> {
-    if (not_tau2_idx.has_value()) return true;
-    if (complement_failed) return false;
-    if (!complement_or.has_value()) {
-      complement_or = alg.Complement(NbtaIndex(output_type, &ctx),
-                                     output_alphabet_, &ctx);
-    }
-    if (!complement_or->ok()) {
-      if (!IsExhaustion(complement_or->status().code())) {
-        return complement_or->status();
-      }
-      note_exhaustion("output-complement", complement_or->status());
-      complement_failed = true;
-      return false;
-    }
-    not_tau2 = TrimNbta(NbtaIndex(**complement_or, &ctx), &ctx);
-    not_tau2_idx.emplace(*not_tau2, &ctx);
-    return true;
-  };
-  if (!use_antichain) {
-    // Success is guaranteed here (the eager block above returned on
-    // failure); this just materializes the shared trimmed index for pass 1.
-    PEBBLETC_RETURN_IF_ERROR(ensure_complement().status());
-  }
+  // Every per-input check (pass 1, and recovering a violating output for a
+  // pass 2/3 witness) runs against this one index of τ2.
+  NbtaIndex tau2_idx(output_type, &ctx);
 
   // Pass 1: bounded refutation — exact per-input checks on small τ1 trees.
-  // Antichain mode checks image(input) ⊆ τ2 directly against a shared τ2
-  // index; explicit mode intersects with the complement index built above.
   if (options.refutation_max_trees > 0) {
-    std::optional<NbtaIndex> tau2_idx;
-    if (use_antichain) tau2_idx.emplace(output_type, &ctx);
     std::vector<BinaryTree> inputs =
         EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
                                options.refutation_max_trees, &ctx);
     for (BinaryTree& input : inputs) {
       std::optional<BinaryTree> violating;
-      auto ok =
-          use_antichain
-              ? CheckOnInputAntichain(input, *tau2_idx, &ctx, &violating)
-              : CheckOnInputImpl(input, *not_tau2_idx, &ctx, &violating);
+      auto ok = CheckOnInputAntichain(input, tau2_idx, &ctx, &violating);
       if (!ok.ok()) {
         if (!IsExhaustion(ok.status().code())) return ok.status();
         note_exhaustion("bounded-refutation", ok.status());
@@ -349,14 +242,25 @@ Result<TypecheckResult> Typechecker::Typecheck(
     }
   }
 
-  // Passes 2/3 need the explicit complement even in antichain mode (pass 2
-  // determinizes ¬τ2; pass 3 inverts it). If the deferred complement
-  // exhausts its budget here, those passes are skipped with the exhaustion
-  // noted — exactly what an explicit-mode run would have recorded up front.
-  bool have_complement = false;
+  // Passes 2/3 need the explicit complement (pass 2 determinizes ¬τ2; pass
+  // 3 inverts it), so it is built only here: a pass-1 refutation returns
+  // without ever determinizing τ2. If it exhausts its budget, both passes
+  // are skipped with the exhaustion noted.
+  std::optional<Nbta> not_tau2;
+  std::optional<NbtaIndex> not_tau2_idx;
   if (IsDownwardTransducer(transducer_) || options.run_complete_decision) {
-    PEBBLETC_ASSIGN_OR_RETURN(have_complement, ensure_complement());
+    Result<Nbta> complement =
+        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
+    if (complement.ok()) {
+      not_tau2 = TrimNbta(NbtaIndex(*complement, &ctx), &ctx);
+      not_tau2_idx.emplace(*not_tau2, &ctx);
+    } else if (IsExhaustion(complement.status().code())) {
+      note_exhaustion("output-complement", complement.status());
+    } else {
+      return complement.status();
+    }
   }
+  const bool have_complement = not_tau2_idx.has_value();
 
   // Pass 2: complete decision for the downward fragment.
   if (IsDownwardTransducer(transducer_) && have_complement) {
@@ -386,7 +290,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
       // Recover a violating output for the witness input.
       std::optional<BinaryTree> violating;
       auto per_tree =
-          CheckOnInputImpl(*witness, *not_tau2_idx, &ctx, &violating);
+          CheckOnInputAntichain(*witness, tau2_idx, &ctx, &violating);
       if (per_tree.ok() && !*per_tree) {
         r.counterexample_output = std::move(violating);
       }
@@ -408,8 +312,8 @@ Result<TypecheckResult> Typechecker::Typecheck(
   // Pass 3: the complete (non-elementary) decision.
   if (options.run_complete_decision && have_complement) {
     std::string method = "mso-complete";
-    auto bad = BadInputsAutomaton(*not_tau2, options, &result.mso_stats,
-                                  &method, &ctx);
+    auto bad =
+        BadInputsAutomaton(*not_tau2, &result.mso_stats, &method, &ctx);
     if (bad.ok()) {
       Nbta offending = alg.Intersect(NbtaIndex(input_type, &ctx),
                                      NbtaIndex(*bad, &ctx), &ctx);
@@ -429,7 +333,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
         result.verdict = TypecheckVerdict::kCounterexample;
         std::optional<BinaryTree> violating;
         auto per_tree =
-            CheckOnInputImpl(*witness, *not_tau2_idx, &ctx, &violating);
+            CheckOnInputAntichain(*witness, tau2_idx, &ctx, &violating);
         if (per_tree.ok() && !*per_tree) {
           result.counterexample_output = std::move(violating);
         }

@@ -4,11 +4,9 @@
 //
 // Three cooperating procedures, in escalating cost:
 //  1. *Bounded refutation*: enumerate small τ1-trees, and for each t decide
-//     T(t) ⊆ τ2 exactly via the Prop. 3.8 automaton A_t (inst(A_t) = T(t)).
-//     Two engines, selected by TypecheckOptions::inclusion: emptiness of
-//     A_t ∩ complement(τ2) (kExplicit, the default), or the antichain
-//     on-the-fly inclusion search NbtaIncludedIn(A_t, τ2) that never
-//     materializes the complement (kAntichain / kAuto; docs/INCLUSION.md).
+//     T(t) ⊆ τ2 exactly via the Prop. 3.8 automaton A_t (inst(A_t) = T(t)),
+//     by the antichain on-the-fly inclusion search NbtaIncludedIn(A_t, τ2)
+//     that never materializes complement(τ2) (docs/INCLUSION.md).
 //     Finds concrete counterexamples (input *and* violating output)
 //     quickly; cannot prove correctness.
 //  2. *Downward fast path* (complete for the top-down fragment): the lazy
@@ -39,28 +37,11 @@
 
 namespace pebbletc {
 
-/// Which inclusion engine the bounded-refutation pass (and CheckOnInput)
-/// uses to decide T(t) ⊆ τ2 per input tree (docs/INCLUSION.md).
+/// Ignored: per-input checks always run the antichain search
+/// (docs/INCLUSION.md). Kept, cut to its one enumerator, only so existing
+/// callers that assign TypecheckOptions::inclusion still compile.
 enum class TaInclusionPath : uint8_t {
-  /// The legacy pipeline, bit-for-bit: complement(τ2) eagerly (one subset
-  /// construction up front, budgeted by `max_det_states`), then per-input
-  /// products + emptiness. The default — the serial oracle and the
-  /// fault-injection harness rely on its exact checkpoint ordinals.
-  kExplicit = 0,
-  /// Antichain on-the-fly inclusion (NbtaIncludedIn): no complement or
-  /// determinization up front; each per-input check searches the implicit
-  /// product of T(t) with the determinized-on-demand complement of τ2,
-  /// budgeted by `max_antichain_pairs`. complement(τ2) is computed lazily,
-  /// only if the exact passes 2/3 still run. Verdicts and counterexample
-  /// *inputs* agree with kExplicit (same enumeration order, same first
-  /// violator; passes 2/3 are shared); the violating *output* attached to a
-  /// pass-1 refutation is genuine but not necessarily the size-minimal tree
-  /// kExplicit reports.
   kAntichain = 1,
-  /// Pick kAntichain when the output type is bottom-up deterministic (the
-  /// Martens–Neven tractable fragment, which every DTD-shaped schema
-  /// compiles into — NbtaIsBottomUpDeterministic), else kExplicit.
-  kAuto = 2,
 };
 
 struct TypecheckOptions {
@@ -68,8 +49,9 @@ struct TypecheckOptions {
   size_t max_det_states = 200000;
   /// Budget for per-tree configuration spaces (Prop. 3.8).
   size_t max_configs = 1u << 20;
-  /// Inclusion engine for the per-input checks (see TaInclusionPath).
-  TaInclusionPath inclusion = TaInclusionPath::kExplicit;
+  /// Ignored (see TaInclusionPath); kept so existing callers that set it
+  /// still compile.
+  TaInclusionPath inclusion = TaInclusionPath::kAntichain;
   /// Pair-arena budget for each antichain inclusion search (0 = unlimited);
   /// exceeding it surfaces as kResourceExhausted from the owning pass, like
   /// every other budget on the ladder.
@@ -88,10 +70,6 @@ struct TypecheckOptions {
   /// Run the complete (non-elementary) decision when cheaper passes are
   /// inconclusive.
   bool run_complete_decision = true;
-  /// Canonically minimize intermediate automata inside the MSO pipeline
-  /// (see MsoCompileOptions::minimize_intermediate). Slower per step, but
-  /// caps the state blowup feeding later complementations.
-  bool minimize_intermediate = false;
   /// Content-addressed op cache (docs/CACHING.md). kOff (the default)
   /// preserves the legacy cold path bit-for-bit — the serial oracle and the
   /// fault-injection harness rely on that. kInMemory serves repeated algebra
@@ -206,15 +184,16 @@ class Typechecker {
 
   /// Inverse type inference: an automaton for {t | T(t) ⊆ output_type},
   /// via the complete pipeline. Non-elementary; honors the MSO budgets.
+  /// Operands that do not match the alphabets return kInvalidArgument.
   Result<Nbta> InferInverseType(const Nbta& output_type,
                                 const TypecheckOptions& options = {}) const;
 
   /// Exact per-input check: T(input) ⊆ output_type? On refutation fills
-  /// `*violating_output` (if non-null) with a witness output. Routed by
-  /// options.inclusion: kExplicit complements τ2 (budget `max_det_states`,
-  /// exhaustion code kResourceExhausted); kAntichain/kAuto run the
-  /// complement-free antichain search (budget `max_antichain_pairs`, same
-  /// code). Both honor deadline/cancel with kDeadlineExceeded/kCancelled.
+  /// `*violating_output` (if non-null) with a witness output. Runs the
+  /// complement-free antichain search (budget `max_antichain_pairs`,
+  /// exhaustion code kResourceExhausted) and honors deadline/cancel with
+  /// kDeadlineExceeded/kCancelled. Operands that do not match the
+  /// alphabets return kInvalidArgument.
   Result<bool> CheckOnInput(const BinaryTree& input, const Nbta& output_type,
                             const TypecheckOptions& options = {},
                             std::optional<BinaryTree>* violating_output =
@@ -228,7 +207,6 @@ class Typechecker {
   // and InferInverseType — the caller computes the complement once and both
   // passes reuse it. `*method` (if non-null) reports which route ran.
   Result<Nbta> BadInputsAutomaton(const Nbta& not_tau2_trimmed,
-                                  const TypecheckOptions& options,
                                   MsoCompileStats* stats, std::string* method,
                                   TaOpContext* ctx) const;
 
@@ -242,18 +220,10 @@ class Typechecker {
                          const TypecheckOptions& options,
                          TypecheckResult* result) const;
 
-  // Per-input check against a pre-built index of the trimmed complement of
-  // the output type; all the per-tree work of CheckOnInput without
-  // recomputing the complement per call.
-  Result<bool> CheckOnInputImpl(const BinaryTree& input,
-                                const NbtaIndex& not_tau2,
-                                TaOpContext* ctx,
-                                std::optional<BinaryTree>* violating_output)
-      const;
-
-  // Complement-free per-input check (the kAntichain path): T(input) ⊆ τ2
-  // via NbtaIncludedIn of the Prop. 3.8 output automaton against a shared
-  // index of τ2 itself. A refutation's inclusion counterexample *is* the
+  // The one per-input check behind pass 1, CheckOnInput and the violating-
+  // output recovery of passes 2/3: T(input) ⊆ τ2 via NbtaIncludedIn of the
+  // Prop. 3.8 output automaton against a shared index of τ2 itself, so no
+  // complement is built. A refutation's inclusion counterexample *is* the
   // violating output.
   Result<bool> CheckOnInputAntichain(
       const BinaryTree& input, const NbtaIndex& tau2_idx, TaOpContext* ctx,

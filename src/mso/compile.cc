@@ -46,7 +46,6 @@ class Compiler {
     // Value-returning ops (intersect, trim, union, relabel) drain silently
     // on interruption; refuse to cache or build on partial automata.
     PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx_));
-    if (options_.minimize_intermediate) MaybeMinimize(&a);
     CompiledPtr compiled = std::make_shared<CompiledNbta>(std::move(a), ctx_);
     Note(compiled->nbta);
     cache_.emplace(f.get(), compiled);
@@ -60,20 +59,6 @@ class Compiler {
     options_.stats->max_intermediate_states =
         std::max(options_.stats->max_intermediate_states,
                  static_cast<size_t>(a.num_states));
-  }
-
-  // Canonical minimization of an intermediate automaton. Best-effort: budget
-  // failures (kResourceExhausted) keep the trimmed automaton instead, and
-  // the minimized form is only adopted when it actually has fewer states
-  // (the completed DBTA's sink can make tiny automata grow).
-  void MaybeMinimize(Nbta* a) {
-    auto det = alg_.Determinize(NbtaIndex(*a, ctx_), ext_.ranked(), ctx_);
-    if (!det.ok()) return;
-    auto min = alg_.Minimize(*det, ext_.ranked(), ctx_);
-    if (!min.ok()) return;
-    Nbta reduced =
-        TrimNbta(NbtaIndex(min->ToNbta(ext_.ranked()), ctx_), ctx_);
-    if (reduced.num_states < a->num_states) *a = std::move(reduced);
   }
 
   // Free first-order variables of f (memoized on the shared AST).
@@ -310,10 +295,10 @@ class Compiler {
   const TrackAlphabet& ext_;
   MsoCompileOptions options_;
   TaOpContext* ctx_;
-  // Dispatch for the expensive ops (complement, ∧-product, determinize,
-  // minimize). The AST-pointer cache_ above dedupes shared subformulas of
-  // *this* sentence; the algebra's content-addressed cache additionally spans
-  // sentences and processes (docs/CACHING.md).
+  // Dispatch for the expensive ops (complement, ∧-product). The AST-pointer
+  // cache_ above dedupes shared subformulas of *this* sentence; the
+  // algebra's content-addressed cache additionally spans sentences and
+  // processes (docs/CACHING.md).
   const TaAlgebra alg_;
   std::unordered_map<const MsoFormula*, CompiledPtr> cache_;
   std::unordered_map<const MsoFormula*, std::set<MsoVarId>> free_cache_;
@@ -336,10 +321,9 @@ Result<Nbta> CompileMsoSentence(const MsoPtr& sentence,
       static_cast<uint32_t>(analysis.variables.size());
   PEBBLETC_ASSIGN_OR_RETURN(TrackAlphabet ext,
                             TrackAlphabet::Make(base, num_tracks));
-  // Budgets: the shared pipeline context wins; otherwise run a local one
-  // seeded from the legacy max_det_states knob.
+  // Budgets come from the shared pipeline context, or from a local one with
+  // default budgets.
   TaOpContext local_ctx;
-  local_ctx.budgets.max_det_states = options.max_det_states;
   TaOpContext* ctx = options.ctx != nullptr ? options.ctx : &local_ctx;
   Compiler compiler(ext, options, ctx);
   PEBBLETC_ASSIGN_OR_RETURN(CompiledPtr over_ext, compiler.Compile(sentence));

@@ -9,9 +9,10 @@
 // pointers are compiled once (the Theorem 4.7 translation shares its
 // replicated φ^{(i)} blocks this way); each cached automaton carries its
 // compiled NbtaIndex so every consumer reuses one set of rule indexes.
-// Intermediate automata are trimmed between steps, and optionally
-// canonically minimized (options.minimize_intermediate) to fight the
-// non-elementary blowup at the cost of a determinization per step.
+// Intermediate automata are trimmed between steps. Every budget — the
+// per-complement `max_det_states` above all — is read from the TaOpBudgets
+// of the context the caller passes (or of a default context when none is
+// given).
 //
 // Contract: the input must be a *sentence* — every used variable is bound,
 // and every occurrence of a variable lies inside its binder's scope. (A free
@@ -40,25 +41,16 @@ struct MsoCompileStats {
 };
 
 struct MsoCompileOptions {
-  /// Budget for each determinization (complement); 0 = unlimited. Ignored
-  /// when `ctx` is set (the context's budgets win).
-  size_t max_det_states = 200000;
   /// Optional metrics sink.
   MsoCompileStats* stats = nullptr;
   /// Unified budget/metrics context shared with the rest of the pipeline.
-  /// When null, the compiler runs its own context seeded from
-  /// `max_det_states`.
+  /// When null, the compiler runs its own context with default budgets.
   TaOpContext* ctx = nullptr;
-  /// Canonically minimize each intermediate automaton (determinize + Moore
-  /// refinement) in addition to trimming. Slower per step, but caps the
-  /// state blowup feeding later complementations. Budget failures fall back
-  /// to the unminimized automaton.
-  bool minimize_intermediate = false;
 };
 
 /// Compiles a sentence into an automaton over `base` with
 /// inst(result) = { t | t ⊨ sentence }. Non-elementary in general; fails
-/// with kResourceExhausted when the determinization budget trips.
+/// with kResourceExhausted when the context's `max_det_states` trips.
 Result<Nbta> CompileMsoSentence(const MsoPtr& sentence,
                                 const RankedAlphabet& base,
                                 const MsoCompileOptions& options = {});

@@ -109,9 +109,9 @@ class BehaviorBuilder {
 
 Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
                                        const RankedAlphabet& alphabet,
-                                       const BehaviorOptions& options,
                                        TaOpContext* ctx) {
   TaOpTimer timer(ctx);
+  const TaOpBudgets budgets = ctx != nullptr ? ctx->budgets : TaOpBudgets{};
   if (a.max_pebbles() != 1) {
     return Status::InvalidArgument(
         "behavior composition handles 1-pebble automata only");
@@ -119,10 +119,11 @@ Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
   if (alphabet.size() != a.num_symbols()) {
     return Status::InvalidArgument("alphabet size mismatch");
   }
-  if (a.num_states() > options.max_state_bits) {
+  if (a.num_states() > budgets.behavior_max_state_bits) {
     return Status::ResourceExhausted(
         "behavior tables limited to " +
-        std::to_string(options.max_state_bits) + " states (automaton has " +
+        std::to_string(budgets.behavior_max_state_bits) +
+        " states (automaton has " +
         std::to_string(a.num_states()) + ")");
   }
   for (const auto& tr : a.transitions()) {
@@ -152,9 +153,10 @@ Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
   while (changed) {
     changed = false;
     const size_t snapshot = behaviors.size();
-    if (snapshot > options.max_behaviors) {
+    if (snapshot > budgets.behavior_max_behaviors) {
       return Status::ResourceExhausted(
-          "behavior count exceeded " + std::to_string(options.max_behaviors));
+          "behavior count exceeded " +
+          std::to_string(budgets.behavior_max_behaviors));
     }
     for (SymbolId sym : alphabet.BinarySymbols()) {
       for (StateId i = 0; i < snapshot; ++i) {

@@ -32,19 +32,15 @@
 
 namespace pebbletc {
 
-struct BehaviorOptions {
-  /// Refuse automata with more states than this (table size is 2^states).
-  uint32_t max_state_bits = 12;
-  /// Budget on distinct subtree behaviors (the DBTA's state count).
-  size_t max_behaviors = 4096;
-};
-
 /// Builds a bottom-up automaton equivalent to the 1-pebble automaton `a`
 /// (inst(result) = inst(a)). Fails with kInvalidArgument if `a` uses more
-/// than one pebble, kResourceExhausted when a budget trips.
+/// than one pebble, kResourceExhausted when a budget trips: the context's
+/// TaOpBudgets::behavior_max_state_bits (more states are refused; tables
+/// have 2^states entries) or behavior_max_behaviors (distinct subtree
+/// behaviors, the DBTA's state count). A null `ctx` runs with default
+/// budgets.
 Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
                                        const RankedAlphabet& alphabet,
-                                       const BehaviorOptions& options = {},
                                        TaOpContext* ctx = nullptr);
 
 }  // namespace pebbletc

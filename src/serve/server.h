@@ -61,11 +61,10 @@ struct ServeOptions {
   /// Budgets forwarded into TypecheckOptions.
   size_t max_det_states = 200000;
   size_t max_antichain_pairs = 200000;
-  /// Which inclusion engine typecheck requests run (docs/INCLUSION.md):
-  /// kExplicit keeps the legacy determinize+complement pipeline; kAntichain
-  /// forces the on-the-fly check; kAuto picks the antichain path when the
-  /// output type is bottom-up deterministic (DTD-shaped schemas).
-  TaInclusionPath inclusion = TaInclusionPath::kExplicit;
+  /// Ignored: typecheck requests always run the antichain inclusion search
+  /// (docs/INCLUSION.md). Kept so existing callers that read it still
+  /// compile.
+  TaInclusionPath inclusion = TaInclusionPath::kAntichain;
   /// Pool workers a kValidateBatch request fans its documents across
   /// (docs/PARALLEL.md); every other opcode is serial on its connection
   /// thread. 1, the default, means no fan-out: the daemon's concurrency

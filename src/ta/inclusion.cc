@@ -69,27 +69,44 @@ class AntichainSearch {
         ctx_(ctx),
         max_pairs_(TaBudgetMaxAntichainPairs(ctx)),
         kept_(a.num_states()),
+        processed_(a.num_states()),
         b_seen_(b.num_states(), false) {}
 
   Result<NbtaInclusionResult> Run() {
     PEBBLETC_RETURN_IF_ERROR(SeedLeaves());
     if (done_) return std::move(result_);
-    std::vector<StateId> a_succs;
+    const std::vector<Nbta::BinaryRule>& rules = a_.nbta().rules;
     while (head_ < worklist_.size()) {
       const uint32_t p = worklist_[head_++];
       if (pairs_[p].dead) continue;
       PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx_));
-      processed_.push_back(p);
+      const StateId q = pairs_[p].q;
+      processed_[q].push_back(p);
       // Combine p with every processed live pair (itself included), in both
-      // child orders, under every binary symbol. The A-successor probe is
-      // cheap (one SymbolLeft row scan), so it gates the Post_B computation.
-      for (size_t i = 0; i < processed_.size(); ++i) {
-        const uint32_t r = processed_[i];
-        if (pairs_[r].dead) continue;
-        PEBBLETC_RETURN_IF_ERROR(Combine(p, r, &a_succs));
-        if (done_) return std::move(result_);
-        if (r != p) {
-          PEBBLETC_RETURN_IF_ERROR(Combine(r, p, &a_succs));
+      // child orders, through A's rules on q: only pairs whose A-state is
+      // the rule's other child can combine with p, so the work is per rule
+      // rather than per processed pair.
+      const auto as_left = a_.RulesWithLeft(q);
+      TaCountRules(ctx_, as_left.size());
+      for (uint32_t i : as_left) {
+        const Nbta::BinaryRule& rule = rules[i];
+        for (uint32_t r : processed_[rule.right]) {
+          if (pairs_[r].dead) continue;
+          PEBBLETC_RETURN_IF_ERROR(Offer(
+              rule.to, PostSet(rule.symbol, pairs_[p].set, pairs_[r].set),
+              rule.symbol, p, r));
+          if (done_) return std::move(result_);
+        }
+      }
+      const auto as_right = a_.RulesWithRight(q);
+      TaCountRules(ctx_, as_right.size());
+      for (uint32_t i : as_right) {
+        const Nbta::BinaryRule& rule = rules[i];
+        for (uint32_t r : processed_[rule.left]) {
+          if (r == p || pairs_[r].dead) continue;  // (p, p) done above
+          PEBBLETC_RETURN_IF_ERROR(Offer(
+              rule.to, PostSet(rule.symbol, pairs_[r].set, pairs_[p].set),
+              rule.symbol, r, p));
           if (done_) return std::move(result_);
         }
       }
@@ -134,31 +151,6 @@ class AntichainSearch {
       for (StateId q : a_targets) a_seen[q] = false;
       for (StateId q : a_targets) {
         PEBBLETC_RETURN_IF_ERROR(Offer(q, set_id, c, kNoPair, kNoPair));
-        if (done_) return Status::OK();
-      }
-    }
-    return Status::OK();
-  }
-
-  // Expands f(lp, rp) for every binary symbol f: A-successors of
-  // (q_lp, q_rp) first; only when some exist is Post_B computed/interned.
-  Status Combine(uint32_t lp, uint32_t rp, std::vector<StateId>* a_succs) {
-    for (SymbolId f : alphabet_.BinarySymbols()) {
-      const StateId ql = pairs_[lp].q;
-      const StateId qr = pairs_[rp].q;
-      auto row = a_.SymbolLeft(f, ql);
-      TaCountRules(ctx_, row.size());
-      a_succs->clear();
-      for (const auto& rt : row) {
-        if (rt.right == qr) a_succs->push_back(rt.to);
-      }
-      if (a_succs->empty()) continue;
-      std::sort(a_succs->begin(), a_succs->end());
-      a_succs->erase(std::unique(a_succs->begin(), a_succs->end()),
-                     a_succs->end());
-      const uint32_t set_id = PostSet(f, pairs_[lp].set, pairs_[rp].set);
-      for (StateId q : *a_succs) {
-        PEBBLETC_RETURN_IF_ERROR(Offer(q, set_id, f, lp, rp));
         if (done_) return Status::OK();
       }
     }
@@ -305,7 +297,7 @@ class AntichainSearch {
   std::vector<std::vector<uint32_t>> kept_;  // live antichain per A-state
   std::vector<uint32_t> worklist_;           // FIFO; head_ is the cursor
   size_t head_ = 0;
-  std::vector<uint32_t> processed_;
+  std::vector<std::vector<uint32_t>> processed_;  // popped pairs per A-state
   std::vector<bool> b_seen_;  // scratch bitset over Q_B
 
   bool done_ = false;
@@ -332,28 +324,6 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
   NbtaIndex ia(a, &ctx);
   NbtaIndex ib(b, &ctx);
   return NbtaIncludedIn(ia, ib, alphabet, &ctx);
-}
-
-bool NbtaIsBottomUpDeterministic(const Nbta& a) {
-  std::unordered_map<uint64_t, StateId> leaf_target;
-  for (const auto& r : a.leaf_rules) {
-    auto [it, inserted] = leaf_target.emplace(r.symbol, r.to);
-    if (!inserted && it->second != r.to) return false;
-  }
-  // Key (symbol, left, right) → target; a second distinct target under the
-  // same key is a nondeterministic choice. Hash on a mixed key, resolving
-  // the (astronomically unlikely within one automaton) collisions by
-  // re-deriving from packed fields: symbol/left/right each fit 21 bits for
-  // every automaton this library builds (SymbolId/StateId are dense).
-  std::unordered_map<uint64_t, StateId> rule_target;
-  for (const auto& r : a.rules) {
-    const uint64_t key = (static_cast<uint64_t>(r.symbol) << 42) |
-                         (static_cast<uint64_t>(r.left) << 21) |
-                         static_cast<uint64_t>(r.right);
-    auto [it, inserted] = rule_target.emplace(key, r.to);
-    if (!inserted && it->second != r.to) return false;
-  }
-  return true;
 }
 
 Nbta SingletonTreeNbta(const BinaryTree& tree, uint32_t num_symbols) {

@@ -69,9 +69,9 @@ struct NbtaInclusionResult {
 /// Budget: `max_antichain_pairs` (0 = unlimited) bounds the interned pair
 /// arena; exceeding it returns kResourceExhausted. Deadline / cancellation /
 /// fault-injection checkpoints surface kDeadlineExceeded / kCancelled /
-/// the injected code. Note SymbolLeft adjacency is built lazily on the
-/// indexes, so the call is not thread-safe with respect to concurrent use
-/// of `a` or `b` (the NbtaIndex contract).
+/// the injected code. Note SymbolLeft adjacency is built lazily on `b`'s
+/// index, so the call is not thread-safe with respect to concurrent use of
+/// `b` (the NbtaIndex contract).
 Result<NbtaInclusionResult> NbtaIncludedIn(const NbtaIndex& a,
                                            const NbtaIndex& b,
                                            const RankedAlphabet& alphabet,
@@ -82,17 +82,6 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const NbtaIndex& a,
 Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
                                            const RankedAlphabet& alphabet,
                                            size_t max_pairs = 0);
-
-/// True iff `a` is bottom-up deterministic: no two leaf rules share a symbol
-/// with distinct targets, and no two binary rules share (symbol, left,
-/// right) with distinct targets (duplicate rules are fine). This is the
-/// Martens–Neven tractable fragment detector: when the *superset* automaton
-/// B is bottom-up deterministic — every DTD-shaped schema compiles to one —
-/// each reachable B-set of the antichain search is a singleton or empty, so
-/// NbtaIncludedIn runs in polynomial time. TypecheckOptions' kAuto inclusion
-/// mode uses this to pick the antichain path per request. O(|rules|)
-/// hashing; no budgets apply.
-bool NbtaIsBottomUpDeterministic(const Nbta& a);
 
 /// The automaton accepting exactly {tree}: one state per node, the root
 /// state accepting. Used to encode a counterexample tree as a cacheable

@@ -674,19 +674,4 @@ Result<NbtaInclusionResult> TaAlgebra::IncludedIn(const NbtaIndex& a,
   return r;
 }
 
-Result<Dbta> TaAlgebra::Minimize(const Dbta& d, const RankedAlphabet& sigma,
-                                 TaOpContext* ctx) const {
-  if (!Enabled(ctx)) return MinimizeDbta(d, sigma, ctx);
-  // No state budget applies to minimization, so no cap enters the key.
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kMinimize, DbtaStructuralHash(d), TaStructuralHash{},
-      RankedAlphabetFingerprint(sigma), /*budget_cap=*/0);
-  if (std::shared_ptr<const Dbta> hit = cache_->FindDbta(key, ctx)) {
-    return *hit;
-  }
-  Result<Dbta> r = MinimizeDbta(d, sigma, ctx);
-  if (r.ok() && TaInterruptStatus(ctx).ok()) cache_->InsertDbta(key, *r, ctx);
-  return r;
-}
-
 }  // namespace pebbletc

@@ -95,7 +95,8 @@ enum class TaOpKind : uint64_t {
   kDeterminize = 1,
   kComplement = 2,
   kIntersect = 3,
-  kMinimize = 4,
+  // 4 is reserved: it keyed the retired minimize op, and persisted entries
+  // under it must never alias a new op.
   kDownwardProduct = 5,
   kPipelineOffending = 6,
   kIncludedIn = 7,
@@ -242,8 +243,6 @@ class TaAlgebra {
                           TaOpContext* ctx) const;
   Nbta Intersect(const NbtaIndex& a, const NbtaIndex& b,
                  TaOpContext* ctx) const;
-  Result<Dbta> Minimize(const Dbta& d, const RankedAlphabet& sigma,
-                        TaOpContext* ctx) const;
   /// Antichain inclusion (NbtaIncludedIn, docs/INCLUSION.md) with the
   /// verdict memoized under the kIncludedIn encoding above. The key carries
   /// `max_antichain_pairs` (a verdict under a small cap is replayable under

@@ -130,9 +130,9 @@ TEST(BehaviorTest, StateBudgetEnforced) {
   PebbleAutomaton a(1, 2);
   for (int i = 0; i < 20; ++i) a.AddState(1);
   a.SetStart(0);
-  BehaviorOptions opts;
-  opts.max_state_bits = 12;
-  auto r = OnePebbleToNbtaByBehavior(a, sigma, opts);
+  TaOpContext ctx;
+  ctx.budgets.behavior_max_state_bits = 12;
+  auto r = OnePebbleToNbtaByBehavior(a, sigma, &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }

@@ -505,30 +505,6 @@ TEST_F(ServeDispatchTest, TypecheckGoodAndBadPairs) {
   EXPECT_EQ(body.counterexample_output_xml, "<b><d/></b>");
 }
 
-TEST(ServeDispatchInclusionTest, InclusionKnobRoutesToAntichainEngine) {
-  // The --inclusion knob must forward into per-request TypecheckOptions and
-  // reach the same verdicts as the explicit engine; the counterexample input
-  // is identical (the ladder order is unchanged), the violating output is
-  // genuine but the wire promises only its presence (docs/INCLUSION.md).
-  for (TaInclusionPath path :
-       {TaInclusionPath::kAntichain, TaInclusionPath::kAuto}) {
-    ServeOptions options = TestOptions();
-    options.inclusion = path;
-    ServerCore server(options);
-    LoadExampleRegistry(&server);
-    Response good = server.Handle(MakeTypecheck(1, "rename", "in", "good_out"));
-    ASSERT_EQ(good.header.status, WireStatus::kOk) << good.header.detail;
-    EXPECT_EQ(std::get<TypecheckResponse>(good.body).verdict, 0);
-
-    Response bad = server.Handle(MakeTypecheck(2, "rename", "in", "bad_out"));
-    ASSERT_EQ(bad.header.status, WireStatus::kOk) << bad.header.detail;
-    const auto& body = std::get<TypecheckResponse>(bad.body);
-    EXPECT_EQ(body.verdict, 1);
-    EXPECT_EQ(body.counterexample_input_xml, "<a><c/></a>");
-    EXPECT_FALSE(body.counterexample_output_xml.empty());
-  }
-}
-
 TEST_F(ServeDispatchTest, ValidateAgainstDtd) {
   Response valid = server_.Handle(MakeValidate(1, "in", "<a><c/></a>"));
   ASSERT_EQ(valid.header.status, WireStatus::kOk);
