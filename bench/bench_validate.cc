@@ -8,9 +8,9 @@
 // per node. Compilation (determinization) is paid OUTSIDE the timed loop —
 // that is the whole point: the serving workload pays it once per artifact.
 //
-// XML series over the p/q/r document alphabet: arena-scoped vs heap parsing
-// of the same ~2000-node document, then streaming validation (DBTA folded
-// over parse events, no tree) vs the materialize-encode-Accepts route.
+// XML series over the p/q/r document alphabet: parsing a ~2000-node
+// document into a tree, then streaming validation (DBTA folded over parse
+// events, no tree) vs the materialize-encode-Accepts route.
 //
 // Batch series: kValidateBatch through a warm ServerCore (plan compiled on
 // the first request, cached after) at batch sizes {1, 8, 64, 256};
@@ -31,7 +31,6 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/check/diffcheck.h"
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/serve/protocol.h"
@@ -100,11 +99,9 @@ void BM_MembershipCompiled(benchmark::State& state) {
   PEBBLETC_CHECK(engine.ok()) << engine.status().ToString();
   PEBBLETC_CHECK(engine->fast()) << "dense draws must fit the budget";
   const BinaryTree t = QueryTree(sigma);
-  Arena arena;
   bool accepted = false;
   for (auto _ : state) {
-    arena.Reset();
-    Result<bool> r = engine->Accepts(t, nullptr, &arena);
+    Result<bool> r = engine->Accepts(t);
     PEBBLETC_CHECK(r.ok());
     accepted = *r;
     benchmark::DoNotOptimize(bool(accepted));
@@ -151,35 +148,19 @@ void BM_ParseXmlHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseXmlHeap);
 
-void BM_ParseXmlArena(benchmark::State& state) {
-  const DocFixture f = MakeDocFixture(2000);
-  Arena arena;
-  for (auto _ : state) {
-    arena.Reset();
-    Result<KnownXmlParse> parsed = ParseXmlKnown(f.xml, f.tags, &arena);
-    PEBBLETC_CHECK(parsed.ok() && parsed->unknown_tag.empty());
-    benchmark::DoNotOptimize(parsed);
-  }
-  state.counters["doc_bytes"] = static_cast<double>(f.xml.size());
-}
-BENCHMARK(BM_ParseXmlArena);
-
 // The tree-materializing validation route: parse, encode, table pass.
 void BM_ValidateMaterialize(benchmark::State& state) {
   const DocFixture f = MakeDocFixture(2000);
   Result<MembershipEngine> engine =
       MembershipEngine::Compile(f.schema, f.enc.ranked);
   PEBBLETC_CHECK(engine.ok() && engine->fast());
-  Arena arena;
   bool accepted = false;
   for (auto _ : state) {
-    arena.Reset();
-    Result<KnownXmlParse> parsed = ParseXmlKnown(f.xml, f.tags, &arena);
+    Result<KnownXmlParse> parsed = ParseXmlKnown(f.xml, f.tags);
     PEBBLETC_CHECK(parsed.ok() && parsed->unknown_tag.empty());
-    Result<BinaryTree> encoded =
-        EncodeTree(parsed->tree, f.enc, nullptr, &arena);
+    Result<BinaryTree> encoded = EncodeTree(parsed->tree, f.enc);
     PEBBLETC_CHECK(encoded.ok());
-    Result<bool> r = engine->Accepts(*encoded, nullptr, &arena);
+    Result<bool> r = engine->Accepts(*encoded);
     PEBBLETC_CHECK(r.ok());
     accepted = *r;
     benchmark::DoNotOptimize(bool(accepted));
@@ -194,12 +175,10 @@ void BM_ValidateStreaming(benchmark::State& state) {
   Result<MembershipEngine> engine =
       MembershipEngine::Compile(f.schema, f.enc.ranked);
   PEBBLETC_CHECK(engine.ok() && engine->fast());
-  Arena arena;
   bool accepted = false;
   for (auto _ : state) {
-    arena.Reset();
-    Result<StreamVerdict> v = StreamingValidateXml(
-        f.xml, *engine->table(), f.enc, f.tags, nullptr, &arena);
+    Result<StreamVerdict> v =
+        StreamingValidateXml(f.xml, *engine->table(), f.enc, f.tags);
     PEBBLETC_CHECK(v.ok() && v->unknown_tag.empty());
     accepted = v->accepted;
     benchmark::DoNotOptimize(bool(accepted));
@@ -217,7 +196,6 @@ BENCHMARK(BM_ValidateStreaming);
 void BM_ServeBatchWarm(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   serve::ServeOptions options;
-  options.validity.level = serve::ValidityLevel::kBasic;
   options.validity.max_batch_docs = 1024;
   serve::ServerCore server(options);
   PEBBLETC_CHECK(

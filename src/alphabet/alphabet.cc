@@ -9,7 +9,7 @@ namespace pebbletc {
 
 SymbolId Alphabet::Intern(std::string_view name) {
   PEBBLETC_CHECK(!name.empty()) << "empty symbol name";
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   SymbolId id = static_cast<SymbolId>(names_.size());
   names_.emplace_back(name);
@@ -18,7 +18,7 @@ SymbolId Alphabet::Intern(std::string_view name) {
 }
 
 SymbolId Alphabet::Find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it == index_.end() ? kNoSymbol : it->second;
 }
 
@@ -29,7 +29,7 @@ const std::string& Alphabet::Name(SymbolId id) const {
 
 Result<SymbolId> RankedAlphabet::AddLeaf(std::string_view name) {
   if (name.empty()) return Status::InvalidArgument("empty symbol name");
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) {
     if (ranks_[it->second] != 0) {
       return Status::InvalidArgument("symbol '" + std::string(name) +
@@ -47,7 +47,7 @@ Result<SymbolId> RankedAlphabet::AddLeaf(std::string_view name) {
 
 Result<SymbolId> RankedAlphabet::AddBinary(std::string_view name) {
   if (name.empty()) return Status::InvalidArgument("empty symbol name");
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) {
     if (ranks_[it->second] != 2) {
       return Status::InvalidArgument("symbol '" + std::string(name) +
@@ -64,7 +64,7 @@ Result<SymbolId> RankedAlphabet::AddBinary(std::string_view name) {
 }
 
 SymbolId RankedAlphabet::Find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it == index_.end() ? kNoSymbol : it->second;
 }
 

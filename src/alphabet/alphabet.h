@@ -15,6 +15,7 @@
 #define PEBBLETC_ALPHABET_ALPHABET_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,6 +31,17 @@ using SymbolId = uint32_t;
 
 /// Sentinel for "no symbol".
 inline constexpr SymbolId kNoSymbol = static_cast<SymbolId>(-1);
+
+/// Name -> id index probed by std::string_view: the transparent hash and
+/// std::equal_to<> let a lookup skip building a temporary std::string.
+struct NameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+using NameIndex =
+    std::unordered_map<std::string, SymbolId, NameHash, std::equal_to<>>;
 
 /// An unranked alphabet: a set of tag names with dense ids.
 class Alphabet {
@@ -53,7 +65,7 @@ class Alphabet {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId> index_;
+  NameIndex index_;
 };
 
 /// A ranked alphabet partitioned as Σ0 (leaf symbols) ∪ Σ2 (binary symbols).
@@ -89,7 +101,7 @@ class RankedAlphabet {
   std::vector<int> ranks_;
   std::vector<SymbolId> leaves_;
   std::vector<SymbolId> binaries_;
-  std::unordered_map<std::string, SymbolId> index_;
+  NameIndex index_;
 };
 
 /// The encoded alphabet Σ′ for an unranked tag alphabet Σ (Section 2.1):

@@ -14,9 +14,9 @@
 // fault injection, surfaces as a structured response, never a dropped
 // connection (the serving layer's core robustness contract).
 //
-// All decoding here is pure parsing with range checks; semantic validation
-// (names, sizes, artifact payloads) is the next tier up, in
-// src/serve/validity.h.
+// All decoding here is pure parsing with range checks; shape validation
+// (names, sizes, deadline) follows in src/serve/validity.h, and documents
+// and artifact payloads are parsed by the dispatch that uses them.
 
 #ifndef PEBBLETC_SERVE_PROTOCOL_H_
 #define PEBBLETC_SERVE_PROTOCOL_H_
@@ -70,7 +70,8 @@ enum class WireStatus : uint8_t {
   kMalformedFrame = 1,     ///< bytes failed protocol-level decoding
   kUnsupportedVersion = 2,
   kUnknownOpcode = 3,
-  kValidationFailed = 4,   ///< rejected by the validity tier (src/serve/validity.h)
+  kValidationFailed = 4,   ///< shape rejected by CheckRequest, or artifact
+                           ///< payload failed to parse (kParseError)
   kNotFound = 5,           ///< named artifact absent from the registry
   kAlreadyExists = 6,
   kOverloaded = 7,         ///< admission control shed the request — back off
@@ -179,7 +180,7 @@ struct StatsResponse {
   uint64_t requests_total = 0;
   uint64_t responses_ok = 0;
   uint64_t malformed_rejected = 0;
-  uint64_t validation_rejected = 0;
+  uint64_t validation_rejected = 0;  ///< CheckRequest shape/cap rejections
   uint64_t overload_rejected = 0;
   uint64_t degraded_verdicts = 0;
   uint64_t hard_errors = 0;

@@ -12,7 +12,8 @@
 //     ParseXslt; compiled per typecheck request, see below), and `.ptar`
 //     (WrapTaArtifact binary containers) files, named by file stem;
 //   * the kLoadArtifact wire op — a `.ptar`-style container in the request
-//     body, validated end-to-end by the validity tier before installation.
+//     body, validated end-to-end by PutWrapped before installation (a
+//     corrupt container installs nothing).
 //
 // XSLT programs are stored *as programs*, not as compiled transducers: the
 // XSLT fragment's alphabets depend on which DTDs a request pairs it with

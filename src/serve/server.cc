@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/core/typechecker.h"
 #include "src/dtd/dtd.h"
 #include "src/tree/encode.h"
@@ -327,8 +326,7 @@ Response ServerCore::DoValidate(const RequestHeader& header,
     if (injector != nullptr && injector->tripped) faults_injected_.fetch_add(1);
     return PlanErrorResponse(header, plan.status());
   }
-  Arena arena;
-  DocVerdict verdict = ValidateDoc(**plan, req.document, &ctx, &arena);
+  DocVerdict verdict = ValidateDoc(**plan, req.document, &ctx);
   if (injector != nullptr && injector->tripped) faults_injected_.fetch_add(1);
   if (verdict.code != StatusCode::kOk) {
     return StatusResponse(header, Status(verdict.code, verdict.diagnostic));

@@ -3,9 +3,11 @@
 // promises lives here, where tests can drive it deterministically without
 // sockets:
 //
-//   * tiered trust-boundary validation (src/serve/validity.h) between
-//     protocol decoding and dispatch — malformed or oversized inputs are
-//     rejected with structured errors before touching an automata op;
+//   * trust-boundary shape checks (src/serve/validity.h) between protocol
+//     decoding and dispatch — bad names, oversized inputs and over-cap
+//     deadlines are rejected with structured errors before admission; the
+//     document and artifact bytes are parsed once, by dispatch, and a
+//     malformed one is a structured error too, never an automata op input;
 //   * admission control (src/serve/admission.h) — heavy requests acquire an
 //     in-flight slot or are shed with WireStatus::kOverloaded;
 //   * per-request execution control — every typecheck/infer/validate runs
@@ -42,7 +44,7 @@
 namespace pebbletc::serve {
 
 struct ServeOptions {
-  /// Trust-boundary tier and caps (see src/serve/validity.h).
+  /// Trust-boundary caps (see src/serve/validity.h).
   ValidityOptions validity;
   /// Frame/field byte ceiling for both directions. Configurable per
   /// deployment, but only inside [kMinFrameBytes, kMaxFrameBytesCeiling] —

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/serve/registry.h"
 #include "src/ta/thread_pool.h"
@@ -85,13 +84,13 @@ Result<ValidationPlan> CompileSchemaPlan(const SchemaArtifact& schema,
 }
 
 DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
-                       TaOpContext* ctx, std::pmr::memory_resource* mem) {
+                       TaOpContext* ctx, Arena* /*arena*/) {
   DocVerdict v;
   if (plan.engine.fast()) {
     // Streaming: fold the compiled table over the parse events; the tree is
     // materialized only when a DTD rejection needs its diagnostic.
     Result<StreamVerdict> stream = StreamingValidateXml(
-        document, *plan.engine.table(), plan.enc, plan.tags, ctx, mem);
+        document, *plan.engine.table(), plan.enc, plan.tags, ctx);
     if (!stream.ok()) return ErrorVerdict(stream.status());
     if (!stream->unknown_tag.empty()) {
       return UnknownTagVerdict(plan, stream->unknown_tag);
@@ -99,8 +98,7 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
     v.valid = stream->accepted;
     if (!v.valid) {
       if (plan.dtd != nullptr) {
-        Result<KnownXmlParse> parsed =
-            ParseXmlKnown(document, plan.tags, mem);
+        Result<KnownXmlParse> parsed = ParseXmlKnown(document, plan.tags);
         // The stream already proved the document well-formed over known tags.
         PEBBLETC_CHECK(parsed.ok() && parsed->unknown_tag.empty())
             << "streamed document failed to re-parse";
@@ -113,15 +111,14 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
   }
   // Fallback route: materialize, encode, NbtaAccepts — correct under any
   // budget, just slower; counted via membership_fallbacks.
-  Result<KnownXmlParse> parsed = ParseXmlKnown(document, plan.tags, mem);
+  Result<KnownXmlParse> parsed = ParseXmlKnown(document, plan.tags);
   if (!parsed.ok()) return ErrorVerdict(parsed.status());
   if (!parsed->unknown_tag.empty()) {
     return UnknownTagVerdict(plan, parsed->unknown_tag);
   }
-  Result<BinaryTree> encoded =
-      EncodeTree(parsed->tree, plan.enc, nullptr, mem);
+  Result<BinaryTree> encoded = EncodeTree(parsed->tree, plan.enc);
   if (!encoded.ok()) return ErrorVerdict(encoded.status());
-  Result<bool> accepted = plan.engine.Accepts(*encoded, ctx, mem);
+  Result<bool> accepted = plan.engine.Accepts(*encoded, ctx);
   if (!accepted.ok()) return ErrorVerdict(accepted.status());
   v.valid = *accepted;
   if (!v.valid) v.diagnostic = RejectionDiagnostic(plan, parsed->tree);
@@ -140,10 +137,8 @@ BatchResult ValidateBatch(const ValidationPlan& plan,
         ctx != nullptr ? ctx->counters.membership_fast_hits : 0;
     const size_t fall0 =
         ctx != nullptr ? ctx->counters.membership_fallbacks : 0;
-    Arena arena;
     for (size_t i = 0; i < documents.size(); ++i) {
-      arena.Reset();
-      result.verdicts[i] = ValidateDoc(plan, documents[i], ctx, &arena);
+      result.verdicts[i] = ValidateDoc(plan, documents[i], ctx);
     }
     if (ctx != nullptr) {
       result.fast_path_docs = ctx->counters.membership_fast_hits - fast0;
@@ -151,20 +146,18 @@ BatchResult ValidateBatch(const ValidationPlan& plan,
     }
     return result;
   }
-  // Fan-out: one Fork() child and one arena per worker, documents claimed
-  // off a shared cursor, counters merged on join (docs/PARALLEL.md).
+  // Fan-out: one Fork() child per worker, documents claimed off a shared
+  // cursor, counters merged on join (docs/PARALLEL.md).
   std::vector<TaOpContext> children;
   children.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) children.push_back(ctx->Fork());
   std::atomic<size_t> cursor{0};
   TaThreadPool::Instance().Run(workers, [&](uint32_t w) {
     TaOpContext& child = children[w];
-    Arena arena;
     for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
          i < documents.size();
          i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      arena.Reset();
-      result.verdicts[i] = ValidateDoc(plan, documents[i], &child, &arena);
+      result.verdicts[i] = ValidateDoc(plan, documents[i], &child);
     }
   });
   for (TaOpContext& child : children) {

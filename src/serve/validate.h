@@ -1,21 +1,21 @@
 // The serving layer's validation fast path (docs/VALIDATION.md): a named
 // artifact compiled once into a ValidationPlan — tag table, Section 2.1
-// encoding, and a compiled MembershipEngine — then applied per document with
-// arena-scoped parsing, or fanned out across a whole batch.
+// encoding, and a compiled MembershipEngine — then applied per document, or
+// fanned out across a whole batch.
 //
-// ValidateDoc preserves the wire semantics DoValidate always had (same
-// verdicts, same diagnostics, same error codes for malformed documents); the
-// plan only changes how the answer is computed: streaming DBTA fold when the
-// engine compiled, NbtaAccepts fallback when determinization blew its
-// budget. ValidateBatch runs one plan over N documents, sharding across
-// TaThreadPool workers with merge-on-join contexts — the only workload
-// where one request gives the pool concurrent work (docs/PARALLEL.md).
+// ValidateDoc is the only place a served document is parsed: its streaming
+// DBTA fold decides well-formedness and membership in one pass, so a
+// malformed document gets its answer (kInvalidArgument, "document: "
+// diagnostic) from the same parse that would have validated it. The
+// NbtaAccepts fallback runs when determinization blew its budget.
+// ValidateBatch runs one plan over N documents, sharding across TaThreadPool
+// workers with merge-on-join contexts — the only workload where one request
+// gives the pool concurrent work (docs/PARALLEL.md).
 
 #ifndef PEBBLETC_SERVE_VALIDATE_H_
 #define PEBBLETC_SERVE_VALIDATE_H_
 
 #include <memory>
-#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +27,10 @@
 #include "src/ta/op_cache.h"
 #include "src/ta/op_context.h"
 #include "src/ta/serialize.h"
+
+namespace pebbletc {
+class Arena;
+}  // namespace pebbletc
 
 namespace pebbletc::serve {
 
@@ -66,13 +70,12 @@ struct DocVerdict {
   std::string diagnostic;
 };
 
-/// Validates one document against a compiled plan. `mem` (null = default
-/// heap) hosts every per-document allocation — tree, encoding, state
-/// stacks — so a request loop can pass an Arena and Reset() between calls.
-/// Checkpoints under `ctx`, so deadline/cancel/fault surface per document.
+/// Validates one document against a compiled plan. Checkpoints under `ctx`,
+/// so deadline/cancel/fault surface per document. Ignored: the Arena
+/// argument (a no-op class); it is kept only so existing callers that pass
+/// one still compile.
 DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
-                       TaOpContext* ctx = nullptr,
-                       std::pmr::memory_resource* mem = nullptr);
+                       TaOpContext* ctx = nullptr, Arena* arena = nullptr);
 
 struct BatchResult {
   std::vector<DocVerdict> verdicts;  ///< one per input document, in order
@@ -82,11 +85,11 @@ struct BatchResult {
 
 /// Validates every document against one plan. Fans out across
 /// min(TaEffectiveThreads(ctx), documents.size()) TaThreadPool workers, each
-/// on a Fork() child context with its own arena (merged back on join); a
-/// context carrying a fault injector runs serial with deterministic
-/// checkpoint ordinals. Once the context's sticky interrupt trips (deadline,
-/// disconnect cancellation), every not-yet-validated document reports that
-/// code honestly instead of a fabricated verdict.
+/// on a Fork() child context (merged back on join); a context carrying a
+/// fault injector runs serial with deterministic checkpoint ordinals. Once
+/// the context's sticky interrupt trips (deadline, disconnect cancellation),
+/// every not-yet-validated document reports that code honestly instead of a
+/// fabricated verdict.
 BatchResult ValidateBatch(const ValidationPlan& plan,
                           const std::vector<std::string>& documents,
                           TaOpContext* ctx = nullptr);

@@ -3,11 +3,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/alphabet/alphabet.h"
-#include "src/common/result.h"
-#include "src/ta/serialize.h"
-#include "src/xml/xml.h"
-
 namespace pebbletc::serve {
 namespace {
 
@@ -36,7 +31,9 @@ Status CheckName(std::string_view name, std::string_view field,
   return Status::OK();
 }
 
-Status CheckBasic(const Request& request, const ValidityOptions& options) {
+}  // namespace
+
+Status CheckRequest(const Request& request, const ValidityOptions& options) {
   if (request.header.deadline_ms > options.max_deadline_ms) {
     return Status::InvalidArgument(
         "requested deadline " + std::to_string(request.header.deadline_ms) +
@@ -106,79 +103,6 @@ Status CheckBasic(const Request& request, const ValidityOptions& options) {
         return Status::OK();
       },
       request.body);
-}
-
-Status CheckFull(const Request& request, const ValidityOptions& options) {
-  (void)options;
-  return std::visit(
-      [](const auto& body) -> Status {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, ValidateRequest>) {
-          // Well-formedness pre-parse against a throwaway alphabet: after
-          // this, dispatch parses the same text against the schema's tag
-          // table knowing the only possible new failure is an unknown tag.
-          Alphabet scratch;
-          Result<UnrankedTree> doc = ParseXml(body.document, &scratch);
-          if (!doc.ok()) {
-            return Status::InvalidArgument("document is not well-formed: " +
-                                           doc.status().ToString());
-          }
-        } else if constexpr (std::is_same_v<T, ValidateBatchRequest>) {
-          // Same pre-parse, per document; the message names the offender so
-          // the client can drop just that document and resend.
-          for (size_t i = 0; i < body.documents.size(); ++i) {
-            Alphabet scratch;
-            Result<UnrankedTree> doc = ParseXml(body.documents[i], &scratch);
-            if (!doc.ok()) {
-              return Status::InvalidArgument(
-                  "batch document " + std::to_string(i) +
-                  " is not well-formed: " + doc.status().ToString());
-            }
-          }
-        } else if constexpr (std::is_same_v<T, LoadArtifactRequest>) {
-          // Unwrap + full payload deserialization: every structural
-          // invariant (ranges, ranks, regex arity/depth, checksum) holds
-          // before the artifact is allowed anywhere near the registry.
-          Result<TaArtifactView> view = UnwrapTaArtifact(body.artifact);
-          if (!view.ok()) return view.status();
-          switch (view->kind) {
-            case TaArtifactKind::kDtd: {
-              Result<SpecializedDtd> dtd =
-                  DeserializeDtdArtifact(view->payload);
-              if (!dtd.ok()) return dtd.status();
-              break;
-            }
-            case TaArtifactKind::kSchema: {
-              Result<SchemaArtifact> schema =
-                  DeserializeSchemaArtifact(view->payload);
-              if (!schema.ok()) return schema.status();
-              break;
-            }
-            case TaArtifactKind::kTransducer: {
-              Result<TransducerArtifact> transducer =
-                  DeserializeTransducerArtifact(view->payload);
-              if (!transducer.ok()) return transducer.status();
-              break;
-            }
-            case TaArtifactKind::kNbta:
-            case TaArtifactKind::kDbta:
-              return Status::InvalidArgument(
-                  "bare automaton artifacts cannot be served; wrap as a "
-                  "schema artifact");
-          }
-        }
-        return Status::OK();
-      },
-      request.body);
-}
-
-}  // namespace
-
-Status CheckRequest(const Request& request, const ValidityOptions& options) {
-  if (options.level == ValidityLevel::kOff) return Status::OK();
-  PEBBLETC_RETURN_IF_ERROR(CheckBasic(request, options));
-  if (options.level == ValidityLevel::kBasic) return Status::OK();
-  return CheckFull(request, options);
 }
 
 }  // namespace pebbletc::serve

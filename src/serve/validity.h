@@ -1,27 +1,18 @@
-// Tiered trust-boundary validation for the typecheck service, in the style
-// of RethinkDB's leveled `validate_pb` checks (docs/SERVING.md): every
-// decoded request passes through a configurable strictness tier *before*
-// dispatch touches the registry or any automata op, and every rejection is
-// a structured error (kInvalidArgument / kParseError mapped to
+// Trust-boundary shape checks for the typecheck service, in the style of
+// RethinkDB's `validate_pb` checks (docs/SERVING.md): every decoded request
+// passes CheckRequest *before* dispatch touches the registry or any automata
+// op, and every rejection is a structured kInvalidArgument (mapped to
 // WireStatus::kValidationFailed), never a crash.
 //
-// The tiers are cumulative:
-//
-//   kOff   — protocol decoding only (the wire parser's own range checks;
-//            they can never be disabled). Malformed bytes are still rejected;
-//            semantically absurd but well-formed requests pass through and
-//            fail later, inside dispatch, with coarser errors.
-//   kBasic — cheap shape checks: registry names are non-empty, length-capped
-//            and drawn from a conservative charset; documents and artifact
-//            payloads respect size caps; requested deadlines respect the
-//            server maximum. O(field length), no parsing.
-//   kFull  — structural checks: artifact containers are unwrapped and their
-//            payloads completely deserialized (every range/rank/arity
-//            invariant enforced by src/ta/serialize.cc), and XML documents
-//            are pre-parsed for well-formedness against a throwaway
-//            alphabet. After kFull, dispatch can assume every byte of the
-//            request is structurally sound; what remains is semantic
-//            (name resolution, kind compatibility, budgets).
+// The checks are cheap and always on: registry names are non-empty,
+// length-capped and drawn from a conservative charset; documents, batches
+// and artifact payloads respect their caps; requested deadlines respect the
+// server maximum (rejected, not clamped). O(field length), no parsing. The
+// bytes themselves are parsed exactly once, by the dispatch that uses them:
+// ValidateDoc's streaming fold answers a malformed document with
+// kInvalidArgument (src/serve/validate.h), and ArtifactRegistry::PutWrapped
+// answers a corrupt artifact with kParseError (kValidationFailed on the
+// wire) and installs nothing.
 
 #ifndef PEBBLETC_SERVE_VALIDITY_H_
 #define PEBBLETC_SERVE_VALIDITY_H_
@@ -33,15 +24,8 @@
 
 namespace pebbletc::serve {
 
-enum class ValidityLevel : uint8_t {
-  kOff = 0,
-  kBasic = 1,
-  kFull = 2,
-};
-
+/// The caps CheckRequest enforces.
 struct ValidityOptions {
-  ValidityLevel level = ValidityLevel::kFull;
-  /// Caps enforced at kBasic and above.
   uint32_t max_name_bytes = 256;
   uint32_t max_document_bytes = 1u << 20;
   uint32_t max_artifact_bytes = 2u << 20;
@@ -55,10 +39,9 @@ struct ValidityOptions {
   uint32_t max_deadline_ms = 30000;
 };
 
-/// Validates a decoded request at the configured tier. OK means "safe to
-/// dispatch at this tier's guarantees"; any violation returns
-/// kInvalidArgument (shape/size/charset) or kParseError (structural, kFull
-/// only) with a message naming the offending field.
+/// Checks a decoded request's shape against `options`. OK means "safe to
+/// dispatch"; any violation returns kInvalidArgument with a message naming
+/// the offending field.
 Status CheckRequest(const Request& request, const ValidityOptions& options);
 
 }  // namespace pebbletc::serve

@@ -31,9 +31,8 @@ Result<MembershipEngine> MembershipEngine::Compile(const Nbta& nbta,
   return table.status();
 }
 
-Result<bool> MembershipEngine::Accepts(
-    const BinaryTree& tree, TaOpContext* ctx,
-    std::pmr::memory_resource* scratch) const {
+Result<bool> MembershipEngine::Accepts(const BinaryTree& tree,
+                                       TaOpContext* ctx) const {
   PEBBLETC_CHECK(nbta_ != nullptr) << "Accepts on a default MembershipEngine";
   if (tree.empty()) return Status::InvalidArgument("membership of empty tree");
   if (table_ == nullptr) {
@@ -44,10 +43,9 @@ Result<bool> MembershipEngine::Accepts(
     return accepted;
   }
   const Dbta& d = *table_;
-  if (scratch == nullptr) scratch = std::pmr::get_default_resource();
   // Children are always created before parents (BinaryTree invariant), so
   // ascending NodeId order is a valid bottom-up evaluation order.
-  std::pmr::vector<StateId> state(tree.size(), StateId{0}, scratch);
+  std::vector<StateId> state(tree.size(), StateId{0});
   for (NodeId n = 0; n < tree.size(); ++n) {
     PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
     state[n] = tree.IsLeaf(n)
@@ -63,17 +61,15 @@ Result<StreamVerdict> StreamingValidateXml(std::string_view xml,
                                            const Dbta& table,
                                            const EncodedAlphabet& enc,
                                            const Alphabet& tags,
-                                           TaOpContext* ctx,
-                                           std::pmr::memory_resource* scratch) {
-  if (scratch == nullptr) scratch = std::pmr::get_default_resource();
+                                           TaOpContext* ctx) {
   // One frame per open element: its encoded tag symbol and where its
   // children's states start on the shared state stack.
   struct Frame {
     SymbolId tag_sym;
     size_t child_base;
   };
-  std::pmr::vector<Frame> frames{scratch};
-  std::pmr::vector<StateId> states{scratch};
+  std::vector<Frame> frames;
+  std::vector<StateId> states;
   const StateId qnil = table.LeafState(enc.nil);
 
   XmlEventReader reader(xml);

@@ -20,14 +20,15 @@
 // StreamingValidateXml goes one step further for XML instances: it folds the
 // DBTA over the parse events directly (a state stack mirroring the element
 // stack, with the Section 2.1 encoding applied on the fly), never
-// materializing the tree at all — the per-document allocation cost drops to
-// the event reader's open-element stack.
+// materializing the tree at all: one pass over the bytes decides both
+// well-formedness and membership, and its only allocations are the event
+// reader's open-element stack and the fold's two state stacks, on the
+// ordinary heap.
 
 #ifndef PEBBLETC_TA_MEMBERSHIP_H_
 #define PEBBLETC_TA_MEMBERSHIP_H_
 
 #include <memory>
-#include <memory_resource>
 #include <string>
 #include <string_view>
 
@@ -60,12 +61,12 @@ class MembershipEngine {
                                           TaOpContext* ctx = nullptr,
                                           TaOpCache* cache = nullptr);
 
-  /// Membership of `tree`. Fast path: one table lookup per node into
-  /// `scratch` (null = default heap) for the per-node state array. Fallback
-  /// path: NbtaAccepts on the shared index. Checkpoints per node, so
-  /// deadline/cancel/fault interrupts surface as errors.
-  Result<bool> Accepts(const BinaryTree& tree, TaOpContext* ctx = nullptr,
-                       std::pmr::memory_resource* scratch = nullptr) const;
+  /// Membership of `tree`. Fast path: one table lookup per node into a
+  /// per-node state array. Fallback path: NbtaAccepts on the shared index.
+  /// Checkpoints per node, so deadline/cancel/fault interrupts surface as
+  /// errors.
+  Result<bool> Accepts(const BinaryTree& tree,
+                       TaOpContext* ctx = nullptr) const;
 
   /// True when queries run on the compiled table (false = NbtaAccepts
   /// fallback).
@@ -96,11 +97,11 @@ struct StreamVerdict {
 /// the tree: folds `table` over the parse events, applying the Section 2.1
 /// unranked→binary encoding on the fly via `enc` (tags resolved against
 /// `tags`). Parse errors and checkpoint interrupts return as Status errors.
-/// `scratch` (null = default heap) backs the state stack.
-Result<StreamVerdict> StreamingValidateXml(
-    std::string_view xml, const Dbta& table, const EncodedAlphabet& enc,
-    const Alphabet& tags, TaOpContext* ctx = nullptr,
-    std::pmr::memory_resource* scratch = nullptr);
+Result<StreamVerdict> StreamingValidateXml(std::string_view xml,
+                                           const Dbta& table,
+                                           const EncodedAlphabet& enc,
+                                           const Alphabet& tags,
+                                           TaOpContext* ctx = nullptr);
 
 }  // namespace pebbletc
 

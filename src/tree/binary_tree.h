@@ -1,4 +1,4 @@
-// Arena-backed complete binary trees over a ranked alphabet (Section 2.1).
+// Complete binary trees over a ranked alphabet (Section 2.1).
 //
 // Nodes are created bottom-up (children before parents) and addressed by
 // dense NodeId. Every node labelled with a Σ0 symbol is a leaf; every node
@@ -9,7 +9,6 @@
 #define PEBBLETC_TREE_BINARY_TREE_H_
 
 #include <cstdint>
-#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -28,13 +27,6 @@ inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 class BinaryTree {
  public:
   BinaryTree() = default;
-
-  /// Arena-backed construction (docs/VALIDATION.md): every node vector lives
-  /// in `mem`, so a request-scoped tree is freed in O(1) by the arena reset.
-  /// Copying an arena-backed tree yields a default-heap tree (pmr copy
-  /// semantics); moving keeps the resource.
-  explicit BinaryTree(std::pmr::memory_resource* mem)
-      : symbols_(mem), left_(mem), right_(mem), parent_(mem) {}
 
   /// Appends a leaf node labelled `symbol` and returns its id.
   NodeId AddLeaf(SymbolId symbol);
@@ -93,15 +85,15 @@ class BinaryTree {
 
  private:
   template <typename T>
-  const T& At(const std::pmr::vector<T>& v, NodeId n) const {
+  const T& At(const std::vector<T>& v, NodeId n) const {
     PEBBLETC_CHECK(n < v.size()) << "invalid node id " << n;
     return v[n];
   }
 
-  std::pmr::vector<SymbolId> symbols_;
-  std::pmr::vector<NodeId> left_;
-  std::pmr::vector<NodeId> right_;
-  std::pmr::vector<NodeId> parent_;
+  std::vector<SymbolId> symbols_;
+  std::vector<NodeId> left_;
+  std::vector<NodeId> right_;
+  std::vector<NodeId> parent_;
   NodeId root_ = kNoNode;
 };
 

@@ -8,10 +8,9 @@ namespace pebbletc {
 
 Result<BinaryTree> EncodeTree(const UnrankedTree& tree,
                               const EncodedAlphabet& enc,
-                              std::vector<NodeId>* node_map,
-                              std::pmr::memory_resource* mem) {
+                              std::vector<NodeId>* node_map) {
   if (tree.empty()) return Status::InvalidArgument("cannot encode empty tree");
-  BinaryTree out = mem != nullptr ? BinaryTree(mem) : BinaryTree();
+  BinaryTree out;
 
   // Iterative post-order: encoded[u] is the binary node encoding the unranked
   // subtree rooted at u.

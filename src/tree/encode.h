@@ -12,7 +12,7 @@
 #ifndef PEBBLETC_TREE_ENCODE_H_
 #define PEBBLETC_TREE_ENCODE_H_
 
-#include <memory_resource>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
@@ -25,12 +25,10 @@ namespace pebbletc {
 /// tree over `enc.ranked`. Fails if `tree` is invalid or uses tags outside
 /// `enc.tag_symbol`. If `node_map` is non-null it receives, for each unranked
 /// NodeId, the binary NodeId of its (label-preserving) image — the bijection
-/// of Section 2.1. Non-null `mem` places the output tree's storage there
-/// (arena-scoped encoding, docs/VALIDATION.md).
+/// of Section 2.1.
 Result<BinaryTree> EncodeTree(const UnrankedTree& tree,
                               const EncodedAlphabet& enc,
-                              std::vector<NodeId>* node_map = nullptr,
-                              std::pmr::memory_resource* mem = nullptr);
+                              std::vector<NodeId>* node_map = nullptr);
 
 /// Decodes a binary tree produced by `EncodeTree`. Fails with
 /// kInvalidArgument if `tree` is not a well-formed encoding (e.g. a tag node

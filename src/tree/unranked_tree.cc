@@ -13,9 +13,7 @@ NodeId UnrankedTree::AddNode(SymbolId tag, std::vector<NodeId> children) {
     PEBBLETC_CHECK(parent_[c] == kNoNode) << "child already attached";
   }
   tags_.push_back(tag);
-  // emplace_back so the outer vector's allocator (uses-allocator
-  // construction) propagates into the per-node child list.
-  children_.emplace_back(children.begin(), children.end());
+  children_.push_back(std::move(children));
   parent_.push_back(kNoNode);
   for (NodeId c : children_.back()) parent_[c] = id;
   return id;

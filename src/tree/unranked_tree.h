@@ -6,7 +6,6 @@
 #define PEBBLETC_TREE_UNRANKED_TREE_H_
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
@@ -21,13 +20,6 @@ namespace pebbletc {
 class UnrankedTree {
  public:
   UnrankedTree() = default;
-
-  /// Arena-backed construction (docs/VALIDATION.md): node vectors — including
-  /// every per-node child list — live in `mem` and are reclaimed in O(1) by
-  /// the arena reset. Copies escape to the default heap; moves keep the
-  /// resource.
-  explicit UnrankedTree(std::pmr::memory_resource* mem)
-      : tags_(mem), children_(mem), parent_(mem) {}
 
   /// Appends a node labelled `tag` with the given ordered children (possibly
   /// empty) and returns its id. Children must exist and be unattached.
@@ -44,7 +36,7 @@ class UnrankedTree {
     PEBBLETC_CHECK(n < tags_.size()) << "invalid node " << n;
     return tags_[n];
   }
-  const std::pmr::vector<NodeId>& children(NodeId n) const {
+  const std::vector<NodeId>& children(NodeId n) const {
     PEBBLETC_CHECK(n < children_.size()) << "invalid node " << n;
     return children_[n];
   }
@@ -71,9 +63,9 @@ class UnrankedTree {
   size_t Depth() const;
 
  private:
-  std::pmr::vector<SymbolId> tags_;
-  std::pmr::vector<std::pmr::vector<NodeId>> children_;
-  std::pmr::vector<NodeId> parent_;
+  std::vector<SymbolId> tags_;
+  std::vector<std::vector<NodeId>> children_;
+  std::vector<NodeId> parent_;
   NodeId root_ = kNoNode;
 };
 

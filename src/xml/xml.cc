@@ -16,17 +16,22 @@ bool IsNameChar(char c) {
 }  // namespace
 
 // Skips whitespace and comments.
-void XmlEventReader::SkipMisc() {
+Status XmlEventReader::SkipMisc() {
   while (pos_ < text_.size()) {
     if (std::isspace(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     } else if (text_.substr(pos_).substr(0, 4) == "<!--") {
       auto end = text_.find("-->", pos_ + 4);
-      pos_ = (end == std::string_view::npos) ? text_.size() : end + 3;
+      if (end == std::string_view::npos) {
+        return Status::ParseError("unterminated comment at offset " +
+                                  std::to_string(pos_));
+      }
+      pos_ = end + 3;
     } else {
       break;
     }
   }
+  return Status::OK();
 }
 
 Result<std::string_view> XmlEventReader::ParseName() {
@@ -74,12 +79,12 @@ Result<XmlEventReader::Event> XmlEventReader::Next() {
   }
   if (!started_) {
     started_ = true;
-    SkipMisc();
+    PEBBLETC_RETURN_IF_ERROR(SkipMisc());
     return ParseHead();
   }
   if (open_.empty()) {
     // The root has closed: verify the epilogue.
-    SkipMisc();
+    PEBBLETC_RETURN_IF_ERROR(SkipMisc());
     if (pos_ < text_.size()) {
       return Status::ParseError("trailing content at offset " +
                                 std::to_string(pos_));
@@ -88,7 +93,7 @@ Result<XmlEventReader::Event> XmlEventReader::Next() {
     return Event{Kind::kEnd, {}};
   }
   // Content position inside the innermost open element.
-  SkipMisc();
+  PEBBLETC_RETURN_IF_ERROR(SkipMisc());
   if (text_.substr(pos_).substr(0, 2) == "</") {
     pos_ += 2;
     PEBBLETC_ASSIGN_OR_RETURN(std::string_view close, ParseName());
@@ -121,10 +126,9 @@ namespace {
 // SymbolId (or kNoSymbol to flag it unknown and stop building).
 template <typename Intern>
 Result<UnrankedTree> BuildTree(std::string_view text, Intern&& intern,
-                               std::pmr::memory_resource* mem,
                                std::string* unknown_tag) {
   XmlEventReader reader(text);
-  UnrankedTree tree = mem != nullptr ? UnrankedTree(mem) : UnrankedTree();
+  UnrankedTree tree;
   struct Frame {
     SymbolId tag;
     std::vector<NodeId> kids;
@@ -157,7 +161,7 @@ Result<UnrankedTree> BuildTree(std::string_view text, Intern&& intern,
   }
   if (!building) return UnrankedTree();  // unknown tag reported via out-param
   tree.SetRoot(root);
-  return std::move(tree);
+  return tree;
 }
 
 void Append(const UnrankedTree& tree, const Alphabet& alphabet, NodeId n,
@@ -188,26 +192,20 @@ void Append(const UnrankedTree& tree, const Alphabet& alphabet, NodeId n,
 }  // namespace
 
 Result<UnrankedTree> ParseXml(std::string_view text, Alphabet* alphabet) {
-  return ParseXml(text, alphabet, nullptr);
-}
-
-Result<UnrankedTree> ParseXml(std::string_view text, Alphabet* alphabet,
-                              std::pmr::memory_resource* mem) {
   return BuildTree(
       text,
       [alphabet](std::string_view name) { return alphabet->Intern(name); },
-      mem, nullptr);
+      nullptr);
 }
 
 Result<KnownXmlParse> ParseXmlKnown(std::string_view text,
-                                    const Alphabet& tags,
-                                    std::pmr::memory_resource* mem) {
+                                    const Alphabet& tags) {
   KnownXmlParse out;
   PEBBLETC_ASSIGN_OR_RETURN(
       out.tree,
       BuildTree(
           text, [&tags](std::string_view name) { return tags.Find(name); },
-          mem, &out.unknown_tag));
+          &out.unknown_tag));
   return out;
 }
 

@@ -1,6 +1,7 @@
 // Minimal XML reader/writer for the element-only fragment the paper models
 // (Section 2.2): nested tags over an unranked alphabet. Self-closing tags
-// (<a/>), whitespace between elements, and <!-- comments --> are handled;
+// (<a/>), whitespace between elements, and <!-- comments --> are handled (an
+// unterminated comment is a parse error wherever it occurs);
 // attributes, PCDATA, entities, and processing instructions are rejected —
 // they are outside the paper's data model (see the Limitations discussion).
 //
@@ -12,9 +13,9 @@
 #ifndef PEBBLETC_XML_XML_H_
 #define PEBBLETC_XML_XML_H_
 
-#include <memory_resource>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
@@ -45,7 +46,7 @@ class XmlEventReader {
   size_t depth() const { return open_.size(); }
 
  private:
-  void SkipMisc();
+  Status SkipMisc();
   Result<std::string_view> ParseName();
   Result<Event> ParseHead();
 
@@ -61,11 +62,6 @@ class XmlEventReader {
 /// interned into `*alphabet`.
 Result<UnrankedTree> ParseXml(std::string_view text, Alphabet* alphabet);
 
-/// As above, with the tree's storage placed in `mem` (arena-scoped parsing,
-/// docs/VALIDATION.md). `mem` null means the default heap.
-Result<UnrankedTree> ParseXml(std::string_view text, Alphabet* alphabet,
-                              std::pmr::memory_resource* mem);
-
 /// Result of parsing against a closed (const) alphabet.
 struct KnownXmlParse {
   /// The parsed tree; left empty when `unknown_tag` is set.
@@ -79,8 +75,7 @@ struct KnownXmlParse {
 /// Parses a document whose tags must already be in `tags` — the serving hot
 /// path, which must not mutate (or copy) a registry artifact's alphabet.
 Result<KnownXmlParse> ParseXmlKnown(std::string_view text,
-                                    const Alphabet& tags,
-                                    std::pmr::memory_resource* mem = nullptr);
+                                    const Alphabet& tags);
 
 /// Serializes a tree as XML. Leaves print self-closed (`<a/>`); `indent`
 /// pretty-prints with two-space indentation.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/alphabet/alphabet.h"
 
 namespace pebbletc {
@@ -23,6 +26,28 @@ TEST(AlphabetTest, FindMissingReturnsSentinel) {
   EXPECT_EQ(sigma.Find("a"), 0u);
   EXPECT_EQ(sigma.Find("zz"), kNoSymbol);
   EXPECT_FALSE(sigma.Contains(kNoSymbol));
+}
+
+TEST(AlphabetTest, FindsLongNameThroughAStringViewSlice) {
+  // 24 characters: past the small-string buffer, so a lookup that built a
+  // temporary std::string would allocate.
+  const std::string name = "purchase-order-line-item";
+  ASSERT_EQ(name.size(), 24u);
+  Alphabet sigma;
+  sigma.Intern("a");
+  const SymbolId id = sigma.Intern(name);
+  const std::string buffer = "<" + name + "><" + name + "-x/></" + name + ">";
+  const std::string_view slice = std::string_view(buffer).substr(1, 24);
+  EXPECT_EQ(sigma.Find(slice), id);
+  EXPECT_EQ(sigma.Intern(slice), id);
+  EXPECT_EQ(sigma.Find(std::string_view(buffer).substr(1, 23)), kNoSymbol);
+  EXPECT_EQ(sigma.Find(std::string_view(buffer).substr(27, 26)), kNoSymbol);
+
+  RankedAlphabet ranked;
+  const SymbolId rid = std::move(ranked.AddBinary(name)).ValueOrDie();
+  EXPECT_EQ(ranked.Find(slice), rid);
+  EXPECT_EQ(std::move(ranked.AddBinary(slice)).ValueOrDie(), rid);
+  EXPECT_FALSE(ranked.AddLeaf(slice).ok()) << "rank conflict still detected";
 }
 
 TEST(RankedAlphabetTest, PartitionsByRank) {

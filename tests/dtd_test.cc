@@ -210,6 +210,17 @@ TEST(XmlTest, Errors) {
   EXPECT_FALSE(ParseXml("<a>text</a>", &sigma).ok());
   EXPECT_FALSE(ParseXml("<a x='1'/>", &sigma).ok());
   EXPECT_FALSE(ParseXml("<a/><b/>", &sigma).ok());
+  // An unterminated comment is an error wherever it occurs, after the root
+  // included, and the error names the comment's offset.
+  for (const char* text : {"<a/><!-- unterminated", "<a/><!--", "<!-- x",
+                           "<a><!-- x</a>"}) {
+    Result<UnrankedTree> doc = ParseXml(text, &sigma);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_EQ(doc.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(doc.status().message().find("unterminated comment at offset"),
+              std::string::npos)
+        << doc.status().ToString();
+  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/check/diffcheck.h"
-#include "src/common/arena.h"
 #include "src/common/rng.h"
 #include "src/serve/validate.h"
 #include "src/ta/membership.h"
@@ -158,20 +157,18 @@ TEST(MembershipEngine, FaultInterruptPropagates) {
   EXPECT_TRUE(fault.tripped);
 }
 
-TEST(MembershipEngine, ArenaScratchSurvivesResetBetweenQueries) {
+TEST(MembershipEngine, RepeatedQueriesOnOneEngineAgreeWithNbtaAccepts) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = SampleNbta(sigma, 13);
   Result<MembershipEngine> engine = MembershipEngine::Compile(a, sigma);
   ASSERT_TRUE(engine.ok());
   NbtaIndex idx(a);
-  Arena arena;
   Rng rng(99);
   for (int k = 0; k < 50; ++k) {
     const BinaryTree t = RandomBinaryTree(sigma, rng, rng.NextBelow(20));
-    Result<bool> got = engine->Accepts(t, nullptr, &arena);
+    Result<bool> got = engine->Accepts(t);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, NbtaAccepts(idx, t));
-    arena.Reset();
   }
 }
 
@@ -226,6 +223,21 @@ TEST(StreamingValidateXml, ParseErrorWinsOverUnknownTag) {
       "<p><zz></p>", *engine->table(), d.enc, d.tags);
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+}
+
+TEST(StreamingValidateXml, UnterminatedCommentAfterRootIsParseError) {
+  const DocAlphabet d = MakeDocAlphabet();
+  const Nbta m = SampleNbta(d.enc.ranked, 25);
+  Result<MembershipEngine> engine = MembershipEngine::Compile(m, d.enc.ranked);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->fast());
+  Result<StreamVerdict> v = StreamingValidateXml(
+      "<p/><!-- unterminated", *engine->table(), d.enc, d.tags);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+  EXPECT_NE(v.status().message().find("unterminated comment at offset 4"),
+            std::string::npos)
+      << v.status().ToString();
 }
 
 serve::ValidationPlan SamplePlan(const DocAlphabet& d, uint64_t seed) {

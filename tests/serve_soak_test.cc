@@ -68,7 +68,7 @@ Request MakeValidate(uint32_t id, const std::string& document) {
 
 class ServeSoakTest : public ::testing::Test {
  protected:
-  ServeSoakTest() : server_(Options()) {
+  ServeSoakTest() : server_(ServeOptions{}) {
     EXPECT_TRUE(server_.registry().PutXsltText("rename", kRenameXslt).ok());
     EXPECT_TRUE(server_.registry().PutDtdText("in", kInDtd).ok());
     EXPECT_TRUE(server_.registry().PutDtdText("good_out", kGoodOutDtd).ok());
@@ -88,12 +88,6 @@ class ServeSoakTest : public ::testing::Test {
     entry.kind = RegistryEntry::Kind::kTransducer;
     entry.transducer = std::move(artifact);
     server_.registry().Put("copy", std::move(entry));
-  }
-
-  static ServeOptions Options() {
-    ServeOptions options;
-    options.validity.level = ValidityLevel::kFull;
-    return options;
   }
 
   /// Runs one clean request of each heavy kind with a never-tripping

@@ -1,8 +1,9 @@
 // Tests for the serving layer (src/serve/, docs/SERVING.md): wire protocol
-// round trips, the fuzz-style malformed-frame table, validity tiers,
-// registry resolution, end-to-end typecheck/validate/infer dispatch, and
-// admission control / overload shedding. Label `serve`; CI runs the suite
-// under ASan/UBSan so every malformed-byte path is proven leak- and UB-free.
+// round trips, the fuzz-style malformed-frame table, the validity shape
+// checks, registry resolution, end-to-end typecheck/validate/infer dispatch,
+// single-vs-batch agreement on generated documents, and admission control /
+// overload shedding. Label `serve`; CI runs the suite under ASan/UBSan so
+// every malformed-byte path is proven leak- and UB-free.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,11 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/dtd/dtd.h"
 #include "src/pt/paper_machines.h"
@@ -20,7 +24,11 @@
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
 #include "src/serve/validity.h"
+#include "src/ta/enumerate.h"
 #include "src/ta/serialize.h"
+#include "src/tree/encode.h"
+#include "src/tree/random_tree.h"
+#include "src/xml/xml.h"
 
 namespace pebbletc::serve {
 namespace {
@@ -38,7 +46,6 @@ constexpr char kBadOutDtd[] = "b := e\ne := ()\n";
 
 ServeOptions TestOptions() {
   ServeOptions options;
-  options.validity.level = ValidityLevel::kFull;
   options.admission_wait = std::chrono::milliseconds(20);
   return options;
 }
@@ -419,65 +426,52 @@ TEST(ServeMalformedTest, EveryMalformedPayloadGetsAStructuredError) {
 }
 
 // ---------------------------------------------------------------------------
-// Validity tiers.
+// Validity checks.
 // ---------------------------------------------------------------------------
 
-TEST(ServeValidityTest, TiersAreCumulative) {
+// CheckRequest checks shape only: names, sizes, batch count and deadline.
+// A document's bytes are parsed once, by the dispatch that validates it, so
+// malformed XML passes CheckRequest and answers kInvalidArgument from
+// ValidateDoc.
+TEST(ServeValidityTest, ShapeChecksRejectNamesAndDeadlinesNotXml) {
   Request bad_name = MakeTypecheck(1, "../../etc/passwd", "in", "out");
   Request huge_deadline = MakeTypecheck(2, "rename", "in", "out");
   huge_deadline.header.deadline_ms = 1u << 30;
   Request bad_xml = MakeValidate(3, "in", "<a><unclosed></a>");
 
-  ValidityOptions off;
-  off.level = ValidityLevel::kOff;
-  EXPECT_TRUE(CheckRequest(bad_name, off).ok());
-  EXPECT_TRUE(CheckRequest(huge_deadline, off).ok());
-  EXPECT_TRUE(CheckRequest(bad_xml, off).ok());
+  const ValidityOptions defaults;
+  EXPECT_FALSE(CheckRequest(bad_name, defaults).ok());
+  EXPECT_FALSE(CheckRequest(huge_deadline, defaults).ok());
+  EXPECT_TRUE(CheckRequest(bad_xml, defaults).ok()) << "XML is dispatch's job";
 
-  ValidityOptions basic;
-  basic.level = ValidityLevel::kBasic;
-  EXPECT_FALSE(CheckRequest(bad_name, basic).ok());
-  EXPECT_FALSE(CheckRequest(huge_deadline, basic).ok());
-  EXPECT_TRUE(CheckRequest(bad_xml, basic).ok()) << "XML shape is kFull's job";
-
-  ValidityOptions full;
-  full.level = ValidityLevel::kFull;
-  EXPECT_FALSE(CheckRequest(bad_xml, full).ok());
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  EXPECT_EQ(server.Handle(bad_name).header.status,
+            WireStatus::kValidationFailed);
+  EXPECT_EQ(server.Handle(huge_deadline).header.status,
+            WireStatus::kValidationFailed);
+  Request unterminated_comment = MakeValidate(4, "in", "<a/><!--");
+  for (const Request* request : {&bad_xml, &unterminated_comment}) {
+    Response malformed = server.Handle(*request);
+    EXPECT_EQ(malformed.header.status, WireStatus::kInvalidArgument);
+    EXPECT_NE(malformed.header.detail.find("document: "), std::string::npos)
+        << malformed.header.detail;
+  }
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 2u)
+      << "only shape and cap rejections count";
 }
 
 TEST(ServeValidityTest, BasicCapsDocumentAndArtifactSizes) {
-  ValidityOptions basic;
-  basic.level = ValidityLevel::kBasic;
-  basic.max_document_bytes = 64;
+  ValidityOptions caps;
+  caps.max_document_bytes = 64;
   Request big_doc = MakeValidate(1, "in", std::string(65, 'x'));
-  EXPECT_FALSE(CheckRequest(big_doc, basic).ok());
+  EXPECT_FALSE(CheckRequest(big_doc, caps).ok());
 
-  basic.max_artifact_bytes = 16;
+  caps.max_artifact_bytes = 16;
   Request big_artifact;
   big_artifact.header.opcode = Opcode::kLoadArtifact;
   big_artifact.body = LoadArtifactRequest{"name", std::string(17, 'x')};
-  EXPECT_FALSE(CheckRequest(big_artifact, basic).ok());
-}
-
-TEST(ServeValidityTest, FullRejectsCorruptArtifactsBeforeDispatch) {
-  SpecializedDtd dtd = std::move(ParseSpecializedDtd(kInDtd)).ValueOrDie();
-  std::string payload;
-  SerializeDtdArtifact(dtd, &payload);
-  std::string wrapped;
-  WrapTaArtifact(TaArtifactKind::kDtd, payload, &wrapped);
-
-  Request load;
-  load.header.opcode = Opcode::kLoadArtifact;
-  load.body = LoadArtifactRequest{"loaded", wrapped};
-  ValidityOptions full;
-  EXPECT_TRUE(CheckRequest(load, full).ok());
-
-  std::string corrupt = wrapped;
-  corrupt[wrapped.size() - 1] ^= 0x10;
-  load.body = LoadArtifactRequest{"loaded", corrupt};
-  Status s = CheckRequest(load, full);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_FALSE(CheckRequest(big_artifact, caps).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -572,6 +566,48 @@ TEST_F(ServeDispatchTest, LoadArtifactInstallsAndServes) {
   EXPECT_EQ(std::get<TypecheckResponse>(typecheck.body).verdict, 0);
 }
 
+// A corrupt container is rejected where it is deserialized, by PutWrapped
+// in dispatch: kParseError maps to kValidationFailed, and nothing is
+// installed under the name.
+TEST_F(ServeDispatchTest, CorruptArtifactLoadIsRejectedAndInstallsNothing) {
+  SpecializedDtd dtd = std::move(ParseSpecializedDtd(kInDtd)).ValueOrDie();
+  std::string payload;
+  SerializeDtdArtifact(dtd, &payload);
+  std::string wrapped;
+  WrapTaArtifact(TaArtifactKind::kDtd, payload, &wrapped);
+  std::string corrupt = wrapped;
+  corrupt[wrapped.size() - 1] ^= 0x10;
+
+  Request load;
+  load.header.opcode = Opcode::kLoadArtifact;
+  load.header.request_id = 1;
+  load.body = LoadArtifactRequest{"loaded", corrupt};
+  EXPECT_TRUE(CheckRequest(load, ValidityOptions{}).ok())
+      << "the payload's bytes are dispatch's job";
+  Response rejected = server_.Handle(load);
+  EXPECT_EQ(rejected.header.status, WireStatus::kValidationFailed)
+      << rejected.header.detail;
+  EXPECT_EQ(server_.registry().Get("loaded"), nullptr);
+  EXPECT_EQ(server_.SnapshotStats().validation_rejected, 0u)
+      << "a dispatch rejection is not a shape rejection";
+
+  load.header.request_id = 2;
+  load.body = LoadArtifactRequest{"loaded", wrapped};
+  Response installed = server_.Handle(load);
+  EXPECT_EQ(installed.header.status, WireStatus::kOk)
+      << installed.header.detail;
+  EXPECT_NE(server_.registry().Get("loaded"), nullptr);
+
+  // An intact container of a bare automaton has no alphabet to serve with.
+  std::string bare;
+  WrapTaArtifact(TaArtifactKind::kNbta, payload, &bare);
+  load.header.request_id = 3;
+  load.body = LoadArtifactRequest{"bare", bare};
+  EXPECT_EQ(server_.Handle(load).header.status,
+            WireStatus::kFailedPrecondition);
+  EXPECT_EQ(server_.registry().Get("bare"), nullptr);
+}
+
 TEST_F(ServeDispatchTest, LoadCanBeDisabled) {
   ServeOptions options = TestOptions();
   options.allow_load = false;
@@ -579,13 +615,9 @@ TEST_F(ServeDispatchTest, LoadCanBeDisabled) {
   Request load;
   load.header.opcode = Opcode::kLoadArtifact;
   load.body = LoadArtifactRequest{"x", "irrelevant"};
-  // kFull validity would reject the garbage payload first; use kOff to reach
-  // the dispatch-level gate.
-  locked.registry();  // silence unused warnings on some configs
-  ServeOptions off = options;
-  off.validity.level = ValidityLevel::kOff;
-  ServerCore locked_off(off);
-  Response response = locked_off.Handle(load);
+  // The garbage payload passes the shape checks and reaches the
+  // dispatch-level gate before anything parses it.
+  Response response = locked.Handle(load);
   EXPECT_EQ(response.header.status, WireStatus::kFailedPrecondition);
 }
 
@@ -692,13 +724,11 @@ TEST_F(ServeDispatchTest, BatchOverDocLimitIsRejectedByValidity) {
   EXPECT_EQ(at_limit.header.status, WireStatus::kOk);
 }
 
-// Under kBasic validity (no pre-parse), a malformed document reaches the
-// engine and must surface as a per-document kInvalidArgument verdict while
-// the rest of the batch completes normally.
+// A malformed document reaches the engine and must surface as a
+// per-document kInvalidArgument verdict while the rest of the batch
+// completes normally.
 TEST(ServeBatchTest, MalformedDocumentGetsHonestPerDocVerdict) {
-  ServeOptions options = TestOptions();
-  options.validity.level = ValidityLevel::kBasic;
-  ServerCore server(options);
+  ServerCore server(TestOptions());
   ASSERT_TRUE(server.registry().PutDtdText("in", kInDtd).ok());
   Response response = server.Handle(
       MakeBatch(1, "in", {"<a><c/></a>", "not xml", "<a/>"}));
@@ -768,6 +798,160 @@ TEST(ServeBatchTest, BatchHoldsExactlyOneAdmissionSlot) {
   EXPECT_EQ(server.SnapshotStats().overload_rejected, 1u)
       << "one shed, not one per document";
   held->Release();
+}
+
+// ---------------------------------------------------------------------------
+// Served-path agreement under default options.
+// ---------------------------------------------------------------------------
+
+// A document as a mutable tag tree, for tree-level tag swaps, inserts and
+// deletes.
+struct DocNode {
+  SymbolId tag;
+  std::vector<DocNode> kids;
+};
+
+DocNode ToDocNode(const UnrankedTree& tree, NodeId n) {
+  DocNode node{tree.tag(n), {}};
+  for (NodeId c : tree.children(n)) node.kids.push_back(ToDocNode(tree, c));
+  return node;
+}
+
+NodeId AddDocNode(const DocNode& node, UnrankedTree* out) {
+  std::vector<NodeId> kids;
+  for (const DocNode& kid : node.kids) kids.push_back(AddDocNode(kid, out));
+  return out->AddNode(node.tag, std::move(kids));
+}
+
+UnrankedTree FromDocNode(const DocNode& node) {
+  UnrankedTree tree;
+  tree.SetRoot(AddDocNode(node, &tree));
+  return tree;
+}
+
+void CollectNodes(DocNode* node, std::vector<DocNode*>* out) {
+  out->push_back(node);
+  for (DocNode& kid : node->kids) CollectNodes(&kid, out);
+}
+
+// One random tag swap, insert or delete somewhere in `tree`.
+UnrankedTree Mutate(const UnrankedTree& tree, size_t num_tags, Rng& rng) {
+  DocNode root = ToDocNode(tree, tree.root());
+  std::vector<DocNode*> nodes;
+  CollectNodes(&root, &nodes);
+  DocNode* at = nodes[rng.NextBelow(nodes.size())];
+  const SymbolId tag = static_cast<SymbolId>(rng.NextBelow(num_tags));
+  switch (rng.NextBelow(3)) {
+    case 0:
+      at->tag = tag;
+      break;
+    case 1:
+      at->kids.insert(at->kids.begin() + rng.NextBelow(at->kids.size() + 1),
+                      DocNode{tag, {}});
+      break;
+    default:
+      if (at->kids.empty()) {
+        at->tag = tag;
+      } else {
+        at->kids.erase(at->kids.begin() + rng.NextBelow(at->kids.size()));
+      }
+      break;
+  }
+  return FromDocNode(root);
+}
+
+// Every document gets the same answer alone (kValidate) and in its batch
+// slot (kValidateBatch); a well-formed document's verdict is the DTD's own
+// Accepts, and a malformed one, which ParseXml also rejects, answers
+// kInvalidArgument with a "document: " diagnostic in both forms.
+TEST(ServeAgreementTest, ValidateAndBatchSlotAgreeWithDtdAccepts) {
+  const std::vector<std::pair<std::string, std::string>> dtds = {
+      {"star", "r := a* . b?\na := b | c\nb := ()\nc := c*\n"},
+      {"choice", "doc := head . sec*\nhead := ()\nsec := (para | list)*\n"
+                 "para := ()\nlist := item . item*\nitem := para?\n"},
+      {"long", "purchase_order_document := purchase_order_line_item*\n"
+               "purchase_order_line_item := (quantity | note)?\n"
+               "quantity := ()\nnote := ()\n"}};
+  ServerCore server{ServeOptions{}};
+  Rng rng(20261017);
+  uint32_t id = 1;
+  size_t accepted = 0;
+  size_t rejected = 0;
+  size_t malformed_docs = 0;
+  for (const auto& [name, text] : dtds) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(server.registry().PutDtdText(name, text).ok());
+    const SpecializedDtd& dtd = *server.registry().Get(name)->dtd;
+    const Alphabet& tags = dtd.tags();
+    EncodedAlphabet enc = std::move(MakeEncodedAlphabet(tags)).ValueOrDie();
+    Nbta nbta = std::move(CompileDtdToNbta(dtd, enc)).ValueOrDie();
+
+    std::vector<UnrankedTree> trees;
+    for (const BinaryTree& t : EnumerateAcceptedTrees(nbta, 31, 12)) {
+      trees.push_back(std::move(DecodeTree(t, enc)).ValueOrDie());
+    }
+    ASSERT_FALSE(trees.empty());
+    const size_t conforming = trees.size();
+    for (size_t k = 0; k < conforming; ++k) {
+      trees.push_back(Mutate(trees[k], tags.size(), rng));
+    }
+    for (int k = 0; k < 12; ++k) {
+      RandomUnrankedOptions options;
+      options.target_size = 1 + rng.NextBelow(12);
+      options.max_children = 3;
+      trees.push_back(RandomUnrankedTree(tags, rng, options));
+    }
+    std::vector<std::string> docs;
+    std::vector<bool> expect_valid;
+    for (const UnrankedTree& tree : trees) {
+      docs.push_back(XmlString(tree, tags));
+      expect_valid.push_back(std::move(dtd.Accepts(tree)).ValueOrDie());
+    }
+    const size_t well_formed = docs.size();
+    for (int k = 0; k < 4; ++k) {
+      const std::string& xml = docs[rng.NextBelow(well_formed)];
+      docs.push_back(xml.substr(0, 1 + rng.NextBelow(xml.size() - 1)));
+    }
+    docs.push_back(docs[rng.NextBelow(well_formed)] + "<!--");
+    ASSERT_LE(docs.size(), ValidityOptions{}.max_batch_docs);
+
+    Response batch = server.Handle(MakeBatch(id++, name, docs));
+    ASSERT_EQ(batch.header.status, WireStatus::kOk) << batch.header.detail;
+    const auto& slots = std::get<ValidateBatchResponse>(batch.body).verdicts;
+    ASSERT_EQ(slots.size(), docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      SCOPED_TRACE(docs[i]);
+      const BatchDocVerdict& slot = slots[i];
+      Response single = server.Handle(MakeValidate(id++, name, docs[i]));
+      if (i < well_formed) {
+        ASSERT_EQ(single.header.status, WireStatus::kOk)
+            << single.header.detail;
+        const auto& body = std::get<ValidateResponse>(single.body);
+        EXPECT_EQ(slot.status, static_cast<uint8_t>(WireStatus::kOk));
+        EXPECT_EQ(slot.valid, body.valid);
+        EXPECT_EQ(slot.diagnostic, body.diagnostic);
+        EXPECT_EQ(body.valid, expect_valid[i]);
+        ++(body.valid ? accepted : rejected);
+        continue;
+      }
+      ++malformed_docs;
+      Alphabet any_tags;
+      EXPECT_FALSE(ParseXml(docs[i], &any_tags).ok());
+      EXPECT_EQ(single.header.status, WireStatus::kInvalidArgument);
+      EXPECT_EQ(slot.status,
+                static_cast<uint8_t>(WireStatus::kInvalidArgument));
+      EXPECT_FALSE(slot.valid);
+      EXPECT_EQ(slot.diagnostic.rfind("document: ", 0), 0u) << slot.diagnostic;
+      // The single response carries the same diagnostic behind its status
+      // code, like every error response.
+      EXPECT_EQ(single.header.detail,
+                Status::InvalidArgument(slot.diagnostic).ToString());
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(malformed_docs, 15u);
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -316,7 +316,11 @@ int RunMix(MixState* mix, int rounds) {
     ExpectStatus(mix, fd, Validate("../../etc/passwd", "<a/>"),
                  WireStatus::kValidationFailed, "hostile artifact name");
     ExpectStatus(mix, fd, Validate("rename_in", "<a><unclosed></a>"),
-                 WireStatus::kValidationFailed, "malformed XML document");
+                 WireStatus::kInvalidArgument, "malformed XML document");
+    ExpectStatus(mix, fd,
+                 ValidateBatch("rename_in",
+                               {"<a><c/></a>", "<a><unclosed></a>"}),
+                 WireStatus::kOk, "batch with one malformed document");
     ExpectStatus(mix, fd,
                  ValidateBatch("rename_in", {"<a><c/></a>", "<a/>",
                                              "<a><c/><c/></a>"}),

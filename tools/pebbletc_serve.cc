@@ -7,9 +7,9 @@
 // and optionally extended at runtime via the kLoadArtifact op.
 //
 //   pebbletc_serve --socket=/tmp/pebbletc.sock --artifacts=DIR
-//                  [--validity=off|basic|full] [--max-in-flight=N]
-//                  [--max-queued=N] [--default-deadline-ms=N]
-//                  [--max-det-states=N] [--no-load] [--memo=off|memory]
+//                  [--max-in-flight=N] [--max-queued=N]
+//                  [--default-deadline-ms=N] [--max-det-states=N]
+//                  [--no-load] [--memo=off|memory]
 //
 // The process exits 0 on SIGINT/SIGTERM after draining, non-zero on a
 // startup failure (bad flag, unloadable artifact directory, bind failure).
@@ -48,7 +48,6 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --socket=PATH --artifacts=DIR [options]\n"
-      "  --validity=off|basic|full   trust-boundary tier (default full)\n"
       "  --max-in-flight=N           concurrent heavy requests (default 4)\n"
       "  --max-queued=N              admission wait-queue depth (default 8)\n"
       "  --default-deadline-ms=N     deadline when a request sends none\n"
@@ -85,16 +84,6 @@ int main(int argc, char** argv) {
       socket_path = v;
     } else if (const char* v = value("--artifacts=")) {
       artifacts_dir = v;
-    } else if (const char* v = value("--validity=")) {
-      if (std::strcmp(v, "off") == 0) {
-        options.validity.level = ValidityLevel::kOff;
-      } else if (std::strcmp(v, "basic") == 0) {
-        options.validity.level = ValidityLevel::kBasic;
-      } else if (std::strcmp(v, "full") == 0) {
-        options.validity.level = ValidityLevel::kFull;
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (const char* v = value("--max-in-flight=")) {
       if (!ParseU32(v, &options.max_in_flight)) return Usage(argv[0]);
     } else if (const char* v = value("--max-queued=")) {
