@@ -12,8 +12,6 @@
 //  * Cache-size sensitivity: a working set of distinct complements cycled
 //    through caches from ample to starved; the starved rows measure the
 //    recompute-under-thrash regime (hit_rate falls toward zero).
-//  * Persistence: AttachPersistentDir load+verify latency for a directory of
-//    binary entries (docs/FORMATS.md).
 //
 // CI smoke-runs this binary in the bench-smoke job and uploads the JSON as
 // the BENCH_memo.json artifact; the checked-in BENCH_memo.json records the
@@ -22,9 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/check/diffcheck.h"
@@ -202,43 +198,6 @@ void BM_WarmWorkingSet(benchmark::State& state) {
                                static_cast<double>(hits + misses);
 }
 BENCHMARK(BM_WarmWorkingSet)->Arg(65536)->Arg(8192)->Arg(2048);
-
-void BM_PersistentReload(benchmark::State& state) {
-  // Cross-process warm start: load+verify a directory of state.range(0)
-  // binary entries into a fresh cache (checksum verification included).
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  const size_t entries = static_cast<size_t>(state.range(0));
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "pebbletc_bench_memo" /
-      ("reload_" + std::to_string(entries));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  {
-    TaOpCache writer;
-    PEBBLETC_CHECK(writer.AttachPersistentDir(dir.string()).ok());
-    TaOpContext ctx;
-    for (size_t i = 0; i < entries; ++i) {
-      const Nbta a = DrawDense(sigma, 16, 500 + i);
-      TaCacheKey key = MakeTaCacheKey(TaOpKind::kComplement,
-                                      NbtaStructuralHash(a),
-                                      TaStructuralHash{},
-                                      RankedAlphabetFingerprint(sigma), 0);
-      writer.InsertNbta(key, a, &ctx);
-    }
-  }
-  size_t loaded = 0;
-  for (auto _ : state) {
-    TaOpCache reader;
-    size_t n = 0;
-    PEBBLETC_CHECK(reader.AttachPersistentDir(dir.string(), &n).ok());
-    loaded = n;
-    benchmark::DoNotOptimize(reader);
-  }
-  fs::remove_all(dir, ec);
-  state.counters["entries_loaded"] = static_cast<double>(loaded);
-}
-BENCHMARK(BM_PersistentReload)->Arg(8)->Arg(64);
 
 }  // namespace
 }  // namespace pebbletc

@@ -79,13 +79,10 @@ struct DiffcheckOptions {
   /// Cached-vs-cold laws for the content-addressed op cache
   /// (docs/CACHING.md): replaying an op through a fresh cache returns the
   /// byte-identical automaton with exact hit/miss accounting; ops served
-  /// through a harness-owned cache that persists across iterations agree on
+  /// through a harness-owned cache that lives across iterations agree on
   /// language with the cold results; and the typechecker verdict is
   /// unchanged under TypecheckOptions::memo.
   bool memo = false;
-  /// Optional persistent directory for the harness-owned cache: every insert
-  /// then also exercises the binary write-through (docs/FORMATS.md).
-  std::string memo_dir;
   /// Capacity of the harness-owned cache, in MiB.
   size_t memo_mb = 64;
 };

@@ -1,6 +1,7 @@
 #include "src/core/typechecker.h"
 
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -54,6 +55,17 @@ bool IsExhaustion(StatusCode code) {
          code == StatusCode::kDeadlineExceeded ||
          code == StatusCode::kCancelled || code == StatusCode::kLimitExceeded;
 }
+
+// Salvage-search bounds (RunDegradedSearch): τ1 inputs tried (enumerated
+// smallest-first plus random samples), per-tree node caps, outputs tested
+// per input, and a fresh wall-clock budget (the main deadline has already
+// expired).
+constexpr size_t kDegradedMaxInputTrees = 48;
+constexpr size_t kDegradedMaxInputNodes = 9;
+constexpr size_t kDegradedMaxOutputNodes = 17;
+constexpr size_t kDegradedOutputsPerInput = 16;
+constexpr size_t kDegradedRandomSamples = 32;
+constexpr std::chrono::milliseconds kDegradedBudget{25};
 
 }  // namespace
 
@@ -266,10 +278,11 @@ Result<TypecheckResult> Typechecker::Typecheck(
   if (IsDownwardTransducer(transducer_) && have_complement) {
     auto verdict = [&]() -> Result<TypecheckResult> {
       PEBBLETC_ASSIGN_OR_RETURN(
-          Dbta d, alg.Determinize(*not_tau2_idx, output_alphabet_, &ctx));
+          std::shared_ptr<const Dbta> d,
+          alg.Determinize(*not_tau2_idx, output_alphabet_, &ctx));
       PEBBLETC_ASSIGN_OR_RETURN(
           Nbta bad_inputs,
-          DownwardProductAutomaton(transducer_, d, input_alphabet_, &ctx));
+          DownwardProductAutomaton(transducer_, *d, input_alphabet_, &ctx));
       Nbta offending = alg.Intersect(NbtaIndex(input_type, &ctx),
                                      NbtaIndex(bad_inputs, &ctx), &ctx);
       if (pipeline_key.has_value() && TaInterruptStatus(&ctx).ok()) {
@@ -373,7 +386,7 @@ void Typechecker::RunDegradedSearch(const Nbta& input_type,
   // budget. The caller's cancel flag still applies.
   TaOpBudgets budgets;
   budgets.max_configs = options.max_configs;
-  budgets.deadline = std::chrono::steady_clock::now() + options.degraded_budget;
+  budgets.deadline = std::chrono::steady_clock::now() + kDegradedBudget;
   budgets.cancel = options.cancel;
   budgets.checkpoint_stride = options.checkpoint_stride;
   TaOpContext ctx(budgets);
@@ -384,17 +397,15 @@ void Typechecker::RunDegradedSearch(const Nbta& input_type,
   // Small τ1 inputs, smallest-first; top up with random τ1 samples so the
   // search is not limited to the enumeration's prefix.
   std::vector<BinaryTree> inputs = EnumerateAcceptedTrees(
-      input_type, options.degraded_max_input_nodes,
-      options.degraded_max_input_trees, &ctx);
+      input_type, kDegradedMaxInputNodes, kDegradedMaxInputTrees, &ctx);
   const bool has_binary = !input_alphabet_.BinarySymbols().empty();
   Rng rng(0x70656262u);  // fixed seed: the search is deterministic
-  for (size_t i = 0;
-       i < options.degraded_random_samples && has_binary &&
-       options.degraded_max_input_nodes > 0;
-       ++i) {
+  for (size_t i = 0; i < kDegradedRandomSamples && has_binary; ++i) {
     if (!TaCheckpoint(&ctx).ok()) break;
+    // A tree with k internal nodes has 2k + 1 nodes, so k ≤ (cap - 1) / 2
+    // keeps every sample within the node cap.
     const size_t internal =
-        1 + rng.NextBelow((options.degraded_max_input_nodes + 1) / 2);
+        1 + rng.NextBelow((kDegradedMaxInputNodes - 1) / 2);
     BinaryTree t = RandomBinaryTree(input_alphabet_, rng, internal);
     if (NbtaAccepts(tau1_idx, t)) inputs.push_back(std::move(t));
   }
@@ -403,8 +414,8 @@ void Typechecker::RunDegradedSearch(const Nbta& input_type,
   for (const BinaryTree& input : inputs) {
     if (!TaCheckpoint(&ctx).ok()) break;
     auto outputs = EnumerateOutputs(transducer_, input,
-                                    options.degraded_max_output_nodes,
-                                    options.degraded_outputs_per_input,
+                                    kDegradedMaxOutputNodes,
+                                    kDegradedOutputsPerInput,
                                     options.max_configs, &ctx);
     if (!outputs.ok()) {
       // A per-input config blowup may not recur on the next input; anything

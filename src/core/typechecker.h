@@ -74,8 +74,7 @@ struct TypecheckOptions {
   /// preserves the legacy cold path bit-for-bit — the serial oracle and the
   /// fault-injection harness rely on that. kInMemory serves repeated algebra
   /// ops (complement(τ2), determinizations, the bad-input intersections)
-  /// from the process-wide TaOpCache; kPersistent is the same plus whatever
-  /// directory the caller attached via TaOpCache::Global().
+  /// from the process-wide TaOpCache.
   TaMemoMode memo = TaMemoMode::kOff;
 
   // --- execution control (threaded into the shared TaOpContext) ---
@@ -103,17 +102,9 @@ struct TypecheckOptions {
   /// When the exact passes exhaust a budget or the deadline, run a small
   /// best-effort counterexample search (enumerate/sample τ1 inputs, compare
   /// outputs against τ2 directly — no complementation needed) that can still
-  /// upgrade kUnknown to kCounterexample with a concrete witness.
+  /// upgrade kUnknown to kCounterexample with a concrete witness. Its bounds
+  /// are fixed (src/core/typechecker.cc).
   bool degrade_on_exhaustion = true;
-  /// Salvage-search bounds: τ1 inputs tried (enumerated smallest-first plus
-  /// random samples), per-tree node caps, outputs tested per input, and a
-  /// fresh wall-clock budget (the main deadline has already expired).
-  size_t degraded_max_input_trees = 48;
-  size_t degraded_max_input_nodes = 9;
-  size_t degraded_max_output_nodes = 17;
-  size_t degraded_outputs_per_input = 16;
-  size_t degraded_random_samples = 32;
-  std::chrono::milliseconds degraded_budget{25};
 };
 
 enum class TypecheckVerdict {

@@ -90,7 +90,8 @@ struct RequestHeader {
   Opcode opcode = Opcode::kPing;
   uint32_t request_id = 0;
   /// Client-requested deadline in milliseconds; 0 means "server default".
-  /// The server clamps to its configured maximum either way.
+  /// A deadline above the server's configured maximum is rejected
+  /// (kValidationFailed), never clamped.
   uint32_t deadline_ms = 0;
 };
 

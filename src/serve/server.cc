@@ -1,6 +1,5 @@
 #include "src/serve/server.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -56,6 +55,12 @@ Status ValidateServeOptions(const ServeOptions& options) {
         "max_frame_bytes " + std::to_string(options.max_frame_bytes) +
         " exceeds the " + std::to_string(kMaxFrameBytesCeiling) +
         "-byte ceiling");
+  }
+  if (options.default_deadline_ms > options.validity.max_deadline_ms) {
+    return Status::InvalidArgument(
+        "default_deadline_ms " + std::to_string(options.default_deadline_ms) +
+        " exceeds max_deadline_ms " +
+        std::to_string(options.validity.max_deadline_ms));
   }
   return Status::OK();
 }
@@ -217,6 +222,17 @@ Response ServerCore::Dispatch(const Request& request,
 
 namespace {
 
+/// The deadline a request runs under: the client's, or the server default
+/// when it asks for none. Neither is clamped: CheckRequest rejects a client
+/// deadline above validity.max_deadline_ms, and ValidateServeOptions a
+/// default above it.
+std::chrono::milliseconds RequestDeadline(const ServeOptions& server,
+                                          const RequestHeader& header) {
+  return std::chrono::milliseconds(header.deadline_ms == 0
+                                       ? server.default_deadline_ms
+                                       : header.deadline_ms);
+}
+
 /// Builds the per-request execution-control options from the server policy,
 /// the client's requested deadline, and the transport cancel flag.
 TypecheckOptions RequestOptions(const ServeOptions& server,
@@ -224,10 +240,7 @@ TypecheckOptions RequestOptions(const ServeOptions& server,
                                 const std::atomic<bool>* cancel,
                                 TaFaultInjector* injector) {
   TypecheckOptions opts;
-  uint32_t deadline_ms = header.deadline_ms == 0 ? server.default_deadline_ms
-                                                 : header.deadline_ms;
-  deadline_ms = std::min(deadline_ms, server.validity.max_deadline_ms);
-  opts.deadline = std::chrono::milliseconds(deadline_ms);
+  opts.deadline = RequestDeadline(server, header);
   opts.cancel = cancel;
   opts.max_det_states = server.max_det_states;
   opts.max_antichain_pairs = server.max_antichain_pairs;
@@ -248,11 +261,8 @@ TaOpContext ValidateContext(const ServeOptions& server,
                             const std::atomic<bool>* cancel,
                             TaFaultInjector* injector) {
   TaOpBudgets budgets;
-  uint32_t deadline_ms = header.deadline_ms == 0 ? server.default_deadline_ms
-                                                 : header.deadline_ms;
-  deadline_ms = std::min(deadline_ms, server.validity.max_deadline_ms);
   budgets.deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+      std::chrono::steady_clock::now() + RequestDeadline(server, header);
   budgets.cancel = cancel;
   budgets.max_det_states = server.max_det_states;
   budgets.max_antichain_pairs = server.max_antichain_pairs;

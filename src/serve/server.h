@@ -11,8 +11,9 @@
 //   * admission control (src/serve/admission.h) — heavy requests acquire an
 //     in-flight slot or are shed with WireStatus::kOverloaded;
 //   * per-request execution control — every typecheck/infer/validate runs
-//     under a TaOpContext deadline (client-requested, server-clamped) with
-//     cooperative cancellation wired to the transport's disconnect signal;
+//     under a TaOpContext deadline (client-requested or the server default)
+//     with cooperative cancellation wired to the transport's disconnect
+//     signal;
 //   * graceful degradation over the wire — a typecheck that exhausts its
 //     budgets returns verdict kUnknown *plus* the structured
 //     ExhaustionReport as an OK response, never a dropped connection;
@@ -57,8 +58,9 @@ struct ServeOptions {
   uint32_t max_in_flight = 4;
   uint32_t max_queued = 8;
   std::chrono::milliseconds admission_wait{100};
-  /// Deadline applied when a request does not ask for one; requests are
-  /// always clamped to validity.max_deadline_ms.
+  /// Deadline applied when a request does not ask for one. Must not exceed
+  /// validity.max_deadline_ms: ValidateServeOptions rejects a larger value
+  /// rather than clamping it, as CheckRequest does for a client's deadline.
   uint32_t default_deadline_ms = 2000;
   /// Budgets forwarded into TypecheckOptions.
   size_t max_det_states = 200000;
@@ -165,9 +167,9 @@ WireStatus WireStatusOf(const Status& status);
 
 /// Rejects structurally invalid serve configuration before a server is
 /// built from it: a frame cap of zero, below kMinFrameBytes, or above
-/// kMaxFrameBytesCeiling is a configuration error, not something to clamp
-/// silently (the operator asked for a specific policy and should learn it
-/// is unsupported).
+/// kMaxFrameBytesCeiling, and a default deadline above the deadline ceiling,
+/// are configuration errors, not something to clamp silently (the operator
+/// asked for a specific policy and should learn it is unsupported).
 Status ValidateServeOptions(const ServeOptions& options);
 
 }  // namespace pebbletc::serve

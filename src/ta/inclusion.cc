@@ -326,22 +326,4 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
   return NbtaIncludedIn(ia, ib, alphabet, &ctx);
 }
 
-Nbta SingletonTreeNbta(const BinaryTree& tree, uint32_t num_symbols) {
-  PEBBLETC_CHECK(!tree.empty()) << "SingletonTreeNbta on empty tree";
-  Nbta a;
-  a.num_symbols = num_symbols;
-  // One state per node; state q_n accepts exactly the subtree at n, so the
-  // accepting root state accepts exactly {tree}.
-  for (NodeId n = 0; n < tree.size(); ++n) a.AddState();
-  for (NodeId n = 0; n < tree.size(); ++n) {
-    if (tree.IsLeaf(n)) {
-      a.AddLeafRule(tree.symbol(n), n);
-    } else {
-      a.AddRule(tree.symbol(n), tree.left(n), tree.right(n), n);
-    }
-  }
-  a.accepting[tree.root()] = true;
-  return a;
-}
-
 }  // namespace pebbletc

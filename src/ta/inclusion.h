@@ -83,12 +83,6 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
                                            const RankedAlphabet& alphabet,
                                            size_t max_pairs = 0);
 
-/// The automaton accepting exactly {tree}: one state per node, the root
-/// state accepting. Used to encode a counterexample tree as a cacheable
-/// automaton payload (docs/CACHING.md) and by tests; `tree` must be
-/// non-empty and well-ranked for `num_symbols`.
-Nbta SingletonTreeNbta(const BinaryTree& tree, uint32_t num_symbols);
-
 }  // namespace pebbletc
 
 #endif  // PEBBLETC_TA_INCLUSION_H_

@@ -17,7 +17,7 @@ Result<MembershipEngine> MembershipEngine::Compile(const Nbta& nbta,
   engine.index_ = std::make_shared<const NbtaIndex>(*engine.nbta_, ctx);
   TaAlgebra algebra(cache);
   Result<std::shared_ptr<const Dbta>> table =
-      algebra.MembershipTable(*engine.index_, sigma, ctx);
+      algebra.Determinize(*engine.index_, sigma, ctx);
   if (table.ok()) {
     engine.table_ = std::move(*table);
     return engine;

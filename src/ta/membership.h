@@ -10,10 +10,10 @@
 // DBTA is the Martens–Neven steady-state artifact).
 //
 // MembershipEngine::Compile determinizes the validating NBTA through
-// TaAlgebra (memoized under TaOpKind::kCompiledMembership, so every request
-// after the first fetches the table by shared_ptr). When determinization
-// exceeds its `max_det_states` budget the engine degrades to the NbtaAccepts
-// route — correct, just slower — and says so through the
+// TaAlgebra::Determinize (memoized under TaOpKind::kDeterminize, so every
+// request after the first fetches the table by shared_ptr). When
+// determinization exceeds its `max_det_states` budget the engine degrades to
+// the NbtaAccepts route — correct, just slower — and says so through the
 // `membership_fallbacks` counter; fast-path answers bump
 // `membership_fast_hits`. Deadline/cancel interrupts propagate unchanged.
 //

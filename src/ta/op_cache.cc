@@ -1,9 +1,7 @@
 #include "src/ta/op_cache.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,8 +47,8 @@ TaStructuralHash FinishHash(const std::vector<uint64_t>& words) {
 
 TaStructuralHash NbtaStructuralHash(const Nbta& input) {
   // Canonicalize: drop dead states, then work on deduplicated rule *sets* —
-  // the parallel product may emit schedule-dependent rule multiplicities and
-  // orders for one language, and neither may split cache entries.
+  // two constructions of one automaton may list its rules in different
+  // orders and multiplicities, and neither may split cache entries.
   const Nbta a = TrimNbta(input);
   std::vector<Nbta::LeafRule> leaf(a.leaf_rules);
   std::sort(leaf.begin(), leaf.end(), [](const auto& x, const auto& y) {
@@ -189,10 +187,6 @@ size_t TaOpCache::KeyHash::operator()(const TaCacheKey& k) const {
 
 TaOpCache::TaOpCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
-TaOpCache::~TaOpCache() {
-  if (!dir_.empty()) (void)Flush();
-}
-
 TaOpCache& TaOpCache::Global() {
   static TaOpCache* cache = new TaOpCache();
   return *cache;
@@ -280,103 +274,7 @@ size_t DbtaBytes(const Dbta& d) {
              sizeof(StateId);
 }
 
-void PutU32File(uint32_t v, std::string* out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xff);
-  b[1] = static_cast<char>((v >> 8) & 0xff);
-  b[2] = static_cast<char>((v >> 16) & 0xff);
-  b[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(b, 4);
-}
-
-void PutU64File(uint64_t v, std::string* out) {
-  PutU32File(static_cast<uint32_t>(v & 0xffffffffu), out);
-  PutU32File(static_cast<uint32_t>(v >> 32), out);
-}
-
-bool GetU32File(std::string_view bytes, size_t* pos, uint32_t* v) {
-  if (bytes.size() - *pos < 4) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + *pos);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) |
-       (static_cast<uint32_t>(p[3]) << 24);
-  *pos += 4;
-  return true;
-}
-
-bool GetU64File(std::string_view bytes, size_t* pos, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!GetU32File(bytes, pos, &lo) || !GetU32File(bytes, pos, &hi)) {
-    return false;
-  }
-  *v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
-
-std::string HexU64(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-constexpr uint32_t kEntryMagic = 0x4d435450u;  // "PTCM"
-constexpr uint32_t kEntryVersion = 1;
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kManifestHeader[] = "pebbletc-memo-manifest v1";
-
-std::string EntryFileName(const TaCacheKey& key) {
-  uint64_t h = Mix64(key.op);
-  h = (h ^ Mix64(key.a.lo)) * 1099511628211ull;
-  h = (h ^ Mix64(key.a.hi)) * 1099511628211ull;
-  h = (h ^ Mix64(key.b.lo)) * 1099511628211ull;
-  h = (h ^ Mix64(key.b.hi)) * 1099511628211ull;
-  h = (h ^ Mix64(key.extra)) * 1099511628211ull;
-  return HexU64(h) + ".ta";
-}
-
 }  // namespace
-
-Status TaOpCache::WriteEntryFile(const TaCacheKey& key,
-                                 const Entry& entry) const {
-  std::string payload;
-  uint32_t kind = 0;
-  if (entry.nbta != nullptr) {
-    SerializeNbta(*entry.nbta, &payload);
-  } else {
-    kind = 1;
-    SerializeDbta(*entry.dbta, &payload);
-  }
-  std::string file;
-  PutU32File(kEntryMagic, &file);
-  PutU32File(kEntryVersion, &file);
-  PutU64File(key.op, &file);
-  PutU64File(key.a.lo, &file);
-  PutU64File(key.a.hi, &file);
-  PutU64File(key.b.lo, &file);
-  PutU64File(key.b.hi, &file);
-  PutU64File(key.extra, &file);
-  PutU32File(kind, &file);
-  PutU32File(static_cast<uint32_t>(payload.size()), &file);
-  PutU64File(TaPayloadChecksum(payload), &file);
-  file += payload;
-
-  const std::filesystem::path path =
-      std::filesystem::path(dir_) / EntryFileName(key);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot write cache entry " + path.string());
-  }
-  out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  out.close();
-  if (!out) {
-    return Status::Internal("short write on cache entry " + path.string());
-  }
-  return Status::OK();
-}
 
 void TaOpCache::InsertNbta(const TaCacheKey& key, const Nbta& value,
                            TaOpContext* ctx) {
@@ -385,23 +283,16 @@ void TaOpCache::InsertNbta(const TaCacheKey& key, const Nbta& value,
   e.bytes = NbtaBytes(value);
   std::lock_guard<std::mutex> lock(mu_);
   InsertLocked(key, std::move(e), ctx);
-  if (!dir_.empty()) {
-    auto it = map_.find(key);
-    if (it != map_.end()) (void)WriteEntryFile(key, it->second);
-  }
 }
 
-void TaOpCache::InsertDbta(const TaCacheKey& key, const Dbta& value,
+void TaOpCache::InsertDbta(const TaCacheKey& key,
+                           std::shared_ptr<const Dbta> value,
                            TaOpContext* ctx) {
   Entry e;
-  e.dbta = std::make_shared<const Dbta>(value);
-  e.bytes = DbtaBytes(value);
+  e.bytes = DbtaBytes(*value);
+  e.dbta = std::move(value);
   std::lock_guard<std::mutex> lock(mu_);
   InsertLocked(key, std::move(e), ctx);
-  if (!dir_.empty()) {
-    auto it = map_.find(key);
-    if (it != map_.end()) (void)WriteEntryFile(key, it->second);
-  }
 }
 
 void TaOpCache::set_capacity_bytes(size_t bytes) {
@@ -432,140 +323,6 @@ void TaOpCache::Clear() {
   size_bytes_ = 0;
 }
 
-Status TaOpCache::AttachPersistentDir(const std::string& dir, size_t* loaded,
-                                      size_t* quarantined) {
-  if (loaded != nullptr) *loaded = 0;
-  if (quarantined != nullptr) *quarantined = 0;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create memo dir " + dir + ": " +
-                            ec.message());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  dir_ = dir;
-
-  const std::filesystem::path manifest =
-      std::filesystem::path(dir) / kManifestName;
-  std::ifstream in(manifest);
-  if (!in) return Status::OK();  // fresh directory: nothing to load
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    return Status::ParseError("unrecognized memo manifest header in " + dir);
-  }
-  auto quarantine = [&](const std::filesystem::path& p) {
-    std::error_code rec;
-    std::filesystem::rename(p, p.string() + ".quarantined", rec);
-    if (quarantined != nullptr) ++*quarantined;
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string name, checksum_hex;
-    if (!(fields >> name >> checksum_hex) ||
-        name.find('/') != std::string::npos || name.find("..") == 0) {
-      continue;  // malformed manifest line: skip, never trust
-    }
-    const std::filesystem::path path = std::filesystem::path(dir) / name;
-    std::ifstream entry_in(path, std::ios::binary);
-    if (!entry_in) continue;  // listed but absent: already gone
-    std::string bytes((std::istreambuf_iterator<char>(entry_in)),
-                      std::istreambuf_iterator<char>());
-    size_t pos = 0;
-    uint32_t magic = 0, version = 0, kind = 0, payload_len = 0;
-    TaCacheKey key;
-    uint64_t stored_checksum = 0;
-    const bool header_ok =
-        GetU32File(bytes, &pos, &magic) && magic == kEntryMagic &&
-        GetU32File(bytes, &pos, &version) && version == kEntryVersion &&
-        GetU64File(bytes, &pos, &key.op) &&
-        GetU64File(bytes, &pos, &key.a.lo) &&
-        GetU64File(bytes, &pos, &key.a.hi) &&
-        GetU64File(bytes, &pos, &key.b.lo) &&
-        GetU64File(bytes, &pos, &key.b.hi) &&
-        GetU64File(bytes, &pos, &key.extra) &&
-        GetU32File(bytes, &pos, &kind) &&
-        GetU32File(bytes, &pos, &payload_len) &&
-        GetU64File(bytes, &pos, &stored_checksum);
-    if (!header_ok || bytes.size() - pos != payload_len) {
-      quarantine(path);
-      continue;
-    }
-    // The filename is a hash of the key, so a bit-flip in the stored key —
-    // which the payload checksum cannot see — breaks this equation and the
-    // entry is never trusted under the wrong key.
-    if (EntryFileName(key) != name) {
-      quarantine(path);
-      continue;
-    }
-    const std::string_view payload(bytes.data() + pos, payload_len);
-    const uint64_t checksum = TaPayloadChecksum(payload);
-    if (checksum != stored_checksum || HexU64(checksum) != checksum_hex) {
-      quarantine(path);
-      continue;
-    }
-    Entry e;
-    if (kind == 0) {
-      Result<Nbta> a = DeserializeNbta(payload);
-      if (!a.ok()) {
-        quarantine(path);
-        continue;
-      }
-      e.bytes = NbtaBytes(*a);
-      e.nbta = std::make_shared<const Nbta>(*std::move(a));
-    } else if (kind == 1) {
-      Result<Dbta> d = DeserializeDbta(payload);
-      if (!d.ok()) {
-        quarantine(path);
-        continue;
-      }
-      e.bytes = DbtaBytes(*d);
-      e.dbta = std::make_shared<const Dbta>(*std::move(d));
-    } else {
-      quarantine(path);
-      continue;
-    }
-    const size_t before = map_.size();
-    InsertLocked(key, std::move(e), nullptr);
-    if (loaded != nullptr && map_.size() > before) ++*loaded;
-  }
-  return Status::OK();
-}
-
-Status TaOpCache::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dir_.empty()) {
-    return Status::FailedPrecondition("no persistent directory attached");
-  }
-  std::ostringstream manifest;
-  manifest << kManifestHeader << "\n";
-  // Least-recent first, so a capacity-bound reload re-inserts in recency
-  // order and ends with the same LRU front.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const Entry& e = map_.at(*it);
-    std::string payload;
-    if (e.nbta != nullptr) {
-      SerializeNbta(*e.nbta, &payload);
-    } else {
-      SerializeDbta(*e.dbta, &payload);
-    }
-    manifest << EntryFileName(*it) << " " << HexU64(TaPayloadChecksum(payload))
-             << "\n";
-  }
-  const std::filesystem::path path =
-      std::filesystem::path(dir_) / kManifestName;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot write memo manifest " + path.string());
-  }
-  out << manifest.str();
-  out.close();
-  if (!out) {
-    return Status::Internal("short write on memo manifest " + path.string());
-  }
-  return Status::OK();
-}
-
 TaAlgebra::TaAlgebra(TaOpCache* cache)
     : cache_(cache != nullptr ? cache : &TaOpCache::Global()) {}
 
@@ -574,37 +331,21 @@ bool TaAlgebra::Enabled(const TaOpContext* ctx) {
          ctx->fault == nullptr;
 }
 
-Result<Dbta> TaAlgebra::Determinize(const NbtaIndex& a,
-                                    const RankedAlphabet& sigma,
-                                    TaOpContext* ctx) const {
-  if (!Enabled(ctx)) return DeterminizeNbta(a, sigma, ctx);
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kDeterminize, NbtaStructuralHash(a.nbta()), TaStructuralHash{},
-      RankedAlphabetFingerprint(sigma), ctx->budgets.max_det_states);
-  if (std::shared_ptr<const Dbta> hit = cache_->FindDbta(key, ctx)) {
-    return *hit;
-  }
-  Result<Dbta> r = DeterminizeNbta(a, sigma, ctx);
-  if (r.ok() && TaInterruptStatus(ctx).ok()) cache_->InsertDbta(key, *r, ctx);
-  return r;
-}
-
-Result<std::shared_ptr<const Dbta>> TaAlgebra::MembershipTable(
+Result<std::shared_ptr<const Dbta>> TaAlgebra::Determinize(
     const NbtaIndex& a, const RankedAlphabet& sigma, TaOpContext* ctx) const {
   if (!Enabled(ctx)) {
     PEBBLETC_ASSIGN_OR_RETURN(Dbta d, DeterminizeNbta(a, sigma, ctx));
     return std::make_shared<const Dbta>(std::move(d));
   }
   const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kCompiledMembership, NbtaStructuralHash(a.nbta()),
-      TaStructuralHash{}, RankedAlphabetFingerprint(sigma),
-      ctx->budgets.max_det_states);
+      TaOpKind::kDeterminize, NbtaStructuralHash(a.nbta()), TaStructuralHash{},
+      RankedAlphabetFingerprint(sigma), ctx->budgets.max_det_states);
   if (std::shared_ptr<const Dbta> hit = cache_->FindDbta(key, ctx)) {
     return hit;
   }
   PEBBLETC_ASSIGN_OR_RETURN(Dbta d, DeterminizeNbta(a, sigma, ctx));
   auto table = std::make_shared<const Dbta>(std::move(d));
-  if (TaInterruptStatus(ctx).ok()) cache_->InsertDbta(key, *table, ctx);
+  if (TaInterruptStatus(ctx).ok()) cache_->InsertDbta(key, table, ctx);
   return table;
 }
 
@@ -636,41 +377,6 @@ Nbta TaAlgebra::Intersect(const NbtaIndex& a, const NbtaIndex& b,
   }
   Nbta r = IntersectNbta(a, b, ctx);
   if (TaInterruptStatus(ctx).ok()) cache_->InsertNbta(key, r, ctx);
-  return r;
-}
-
-Result<NbtaInclusionResult> TaAlgebra::IncludedIn(const NbtaIndex& a,
-                                                  const NbtaIndex& b,
-                                                  const RankedAlphabet& sigma,
-                                                  TaOpContext* ctx) const {
-  if (!Enabled(ctx)) return NbtaIncludedIn(a, b, sigma, ctx);
-  // Operand order is semantic (A ⊆ B vs B ⊆ A), so both hashes enter the
-  // key in place.
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kIncludedIn, NbtaStructuralHash(a.nbta()),
-      NbtaStructuralHash(b.nbta()), RankedAlphabetFingerprint(sigma),
-      ctx->budgets.max_antichain_pairs);
-  if (std::shared_ptr<const Nbta> hit = cache_->FindNbta(key, ctx)) {
-    // Decode the verdict automaton: empty language ⇔ included; otherwise
-    // its unique tree is the counterexample.
-    NbtaIndex hit_idx(*hit, ctx);
-    if (IsEmptyNbta(hit_idx, ctx)) {
-      PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
-      return NbtaInclusionResult{true, std::nullopt};
-    }
-    std::optional<BinaryTree> witness = WitnessTree(hit_idx, ctx);
-    PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
-    PEBBLETC_CHECK(witness.has_value()) << "non-empty verdict automaton";
-    return NbtaInclusionResult{false, std::move(witness)};
-  }
-  Result<NbtaInclusionResult> r = NbtaIncludedIn(a, b, sigma, ctx);
-  if (r.ok() && TaInterruptStatus(ctx).ok()) {
-    const Nbta verdict =
-        r->included
-            ? EmptyLanguageNbta(sigma)
-            : SingletonTreeNbta(*r->counterexample, a.num_symbols());
-    cache_->InsertNbta(key, verdict, ctx);
-  }
   return r;
 }
 

@@ -58,9 +58,6 @@ enum class TaMemoMode : uint8_t {
   kOff = 0,
   /// Probe/populate the in-process TaOpCache.
   kInMemory = 1,
-  /// As kInMemory, with entries persisted to the cache's attached directory
-  /// so hot artifacts survive across processes.
-  kPersistent = 2,
 };
 
 /// All resource budgets consumed by the automaton layer. 0 = unlimited.

@@ -234,59 +234,6 @@ Result<Nbta> DeserializeNbta(std::string_view bytes) {
   return a;
 }
 
-Result<Dbta> DeserializeDbta(std::string_view bytes) {
-  Reader in(bytes);
-  uint32_t num_states = 0, num_symbols = 0;
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&num_states));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&num_symbols));
-  if (num_states == 0) {
-    return Status::ParseError("deterministic automaton needs >= 1 state");
-  }
-  // The constructor allocates an accepting bitset (1 bit per state), a leaf
-  // table (4 bytes per symbol on the wire) and a num_symbols * num_states^2
-  // transition table (4 bytes per entry on the wire). Bound each dimension
-  // by what the remaining input can actually encode before any object
-  // exists, so an 8-byte hostile header can neither demand an astronomical
-  // allocation nor overflow the 64-bit table-size product.
-  const uint64_t remaining = in.remaining();
-  if ((static_cast<uint64_t>(num_states) + 7) / 8 > remaining) {
-    return Status::ParseError("automaton state count exceeds the input size");
-  }
-  if (num_symbols > remaining / 4) {
-    return Status::ParseError("automaton symbol count exceeds the input size");
-  }
-  const uint64_t states_sq = static_cast<uint64_t>(num_states) * num_states;
-  const uint64_t max_entries = remaining / 4;
-  if (num_symbols > 0 && states_sq > max_entries / num_symbols) {
-    return Status::ParseError(
-        "automaton transition table exceeds the input size");
-  }
-  Dbta d(num_states, num_symbols);
-  std::vector<bool> acc;
-  PEBBLETC_RETURN_IF_ERROR(in.ReadBits(num_states, &acc));
-  for (StateId q = 0; q < num_states; ++q) d.set_accepting(q, acc[q]);
-  for (SymbolId s = 0; s < num_symbols; ++s) {
-    uint32_t q = 0;
-    PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&q));
-    if (q >= num_states) return Status::ParseError("leaf state out of range");
-    d.SetLeafState(s, q);
-  }
-  for (SymbolId s = 0; s < num_symbols; ++s) {
-    for (StateId l = 0; l < num_states; ++l) {
-      for (StateId r = 0; r < num_states; ++r) {
-        uint32_t to = 0;
-        PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&to));
-        if (to >= num_states) {
-          return Status::ParseError("transition out of range");
-        }
-        d.SetNext(s, l, r, to);
-      }
-    }
-  }
-  PEBBLETC_RETURN_IF_ERROR(in.Done());
-  return d;
-}
-
 uint64_t TaPayloadChecksum(std::string_view bytes) {
   uint64_t h = 1469598103934665603ull;
   for (char c : bytes) {

@@ -1,7 +1,8 @@
 // Binary (de)serialization for tree automata, transducers, and DTDs — the
-// persistence substrate of the content-addressed op cache (docs/CACHING.md),
-// the `--memo_dir` cross-process artifact store, and the typecheck service's
-// artifact registry (docs/SERVING.md).
+// typecheck service's artifact registry and wire format (docs/SERVING.md).
+// The op cache (docs/CACHING.md) also uses the automaton encodings: as the
+// bytes DbtaStructuralHash fingerprints, and as the byte-exact comparison
+// behind the diffcheck's cached-vs-cold replay law.
 //
 // The layouts (docs/FORMATS.md, "Binary formats") are flat little-endian
 // dumps of the in-memory representations: fixed-width u32 fields, bit-packed
@@ -42,11 +43,8 @@ void SerializeDbta(const Dbta& d, std::string* out);
 /// consumed; trailing bytes, truncation, or out-of-range ids are kParseError.
 Result<Nbta> DeserializeNbta(std::string_view bytes);
 
-/// Parses an automaton serialized by SerializeDbta (same contract).
-Result<Dbta> DeserializeDbta(std::string_view bytes);
-
-/// FNV-1a 64 over `bytes` — the checksum stored alongside persisted cache
-/// entries and re-verified on load.
+/// FNV-1a 64 over `bytes` — the checksum the artifact container
+/// (WrapTaArtifact) stores and UnwrapTaArtifact re-verifies.
 uint64_t TaPayloadChecksum(std::string_view bytes);
 
 // ---------------------------------------------------------------------------

@@ -442,6 +442,22 @@ Nbta RootIsBinary(const RankedAlphabet& sigma) {
   return a;
 }
 
+// Accepts exactly the trees with `k` internal nodes: state i counts the
+// internal nodes below a node, and a count past k has no state.
+Nbta ExactlyInternalNodes(const RankedAlphabet& sigma, StateId k) {
+  Nbta a;
+  a.num_symbols = static_cast<uint32_t>(sigma.size());
+  for (StateId i = 0; i <= k; ++i) a.AddState();
+  a.accepting[k] = true;
+  for (SymbolId s : sigma.LeafSymbols()) a.AddLeafRule(s, 0);
+  for (SymbolId s : sigma.BinarySymbols()) {
+    for (StateId l = 0; l < k; ++l) {
+      for (StateId r = 0; l + r < k; ++r) a.AddRule(s, l, r, l + r + 1);
+    }
+  }
+  return a;
+}
+
 TEST(TypecheckTest, VerdictLadderTable) {
   // One scenario per rung of the degradation ladder:
   //  1. exact pass decides, nothing exhausted;
@@ -450,7 +466,10 @@ TEST(TypecheckTest, VerdictLadderTable) {
   //  3. every exact pass is starved, the degraded enumeration salvages a
   //     concrete counterexample;
   //  4. everything is starved and no violation exists within the salvage
-  //     budget — kUnknown, never a fake kTypechecks.
+  //     budget — kUnknown, never a fake kTypechecks;
+  //  5. everything is starved and every τ1 tree has 11 nodes (all of them
+  //     violations), past the salvage search's 9-node cap: its random
+  //     samples must stay within the cap too, so the answer is kUnknown.
   RankedAlphabet tiny = TinyRanked();
   PebbleTransducer copy = MakeCopyTransducer(tiny);
   Typechecker copy_tc(copy, tiny, tiny);
@@ -462,6 +481,12 @@ TEST(TypecheckTest, VerdictLadderTable) {
   Nbta uni = UniversalNbta(micro);
   Nbta root_n = RootIsBinary(micro);
   Nbta all_l = AllLeaves(micro, micro.Find("l"));
+  // One symbol per rank keeps the salvage enumeration of τ1 cheap, so the
+  // random samples run well inside the salvage budget.
+  PebbleTransducer micro_copy = MakeCopyTransducer(micro);
+  Typechecker micro_copy_tc(micro_copy, micro, micro);
+  Nbta five_internal = ExactlyInternalNodes(micro, 5);
+  Nbta three_nodes = ExactlyInternalNodes(micro, 1);
 
   TypecheckOptions exact;  // defaults: every pass fully budgeted
 
@@ -494,6 +519,9 @@ TEST(TypecheckTest, VerdictLadderTable) {
        "output-complement"},
       {"unknown-when-everything-exhausts", &nd_tc, &uni, &all_l, &no_exact,
        TypecheckVerdict::kUnknown, "none", true, "output-complement"},
+      {"salvage-samples-stay-within-node-cap", &micro_copy_tc, &five_internal,
+       &three_nodes, &no_exact, TypecheckVerdict::kUnknown, "none", true,
+       "output-complement"},
   };
 
   for (const Case& c : kCases) {

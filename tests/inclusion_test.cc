@@ -1,6 +1,6 @@
 // Tests for src/ta/inclusion: the antichain on-the-fly inclusion search,
-// Martens–Neven fragment detection, singleton-tree encoding, and the
-// rewired NbtaIncludes/NbtaEquivalent dispatch.
+// Martens–Neven fragment detection, and the rewired
+// NbtaIncludes/NbtaEquivalent dispatch.
 
 #include "src/ta/inclusion.h"
 
@@ -15,7 +15,6 @@
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
-#include "src/tree/random_tree.h"
 
 namespace pebbletc {
 namespace {
@@ -156,24 +155,6 @@ TEST(InclusionTest, RewiredIncludesAndEquivalentAgree) {
   auto ne = NbtaEquivalent(all_a0, uni, sigma);
   ASSERT_TRUE(ne.ok());
   EXPECT_FALSE(*ne);
-}
-
-TEST(InclusionTest, SingletonTreeNbtaAcceptsExactlyTheTree) {
-  RankedAlphabet sigma = TinyRanked();
-  BinaryTree t;
-  NodeId l = t.AddLeaf(sigma.Find("a0"));
-  NodeId r = t.AddLeaf(sigma.Find("b0"));
-  NodeId root = t.AddInternal(sigma.Find("a2"), l, r);
-  t.SetRoot(root);
-  Nbta s = SingletonTreeNbta(t, static_cast<uint32_t>(sigma.size()));
-  EXPECT_TRUE(s.Accepts(t));
-  EXPECT_EQ(CountAcceptedTrees(s, 3), 1u);
-  EXPECT_EQ(CountAcceptedTrees(s, 1), 0u);
-  Rng rng(7);
-  for (int i = 0; i < 40; ++i) {
-    BinaryTree other = RandomBinaryTree(sigma, rng, rng.NextBelow(8));
-    EXPECT_EQ(s.Accepts(other), other == t);
-  }
 }
 
 // The Martens–Neven fragment: inclusion into a bottom-up-deterministic

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -955,7 +957,158 @@ TEST(ServeAgreementTest, ValidateAndBatchSlotAgreeWithDtdAccepts) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve configuration (the frame-cap knob).
+// Seeded byte mutation of the wire decoders.
+// ---------------------------------------------------------------------------
+
+// One to four bit flips, byte overwrites (biased toward the boundary values
+// that turn a length or count field hostile), single-byte inserts, short
+// deletes and truncations, applied in sequence. The stream is the seeded
+// Rng, so every failure replays.
+std::string MutateBytes(std::string bytes, Rng& rng) {
+  static constexpr char kBoundary[] = {'\x00', '\x01', '\x7f', '\x80',
+                                       '\xff'};
+  const uint64_t rounds = 1 + rng.NextBelow(4);
+  for (uint64_t i = 0; i < rounds; ++i) {
+    const uint64_t r = rng.NextU64();
+    const size_t pos = bytes.empty() ? 0 : (r >> 8) % bytes.size();
+    switch (r % 5) {
+      case 0:
+        if (!bytes.empty()) {
+          bytes[pos] ^= static_cast<char>(1u << ((r >> 5) % 8));
+        }
+        break;
+      case 1:
+        if (!bytes.empty()) {
+          bytes[pos] = (r >> 40) % 2 == 0 ? kBoundary[(r >> 41) % 5]
+                                          : static_cast<char>(r >> 48);
+        }
+        break;
+      case 2:
+        bytes.insert(pos, 1, static_cast<char>(r >> 48));
+        break;
+      case 3:
+        if (!bytes.empty()) bytes.erase(pos, 1 + (r >> 40) % 8);
+        break;
+      case 4:
+        bytes.resize(pos);
+        break;
+    }
+  }
+  return bytes;
+}
+
+// One well-formed encoded request per opcode, against the example registry.
+// The inverse-inference seed pairs the one-tag copy transducer with a schema
+// over other tags, so it fails fast in dispatch (kFailedPrecondition)
+// instead of running a full inference per surviving mutant.
+std::vector<std::string> WireSeedCorpus() {
+  SpecializedDtd dtd = std::move(ParseSpecializedDtd(kInDtd)).ValueOrDie();
+  std::string dtd_payload;
+  SerializeDtdArtifact(dtd, &dtd_payload);
+  std::string wrapped;
+  WrapTaArtifact(TaArtifactKind::kDtd, dtd_payload, &wrapped);
+
+  std::vector<Request> requests(kMaxOpcode + 1);
+  requests[0].body = PingRequest{};
+  requests[1].body = ValidateRequest{"in", "<a><c/></a>"};
+  requests[2].body = TypecheckRequest{"copy", "micro", "micro"};
+  requests[3].body = InferInverseRequest{"copy", "in"};
+  requests[4].body = LoadArtifactRequest{"loaded", wrapped};
+  requests[5].body = ListArtifactsRequest{};
+  requests[6].body = StatsRequest{};
+  requests[7].body = ValidateBatchRequest{"in", {"<a><c/></a>", "<a/>"}};
+  std::vector<std::string> corpus;
+  for (size_t op = 0; op < requests.size(); ++op) {
+    requests[op].header.opcode = static_cast<Opcode>(op);
+    requests[op].header.request_id = static_cast<uint32_t>(1000 + op);
+    EXPECT_EQ(requests[op].body.index(), op) << "corpus order = opcode order";
+    std::string bytes;
+    EncodeRequest(requests[op], &bytes);
+    corpus.push_back(std::move(bytes));
+  }
+  return corpus;
+}
+
+// The reply to any payload decodes to a structured status, echoing the
+// request id whenever the payload's fixed header was readable. Returns the
+// status, or nullopt when the reply is not a well-formed response.
+std::optional<WireStatus> CheckStructuredReply(std::string_view request,
+                                               const std::string& reply) {
+  Result<Response> decoded = DecodeResponse(reply);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return std::nullopt;
+  const ResponseHeader& header = decoded->header;
+  if (header.status != WireStatus::kOk) {
+    EXPECT_FALSE(header.detail.empty());
+  }
+  Result<RawRequestHeader> raw = PeekRequestHeader(request);
+  if (raw.ok()) {
+    EXPECT_EQ(header.request_id, raw->request_id);
+  }
+  return header.status;
+}
+
+// Hostile bytes at the wire decoders: every mutated request payload, and
+// every frame a FrameDecoder cuts from a mutated byte stream, must come back
+// from ServerCore::HandleFrame as a decodable, structured response — never a
+// crash, hang or undecodable reply. The small deadline ceiling keeps any
+// mutant that still dispatches short.
+TEST(WireMutationTest, EveryMutatedFrameGetsAStructuredReply) {
+  ServeOptions options = TestOptions();
+  options.validity.max_deadline_ms = 5;
+  options.default_deadline_ms = 5;
+  ASSERT_TRUE(ValidateServeOptions(options).ok());
+  ServerCore server(options);
+  LoadExampleRegistry(&server);
+  const std::vector<std::string> corpus = WireSeedCorpus();
+  // Every seed decodes, passes the shape checks and reaches dispatch.
+  for (const std::string& seed : corpus) {
+    std::optional<WireStatus> status =
+        CheckStructuredReply(seed, server.HandleFrame(seed));
+    ASSERT_TRUE(status.has_value());
+    EXPECT_NE(*status, WireStatus::kMalformedFrame);
+    EXPECT_NE(*status, WireStatus::kValidationFailed);
+  }
+
+  constexpr int kMutantsPerSeed = 1000;
+  Rng rng(0x5eed0f1e5ull);
+  size_t served = 0, rejected = 0, frames = 0;
+  for (size_t op = 0; op < corpus.size(); ++op) {
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      SCOPED_TRACE("opcode " + std::to_string(op) + ", mutant " +
+                   std::to_string(i));
+      const std::string payload = MutateBytes(corpus[op], rng);
+      std::optional<WireStatus> status =
+          CheckStructuredReply(payload, server.HandleFrame(payload));
+      ASSERT_TRUE(status.has_value());
+      ++(*status == WireStatus::kOk ? served : rejected);
+
+      std::string stream;
+      EncodeFrame(corpus[op], &stream);
+      stream = MutateBytes(std::move(stream), rng);
+      FrameDecoder decoder(options.max_frame_bytes);
+      decoder.Append(stream);
+      // Each frame consumes its 4-byte prefix, so a decoder that keeps
+      // yielding past that bound is looping.
+      size_t cut = 0;
+      for (;;) {
+        Result<std::optional<std::string>> frame = decoder.Next();
+        if (!frame.ok() || !frame->has_value()) break;
+        ASSERT_LE(++cut, stream.size() / 4) << "frame decoder does not advance";
+        ASSERT_TRUE(CheckStructuredReply(**frame, server.HandleFrame(**frame))
+                        .has_value());
+      }
+      frames += cut;
+    }
+  }
+  // The mutants reach both the rejection paths and dispatch.
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(frames, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Serve configuration (the frame cap and the default deadline).
 // ---------------------------------------------------------------------------
 
 TEST(ServeConfigTest, ValidateServeOptionsRejectsOutOfWindowFrameCaps) {
@@ -976,6 +1129,22 @@ TEST(ServeConfigTest, ValidateServeOptionsRejectsOutOfWindowFrameCaps) {
   EXPECT_FALSE(ValidateServeOptions(options).ok()) << "below the floor";
   options.max_frame_bytes = kMaxFrameBytesCeiling + 1;
   EXPECT_FALSE(ValidateServeOptions(options).ok()) << "above the ceiling";
+}
+
+// The default deadline obeys the same ceiling a client's deadline does, and
+// is rejected above it rather than silently clamped per request.
+TEST(ServeConfigTest, ValidateServeOptionsRejectsDefaultDeadlineAboveCeiling) {
+  ServeOptions options = TestOptions();
+  options.validity.max_deadline_ms = 500;
+  options.default_deadline_ms = 500;
+  EXPECT_TRUE(ValidateServeOptions(options).ok()) << "at the ceiling";
+
+  options.default_deadline_ms = 501;
+  Status over = ValidateServeOptions(options);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("default_deadline_ms"), std::string::npos)
+      << over.ToString();
 }
 
 // A frame declaring more than the *configured* cap (not the compile-time

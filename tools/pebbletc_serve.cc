@@ -8,11 +8,16 @@
 //
 //   pebbletc_serve --socket=/tmp/pebbletc.sock --artifacts=DIR
 //                  [--max-in-flight=N] [--max-queued=N]
-//                  [--default-deadline-ms=N] [--max-det-states=N]
+//                  [--default-deadline-ms=N] [--max-deadline-ms=N]
+//                  [--max-det-states=N] [--max-antichain-pairs=N]
+//                  [--max-frame-bytes=N] [--max-batch-docs=N]
 //                  [--no-load] [--memo=off|memory]
 //
 // The process exits 0 on SIGINT/SIGTERM after draining, non-zero on a
-// startup failure (bad flag, unloadable artifact directory, bind failure).
+// startup failure: 2 for a bad flag or a configuration ValidateServeOptions
+// rejects (a frame cap outside its window, a default deadline above the
+// deadline ceiling), 1 for an unloadable artifact directory or a bind
+// failure.
 // Every post-startup failure mode is a structured wire response; a client
 // can crash, flood, disconnect mid-request, or send garbage without taking
 // the daemon down — that is the contract the `serve`-labelled tests and the
@@ -51,6 +56,7 @@ int Usage(const char* argv0) {
       "  --max-in-flight=N           concurrent heavy requests (default 4)\n"
       "  --max-queued=N              admission wait-queue depth (default 8)\n"
       "  --default-deadline-ms=N     deadline when a request sends none\n"
+      "                              (at most --max-deadline-ms)\n"
       "  --max-deadline-ms=N         hard per-request deadline ceiling\n"
       "  --max-det-states=N          determinization budget per request\n"
       "  --max-antichain-pairs=N     antichain-inclusion budget per request\n"

@@ -28,6 +28,16 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+# A default deadline above the deadline ceiling is a configuration error:
+# the daemon must exit 2 before binding, not clamp the default.
+status=0
+"$SERVE_BIN" --socket="$WORK_DIR/rejected.sock" --artifacts="$ARTIFACTS_DIR" \
+  --default-deadline-ms=5000 --max-deadline-ms=1000 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "serve_smoke: over-ceiling default deadline exited $status, want 2" >&2
+  exit 1
+fi
+
 "$SERVE_BIN" --socket="$SOCKET" --artifacts="$ARTIFACTS_DIR" \
   --max-in-flight=2 --max-queued=4 >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!

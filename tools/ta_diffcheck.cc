@@ -44,8 +44,6 @@ void PrintUsage() {
                "iteration), so failures replay with --threads=1\n"
                "  --memo              run the cached-vs-cold laws for the "
                "content-addressed op cache (docs/CACHING.md)\n"
-               "  --memo_dir=PATH     persistent cache directory for the memo "
-               "laws (exercises the binary write-through)\n"
                "  --memo_mb=N         memo cache capacity in MiB "
                "(default 64)\n"
                "  --no-shrink         report unshrunk witnesses\n",
@@ -95,9 +93,6 @@ int main(int argc, char** argv) {
       opts.num_threads = static_cast<uint32_t>(v);
     } else if (std::strcmp(arg, "--memo") == 0) {
       opts.memo = true;
-    } else if (std::strncmp(arg, "--memo_dir=", 11) == 0) {
-      opts.memo = true;
-      opts.memo_dir = arg + 11;
     } else if (ParseU64(arg, "--memo_mb", &v)) {
       opts.memo = true;
       opts.memo_mb = static_cast<size_t>(v);
