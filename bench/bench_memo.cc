@@ -2,15 +2,14 @@
 // warm.
 //
 //  * End-to-end: the same typecheck instance decided repeatedly with
-//    TypecheckOptions::memo off (every op cold, the legacy path) and on
-//    (every expensive op served from TaOpCache::Global() after the first
-//    decision). The warm row is the service-shape workload — the same
-//    transducer checked against the same schemas per request — and the
+//    TypecheckOptions::memo off (every op cold) and on (after the first
+//    decision, every repeat is answered by its downward proof in
+//    TaOpCache::Global()). The warm row is the service-shape workload — the
+//    same transducer checked against the same schemas per request — and the
 //    headline number is warm_speedup = time(cold) / time(warm).
-//  * Per-op: ComplementNbta on the dense diffcheck family, cold vs a warm
-//    TaAlgebra probe (structural hash + LRU lookup).
-//  * Cache-size sensitivity: a working set of distinct complements cycled
-//    through caches from ample to starved; the starved rows measure the
+//  * Cache-size sensitivity: a working set of distinct schema tables (the
+//    kDeterminize entry MembershipEngine::Compile probes) cycled through
+//    caches from ample to starved; the starved rows measure the
 //    recompute-under-thrash regime (hit_rate falls toward zero).
 //
 // CI smoke-runs this binary in the bench-smoke job and uploads the JSON as
@@ -20,7 +19,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/check/diffcheck.h"
@@ -29,8 +27,8 @@
 #include "src/core/typechecker.h"
 #include "src/dtd/dtd.h"
 #include "src/query/xslt.h"
+#include "src/ta/membership.h"
 #include "src/ta/nbta.h"
-#include "src/ta/nbta_index.h"
 #include "src/ta/op_cache.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
@@ -49,10 +47,11 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   return RandomNbta(sigma, rng, opts);
 }
 
-// The downward rename pipeline instance (bench_parallel's end-to-end shape):
-// complement(tau2), the downward product, and the fast-path subset
-// construction are all cacheable, so a warm decision is dominated by
-// structural hashing and the per-instance glue.
+// The downward rename pipeline instance (bench_parallel's end-to-end shape).
+// A cold decision runs the whole chain (complement τ2, determinize, the
+// downward product, intersect, witness search); a warm one is answered by
+// the instance's downward proof, so it costs the structural hashes of τ1
+// and τ2 and one probe.
 struct RenameFixture {
   Alphabet in_tags, out_tags;
   EncodedAlphabet in_enc, out_enc;
@@ -119,54 +118,11 @@ void BM_TypecheckWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_TypecheckWarm)->Unit(benchmark::kMillisecond);
 
-void BM_ComplementCold(benchmark::State& state) {
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  Nbta a = DrawDense(sigma, n, 13);
-  NbtaIndex ia(a);
-  for (auto _ : state) {
-    TaOpContext ctx;
-    auto r = ComplementNbta(ia, sigma, &ctx);
-    PEBBLETC_CHECK(r.ok());
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ComplementCold)->Arg(6)->Arg(8)->Arg(10);
-
-void BM_ComplementWarm(benchmark::State& state) {
-  // The steady warm state: every probe is a hit, so the row measures the
-  // cache's fixed overhead — trim + WL structural hash + locked LRU lookup.
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  Nbta a = DrawDense(sigma, n, 13);
-  NbtaIndex ia(a);
-  TaOpCache cache;
-  const TaAlgebra alg(&cache);
-  auto memo_ctx = [] {
-    TaOpContext ctx;
-    ctx.budgets.memo = TaMemoMode::kInMemory;
-    return ctx;
-  };
-  {
-    TaOpContext prime = memo_ctx();
-    PEBBLETC_CHECK(alg.Complement(ia, sigma, &prime).ok());
-  }
-  size_t hits = 0;
-  for (auto _ : state) {
-    TaOpContext ctx = memo_ctx();
-    auto r = alg.Complement(ia, sigma, &ctx);
-    PEBBLETC_CHECK(r.ok());
-    hits += ctx.counters.memo_hits;
-    benchmark::DoNotOptimize(r);
-  }
-  PEBBLETC_CHECK(hits == static_cast<size_t>(state.iterations()));
-}
-BENCHMARK(BM_ComplementWarm)->Arg(6)->Arg(8)->Arg(10);
-
 void BM_WarmWorkingSet(benchmark::State& state) {
-  // Cache-size sensitivity: cycle a working set of 8 distinct complements
-  // through a cache of state.range(0) KiB. Ample capacity holds the whole
-  // set (hit_rate 1); starved capacities evict mid-cycle and recompute.
+  // Cache-size sensitivity: cycle a working set of 8 distinct schemas
+  // through MembershipEngine::Compile against a cache of state.range(0) KiB.
+  // Ample capacity holds every table (hit_rate 1); starved capacities evict
+  // mid-cycle and re-determinize.
   RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
   constexpr size_t kWorkingSet = 8;
   std::vector<Nbta> as;
@@ -174,18 +130,15 @@ void BM_WarmWorkingSet(benchmark::State& state) {
   for (size_t i = 0; i < kWorkingSet; ++i) {
     as.push_back(DrawDense(sigma, 8, 100 + i));
   }
-  std::vector<std::unique_ptr<NbtaIndex>> idx;  // NbtaIndex is non-copyable
-  for (const Nbta& a : as) idx.push_back(std::make_unique<NbtaIndex>(a));
 
   TaOpCache cache(static_cast<size_t>(state.range(0)) << 10);
-  const TaAlgebra alg(&cache);
   size_t hits = 0, misses = 0;
   for (auto _ : state) {
-    for (size_t i = 0; i < kWorkingSet; ++i) {
+    for (const Nbta& a : as) {
       TaOpContext ctx;
       ctx.budgets.memo = TaMemoMode::kInMemory;
-      auto r = alg.Complement(*idx[i], sigma, &ctx);
-      PEBBLETC_CHECK(r.ok());
+      auto r = MembershipEngine::Compile(a, sigma, &ctx, &cache);
+      PEBBLETC_CHECK(r.ok() && r->fast());
       hits += ctx.counters.memo_hits;
       misses += ctx.counters.memo_misses;
       benchmark::DoNotOptimize(r);

@@ -310,8 +310,8 @@ class Harness {
   }
 
   void RunIteration(size_t iter);
-  void CheckMemo(size_t iter, bool extended, const Nbta& a, const Nbta& b,
-                 const std::optional<Nbta>& cold_comp, const Nbta& cold_inter,
+  void CheckMemo(size_t iter, bool extended, const Nbta& a,
+                 const std::optional<Dbta>& cold_det,
                  const std::vector<BinaryTree>& exhaustive,
                  const std::vector<BinaryTree>& samples);
   void CheckEncodeDecode(size_t iter, Rng& rng);
@@ -759,7 +759,7 @@ void Harness::RunIteration(size_t iter) {
   CheckInclusion(iter, extended, a, b);
 
   if (opts_.memo) {
-    CheckMemo(iter, extended, a, b, comp_a, inter, exhaustive, samples);
+    CheckMemo(iter, extended, a, det_a, exhaustive, samples);
   }
 
   CheckCounts(iter, extended, a, det_a, exhaustive, truncated);
@@ -777,13 +777,10 @@ void Harness::RunIteration(size_t iter) {
 }
 
 void Harness::CheckMemo(size_t iter, bool extended, const Nbta& a,
-                        const Nbta& b, const std::optional<Nbta>& cold_comp,
-                        const Nbta& cold_inter,
+                        const std::optional<Dbta>& cold_det,
                         const std::vector<BinaryTree>& exhaustive,
                         const std::vector<BinaryTree>& samples) {
   const RankedAlphabet& sigma = extended ? ext_ : base_;
-  NbtaIndex idx_a(a);
-  NbtaIndex idx_b(b);
   auto memo_ctx = [this] {
     TaOpContext ctx = BudgetCtx(opts_);
     ctx.budgets.memo = TaMemoMode::kInMemory;
@@ -791,124 +788,81 @@ void Harness::CheckMemo(size_t iter, bool extended, const Nbta& a,
   };
 
   // Laws "memo/replay-exact" and "memo/accounting": against a fresh cache,
-  // the same call must run cold, insert, then hit — and the hit must return
-  // the byte-identical automaton with exact hit/miss/byte accounting.
+  // compiling `a` twice must determinize once — 1 miss, then 1 hit that
+  // shares the inserted table rather than copying it — and the table must
+  // be byte-identical to the cold determinization.
   if (!LawDone("memo/replay-exact") || !LawDone("memo/accounting")) {
     TaOpCache fresh(4ull << 20);
-    const TaAlgebra alg(&fresh);
-    bool exact = true;
-    bool skipped = false;
-    size_t hits = 0, misses = 0, bytes = 0;
-    auto absorb = [&](const TaOpContext& ctx) {
-      hits += ctx.counters.memo_hits;
-      misses += ctx.counters.memo_misses;
-      bytes += ctx.counters.memo_bytes;
-    };
-    {
-      TaOpContext ctx = memo_ctx();
-      auto c1 = alg.Complement(idx_a, sigma, &ctx);
-      auto c2 = alg.Complement(idx_a, sigma, &ctx);
-      absorb(ctx);
-      if (c1.ok() && c2.ok()) {
-        std::string x, y;
-        SerializeNbta(*c1, &x);
-        SerializeNbta(*c2, &y);
-        exact = exact && x == y;
-      } else {
-        skipped = true;
-        ++report_.budget_skips;
+    TaOpContext ctx = memo_ctx();
+    Result<MembershipEngine> e1 =
+        MembershipEngine::Compile(a, sigma, &ctx, &fresh);
+    Result<MembershipEngine> e2 =
+        MembershipEngine::Compile(a, sigma, &ctx, &fresh);
+    if (!e1.ok() || !e2.ok()) {
+      Fail("harness/op-error", iter,
+           "MembershipEngine::Compile: " +
+               (e1.ok() ? e2 : e1).status().ToString(),
+           "");
+    } else if (!e1->fast() || !cold_det.has_value()) {
+      ++report_.budget_skips;  // over the determinization budget
+    } else {
+      if (!LawDone("memo/replay-exact")) {
+        ++report_.comparisons;
+        std::string warm, cold;
+        SerializeDbta(*e1->table(), &warm);
+        SerializeDbta(*cold_det, &cold);
+        if (warm != cold) {
+          FailNbta("memo/replay-exact", iter, extended, a,
+                   "a determinize served through a fresh cache returns the "
+                   "byte-identical cold table",
+                   PredA());
+        }
       }
-    }
-    {
-      TaOpContext ctx = memo_ctx();
-      auto d1 = alg.Determinize(idx_a, sigma, &ctx);
-      auto d2 = alg.Determinize(idx_a, sigma, &ctx);
-      absorb(ctx);
-      if (d1.ok() && d2.ok()) {
-        std::string x, y;
-        SerializeDbta(**d1, &x);
-        SerializeDbta(**d2, &y);
-        exact = exact && x == y;
-      } else {
-        skipped = true;
-        ++report_.budget_skips;
-      }
-    }
-    {
-      TaOpContext ctx = memo_ctx();
-      Nbta i1 = alg.Intersect(idx_a, idx_b, &ctx);
-      Nbta i2 = alg.Intersect(idx_a, idx_b, &ctx);
-      absorb(ctx);
-      std::string x, y;
-      SerializeNbta(i1, &x);
-      SerializeNbta(i2, &y);
-      exact = exact && x == y;
-    }
-    if (!LawDone("memo/replay-exact")) {
-      ++report_.comparisons;
-      if (!exact) {
-        FailTree2("memo/replay-exact", iter, extended, a, b, BinaryTree(),
-                  "replaying an op through a fresh cache returns the "
-                  "byte-identical automaton",
-                  Pred2());
-      }
-    }
-    if (!LawDone("memo/accounting") && !skipped) {
-      ++report_.comparisons;
-      // Three ops, each called twice: 3 cold misses, 3 warm hits, and at
-      // least one payload byte charged.
-      if (hits != 3 || misses != 3 || bytes == 0) {
-        std::ostringstream detail;
-        detail << "fresh-cache miss/hit accounting: want 3 hits / 3 misses / "
-               << "bytes > 0, got " << hits << " / " << misses << " / "
-               << bytes;
-        FailTree2("memo/accounting", iter, extended, a, b, BinaryTree(),
-                  detail.str(), Pred2());
+      if (!LawDone("memo/accounting")) {
+        ++report_.comparisons;
+        const TaOpCounters& c = ctx.counters;
+        if (c.memo_hits != 1 || c.memo_misses != 1 || c.memo_bytes == 0 ||
+            e2->table() != e1->table()) {
+          std::ostringstream detail;
+          detail << "fresh-cache determinize accounting: want 1 hit / 1 "
+                 << "miss / bytes > 0 / a shared table, got " << c.memo_hits
+                 << " / " << c.memo_misses << " / " << c.memo_bytes << " / "
+                 << (e2->table() == e1->table() ? "shared" : "a copy");
+          FailNbta("memo/accounting", iter, extended, a, detail.str(),
+                   PredA());
+        }
       }
     }
   }
 
-  // Law "memo/lang": ops served through the harness cache — which persists
-  // across iterations, so a warm result may come from an entry inserted by a
-  // *different* structurally-equivalent operand — must agree on language
-  // with this iteration's cold results.
+  // Law "memo/lang": a table served through the harness cache — which
+  // persists across iterations, so a hit may come from an entry inserted
+  // for a *different* structurally-equivalent operand — must accept exactly
+  // the language of `a`. This is the structural hash's trust contract.
   if (!LawDone("memo/lang") && memo_cache_.has_value()) {
-    const TaAlgebra halg(&*memo_cache_);
-    std::optional<Nbta> warm_comp;
-    {
-      TaOpContext ctx = memo_ctx();
-      auto c = halg.Complement(idx_a, sigma, &ctx);
-      if (c.ok()) {
-        warm_comp = *std::move(c);
-      } else {
-        ++report_.budget_skips;
-      }
-    }
     TaOpContext ctx = memo_ctx();
-    const Nbta warm_inter = halg.Intersect(idx_a, idx_b, &ctx);
-    std::optional<NbtaIndex> idx_wc;
-    if (warm_comp && cold_comp) idx_wc.emplace(*warm_comp);
-    NbtaIndex idx_wi(warm_inter);
-    NbtaIndex idx_ci(cold_inter);
-    std::optional<NbtaIndex> idx_cc;
-    if (warm_comp && cold_comp) idx_cc.emplace(*cold_comp);
-    auto trees = [&](size_t k) -> const BinaryTree& {
-      return k < exhaustive.size() ? exhaustive[k]
-                                   : samples[k - exhaustive.size()];
-    };
-    const size_t n_trees = exhaustive.size() + samples.size();
-    for (size_t k = 0; k < n_trees; k += kProbeStride) {
-      const BinaryTree& t = trees(k);
+    Result<MembershipEngine> warm =
+        MembershipEngine::Compile(a, sigma, &ctx, &*memo_cache_);
+    if (!warm.ok()) {
+      Fail("harness/op-error", iter,
+           "MembershipEngine::Compile: " + warm.status().ToString(), "");
+      return;
+    }
+    if (!warm->fast()) {
+      ++report_.budget_skips;
+      return;
+    }
+    NbtaIndex idx_a(a);
+    for (size_t k = 0; k < exhaustive.size() + samples.size(); ++k) {
+      const BinaryTree& t = k < exhaustive.size()
+                                ? exhaustive[k]
+                                : samples[k - exhaustive.size()];
       ++report_.comparisons;
-      const bool inter_ok =
-          NbtaAccepts(idx_wi, t) == NbtaAccepts(idx_ci, t);
-      const bool comp_ok =
-          !idx_wc || NbtaAccepts(*idx_wc, t) == NbtaAccepts(*idx_cc, t);
-      if (!inter_ok || !comp_ok) {
-        FailTree2("memo/lang", iter, extended, a, b, t,
-                  "cache-served complement/intersection agrees on language "
-                  "with the cold op",
-                  Pred2());
+      if (warm->table()->Accepts(t) != NbtaAccepts(idx_a, t)) {
+        FailTree1("memo/lang", iter, extended, a, t,
+                  "a cache-served determinization accepts exactly the "
+                  "operand's language",
+                  Pred1());
         return;
       }
     }
@@ -1463,30 +1417,56 @@ void Harness::CheckTypechecker(size_t iter, Rng& rng) {
   PEBBLETC_CHECK(refcomp2.ok()) << "RefComplement on a <=4-state automaton";
   const bool ref_included = RefIsEmpty(RefIntersect(tau1, *refcomp2));
 
-  // Law "memo/verdict": the whole pipeline re-run with the op cache enabled
-  // (the process-wide cache the production facade uses) must reach the same
-  // verdict as the cold run.
+  // Law "memo/verdict": the whole pipeline run twice with the op cache on
+  // (the process-wide cache the daemon uses) must return the cold run's
+  // decision both times — verdict, method and counterexample — and when the
+  // first run ends in a downward-fastpath proof, the second must be served
+  // by it.
   if (opts_.memo && !LawDone("memo/verdict")) {
     TypecheckOptions warm_opts = TcOptions();
     warm_opts.memo = TaMemoMode::kInMemory;
-    Result<TypecheckResult> wres = tc.Typecheck(tau1, tau2, warm_opts);
+    auto fail = [&](const std::string& detail) {
+      Fail("memo/verdict", iter, detail,
+           Repro("memo/verdict", iter, false, &tau1, &tau2, nullptr,
+                 "memo runs return the cold decision, and a repeated "
+                 "downward proof is a cache hit"));
+    };
     ++report_.comparisons;
-    if (!wres.ok()) {
-      Fail("memo/verdict", iter,
-           "Typecheck under --memo failed outright: " +
-               wres.status().ToString(),
-           Repro("memo/verdict", iter, false, &tau1, &tau2, nullptr,
-                 "memo and cold runs return the same verdict"));
-    } else if (wres->exhausted.exhausted || res->exhausted.exhausted) {
-      // A deadline cut on either side makes the verdicts incomparable.
-      ++report_.budget_skips;
-    } else if (wres->verdict != res->verdict) {
-      Fail("memo/verdict", iter,
-           "Typecheck verdict changed under --memo (cold " +
-               std::to_string(static_cast<int>(res->verdict)) + ", memo " +
-               std::to_string(static_cast<int>(wres->verdict)) + ")",
-           Repro("memo/verdict", iter, false, &tau1, &tau2, nullptr,
-                 "memo and cold runs return the same verdict"));
+    bool proved = false;
+    for (int run = 1; run <= 2; ++run) {
+      Result<TypecheckResult> wres = tc.Typecheck(tau1, tau2, warm_opts);
+      if (!wres.ok()) {
+        fail("Typecheck under --memo failed outright: " +
+             wres.status().ToString());
+        break;
+      }
+      if (wres->exhausted.exhausted || res->exhausted.exhausted) {
+        // A deadline cut on either side makes the decisions incomparable.
+        ++report_.budget_skips;
+        break;
+      }
+      const char* differs =
+          wres->verdict != res->verdict ? "verdict"
+          : wres->method != res->method ? "method"
+          : wres->counterexample_input != res->counterexample_input
+              ? "counterexample input"
+          : wres->counterexample_output != res->counterexample_output
+              ? "counterexample output"
+              : nullptr;
+      if (differs != nullptr) {
+        fail(std::string("memo run ") + std::to_string(run) + " changed the " +
+             differs + " (cold " + res->method + " " +
+             std::to_string(static_cast<int>(res->verdict)) + ", memo " +
+             wres->method + " " +
+             std::to_string(static_cast<int>(wres->verdict)) + ")");
+        break;
+      }
+      if (run == 2 && proved && wres->op_counters.memo_hits < 1) {
+        fail("a repeat of a downward-fastpath proof missed the cache");
+        break;
+      }
+      proved = wres->verdict == TypecheckVerdict::kTypechecks &&
+               wres->method == "downward-fastpath";
     }
   }
 

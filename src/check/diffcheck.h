@@ -77,11 +77,12 @@ struct DiffcheckOptions {
   /// sweep replays exactly with --seed=S --start=I --iters=1 --threads=1.
   uint32_t num_threads = 1;
   /// Cached-vs-cold laws for the content-addressed op cache
-  /// (docs/CACHING.md): replaying an op through a fresh cache returns the
-  /// byte-identical automaton with exact hit/miss accounting; ops served
-  /// through a harness-owned cache that lives across iterations agree on
-  /// language with the cold results; and the typechecker verdict is
-  /// unchanged under TypecheckOptions::memo.
+  /// (docs/CACHING.md): compiling a schema twice through a fresh cache
+  /// determinizes once, shares the table, and matches the cold table byte
+  /// for byte; tables served through a harness-owned cache that lives across
+  /// iterations accept exactly the operand's language; and two typechecks
+  /// under TypecheckOptions::memo return the cold decision, the second
+  /// served by the first's downward proof.
   bool memo = false;
   /// Capacity of the harness-owned cache, in MiB.
   size_t memo_mb = 64;

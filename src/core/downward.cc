@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/ta/op_cache.h"
 
 namespace pebbletc {
 
@@ -22,8 +21,6 @@ bool IsDownwardTransducer(const PebbleTransducer& t) {
   return true;
 }
 
-// Transducers are parsed structures, never products of parallel ops, so
-// representation hashing is canonical here.
 uint64_t TransducerFingerprint(const PebbleTransducer& t) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
@@ -78,23 +75,6 @@ Result<Nbta> DownwardProductAutomaton(const PebbleTransducer& t, const Dbta& d,
   if (d.num_symbols() != t.num_output_symbols()) {
     return Status::InvalidArgument(
         "output automaton alphabet does not match the transducer");
-  }
-  // The product is keyed on (transducer table, determinized output type,
-  // input alphabet, state budget): when one transducer is checked against
-  // many input types the expensive closure below is computed once. The probe
-  // sits after validation so invalid calls fail identically hot or cold.
-  TaOpCache* cache = nullptr;
-  TaCacheKey cache_key;
-  if (TaAlgebra::Enabled(ctx)) {
-    cache = &TaOpCache::Global();
-    cache_key = MakeTaCacheKey(TaOpKind::kDownwardProduct,
-                               TaFingerprintHash(TransducerFingerprint(t)),
-                               DbtaStructuralHash(d),
-                               RankedAlphabetFingerprint(input_alphabet),
-                               ctx->budgets.fastpath_max_states);
-    if (std::shared_ptr<const Nbta> hit = cache->FindNbta(cache_key, ctx)) {
-      return *hit;
-    }
   }
   const uint32_t nt = t.num_states();
   const uint32_t nd = d.num_states();
@@ -288,9 +268,6 @@ Result<Nbta> DownwardProductAutomaton(const PebbleTransducer& t, const Dbta& d,
   if (ctx != nullptr) ctx->counters.determinizations++;
   TaCountStates(ctx, out.num_states);
   TaCountRules(ctx, out.leaf_rules.size() + out.rules.size());
-  if (cache != nullptr && TaInterruptStatus(ctx).ok()) {
-    cache->InsertNbta(cache_key, out, ctx);
-  }
   return out;
 }
 

@@ -26,9 +26,9 @@ namespace pebbletc {
 bool IsDownwardTransducer(const PebbleTransducer& t);
 
 /// Exact FNV-1a fingerprint of a transducer's transition table — the
-/// transducer operand of the downward-product and pipeline cache keys
-/// (docs/CACHING.md). Transducers are parsed structures, never products of
-/// parallel ops, so representation hashing is canonical here.
+/// transducer operand of the downward proof's cache key (docs/CACHING.md).
+/// Transducers are parsed structures, never products of automaton ops, so
+/// representation hashing is canonical here.
 uint64_t TransducerFingerprint(const PebbleTransducer& t);
 
 /// Builds a (deterministic, reachable-subset) bottom-up automaton over the

@@ -131,11 +131,16 @@ Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
       if (method != nullptr) *method = "behavior-complete";
       return by_behavior;
     }
-    if (!IsExhaustion(by_behavior.status().code())) {
+    // Fall through to the MSO route only on behavior composition's own
+    // budget codes. A deadline or cancellation ends the run here: the MSO
+    // route's prelude (PebbleAutomatonToMso, AnalyzeMso, TrackAlphabet::Make)
+    // takes no context, so it would run in full before its first checkpoint
+    // returned the sticky code.
+    const StatusCode code = by_behavior.status().code();
+    if (code != StatusCode::kResourceExhausted &&
+        code != StatusCode::kLimitExceeded) {
       return by_behavior.status();
     }
-    // Fall through to the MSO route. Under a sticky interrupt its first
-    // checkpoint returns the same code immediately.
   }
   MsoCompileOptions mso;
   mso.stats = stats;
@@ -150,17 +155,16 @@ Result<Nbta> Typechecker::InferInverseType(
       transducer_.Validate(input_alphabet_, output_alphabet_));
   PEBBLETC_RETURN_IF_ERROR(output_type.Validate(output_alphabet_));
   TaOpContext ctx = MakeContext(options);
-  const TaAlgebra alg;
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta not_tau2,
-      alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
+      ComplementNbta(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
   Nbta not_tau2_trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta bad,
       BadInputsAutomaton(not_tau2_trimmed, nullptr, nullptr, &ctx));
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta inverse,
-      alg.Complement(NbtaIndex(bad, &ctx), input_alphabet_, &ctx));
+      ComplementNbta(NbtaIndex(bad, &ctx), input_alphabet_, &ctx));
   Nbta trimmed = TrimNbta(NbtaIndex(inverse, &ctx), &ctx);
   // A partially trimmed inverse type would under-approximate τ2⁻¹ silently;
   // fail instead.
@@ -177,22 +181,17 @@ Result<TypecheckResult> Typechecker::Typecheck(
   PEBBLETC_RETURN_IF_ERROR(output_type.Validate(output_alphabet_));
 
   TaOpContext ctx = MakeContext(options);
-  const TaAlgebra alg;
   TypecheckResult result;
 
-  // Composite warm fast path (docs/CACHING.md): a prior run of the same
-  // (τ1, τ2, transducer, caps) downward decision cached its pass-2 offending
-  // product under a key of the *input* hashes, so a repeat decision probes
-  // with two small hashes instead of recomputing — or even re-hashing — the
-  // complement/determinize/product chain's large intermediates. A hit with
-  // no witness is a complete kTypechecks verdict (pass 2 is exact, so the
-  // skipped refutation pass could only have agreed); a hit with a witness
-  // falls through to the cold pipeline, which recovers the violating output
-  // through the same per-op caches.
-  std::optional<TaCacheKey> pipeline_key;
-  if (TaAlgebra::Enabled(&ctx) && IsDownwardTransducer(transducer_)) {
-    pipeline_key = MakeTaCacheKey(
-        TaOpKind::kPipelineOffending, NbtaStructuralHash(input_type),
+  // The downward proof (docs/CACHING.md): a prior run whose pass 2 proved
+  // this (τ1, τ2, transducer, caps) triple typechecks recorded the fact
+  // under a key of the *input* hashes, so a repeat decision probes with two
+  // small hashes and returns. Pass 2 is exact, so the skipped passes could
+  // only have agreed. Every other outcome is recomputed cold.
+  std::optional<TaCacheKey> proof_key;
+  if (TaMemoEnabled(&ctx) && IsDownwardTransducer(transducer_)) {
+    proof_key = MakeTaCacheKey(
+        TaOpKind::kDownwardProof, NbtaStructuralHash(input_type),
         NbtaStructuralHash(output_type),
         TaMixFingerprints(
             TaMixFingerprints(RankedAlphabetFingerprint(input_alphabet_),
@@ -200,16 +199,11 @@ Result<TypecheckResult> Typechecker::Typecheck(
             TransducerFingerprint(transducer_)),
         TaMixFingerprints(ctx.budgets.max_det_states,
                           ctx.budgets.fastpath_max_states));
-    if (std::shared_ptr<const Nbta> offending =
-            alg.cache()->FindNbta(*pipeline_key, &ctx)) {
-      std::optional<BinaryTree> witness =
-          WitnessTree(NbtaIndex(*offending, &ctx), &ctx);
-      if (!witness.has_value() && TaInterruptStatus(&ctx).ok()) {
-        result.verdict = TypecheckVerdict::kTypechecks;
-        result.method = "downward-fastpath";
-        result.op_counters = ctx.counters;
-        return result;
-      }
+    if (TaOpCache::Global().FindNbta(*proof_key, &ctx) != nullptr) {
+      result.verdict = TypecheckVerdict::kTypechecks;
+      result.method = "downward-fastpath";
+      result.op_counters = ctx.counters;
+      return result;
     }
   }
 
@@ -262,7 +256,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
   std::optional<NbtaIndex> not_tau2_idx;
   if (IsDownwardTransducer(transducer_) || options.run_complete_decision) {
     Result<Nbta> complement =
-        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
+        ComplementNbta(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
     if (complement.ok()) {
       not_tau2 = TrimNbta(NbtaIndex(*complement, &ctx), &ctx);
       not_tau2_idx.emplace(*not_tau2, &ctx);
@@ -278,25 +272,26 @@ Result<TypecheckResult> Typechecker::Typecheck(
   if (IsDownwardTransducer(transducer_) && have_complement) {
     auto verdict = [&]() -> Result<TypecheckResult> {
       PEBBLETC_ASSIGN_OR_RETURN(
-          std::shared_ptr<const Dbta> d,
-          alg.Determinize(*not_tau2_idx, output_alphabet_, &ctx));
+          Dbta d, DeterminizeNbta(*not_tau2_idx, output_alphabet_, &ctx));
       PEBBLETC_ASSIGN_OR_RETURN(
           Nbta bad_inputs,
-          DownwardProductAutomaton(transducer_, *d, input_alphabet_, &ctx));
-      Nbta offending = alg.Intersect(NbtaIndex(input_type, &ctx),
+          DownwardProductAutomaton(transducer_, d, input_alphabet_, &ctx));
+      Nbta offending = IntersectNbta(NbtaIndex(input_type, &ctx),
                                      NbtaIndex(bad_inputs, &ctx), &ctx);
-      if (pipeline_key.has_value() && TaInterruptStatus(&ctx).ok()) {
-        alg.cache()->InsertNbta(*pipeline_key, offending, &ctx);
-      }
       TypecheckResult r;
       r.method = "downward-fastpath";
       std::optional<BinaryTree> witness =
           WitnessTree(NbtaIndex(offending, &ctx), &ctx);
       if (!witness.has_value()) {
         // An interrupted intersection/witness search may have missed the
-        // offending tree; only a clean run proves typechecking.
+        // offending tree; only a clean run proves typechecking, and only a
+        // proof is cached.
         PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(&ctx));
         r.verdict = TypecheckVerdict::kTypechecks;
+        if (proof_key.has_value()) {
+          TaOpCache::Global().InsertNbta(*proof_key, TrimNbta(offending),
+                                         &ctx);
+        }
         return r;
       }
       r.verdict = TypecheckVerdict::kCounterexample;
@@ -328,7 +323,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
     auto bad =
         BadInputsAutomaton(*not_tau2, &result.mso_stats, &method, &ctx);
     if (bad.ok()) {
-      Nbta offending = alg.Intersect(NbtaIndex(input_type, &ctx),
+      Nbta offending = IntersectNbta(NbtaIndex(input_type, &ctx),
                                      NbtaIndex(*bad, &ctx), &ctx);
       std::optional<BinaryTree> witness =
           WitnessTree(NbtaIndex(offending, &ctx), &ctx);

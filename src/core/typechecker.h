@@ -71,10 +71,11 @@ struct TypecheckOptions {
   /// inconclusive.
   bool run_complete_decision = true;
   /// Content-addressed op cache (docs/CACHING.md). kOff (the default)
-  /// preserves the legacy cold path bit-for-bit — the serial oracle and the
-  /// fault-injection harness rely on that. kInMemory serves repeated algebra
-  /// ops (complement(τ2), determinizations, the bad-input intersections)
-  /// from the process-wide TaOpCache.
+  /// preserves the cold path bit-for-bit — the serial oracle and the
+  /// fault-injection harness rely on that. kInMemory records, in the
+  /// process-wide TaOpCache, each downward triple that pass 2 proves, and
+  /// answers a repeat of it from that proof; every other run is computed
+  /// cold.
   TaMemoMode memo = TaMemoMode::kOff;
 
   // --- execution control (threaded into the shared TaOpContext) ---

@@ -9,8 +9,8 @@
 
 #include "src/common/check.h"
 #include "src/mso/track_alphabet.h"
+#include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
-#include "src/ta/op_cache.h"
 
 namespace pebbletc {
 
@@ -196,9 +196,7 @@ class Compiler {
     return a;
   }
 
-  // Intersection of two freshly built primitive automata. Stays off the op
-  // cache: primitives have a handful of states, so the product is cheaper
-  // than hashing it (docs/CACHING.md).
+  // Intersection of two freshly built primitive automata.
   Nbta IntersectFresh(Nbta l, Nbta r) {
     return IntersectNbta(NbtaIndex(l, ctx_), NbtaIndex(r, ctx_), ctx_);
   }
@@ -250,7 +248,7 @@ class Compiler {
       case K::kNot: {
         PEBBLETC_ASSIGN_OR_RETURN(CompiledPtr inner, Compile(f->left()));
         if (options_.stats != nullptr) options_.stats->complementations++;
-        auto comp = alg_.Complement(inner->index, ext_.ranked(), ctx_);
+        auto comp = ComplementNbta(inner->index, ext_.ranked(), ctx_);
         if (!comp.ok()) return comp.status();
         // Complement may accept ill-marked trees; re-impose singleton
         // validity for the free first-order variables.
@@ -264,7 +262,7 @@ class Compiler {
       case K::kAnd: {
         PEBBLETC_ASSIGN_OR_RETURN(CompiledPtr l, Compile(f->left()));
         PEBBLETC_ASSIGN_OR_RETURN(CompiledPtr r, Compile(f->right()));
-        return alg_.Intersect(l->index, r->index, ctx_);
+        return IntersectNbta(l->index, r->index, ctx_);
       }
       case K::kOr: {
         PEBBLETC_ASSIGN_OR_RETURN(CompiledPtr l, Compile(f->left()));
@@ -295,11 +293,6 @@ class Compiler {
   const TrackAlphabet& ext_;
   MsoCompileOptions options_;
   TaOpContext* ctx_;
-  // Dispatch for the expensive ops (complement, ∧-product). The AST-pointer
-  // cache_ above dedupes shared subformulas of *this* sentence; the
-  // algebra's content-addressed cache additionally spans sentences and
-  // processes (docs/CACHING.md).
-  const TaAlgebra alg_;
   std::unordered_map<const MsoFormula*, CompiledPtr> cache_;
   std::unordered_map<const MsoFormula*, std::set<MsoVarId>> free_cache_;
 };

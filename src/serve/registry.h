@@ -19,9 +19,9 @@
 // XSLT fragment's alphabets depend on which DTDs a request pairs it with
 // (the input alphabet is template heads ∪ τ1's tags, the output alphabet
 // literal tags ∪ τ2's tags — the pebbletc_cli convention), so compilation
-// happens per request. The heavy downstream algebra (complements,
-// determinizations, products) is memoized structurally by the op cache
-// (docs/CACHING.md), which is what actually amortizes repeated requests.
+// happens per request. A repeated typecheck is amortized instead by the op
+// cache's downward proof (docs/CACHING.md), keyed structurally on the
+// compiled types.
 
 #ifndef PEBBLETC_SERVE_REGISTRY_H_
 #define PEBBLETC_SERVE_REGISTRY_H_

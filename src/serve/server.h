@@ -77,8 +77,9 @@ struct ServeOptions {
   /// from.
   uint32_t num_threads = 1;
   /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
-  /// serving default: repeated requests against the same artifacts hit the
-  /// structural cache. Automatically bypassed for fault-armed requests.
+  /// serving default: a repeated typecheck of a proven downward triple
+  /// returns from its cached proof, and a schema's validation table is
+  /// determinized once. Automatically bypassed for fault-armed requests.
   TaMemoMode memo = TaMemoMode::kInMemory;
   /// Whether the kLoadArtifact wire op may install artifacts at runtime.
   bool allow_load = true;

@@ -1,5 +1,6 @@
 #include "src/ta/membership.h"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -15,11 +16,23 @@ Result<MembershipEngine> MembershipEngine::Compile(const Nbta& nbta,
   MembershipEngine engine;
   engine.nbta_ = std::make_shared<const Nbta>(nbta);
   engine.index_ = std::make_shared<const NbtaIndex>(*engine.nbta_, ctx);
-  TaAlgebra algebra(cache);
-  Result<std::shared_ptr<const Dbta>> table =
-      algebra.Determinize(*engine.index_, sigma, ctx);
+  // The table is memoized under kDeterminize: a hit hands back the cached
+  // table itself, so every plan compiled for one schema shares one table.
+  std::optional<TaCacheKey> key;
+  if (TaMemoEnabled(ctx)) {
+    if (cache == nullptr) cache = &TaOpCache::Global();
+    key = MakeTaCacheKey(TaOpKind::kDeterminize, NbtaStructuralHash(nbta),
+                         TaStructuralHash{}, RankedAlphabetFingerprint(sigma),
+                         ctx->budgets.max_det_states);
+    engine.table_ = cache->FindDbta(*key, ctx);
+    if (engine.table_ != nullptr) return engine;
+  }
+  Result<Dbta> table = DeterminizeNbta(*engine.index_, sigma, ctx);
   if (table.ok()) {
-    engine.table_ = std::move(*table);
+    engine.table_ = std::make_shared<const Dbta>(std::move(*table));
+    if (key.has_value() && TaInterruptStatus(ctx).ok()) {
+      cache->InsertDbta(*key, engine.table_, ctx);
+    }
     return engine;
   }
   if (table.status().code() == StatusCode::kResourceExhausted) {

@@ -9,9 +9,9 @@
 // lookup per node (Frisch–Hosoya's practical-typechecking move; the compiled
 // DBTA is the Martens–Neven steady-state artifact).
 //
-// MembershipEngine::Compile determinizes the validating NBTA through
-// TaAlgebra::Determinize (memoized under TaOpKind::kDeterminize, so every
-// request after the first fetches the table by shared_ptr). When
+// MembershipEngine::Compile determinizes the validating NBTA once, memoized
+// in the op cache under TaOpKind::kDeterminize (so every compile after the
+// first for one schema fetches the table by shared_ptr). When
 // determinization exceeds its `max_det_states` budget the engine degrades to
 // the NbtaAccepts route — correct, just slower — and says so through the
 // `membership_fallbacks` counter; fast-path answers bump
@@ -52,8 +52,9 @@ class MembershipEngine {
   MembershipEngine() = default;
 
   /// Compiles `nbta` (over `sigma`) for membership. Determinization runs
-  /// through TaAlgebra against `cache` (null = the process-wide cache) under
-  /// `ctx`'s budgets; kResourceExhausted degrades to the fallback engine
+  /// under `ctx`'s budgets and, when TaMemoEnabled(ctx), is served from and
+  /// inserted into `cache` (null = the process-wide cache) under
+  /// kDeterminize; kResourceExhausted degrades to the fallback engine
   /// rather than failing, while kDeadlineExceeded / kCancelled propagate —
   /// the caller's request is over either way.
   static Result<MembershipEngine> Compile(const Nbta& nbta,

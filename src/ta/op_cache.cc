@@ -1,12 +1,9 @@
 #include "src/ta/op_cache.h"
 
 #include <algorithm>
-#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
-
-#include "src/ta/nbta_index.h"
-#include "src/ta/serialize.h"
 
 namespace pebbletc {
 
@@ -135,23 +132,6 @@ TaStructuralHash NbtaStructuralHash(const Nbta& input) {
   std::sort(sorted.begin(), sorted.end());
   words.insert(words.end(), sorted.begin(), sorted.end());
   return FinishHash(words);
-}
-
-TaStructuralHash DbtaStructuralHash(const Dbta& d) {
-  std::string bytes;
-  SerializeDbta(d, &bytes);
-  uint64_t lo = 1469598103934665603ull;
-  uint64_t hi = 0x8e4c6fcc2c1e8f3dull;
-  for (char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    lo = (lo ^ b) * 1099511628211ull;
-    hi = Chain(hi, b);
-  }
-  return {lo, hi};
-}
-
-TaStructuralHash TaFingerprintHash(uint64_t fingerprint) {
-  return {Mix64(fingerprint), Mix64(fingerprint ^ 0x9e3779b97f4a7c15ull)};
 }
 
 uint64_t RankedAlphabetFingerprint(const RankedAlphabet& sigma) {
@@ -323,61 +303,9 @@ void TaOpCache::Clear() {
   size_bytes_ = 0;
 }
 
-TaAlgebra::TaAlgebra(TaOpCache* cache)
-    : cache_(cache != nullptr ? cache : &TaOpCache::Global()) {}
-
-bool TaAlgebra::Enabled(const TaOpContext* ctx) {
+bool TaMemoEnabled(const TaOpContext* ctx) {
   return ctx != nullptr && ctx->budgets.memo != TaMemoMode::kOff &&
          ctx->fault == nullptr;
-}
-
-Result<std::shared_ptr<const Dbta>> TaAlgebra::Determinize(
-    const NbtaIndex& a, const RankedAlphabet& sigma, TaOpContext* ctx) const {
-  if (!Enabled(ctx)) {
-    PEBBLETC_ASSIGN_OR_RETURN(Dbta d, DeterminizeNbta(a, sigma, ctx));
-    return std::make_shared<const Dbta>(std::move(d));
-  }
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kDeterminize, NbtaStructuralHash(a.nbta()), TaStructuralHash{},
-      RankedAlphabetFingerprint(sigma), ctx->budgets.max_det_states);
-  if (std::shared_ptr<const Dbta> hit = cache_->FindDbta(key, ctx)) {
-    return hit;
-  }
-  PEBBLETC_ASSIGN_OR_RETURN(Dbta d, DeterminizeNbta(a, sigma, ctx));
-  auto table = std::make_shared<const Dbta>(std::move(d));
-  if (TaInterruptStatus(ctx).ok()) cache_->InsertDbta(key, table, ctx);
-  return table;
-}
-
-Result<Nbta> TaAlgebra::Complement(const NbtaIndex& a,
-                                   const RankedAlphabet& sigma,
-                                   TaOpContext* ctx) const {
-  if (!Enabled(ctx)) return ComplementNbta(a, sigma, ctx);
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kComplement, NbtaStructuralHash(a.nbta()), TaStructuralHash{},
-      RankedAlphabetFingerprint(sigma), ctx->budgets.max_det_states);
-  if (std::shared_ptr<const Nbta> hit = cache_->FindNbta(key, ctx)) {
-    return *hit;
-  }
-  Result<Nbta> r = ComplementNbta(a, sigma, ctx);
-  if (r.ok() && TaInterruptStatus(ctx).ok()) cache_->InsertNbta(key, *r, ctx);
-  return r;
-}
-
-Nbta TaAlgebra::Intersect(const NbtaIndex& a, const NbtaIndex& b,
-                          TaOpContext* ctx) const {
-  if (!Enabled(ctx)) return IntersectNbta(a, b, ctx);
-  // Operand order is kept in the key: swapping operands yields a renamed
-  // (language-equal but not replay-exact) product.
-  const TaCacheKey key = MakeTaCacheKey(
-      TaOpKind::kIntersect, NbtaStructuralHash(a.nbta()),
-      NbtaStructuralHash(b.nbta()), /*alphabet_fp=*/0, /*budget_cap=*/0);
-  if (std::shared_ptr<const Nbta> hit = cache_->FindNbta(key, ctx)) {
-    return *hit;
-  }
-  Nbta r = IntersectNbta(a, b, ctx);
-  if (TaInterruptStatus(ctx).ok()) cache_->InsertNbta(key, r, ctx);
-  return r;
 }
 
 }  // namespace pebbletc

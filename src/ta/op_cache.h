@@ -1,27 +1,30 @@
-// Content-addressed memoization for the tree-automaton algebra.
+// Content-addressed memoization of two facts the service repeats.
 //
-// At service scale the same algebra subexpressions recur constantly —
-// complement(τ2) is shared by every transducer checked against one output
-// schema, and the determinized forms of popular schemas are recomputed per
-// request — yet each call into DeterminizeNbta / ComplementNbta /
-// IntersectNbta historically started cold. This layer gives every expensive
-// op one dispatch path (the TaAlgebra facade):
+// A typecheck service sees the same (transducer, τ1, τ2) triples and the same
+// validation schemas over and over, so the cache holds exactly two kinds of
+// entry (docs/CACHING.md):
 //
-//   canonicalize the operands  →  structural hash (order-independent and
-//   rename-invariant: the operand is trimmed and states are renumbered by a
-//   refinement coloring, so two constructions of one automaton that number
-//   its states or list its rules differently share one cache entry)  →
-//   probe a bounded, in-process content-addressed cache keyed by (op,
-//   operand hashes, relevant budget caps)  →  compute on miss under the
-//   existing TaOpContext discipline  →  insert with size-aware LRU eviction.
+//   * kDeterminize — a schema's compiled DBTA, probed and inserted by
+//     MembershipEngine::Compile, so every validation plan after the first
+//     for one schema shares one run table;
+//   * kDownwardProof — the proof that a downward triple typechecks, probed
+//     and inserted by Typechecker::Typecheck, so a warm repeat decision
+//     hashes two small input automata and returns.
 //
-// Hit/miss/evict/byte counters fold into TaOpContext exactly like the timing
-// counters. The cache is opt-in per context (TaOpBudgets::memo); a context
-// carrying a fault injector is always served cold, so injection ordinals and
-// unwind paths stay deterministic. Entries live only as long as the process.
-// Keying rules, canonicalization invariants, and the eviction policy are
-// specified in docs/CACHING.md; the diffcheck oracle arbitrates the cache
-// with cached-vs-cold laws like every other optimization.
+// Every intermediate of the decision (complement, determinized ¬τ2, the
+// downward product, the intersections) is computed cold: a census of a
+// serving run found those entries held 10 MB and took 3 hits, against
+// thousands of warm repeats served by the whole decision.
+//
+// Keys are structural: operands are trimmed and states renumbered by a
+// refinement coloring, so two constructions of one automaton that number
+// its states or list its rules differently share one entry. The store is a
+// bounded, in-process, size-aware LRU. Hit/miss/evict/byte counters fold
+// into TaOpContext like the timing counters. Memoization is opt-in per
+// context (TaOpBudgets::memo), and a context carrying a fault injector is
+// always served cold, so injection ordinals and unwind paths stay
+// deterministic. The diffcheck oracle arbitrates the cache with
+// cached-vs-cold laws like every other optimization.
 
 #ifndef PEBBLETC_TA_OP_CACHE_H_
 #define PEBBLETC_TA_OP_CACHE_H_
@@ -34,13 +37,10 @@
 #include <unordered_map>
 
 #include "src/alphabet/alphabet.h"
-#include "src/common/result.h"
 #include "src/ta/nbta.h"
 #include "src/ta/op_context.h"
 
 namespace pebbletc {
-
-class NbtaIndex;
 
 /// A 128-bit structural fingerprint of an automaton. Equal fingerprints are
 /// treated as equal content by the cache (the content-addressed contract —
@@ -62,31 +62,17 @@ struct TaStructuralHash {
 ///   * adding/removing dead states never changes the hash (trim first).
 TaStructuralHash NbtaStructuralHash(const Nbta& a);
 
-/// Fingerprint of a deterministic complete automaton. DBTAs reaching the
-/// cache come from the subset construction, whose numbering is already
-/// canonical for fixed input, so this hashes the exact representation
-/// (cheaper, collision-free across distinct tables).
-TaStructuralHash DbtaStructuralHash(const Dbta& d);
-
-/// Promotes an externally computed 64-bit fingerprint (e.g. of a transducer)
-/// to a key operand.
-TaStructuralHash TaFingerprintHash(uint64_t fingerprint);
-
 /// Fingerprint of the rank structure of `sigma` (symbol names are semantic-
 /// free ids; only the leaf/binary partition affects op results).
 uint64_t RankedAlphabetFingerprint(const RankedAlphabet& sigma);
 
-/// The cacheable operations, as key discriminants. kPipelineOffending is a
-/// composite artifact: the typechecker's pass-2 offending product, keyed on
-/// the *input* hashes (τ1, τ2, transducer) so a warm repeat decision skips
-/// the whole complement/determinize/product chain — including the structural
-/// hashing of the large intermediate automata. Values 4, 7 and 8 are unused.
+/// The cached facts, as key discriminants. kDownwardProof records that pass
+/// 2 proved a downward (τ1, τ2, transducer) triple typechecks; it is keyed
+/// on the *input* hashes, and its payload is the empty trimmed offending
+/// product. Values 2, 3, 4, 5, 7 and 8 are unused.
 enum class TaOpKind : uint64_t {
   kDeterminize = 1,
-  kComplement = 2,
-  kIntersect = 3,
-  kDownwardProduct = 5,
-  kPipelineOffending = 6,
+  kDownwardProof = 6,
 };
 
 /// A complete cache key: op, both operand fingerprints (b zero for unary
@@ -107,15 +93,16 @@ TaCacheKey MakeTaCacheKey(TaOpKind op, const TaStructuralHash& a,
                           uint64_t budget_cap);
 
 /// Order-dependent combiner for folding several fingerprints / budget caps
-/// into one key operand (e.g. the composite pipeline key mixes both alphabet
+/// into one key operand (e.g. the proof key mixes both alphabet
 /// fingerprints, the transducer fingerprint, and two budget caps).
 uint64_t TaMixFingerprints(uint64_t a, uint64_t b);
 
 /// A bounded, thread-safe, content-addressed store of computed automata.
 /// Size-aware LRU: entries are charged their payload byte size and the
 /// least-recently-used entries are evicted until the total fits the
-/// capacity. One process-wide instance (Global()) backs the TaAlgebra
-/// facade by default; tests and benchmarks may run private instances.
+/// capacity. One process-wide instance (Global()) serves the daemon and
+/// every caller that passes no cache; tests and benchmarks may run private
+/// instances.
 class TaOpCache {
  public:
   static constexpr size_t kDefaultCapacityBytes = 64ull << 20;
@@ -175,37 +162,9 @@ class TaOpCache {
   std::unordered_map<TaCacheKey, Entry, KeyHash> map_;
 };
 
-/// The unified op-dispatch facade: every expensive algebra op runs through
-/// one of these methods, which consult the cache when the context opts in
-/// (TaOpBudgets::memo != kOff and no fault injector) and fall through to the
-/// underlying operation otherwise — bit-for-bit the legacy behavior,
-/// including when `ctx` is null. Results inserted into the cache are always
-/// complete (never taken from an interrupted context).
-class TaAlgebra {
- public:
-  /// `cache` null means the process-wide TaOpCache::Global().
-  explicit TaAlgebra(TaOpCache* cache = nullptr);
-
-  /// True when ops on `ctx` are served through the cache.
-  static bool Enabled(const TaOpContext* ctx);
-
-  /// Determinizes `a` into its complete DBTA. A warm hit hands back the
-  /// cached table by shared_ptr with no copy, which is what lets a serving
-  /// batch reuse one compiled run table (docs/VALIDATION.md) across thousands
-  /// of documents and typecheck pass 2 reuse one determinized ¬τ2.
-  Result<std::shared_ptr<const Dbta>> Determinize(const NbtaIndex& a,
-                                                  const RankedAlphabet& sigma,
-                                                  TaOpContext* ctx) const;
-  Result<Nbta> Complement(const NbtaIndex& a, const RankedAlphabet& sigma,
-                          TaOpContext* ctx) const;
-  Nbta Intersect(const NbtaIndex& a, const NbtaIndex& b,
-                 TaOpContext* ctx) const;
-
-  TaOpCache* cache() const { return cache_; }
-
- private:
-  TaOpCache* cache_;
-};
+/// True when `ctx` opts into the cache: memo on and no fault injector. A
+/// null context is always served cold.
+bool TaMemoEnabled(const TaOpContext* ctx);
 
 }  // namespace pebbletc
 

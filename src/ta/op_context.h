@@ -98,10 +98,11 @@ struct TaOpBudgets {
   /// ordinals must stay deterministic); see TaEffectiveThreads in
   /// src/ta/thread_pool.h.
   uint32_t num_threads = 0;
-  /// Content-addressed memoization of expensive ops through TaAlgebra
-  /// (docs/CACHING.md). Off by default; a context carrying a fault injector
-  /// is always served cold regardless, so injection ordinals and unwind
-  /// paths stay deterministic.
+  /// Content-addressed memoization (docs/CACHING.md): compiled validation
+  /// tables and downward typecheck proofs, in the op cache. Off by default;
+  /// a context carrying a fault injector is always served cold regardless
+  /// (TaMemoEnabled), so injection ordinals and unwind paths stay
+  /// deterministic.
   TaMemoMode memo = TaMemoMode::kOff;
 };
 

@@ -1,8 +1,8 @@
 // Binary (de)serialization for tree automata, transducers, and DTDs — the
 // typecheck service's artifact registry and wire format (docs/SERVING.md).
-// The op cache (docs/CACHING.md) also uses the automaton encodings: as the
-// bytes DbtaStructuralHash fingerprints, and as the byte-exact comparison
-// behind the diffcheck's cached-vs-cold replay law.
+// The op cache's diffcheck replay law (docs/CACHING.md) also uses the
+// automaton encodings, as its byte-exact comparison of a cached table with
+// the cold one.
 //
 // The layouts (docs/FORMATS.md, "Binary formats") are flat little-endian
 // dumps of the in-memory representations: fixed-width u32 fields, bit-packed

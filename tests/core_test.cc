@@ -11,11 +11,14 @@
 #include "src/check/reference_ops.h"
 #include "src/core/downward.h"
 #include "src/core/typechecker.h"
+#include "src/dtd/dtd.h"
 #include "src/pt/eval.h"
 #include "src/pt/paper_machines.h"
 #include "src/query/selection.h"
+#include "src/query/xslt.h"
 #include "src/ta/enumerate.h"
 #include "src/ta/nbta.h"
+#include "src/ta/op_cache.h"
 #include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"
@@ -559,6 +562,82 @@ TEST(TypecheckTest, VerdictLadderTable) {
           << r.notes;
     }
   }
+}
+
+// The rename fixture of tests/serve_test.cc: <a>→<b>, <c>→<d>. Against
+// good_out it typechecks by the downward fast path; against bad_out the only
+// document <a><c/></a> maps to <b><d/></b>, which is not in the type.
+constexpr char kRenameXslt[] = R"(
+  template a { b { apply } }
+  template c { d }
+)";
+constexpr char kInDtd[] = "a := c\nc := ()\n";
+constexpr char kGoodOutDtd[] = "b := d\nd := ()\n";
+constexpr char kBadOutDtd[] = "b := e\ne := ()\n";
+
+// The op cache's census under a typecheck workload (docs/CACHING.md): a
+// proven downward triple adds exactly one entry and serves its repeats, and
+// nothing else — no intermediate of the decision, no refutation, no
+// exhausted pass 2 — adds any.
+TEST(TypecheckTest, OpCacheHoldsOnlyDownwardProofs) {
+  Alphabet in_tags, out_tags;
+  auto program =
+      std::move(ParseXslt(kRenameXslt, &in_tags, &out_tags)).ValueOrDie();
+  out_tags.Intern("e");  // bad_out's extra tag: one alphabet serves both
+  auto in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
+  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
+  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
+  ASSERT_TRUE(IsDownwardTransducer(t));
+  auto compile = [](const char* text, const EncodedAlphabet& enc) {
+    auto dtd = std::move(ParseDtd(text)).ValueOrDie();
+    return std::move(CompileDtdOver(dtd, enc)).ValueOrDie();
+  };
+  const Nbta tau1 = compile(kInDtd, in_enc);
+  const Nbta good_out = compile(kGoodOutDtd, out_enc);
+  const Nbta bad_out = compile(kBadOutDtd, out_enc);
+  const Typechecker tc(t, in_enc.ranked, out_enc.ranked);
+
+  TaOpCache& cache = TaOpCache::Global();
+  cache.Clear();
+  TypecheckOptions opts;
+  opts.memo = TaMemoMode::kInMemory;
+
+  auto proof = std::move(tc.Typecheck(tau1, good_out, opts)).ValueOrDie();
+  EXPECT_EQ(proof.verdict, TypecheckVerdict::kTypechecks);
+  EXPECT_EQ(proof.method, "downward-fastpath");
+  EXPECT_EQ(cache.entries(), 1u) << "a proof adds exactly one entry";
+
+  auto repeat = std::move(tc.Typecheck(tau1, good_out, opts)).ValueOrDie();
+  EXPECT_EQ(repeat.verdict, TypecheckVerdict::kTypechecks);
+  EXPECT_EQ(repeat.method, "downward-fastpath");
+  EXPECT_EQ(repeat.op_counters.memo_hits, 1u);
+  EXPECT_EQ(repeat.op_counters.memo_misses, 0u);
+  EXPECT_EQ(repeat.op_counters.states_materialized, 0u)
+      << "a repeat is answered by the proof, not recomputed";
+
+  const size_t before = cache.entries();
+  auto refuted = std::move(tc.Typecheck(tau1, bad_out, opts)).ValueOrDie();
+  EXPECT_EQ(refuted.verdict, TypecheckVerdict::kCounterexample);
+  EXPECT_EQ(cache.entries(), before) << "a refutation is not cached";
+  // The same pair refuted by pass 2's witness instead of pass 1.
+  TypecheckOptions no_pass1 = opts;
+  no_pass1.refutation_max_trees = 0;
+  auto witnessed =
+      std::move(tc.Typecheck(tau1, bad_out, no_pass1)).ValueOrDie();
+  EXPECT_EQ(witnessed.verdict, TypecheckVerdict::kCounterexample);
+  EXPECT_EQ(witnessed.method, "downward-fastpath");
+  EXPECT_EQ(cache.entries(), before) << "a pass-2 refutation is not cached";
+
+  // On an empty cache, so no entry of the runs above can mask an insert.
+  cache.Clear();
+  TypecheckOptions starved = opts;
+  starved.fastpath_max_states = 1;
+  auto exhausted =
+      std::move(tc.Typecheck(tau1, good_out, starved)).ValueOrDie();
+  EXPECT_TRUE(exhausted.exhausted.exhausted);
+  EXPECT_EQ(exhausted.exhausted.pass, "downward-fastpath");
+  EXPECT_EQ(cache.entries(), 0u) << "an exhausted pass 2 proves nothing";
+  cache.Clear();
 }
 
 }  // namespace

@@ -22,9 +22,14 @@
 #include "src/common/status.h"
 #include "src/core/downward.h"
 #include "src/core/typechecker.h"
+#include "src/dtd/dtd.h"
+#include "src/pa/behavior.h"
+#include "src/pa/product.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
+#include "src/ta/convert.h"
 #include "src/ta/nbta.h"
+#include "src/ta/nbta_index.h"
 
 namespace pebbletc {
 namespace {
@@ -250,6 +255,53 @@ TEST(FaultInjectionTest, DeadlineOnTwoPebbleBlowupReturnsUnknownWithReport) {
   // The deadline (50 ms) plus the salvage budget plus unwind overhead must
   // stay well under this bound even in sanitizer builds.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
+}
+
+TEST(FaultInjectionTest, DeadlineInBehaviorCompositionSkipsTheMsoRoute) {
+  // A deadline that fires inside 1-pebble behavior composition ends the
+  // inverse inference there. Falling through to the Theorem 4.7 MSO route
+  // would first run its context-free prelude (the automaton-to-MSO
+  // translation and track-alphabet setup) before any checkpoint could
+  // return the sticky code.
+  const SpecializedDtd dtd = std::move(ParseDtd("m := ()\n")).ValueOrDie();
+  const EncodedAlphabet enc =
+      std::move(MakeEncodedAlphabet(dtd.tags())).ValueOrDie();
+  const RankedAlphabet& sigma = enc.ranked;
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Nbta tau = std::move(CompileDtdOver(dtd, enc)).ValueOrDie();
+  const Typechecker tc(copy, sigma, sigma);
+
+  // Counting run: replay InferInverseType's prelude (complement τ2, trim,
+  // the Prop. 4.6 product) to pin the ordinal of behavior composition's
+  // first checkpoint.
+  TaOpContext count;
+  const Nbta not_tau =
+      std::move(ComplementNbta(NbtaIndex(tau, &count), sigma, &count))
+          .ValueOrDie();
+  const TopDownTA b =
+      NbtaToTopDown(TrimNbta(NbtaIndex(not_tau, &count), &count), &count);
+  const PebbleAutomaton product =
+      std::move(TransducerTimesTopDown(copy, b, &count)).ValueOrDie();
+  const uint64_t first_in_behavior = count.counters.checkpoints;
+  TaFaultInjector probe;
+  probe.trip_at = first_in_behavior;
+  count.fault = &probe;
+  EXPECT_FALSE(OnePebbleToNbtaByBehavior(product, sigma, &count).ok());
+  ASSERT_TRUE(probe.tripped) << "behavior composition has no checkpoint";
+
+  TaFaultInjector fault;
+  fault.trip_at = first_in_behavior;
+  fault.code = StatusCode::kDeadlineExceeded;
+  TypecheckOptions opts;
+  opts.fault_injector = &fault;
+  const auto start = std::chrono::steady_clock::now();
+  Result<Nbta> r = tc.InferInverseType(tau, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(fault.tripped);
+  EXPECT_EQ(fault.seen, first_in_behavior + 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
 }
 
 }  // namespace

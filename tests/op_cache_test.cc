@@ -2,7 +2,8 @@
 // hash invariants (rename / rule-order / duplicate / dead-state invariance),
 // binary (de)serialization round-trips, TaOpCache
 // hit/miss/evict/byte accounting, size-aware LRU eviction order, budget-key
-// separation, and the TaAlgebra gating rules.
+// separation, the TaMemoEnabled gate, and the determinize entry that
+// MembershipEngine::Compile probes and inserts.
 
 #include <cstdint>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include "src/check/diffcheck.h"
 #include "src/common/rng.h"
+#include "src/ta/membership.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_cache.h"
@@ -62,22 +64,6 @@ std::string DbtaBytesOf(const Dbta& d) {
   std::string s;
   SerializeDbta(d, &s);
   return s;
-}
-
-// A tiny deterministic DBTA over the diffcheck alphabet (4 symbols).
-Dbta SampleDbta() {
-  Dbta d(3, 4);
-  d.set_accepting(1, true);
-  d.SetLeafState(0, 0);
-  d.SetLeafState(1, 1);
-  for (SymbolId s = 0; s < 4; ++s) {
-    for (StateId l = 0; l < 3; ++l) {
-      for (StateId r = 0; r < 3; ++r) {
-        d.SetNext(s, l, r, (s + l + 2 * r) % 3);
-      }
-    }
-  }
-  return d;
 }
 
 // ------------------------------------------------ structural hashing -------
@@ -150,16 +136,6 @@ TEST(StructuralHashTest, DistinguishesDifferentAutomata) {
   EXPECT_NE(NbtaStructuralHash(flipped), NbtaStructuralHash(a));
 }
 
-TEST(StructuralHashTest, DbtaHashTracksRepresentation) {
-  const Dbta d1 = SampleDbta();
-  const Dbta d2 = SampleDbta();
-  EXPECT_EQ(DbtaStructuralHash(d1), DbtaStructuralHash(d2));
-
-  Dbta d3 = SampleDbta();
-  d3.SetNext(0, 0, 0, (d3.Next(0, 0, 0) + 1) % d3.num_states());
-  EXPECT_NE(DbtaStructuralHash(d3), DbtaStructuralHash(d1));
-}
-
 TEST(StructuralHashTest, BudgetKeySeparation) {
   const TaStructuralHash h = NbtaStructuralHash(SampleNbta(0xabcd));
   const uint64_t fp = RankedAlphabetFingerprint(DiffcheckAlphabet(false));
@@ -170,7 +146,7 @@ TEST(StructuralHashTest, BudgetKeySeparation) {
   EXPECT_FALSE(small_cap == big_cap)
       << "same operands under different budget caps must not alias";
   const TaCacheKey other_op =
-      MakeTaCacheKey(TaOpKind::kComplement, h, TaStructuralHash{}, fp, 100);
+      MakeTaCacheKey(TaOpKind::kDownwardProof, h, TaStructuralHash{}, fp, 100);
   EXPECT_FALSE(small_cap == other_op);
 }
 
@@ -237,7 +213,7 @@ TaCacheKey KeyFor(uint64_t tag) {
   TaStructuralHash h;
   h.lo = tag;
   h.hi = ~tag;
-  return MakeTaCacheKey(TaOpKind::kComplement, h, TaStructuralHash{}, 7, 0);
+  return MakeTaCacheKey(TaOpKind::kDownwardProof, h, TaStructuralHash{}, 7, 0);
 }
 
 TEST(TaOpCacheTest, HitMissAndByteAccounting) {
@@ -321,92 +297,67 @@ TEST(TaOpCacheTest, BudgetCapsSeparateEntries) {
   EXPECT_NE(cache.FindNbta(under_small, &ctx), nullptr);
 }
 
-// ------------------------------------------------------ TaAlgebra ----------
+// ------------------------------------------ memo gate, determinize entry ---
 
-TEST(TaAlgebraTest, EnabledGating) {
-  EXPECT_FALSE(TaAlgebra::Enabled(nullptr));
+TEST(TaOpCacheTest, MemoEnabledGating) {
+  EXPECT_FALSE(TaMemoEnabled(nullptr));
 
   TaOpContext off;
-  EXPECT_FALSE(TaAlgebra::Enabled(&off)) << "memo defaults to kOff";
+  EXPECT_FALSE(TaMemoEnabled(&off)) << "memo defaults to kOff";
 
   TaOpContext on;
   on.budgets.memo = TaMemoMode::kInMemory;
-  EXPECT_TRUE(TaAlgebra::Enabled(&on));
+  EXPECT_TRUE(TaMemoEnabled(&on));
 
   // A context carrying a fault injector is always served cold: injection
   // ordinals must stay deterministic.
   TaFaultInjector inj;
   inj.trip_at = 1u << 30;
   on.fault = &inj;
-  EXPECT_FALSE(TaAlgebra::Enabled(&on));
+  EXPECT_FALSE(TaMemoEnabled(&on));
 }
 
-TEST(TaAlgebraTest, CachedOpsReplayByteExactly) {
+TEST(TaOpCacheTest, DeterminizeEntryReplaysTheColdTable) {
   TaOpCache cache(8 << 20);
-  const TaAlgebra alg(&cache);
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = SampleNbta(0x31337);
-  const NbtaIndex idx(a);
-
-  auto memo_ctx = [] {
-    TaOpContext ctx;
-    ctx.budgets.memo = TaMemoMode::kInMemory;
-    return ctx;
-  };
 
   TaOpContext cold_ctx;
-  Result<Nbta> cold = ComplementNbta(idx, sigma, &cold_ctx);
+  Result<Dbta> cold = DeterminizeNbta(NbtaIndex(a), sigma, &cold_ctx);
   ASSERT_TRUE(cold.ok());
 
-  TaOpContext miss_ctx = memo_ctx();
-  Result<Nbta> warm1 = alg.Complement(idx, sigma, &miss_ctx);
-  ASSERT_TRUE(warm1.ok());
+  TaOpContext miss_ctx;
+  miss_ctx.budgets.memo = TaMemoMode::kInMemory;
+  Result<MembershipEngine> e1 =
+      MembershipEngine::Compile(a, sigma, &miss_ctx, &cache);
+  ASSERT_TRUE(e1.ok());
+  ASSERT_TRUE(e1->fast());
   EXPECT_EQ(miss_ctx.counters.memo_misses, 1u);
   EXPECT_EQ(miss_ctx.counters.memo_hits, 0u);
-  EXPECT_EQ(NbtaBytesOf(*warm1), NbtaBytesOf(*cold))
-      << "a miss computes exactly the cold result";
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(DbtaBytesOf(*e1->table()), DbtaBytesOf(*cold))
+      << "a miss computes exactly the cold table";
 
-  TaOpContext hit_ctx = memo_ctx();
-  Result<Nbta> warm2 = alg.Complement(idx, sigma, &hit_ctx);
-  ASSERT_TRUE(warm2.ok());
+  TaOpContext hit_ctx;
+  hit_ctx.budgets.memo = TaMemoMode::kInMemory;
+  Result<MembershipEngine> e2 =
+      MembershipEngine::Compile(a, sigma, &hit_ctx, &cache);
+  ASSERT_TRUE(e2.ok());
   EXPECT_EQ(hit_ctx.counters.memo_hits, 1u);
   EXPECT_EQ(hit_ctx.counters.memo_misses, 0u);
-  EXPECT_EQ(NbtaBytesOf(*warm2), NbtaBytesOf(*warm1));
-
-  // The other cached ops follow the same miss-then-hit protocol.
-  TaOpContext det_miss = memo_ctx();
-  TaOpContext det_hit = memo_ctx();
-  Result<std::shared_ptr<const Dbta>> d1 =
-      alg.Determinize(idx, sigma, &det_miss);
-  Result<std::shared_ptr<const Dbta>> d2 =
-      alg.Determinize(idx, sigma, &det_hit);
-  ASSERT_TRUE(d1.ok());
-  ASSERT_TRUE(d2.ok());
-  EXPECT_EQ(det_hit.counters.memo_hits, 1u);
-  EXPECT_EQ(*d2, *d1) << "a hit shares the cached table, never a copy";
-  TaOpContext det_cold;
-  Result<Dbta> cold_det = DeterminizeNbta(idx, sigma, &det_cold);
-  ASSERT_TRUE(cold_det.ok());
-  EXPECT_EQ(DbtaBytesOf(**d1), DbtaBytesOf(*cold_det));
-
-  const Nbta b = SampleNbta(0x31338);
-  const NbtaIndex bidx(b);
-  TaOpContext int_miss = memo_ctx();
-  TaOpContext int_hit = memo_ctx();
-  const Nbta p1 = alg.Intersect(idx, bidx, &int_miss);
-  const Nbta p2 = alg.Intersect(idx, bidx, &int_hit);
-  EXPECT_EQ(int_hit.counters.memo_hits, 1u);
-  EXPECT_EQ(NbtaBytesOf(p2), NbtaBytesOf(p1));
+  EXPECT_EQ(hit_ctx.counters.determinizations, 0u);
+  EXPECT_EQ(e2->table(), e1->table())
+      << "a hit shares the cached table, never a copy";
 }
 
-TEST(TaAlgebraTest, OffModeBypassesCache) {
+TEST(TaOpCacheTest, OffModeBypassesCache) {
   TaOpCache cache(1 << 20);
-  const TaAlgebra alg(&cache);
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  const Nbta a = SampleNbta(0x777);
-  const NbtaIndex idx(a);
   TaOpContext ctx;  // memo = kOff
-  ASSERT_TRUE(alg.Complement(idx, sigma, &ctx).ok());
+  Result<MembershipEngine> engine =
+      MembershipEngine::Compile(SampleNbta(0x777), sigma, &ctx, &cache);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_TRUE(engine->fast());
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(ctx.counters.memo_misses, 0u);
   EXPECT_EQ(ctx.counters.memo_hits, 0u);
