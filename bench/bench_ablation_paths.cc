@@ -1,15 +1,16 @@
 // Ablation: four typechecking paths on the *same* instances — the paper's
 // Theorem 4.7 MSO pipeline, the 1-pebble behavior composition (this
 // library's extension), the downward subset construction (for machines in
-// that fragment), and the antichain bounded-refutation engine
+// that fragment; the all-pairs closure, kept as the oracle
+// RefDownwardProduct), and the antichain bounded-refutation engine
 // (docs/INCLUSION.md), which answers the question the first three build an
 // automaton for without constructing anything. Same verdicts, wildly
 // different costs: the ladder the typechecker's escalation is built on.
 
 #include <benchmark/benchmark.h>
 
+#include "src/check/reference_ops.h"
 #include "src/common/check.h"
-#include "src/core/downward.h"
 #include "src/core/typechecker.h"
 #include "src/pa/behavior.h"
 #include "src/pa/product.h"
@@ -90,7 +91,7 @@ void BM_PathDownward(benchmark::State& state) {
                .ValueOrDie();
   size_t states = 0;
   for (auto _ : state) {
-    auto nbta = DownwardProductAutomaton(inst->copy, d, inst->sigma);
+    auto nbta = RefDownwardProduct(inst->copy, d, inst->sigma);
     PEBBLETC_CHECK(nbta.ok());
     states = nbta->num_states;
     benchmark::DoNotOptimize(nbta);
@@ -147,7 +148,7 @@ void BM_PathsAgree(benchmark::State& state) {
     auto d = std::move(DeterminizeNbta(TrimNbta(not_tau2), inst->sigma))
                  .ValueOrDie();
     auto by_down =
-        std::move(DownwardProductAutomaton(inst->copy, d, inst->sigma))
+        std::move(RefDownwardProduct(inst->copy, d, inst->sigma))
             .ValueOrDie();
     agree =
         std::move(NbtaEquivalent(by_mso, by_behavior, inst->sigma))

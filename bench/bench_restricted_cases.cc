@@ -1,13 +1,15 @@
 // E9 (Section 5, complexity of restricted cases): the downward fast path
-// scales to realistic machines and DTDs — exponential (subset construction)
-// rather than non-elementary. Series: complete typechecking time and subset
-// counts for rename-style XSLT programs against DTD families of growing
-// width.
+// scales to realistic machines and DTDs — exponential rather than
+// non-elementary. Series: complete typechecking time (the τ1-guided search of
+// src/core/downward.h) and the size of the all-pairs subset closure it
+// replaced (the oracle RefDownwardProduct) for rename-style XSLT programs
+// against DTD families of growing width.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "src/check/reference_ops.h"
 #include "src/common/check.h"
 #include "src/core/downward.h"
 #include "src/core/typechecker.h"
@@ -64,10 +66,12 @@ void BM_DownwardTypecheckWidth(benchmark::State& state) {
   TypecheckOptions opts;
   opts.refutation_max_trees = 0;
   TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
+  TaOpCounters counters;
   for (auto _ : state) {
     auto r = tc.Typecheck(f.tau1, f.tau2, opts);
     PEBBLETC_CHECK(r.ok());
     verdict = r->verdict;
+    counters = r->op_counters;
     benchmark::DoNotOptimize(r);
   }
   state.counters["dtd_elements"] = static_cast<double>(state.range(0));
@@ -75,13 +79,18 @@ void BM_DownwardTypecheckWidth(benchmark::State& state) {
       static_cast<double>(f.t.num_states());
   state.counters["typechecks"] =
       verdict == TypecheckVerdict::kTypechecks ? 1 : 0;
+  // The downward search's (τ1-state, S) pairs: kept and pruned.
+  state.counters["search_pairs"] =
+      static_cast<double>(counters.incl_pairs_interned);
+  state.counters["pairs_pruned"] =
+      static_cast<double>(counters.incl_pairs_pruned);
 }
 BENCHMARK(BM_DownwardTypecheckWidth)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(6)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DownwardSubsetConstruction(benchmark::State& state) {
-  // The fast path's core: subset-automaton size vs machine/DTD width.
+  // The reference closure: subset-automaton size vs machine/DTD width.
   Family f(static_cast<int>(state.range(0)));
   auto not_tau2 =
       std::move(ComplementNbta(f.tau2, f.out_enc.ranked)).ValueOrDie();
@@ -89,7 +98,7 @@ void BM_DownwardSubsetConstruction(benchmark::State& state) {
                .ValueOrDie();
   size_t product_states = 0;
   for (auto _ : state) {
-    auto product = DownwardProductAutomaton(f.t, d, f.in_enc.ranked);
+    auto product = RefDownwardProduct(f.t, d, f.in_enc.ranked);
     PEBBLETC_CHECK(product.ok());
     product_states = product->num_states;
     benchmark::DoNotOptimize(product);

@@ -19,7 +19,9 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/typechecker.h"
+#include "src/pt/eval.h"
 #include "src/pt/paper_machines.h"
+#include "src/pt/print.h"
 #include "src/ta/convert.h"
 #include "src/ta/enumerate.h"
 #include "src/ta/inclusion.h"
@@ -123,6 +125,55 @@ using Pred2 =
     std::function<bool(const Nbta&, const Nbta&, const BinaryTree&)>;
 using PredA = std::function<bool(const Nbta&)>;
 
+// A random downward transducer over `sigma` (input and output alphabet):
+// 2–4 states, a random start, and leaf outputs, binary outputs, stay and
+// down moves under symbol or wildcard guards. Unlike the paper's machines
+// it is nondeterministic and has stay moves, so a subtree's set of
+// (transducer state, D-state) pairs can hold several D-states per
+// transducer state — the shape where the downward search's ⊆-maximal
+// pruning and the order of its fixpoint matter.
+PebbleTransducer RandomDownwardTransducer(const RankedAlphabet& sigma,
+                                          Rng& rng) {
+  using M = PebbleTransducer::MoveKind;
+  const uint32_t ns = static_cast<uint32_t>(sigma.size());
+  PebbleTransducer t(1, ns, ns);
+  const uint32_t n = 2 + static_cast<uint32_t>(rng.NextBelow(3));
+  for (uint32_t i = 0; i < n; ++i) t.AddState(1);
+  t.SetStart(static_cast<StateId>(rng.NextBelow(n)));
+  auto state = [&] { return static_cast<StateId>(rng.NextBelow(n)); };
+  auto guard = [&] {
+    PebbleGuard g;
+    if (rng.NextBool(0.7)) g.symbol = static_cast<SymbolId>(rng.NextBelow(ns));
+    return g;
+  };
+  auto pick = [&](const std::vector<SymbolId>& symbols) {
+    return symbols[rng.NextBelow(symbols.size())];
+  };
+  const size_t transitions = n + rng.NextBelow(3 * n);
+  for (size_t i = 0; i < transitions; ++i) {
+    const StateId from = state();
+    switch (rng.NextBelow(5)) {
+      case 0:
+        t.AddOutputLeaf(guard(), from, pick(sigma.LeafSymbols()));
+        break;
+      case 1:
+        t.AddOutputBinary(guard(), from, pick(sigma.BinarySymbols()), state(),
+                          state());
+        break;
+      case 2:
+        t.AddMove(guard(), from, M::kStay, state());
+        break;
+      case 3:
+        t.AddMove(guard(), from, M::kDownLeft, state());
+        break;
+      default:
+        t.AddMove(guard(), from, M::kDownRight, state());
+        break;
+    }
+  }
+  return t;
+}
+
 // Joint shrink of a two-automata-plus-tree witness: round-robin over the
 // three components until a full round makes no progress.
 void ShrinkTwoNbtaAndTree(Nbta* a, Nbta* b, BinaryTree* tree,
@@ -173,6 +224,11 @@ class Harness {
     tags_.Intern("q");
     tags_.Intern("r");
     enc_ = std::move(MakeEncodedAlphabet(tags_)).ValueOrDie();
+    doubled_ = base_;
+    doubling_ = std::move(MakeDoublingTransducer(
+                              base_, doubled_,
+                              std::move(doubled_.AddBinary("x2")).ValueOrDie()))
+                    .ValueOrDie();
   }
 
   DiffcheckReport Run() {
@@ -330,6 +386,10 @@ class Harness {
                       const Nbta& b);
   void CheckTypechecker(size_t iter, Rng& rng);
   void CheckInferInverse(size_t iter, Rng& rng);
+  void CheckDownwardSearch(size_t iter, Rng& rng);
+  std::optional<std::string> DownwardSearchViolation(
+      const PebbleTransducer& t, const RankedAlphabet& out_sigma,
+      const Nbta& tau1, const Nbta& tau2, bool* skipped) const;
 
   /// Options for every typechecker / inference call: a per-call deadline so
   /// a pathological instance degrades to a budget skip instead of stalling
@@ -347,6 +407,9 @@ class Harness {
   DiffcheckReport report_;
   RankedAlphabet base_;
   RankedAlphabet ext_;
+  /// Example 3.6's output alphabet (base_ plus the binary x2) and machine.
+  RankedAlphabet doubled_;
+  PebbleTransducer doubling_{1, 1, 1};
   Alphabet tags_;
   EncodedAlphabet enc_;
   std::vector<BinaryTree> exhaustive_base_;
@@ -773,6 +836,9 @@ void Harness::RunIteration(size_t iter) {
   }
   if (opts_.infer_every != 0 && iter % opts_.infer_every == 0) {
     CheckInferInverse(iter, rng);
+  }
+  if (opts_.typecheck_every != 0 && iter % opts_.typecheck_every == 0) {
+    CheckDownwardSearch(iter, rng);
   }
 }
 
@@ -1610,6 +1676,129 @@ void Harness::CheckInferInverse(size_t iter, Rng& rng) {
                  "inferred inverse type accepts t iff τ2 does"));
       return;
     }
+  }
+}
+
+// Law "typecheck/downward-search": with pass 1 off, pass 2's τ1-guided
+// search decides, and it must agree on emptiness with the reference closure
+// intersected with τ1 — RefDownwardProduct over RefDeterminize(τ2) with
+// every accepting bit flipped, a complete DBTA for ¬τ2 built without the
+// optimized ops. A witness must be a τ1 tree, and the reported violating
+// output must be one of its outputs (Prop. 3.8 membership) and lie outside
+// τ2. Returns the violation, or nullopt; `*skipped` is set when a budget or
+// the deadline cut either side short.
+std::optional<std::string> Harness::DownwardSearchViolation(
+    const PebbleTransducer& t, const RankedAlphabet& out_sigma,
+    const Nbta& tau1, const Nbta& tau2, bool* skipped) const {
+  TypecheckOptions o = TcOptions();
+  o.refutation_max_trees = 0;
+  o.run_complete_decision = false;
+  o.degrade_on_exhaustion = false;
+  const Typechecker tc(t, base_, out_sigma);
+  Result<TypecheckResult> res = tc.Typecheck(tau1, tau2, o);
+  if (!res.ok()) return "Typecheck failed outright: " + res.status().ToString();
+  if (res->exhausted.exhausted) {
+    *skipped = true;
+    return std::nullopt;
+  }
+  if (res->method != "downward-fastpath") {
+    return "pass 2 did not decide (method " + res->method + ")";
+  }
+  Result<Dbta> not_tau2 = RefDeterminize(tau2, out_sigma);
+  PEBBLETC_CHECK(not_tau2.ok()) << "RefDeterminize on a <=4-state automaton";
+  for (StateId q = 0; q < not_tau2->num_states(); ++q) {
+    not_tau2->set_accepting(q, !not_tau2->accepting(q));
+  }
+  Result<Nbta> closure = RefDownwardProduct(t, *not_tau2, base_);
+  if (!closure.ok()) {
+    if (closure.status().code() == StatusCode::kResourceExhausted) {
+      *skipped = true;
+      return std::nullopt;
+    }
+    return "RefDownwardProduct failed: " + closure.status().ToString();
+  }
+  const bool ref_typechecks = RefIsEmpty(RefIntersect(tau1, *closure));
+  const bool typechecks = res->verdict == TypecheckVerdict::kTypechecks;
+  if (typechecks != ref_typechecks) {
+    return std::string("the search says ") +
+           (typechecks ? "no bad input" : "a bad input") +
+           " exists, RefDownwardProduct ∩ τ1 says the opposite";
+  }
+  if (typechecks) return std::nullopt;
+  if (!res->counterexample_input.has_value() ||
+      !RefAccepts(tau1, *res->counterexample_input)) {
+    return "the witness input is missing or outside τ1";
+  }
+  if (!res->counterexample_output.has_value()) {
+    return "no violating output was recovered for the witness input";
+  }
+  Result<bool> produced = OutputContains(t, *res->counterexample_input,
+                                         *res->counterexample_output);
+  if (!produced.ok() || !*produced) {
+    return "the reported output is not an output of the witness input";
+  }
+  if (RefAccepts(tau2, *res->counterexample_output)) {
+    return "the reported output is in τ2";
+  }
+  return std::nullopt;
+}
+
+void Harness::CheckDownwardSearch(size_t iter, Rng& rng) {
+  if (LawDone("typecheck/downward-search")) return;
+  RandomNbtaOptions o;
+  o.num_states = 1 + static_cast<uint32_t>(rng.NextBelow(4));
+  o.rule_density = 0.2 + 0.5 * rng.NextDouble();
+  o.leaf_density = 0.4 + 0.4 * rng.NextDouble();
+  o.accepting_density = 0.3 + 0.4 * rng.NextDouble();
+  const Nbta tau1 = RandomNbta(base_, rng, o);
+  const Nbta copy_tau2 = RandomNbta(base_, rng, o);
+  const Nbta doubling_tau2 = RandomNbta(doubled_, rng, o);
+  const Nbta random_tau2 = RandomNbta(base_, rng, o);
+  const PebbleTransducer copy = MakeCopyTransducer(base_);
+  const PebbleTransducer random = RandomDownwardTransducer(base_, rng);
+
+  struct Case {
+    const char* name;
+    const PebbleTransducer& t;
+    const RankedAlphabet& out_sigma;
+    const Nbta& tau2;
+  };
+  for (const Case& c : {Case{"copy", copy, base_, copy_tau2},
+                        Case{"doubling", doubling_, doubled_, doubling_tau2},
+                        Case{"random", random, base_, random_tau2}}) {
+    ++report_.comparisons;
+    bool skipped = false;
+    std::optional<std::string> detail =
+        DownwardSearchViolation(c.t, c.out_sigma, tau1, c.tau2, &skipped);
+    if (skipped) ++report_.budget_skips;
+    if (!detail.has_value()) continue;
+    Nbta s1 = tau1, s2 = c.tau2;
+    BinaryTree dummy;
+    dummy.SetRoot(dummy.AddLeaf(0));
+    if (opts_.shrink) {
+      ShrinkTwoNbtaAndTree(&s1, &s2, &dummy,
+                           [&](const Nbta& c1, const Nbta& c2,
+                               const BinaryTree&) {
+                             bool cut = false;
+                             return DownwardSearchViolation(
+                                        c.t, c.out_sigma, c1, c2, &cut)
+                                 .has_value();
+                           });
+    }
+    std::ostringstream repro;
+    repro << "// law \"typecheck/downward-search\" violated at iteration "
+          << iter << " (seed " << opts_.seed << "), " << c.name
+          << " transducer.\n";
+    repro << "// replay: ta_diffcheck --seed=" << opts_.seed
+          << " --start=" << iter << " --iters=1\n";
+    repro << "/* transducer:\n"
+          << TransducerString(c.t, base_, c.out_sigma) << "*/\n";
+    repro << FormatNbtaConstruction(s1, base_, "tau1");
+    repro << FormatNbtaConstruction(s2, c.out_sigma, "tau2");
+    repro << "// expect: " << *detail << "\n";
+    Fail("typecheck/downward-search", iter,
+         std::string(c.name) + ": " + *detail, repro.str());
+    return;
   }
 }
 

@@ -12,9 +12,10 @@
 //     intersect/union/complement, complement involution relative to
 //     well-ranked trees, determinization and trim/minimize language
 //     preservation, top-down/bottom-up round-tripping, relabeling laws,
-//     Encode∘Decode identity, count-vs-enumerate consistency, and
+//     Encode∘Decode identity, count-vs-enumerate consistency,
 //     typechecker verdict agreement against a full reference decision for
-//     the copy transducer.
+//     the copy transducer, and the downward search's verdict against the
+//     reference subset closure (RefDownwardProduct).
 //
 // Failing witnesses are shrunk (shrink.h) to locally-minimal reproducers and
 // rendered as ready-to-paste regression test bodies. Everything is

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -341,6 +342,114 @@ void BuildTreesBySize(const RankedAlphabet& alphabet, size_t max_nodes,
 }
 
 }  // namespace
+
+Result<Nbta> RefDownwardProduct(const PebbleTransducer& t, const Dbta& d,
+                                const RankedAlphabet& input_alphabet) {
+  using M = PebbleTransducer::MoveKind;
+  using TK = PebbleTransducer::TransitionKind;
+  if (t.max_pebbles() != 1) {
+    return Status::InvalidArgument("RefDownwardProduct needs one pebble");
+  }
+  for (const auto& tr : t.transitions()) {
+    if (tr.kind == TK::kMove && tr.move != M::kStay &&
+        tr.move != M::kDownLeft && tr.move != M::kDownRight) {
+      return Status::InvalidArgument(
+          "RefDownwardProduct needs a downward transducer");
+    }
+  }
+  if (input_alphabet.size() != t.num_input_symbols() ||
+      d.num_symbols() != t.num_output_symbols()) {
+    return Status::InvalidArgument("alphabet size mismatch in "
+                                   "RefDownwardProduct");
+  }
+  // A set of (transducer state, D-state) pairs.
+  using Subset = std::set<std::pair<StateId, StateId>>;
+
+  // The D-states paired with transducer state q in `s`.
+  auto row = [](const Subset& s, StateId q) {
+    std::vector<StateId> r;
+    for (auto it = s.lower_bound({q, 0}); it != s.end() && it->first == q;
+         ++it) {
+      r.push_back(it->second);
+    }
+    return r;
+  };
+  // S at a node labelled `a` whose children carry `left` / `right` (null at
+  // leaves): rescan every transition until nothing is added.
+  auto node_set = [&](SymbolId a, const Subset* left, const Subset* right) {
+    Subset s;
+    for (bool changed = true; changed;) {
+      changed = false;
+      auto add = [&](StateId q, StateId dq) {
+        changed |= s.insert({q, dq}).second;
+      };
+      for (const auto& tr : t.transitions()) {
+        if (tr.guard.symbol != kAnySymbol && tr.guard.symbol != a) continue;
+        switch (tr.kind) {
+          case TK::kOutputLeaf:
+            add(tr.from, d.LeafState(tr.output_symbol));
+            break;
+          case TK::kOutputBinary:
+            for (StateId d1 : row(s, tr.out_left)) {
+              for (StateId d2 : row(s, tr.out_right)) {
+                add(tr.from, d.Next(tr.output_symbol, d1, d2));
+              }
+            }
+            break;
+          case TK::kMove: {
+            const Subset* from_set = tr.move == M::kStay       ? &s
+                                     : tr.move == M::kDownLeft ? left
+                                                               : right;
+            if (from_set == nullptr) break;
+            for (StateId dq : row(*from_set, tr.to)) add(tr.from, dq);
+            break;
+          }
+        }
+      }
+    }
+    return s;
+  };
+
+  std::vector<Subset> subsets;
+  std::map<Subset, StateId> index;
+  Nbta out;
+  out.num_symbols = static_cast<uint32_t>(input_alphabet.size());
+  auto intern = [&](Subset s) -> StateId {
+    auto [it, fresh] =
+        index.emplace(s, static_cast<StateId>(subsets.size()));
+    if (fresh) {
+      subsets.push_back(std::move(s));
+      out.AddState();
+    }
+    return it->second;
+  };
+  for (SymbolId a : input_alphabet.LeafSymbols()) {
+    out.AddLeafRule(a, intern(node_set(a, nullptr, nullptr)));
+  }
+  // Subset p is paired with every j ≤ p, in both child orders, when the
+  // loop reaches it, so each (symbol, i, j) is computed exactly once.
+  for (StateId p = 0; p < subsets.size(); ++p) {
+    if (subsets.size() > kRefMaxDownwardSubsets) {
+      return Status::ResourceExhausted(
+          "RefDownwardProduct passed " +
+          std::to_string(kRefMaxDownwardSubsets) + " subsets; refusing");
+    }
+    for (SymbolId a : input_alphabet.BinarySymbols()) {
+      for (StateId j = 0; j <= p; ++j) {
+        out.AddRule(a, p, j, intern(node_set(a, &subsets[p], &subsets[j])));
+        if (j != p) {
+          out.AddRule(a, j, p, intern(node_set(a, &subsets[j], &subsets[p])));
+        }
+      }
+    }
+  }
+  for (StateId i = 0; i < subsets.size(); ++i) {
+    for (const auto& [q, dq] : subsets[i]) {
+      if (q == t.start() && d.accepting(dq)) out.accepting[i] = true;
+    }
+  }
+  return out;
+}
 
 std::vector<BinaryTree> AllTreesWithNodes(const RankedAlphabet& alphabet,
                                           size_t num_nodes, size_t max_count,

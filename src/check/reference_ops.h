@@ -23,6 +23,7 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
+#include "src/pt/transducer.h"
 #include "src/ta/nbta.h"
 #include "src/tree/binary_tree.h"
 
@@ -31,6 +32,9 @@ namespace pebbletc {
 /// RefDeterminize materializes all 2^|Q| subsets; beyond this many input
 /// states it refuses (kResourceExhausted) instead of exploding.
 inline constexpr uint32_t kRefMaxDeterminizeStates = 10;
+
+/// RefDownwardProduct refuses once it has interned this many subsets.
+inline constexpr size_t kRefMaxDownwardSubsets = 2000;
 
 /// Direct bottom-up run: the set of states each node's subtree can evaluate
 /// to, computed by scanning the flat rule vectors per node.
@@ -71,6 +75,20 @@ Nbta RefTrim(const Nbta& a);
 /// saturating at UINT64_MAX — the reference twin of CountAcceptedTrees,
 /// computed by top-down memoized recursion instead of the bottom-up table.
 uint64_t RefCountAcceptedTrees(const Nbta& a, size_t num_nodes);
+
+/// The all-pairs downward subset closure — the oracle for the typechecker's
+/// downward search (src/core/downward.h). For a downward transducer `t`
+/// (one pebble; stay/down moves only) and a complete DBTA `d` over its output
+/// alphabet, builds a deterministic automaton over `input_alphabet`
+/// accepting {s | T(s) ∩ inst(d) ≠ ∅}. Its states are the reachable sets
+/// S(s) ⊆ Q_T × Q_D of (transducer state, D-state) pairs such that T started
+/// in that state at s's root emits an output on which d ends in that
+/// D-state; each S is a fixpoint that rescans every transition until nothing
+/// changes, and every subset is paired with every subset under every binary
+/// symbol. Refuses (kResourceExhausted) past kRefMaxDownwardSubsets subsets;
+/// kInvalidArgument for a non-downward transducer or mismatched alphabets.
+Result<Nbta> RefDownwardProduct(const PebbleTransducer& t, const Dbta& d,
+                                const RankedAlphabet& input_alphabet);
 
 /// Every well-ranked tree over `alphabet` with exactly `num_nodes` nodes, in
 /// a deterministic order. Stops after `max_count` trees, setting

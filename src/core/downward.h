@@ -5,19 +5,33 @@
 // of practical interest".
 //
 // For a downward transducer T and a *deterministic* bottom-up automaton D
-// over the output alphabet, the set {t | T(t) ∩ inst(D) ≠ ∅} is computed
-// directly by a lazy subset construction over Q_T × Q_D — exponential in the
-// worst case (the paper's 2-EXPTIME discussion) but far below the
-// non-elementary general pipeline, and cheap on realistic machines.
+// over the output alphabet, the run of T below a node depends only on that
+// node's subtree t. Summarize t by S(t) ⊆ Q_T × Q_D, the pairs (q, d) such
+// that T started in q at t's root emits some output on which D ends in d.
+// S(a(t1, t2)) is a least fixpoint over S(t1) and S(t2), monotone in both.
+// FindDownwardBadInput searches bottom-up for an input t in τ1 with
+// (start, accepting d) ∈ S(t), i.e. T(t) ∩ inst(D) ≠ ∅. It explores
+// (τ1-state, S) pairs only along τ1's rules, as the antichain inclusion
+// search of src/ta/inclusion.h does, and keeps only the ⊆-maximal S per
+// τ1 state: "bad" is upward-closed, so a dominated S can never lead to a
+// bad pair that its dominator does not. This is Frisch–Hosoya's on-the-fly
+// backward inference on the fragment Martens–Neven analyse — exponential in
+// the worst case (the paper's discussion of §5), but it visits only the
+// pairs τ1 can reach. The all-pairs closure it replaced lives on as the
+// oracle RefDownwardProduct (src/check/reference_ops.h).
 
 #ifndef PEBBLETC_CORE_DOWNWARD_H_
 #define PEBBLETC_CORE_DOWNWARD_H_
+
+#include <optional>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
 #include "src/pt/transducer.h"
 #include "src/ta/nbta.h"
+#include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
+#include "src/tree/binary_tree.h"
 
 namespace pebbletc {
 
@@ -31,23 +45,21 @@ bool IsDownwardTransducer(const PebbleTransducer& t);
 /// representation hashing is canonical here.
 uint64_t TransducerFingerprint(const PebbleTransducer& t);
 
-/// Builds a (deterministic, reachable-subset) bottom-up automaton over the
-/// input alphabet accepting { t | T(t) ∩ inst(D) ≠ ∅ }, using the same
-/// frontier discipline as DeterminizeNbta (docs/DETERMINIZE.md): each
-/// (symbol, subset, subset) pair is expanded exactly once. The context's
-/// `fastpath_max_states` budget bounds the subset space (0 = unlimited),
-/// aborting with kResourceExhausted; deadline/cancel checkpoints surface as
-/// kDeadlineExceeded / kCancelled. `det_subsets_interned` and
-/// `det_pairs_expanded` record frontier progress on every exit path. Fails
-/// with kInvalidArgument if `t` is not downward or alphabets mismatch.
-Result<Nbta> DownwardProductAutomaton(const PebbleTransducer& t, const Dbta& d,
-                                      const RankedAlphabet& input_alphabet,
-                                      TaOpContext* ctx);
-
-/// Convenience form: `max_states` bounds the subset space (0 = unlimited).
-Result<Nbta> DownwardProductAutomaton(const PebbleTransducer& t, const Dbta& d,
-                                      const RankedAlphabet& input_alphabet,
-                                      size_t max_states = 0);
+/// A tree in inst(input_type) whose image under `t` meets inst(d), or
+/// nullopt when there is none (T(τ1) ∩ inst(D) = ∅). The witness is replayed
+/// from the first bad pair's provenance; it is genuine but not necessarily
+/// smallest.
+///
+/// Budget: the (τ1-state, S) pairs count against `max_antichain_pairs`
+/// (0 = unlimited) and into `incl_pairs_interned` / `incl_pairs_pruned`;
+/// exceeding it returns kResourceExhausted. Deadline / cancellation / fault
+/// checkpoints (per popped pair, per offered pair, per computed S and per
+/// witness node) surface as kDeadlineExceeded / kCancelled / the injected
+/// code; nullopt is returned only from an uninterrupted search. Fails with
+/// kInvalidArgument if `t` is not downward or the alphabets mismatch.
+Result<std::optional<BinaryTree>> FindDownwardBadInput(
+    const PebbleTransducer& t, const Dbta& d, const NbtaIndex& input_type,
+    const RankedAlphabet& input_alphabet, TaOpContext* ctx = nullptr);
 
 }  // namespace pebbletc
 

@@ -32,7 +32,6 @@ TaOpContext MakeContext(const TypecheckOptions& options) {
   budgets.max_det_states = options.max_det_states;
   budgets.max_configs = options.max_configs;
   budgets.max_antichain_pairs = options.max_antichain_pairs;
-  budgets.fastpath_max_states = options.fastpath_max_states;
   budgets.behavior_max_state_bits = options.behavior_max_state_bits;
   budgets.behavior_max_behaviors = options.behavior_max_behaviors;
   if (options.deadline.has_value()) {
@@ -198,7 +197,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
                               RankedAlphabetFingerprint(output_alphabet_)),
             TransducerFingerprint(transducer_)),
         TaMixFingerprints(ctx.budgets.max_det_states,
-                          ctx.budgets.fastpath_max_states));
+                          ctx.budgets.max_antichain_pairs));
     if (TaOpCache::Global().FindNbta(*proof_key, &ctx) != nullptr) {
       result.verdict = TypecheckVerdict::kTypechecks;
       result.method = "downward-fastpath";
@@ -268,29 +267,27 @@ Result<TypecheckResult> Typechecker::Typecheck(
   }
   const bool have_complement = not_tau2_idx.has_value();
 
-  // Pass 2: complete decision for the downward fragment.
+  // Pass 2: complete decision for the downward fragment — the τ1-guided
+  // search for an input whose image meets the determinized ¬τ2.
   if (IsDownwardTransducer(transducer_) && have_complement) {
     auto verdict = [&]() -> Result<TypecheckResult> {
       PEBBLETC_ASSIGN_OR_RETURN(
           Dbta d, DeterminizeNbta(*not_tau2_idx, output_alphabet_, &ctx));
       PEBBLETC_ASSIGN_OR_RETURN(
-          Nbta bad_inputs,
-          DownwardProductAutomaton(transducer_, d, input_alphabet_, &ctx));
-      Nbta offending = IntersectNbta(NbtaIndex(input_type, &ctx),
-                                     NbtaIndex(bad_inputs, &ctx), &ctx);
+          std::optional<BinaryTree> witness,
+          FindDownwardBadInput(transducer_, d, NbtaIndex(input_type, &ctx),
+                               input_alphabet_, &ctx));
       TypecheckResult r;
       r.method = "downward-fastpath";
-      std::optional<BinaryTree> witness =
-          WitnessTree(NbtaIndex(offending, &ctx), &ctx);
       if (!witness.has_value()) {
-        // An interrupted intersection/witness search may have missed the
-        // offending tree; only a clean run proves typechecking, and only a
-        // proof is cached.
-        PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(&ctx));
+        // The search returns "none" only from an uninterrupted run, so this
+        // is a proof; only a proof is cached. The record carries no data:
+        // its payload is an empty automaton over the input alphabet.
         r.verdict = TypecheckVerdict::kTypechecks;
         if (proof_key.has_value()) {
-          TaOpCache::Global().InsertNbta(*proof_key, TrimNbta(offending),
-                                         &ctx);
+          Nbta proof;
+          proof.num_symbols = static_cast<uint32_t>(input_alphabet_.size());
+          TaOpCache::Global().InsertNbta(*proof_key, proof, &ctx);
         }
         return r;
       }

@@ -9,8 +9,9 @@
 //     that never materializes complement(τ2) (docs/INCLUSION.md).
 //     Finds concrete counterexamples (input *and* violating output)
 //     quickly; cannot prove correctness.
-//  2. *Downward fast path* (complete for the top-down fragment): the lazy
-//     subset construction of src/core/downward.h.
+//  2. *Downward fast path* (complete for the top-down fragment): the
+//     τ1-guided antichain search of src/core/downward.h, which returns a
+//     bad τ1 input or proves that none exists.
 //  3. *Complete decision* (any k): the paper's pipeline — Prop. 4.6 product
 //     of T with complement(τ2), Theorem 4.7 MSO translation to a regular
 //     tree automaton, intersection with τ1, emptiness. Non-elementary
@@ -52,16 +53,15 @@ struct TypecheckOptions {
   /// Ignored (see TaInclusionPath); kept so existing callers that set it
   /// still compile.
   TaInclusionPath inclusion = TaInclusionPath::kAntichain;
-  /// Pair-arena budget for each antichain inclusion search (0 = unlimited);
-  /// exceeding it surfaces as kResourceExhausted from the owning pass, like
-  /// every other budget on the ladder.
+  /// Pair-arena budget for each antichain search (0 = unlimited): pass 1's
+  /// per-input inclusion checks and pass 2's downward search over
+  /// (τ1-state, S) pairs. Exceeding it surfaces as kResourceExhausted from
+  /// the owning pass, like every other budget on the ladder.
   size_t max_antichain_pairs = 200000;
   /// Bounded refutation: how many τ1 trees to try (0 disables the pre-pass)
   /// and the node-count cap per tree.
   size_t refutation_max_trees = 100;
   size_t refutation_max_nodes = 15;
-  /// Budget for the downward fast path's subset construction.
-  size_t fastpath_max_states = 100000;
   /// Budgets for the 1-pebble behavior-composition path (complete for
   /// machines with up-moves whose product stays small; tables are
   /// 2^state_bits entries).

@@ -86,13 +86,16 @@ class BehaviorBuilder {
     return acc;
   }
 
-  Behavior Summarize(SymbolId sym, const Behavior* bl,
-                     const Behavior* br) const {
+  // One checkpoint per assumption set: a summary runs 2·2^|Q| accessibility
+  // fixpoints, too many to go between deadline polls.
+  Result<Behavior> Summarize(SymbolId sym, const Behavior* bl,
+                             const Behavior* br, TaOpContext* ctx) const {
     const uint32_t combos = 1u << n_;
     Behavior out;
     out.as_left.resize(combos);
     out.as_right.resize(combos);
     for (uint32_t s = 0; s < combos; ++s) {
+      PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
       out.as_left[s] = Accessible(sym, Side::kLeft, s, bl, br);
       out.as_right[s] = Accessible(sym, Side::kRight, s, bl, br);
     }
@@ -144,8 +147,9 @@ Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
 
   std::vector<std::pair<SymbolId, StateId>> leaf_rules;
   for (SymbolId sym : alphabet.LeafSymbols()) {
-    leaf_rules.push_back(
-        {sym, intern(builder.Summarize(sym, nullptr, nullptr))});
+    PEBBLETC_ASSIGN_OR_RETURN(Behavior b,
+                              builder.Summarize(sym, nullptr, nullptr, ctx));
+    leaf_rules.push_back({sym, intern(std::move(b))});
   }
 
   std::map<std::tuple<SymbolId, StateId, StateId>, StateId> trans;
@@ -164,8 +168,10 @@ Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
           PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
           auto key = std::make_tuple(sym, i, j);
           if (trans.count(key)) continue;
-          trans[key] = intern(
-              builder.Summarize(sym, &behaviors[i], &behaviors[j]));
+          PEBBLETC_ASSIGN_OR_RETURN(
+              Behavior b,
+              builder.Summarize(sym, &behaviors[i], &behaviors[j], ctx));
+          trans[key] = intern(std::move(b));
         }
       }
     }

@@ -12,8 +12,6 @@
 namespace pebbletc {
 namespace {
 
-constexpr uint32_t kNoPair = static_cast<uint32_t>(-1);
-
 // An interned B-state set: sorted elements for subsumption tests and a
 // bitset for O(1) membership during Post computation. `has_accepting` caches
 // S ∩ F_B ≠ ∅ (the only property the acceptance test needs).
@@ -32,19 +30,6 @@ struct VecHash {
     }
     return static_cast<size_t>(h);
   }
-};
-
-// A search pair (q, S) plus the provenance needed to replay its witness
-// tree: a leaf symbol, or a binary symbol with two earlier pair ids. Arena
-// entries are never removed (dominated pairs are only marked dead), so
-// provenance chains of surviving pairs stay valid.
-struct Pair {
-  StateId q = 0;
-  uint32_t set = 0;
-  SymbolId symbol = 0;
-  uint32_t left = kNoPair;
-  uint32_t right = kNoPair;
-  bool dead = false;
 };
 
 // s1 ⊆ s2 over sorted unique vectors.
@@ -150,7 +135,8 @@ class AntichainSearch {
       }
       for (StateId q : a_targets) a_seen[q] = false;
       for (StateId q : a_targets) {
-        PEBBLETC_RETURN_IF_ERROR(Offer(q, set_id, c, kNoPair, kNoPair));
+        PEBBLETC_RETURN_IF_ERROR(
+            Offer(q, set_id, c, kNoSearchPair, kNoSearchPair));
         if (done_) return Status::OK();
       }
     }
@@ -229,7 +215,8 @@ class AntichainSearch {
     pairs_.push_back({q, set_id, symbol, lp, rp, false});
     if (ctx_ != nullptr) ++ctx_->counters.incl_pairs_interned;
     if (a_.nbta().accepting[q] && !s.has_accepting) {
-      PEBBLETC_ASSIGN_OR_RETURN(BinaryTree witness, BuildWitness(id));
+      PEBBLETC_ASSIGN_OR_RETURN(BinaryTree witness,
+                                ReplaySearchWitness(pairs_, id, ctx_));
       if (ctx_ != nullptr) ++ctx_->counters.inclusions;
       result_ = NbtaInclusionResult{false, std::move(witness)};
       done_ = true;
@@ -240,56 +227,13 @@ class AntichainSearch {
     return Status::OK();
   }
 
-  // Replays the provenance chain of `bad` into a concrete tree. Iterative
-  // (provenance chains can be deep) and checkpointed per node (shared
-  // provenance is duplicated, so the tree can be much larger than the
-  // arena).
-  Result<BinaryTree> BuildWitness(uint32_t bad) const {
-    struct Frame {
-      uint32_t pair;
-      int stage = 0;
-      NodeId child[2] = {kNoNode, kNoNode};
-    };
-    BinaryTree t;
-    NodeId root = kNoNode;
-    std::vector<Frame> stack;
-    stack.push_back({bad});
-    auto deliver = [&](NodeId n) {
-      stack.pop_back();
-      if (stack.empty()) {
-        root = n;
-      } else {
-        Frame& parent = stack.back();
-        parent.child[parent.stage - 1] = n;
-      }
-    };
-    while (!stack.empty()) {
-      PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx_));
-      Frame& f = stack.back();
-      const Pair& pr = pairs_[f.pair];
-      if (pr.left == kNoPair) {
-        deliver(t.AddLeaf(pr.symbol));
-      } else if (f.stage == 0) {
-        f.stage = 1;
-        stack.push_back({pr.left});
-      } else if (f.stage == 1) {
-        f.stage = 2;
-        stack.push_back({pr.right});
-      } else {
-        deliver(t.AddInternal(pr.symbol, f.child[0], f.child[1]));
-      }
-    }
-    t.SetRoot(root);
-    return t;
-  }
-
   const NbtaIndex& a_;
   const NbtaIndex& b_;
   const RankedAlphabet& alphabet_;
   TaOpContext* ctx_;
   const size_t max_pairs_;
 
-  std::vector<Pair> pairs_;
+  std::vector<SearchPair> pairs_;
   std::vector<SetData> sets_;
   std::unordered_map<std::vector<StateId>, uint32_t, VecHash> set_index_;
   // Per binary symbol: (s1 << 32 | s2) → interned Post set id.
@@ -305,6 +249,46 @@ class AntichainSearch {
 };
 
 }  // namespace
+
+Result<BinaryTree> ReplaySearchWitness(const std::vector<SearchPair>& pairs,
+                                       uint32_t root, TaOpContext* ctx) {
+  struct Frame {
+    uint32_t pair;
+    int stage = 0;
+    NodeId child[2] = {kNoNode, kNoNode};
+  };
+  BinaryTree t;
+  NodeId tree_root = kNoNode;
+  std::vector<Frame> stack;
+  stack.push_back({root});
+  auto deliver = [&](NodeId n) {
+    stack.pop_back();
+    if (stack.empty()) {
+      tree_root = n;
+    } else {
+      Frame& parent = stack.back();
+      parent.child[parent.stage - 1] = n;
+    }
+  };
+  while (!stack.empty()) {
+    PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
+    Frame& f = stack.back();
+    const SearchPair& pr = pairs[f.pair];
+    if (pr.left == kNoSearchPair) {
+      deliver(t.AddLeaf(pr.symbol));
+    } else if (f.stage == 0) {
+      f.stage = 1;
+      stack.push_back({pr.left});
+    } else if (f.stage == 1) {
+      f.stage = 2;
+      stack.push_back({pr.right});
+    } else {
+      deliver(t.AddInternal(pr.symbol, f.child[0], f.child[1]));
+    }
+  }
+  t.SetRoot(tree_root);
+  return t;
+}
 
 Result<NbtaInclusionResult> NbtaIncludedIn(const NbtaIndex& a,
                                            const NbtaIndex& b,

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
@@ -60,6 +61,29 @@ struct NbtaInclusionResult {
   /// re-checks membership on both sides every sweep.
   std::optional<BinaryTree> counterexample;
 };
+
+/// One pair of a bottom-up antichain search — (q, S), with q a state of the
+/// automaton searched and S a set id owned by the search — plus the
+/// provenance that replays its witness tree: a leaf symbol (`left` is
+/// kNoSearchPair), or a binary symbol over two earlier pair ids. Shared by
+/// NbtaIncludedIn and the typechecker's downward search
+/// (src/core/downward.h). Searches mark dominated pairs dead and never
+/// remove them, so the provenance chains of surviving pairs stay valid.
+inline constexpr uint32_t kNoSearchPair = static_cast<uint32_t>(-1);
+struct SearchPair {
+  StateId q = 0;
+  uint32_t set = 0;
+  SymbolId symbol = 0;
+  uint32_t left = kNoSearchPair;
+  uint32_t right = kNoSearchPair;
+  bool dead = false;
+};
+
+/// Replays the provenance chain of `pairs[root]` into a tree. Iterative
+/// (chains can be deep) and checkpointed per node (shared provenance is
+/// duplicated, so the tree can be much larger than the pair arena).
+Result<BinaryTree> ReplaySearchWitness(const std::vector<SearchPair>& pairs,
+                                       uint32_t root, TaOpContext* ctx);
 
 /// inst(a) ⊆ inst(b)? Decided by the antichain search described above — no
 /// explicit determinization or complement is ever materialized. Both indexes

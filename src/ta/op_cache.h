@@ -12,7 +12,7 @@
 //     hashes two small input automata and returns.
 //
 // Every intermediate of the decision (complement, determinized ¬τ2, the
-// downward product, the intersections) is computed cold: a census of a
+// downward search's sets, the intersections) is computed cold: a census of a
 // serving run found those entries held 10 MB and took 3 hits, against
 // thousands of warm repeats served by the whole decision.
 //
@@ -68,8 +68,9 @@ uint64_t RankedAlphabetFingerprint(const RankedAlphabet& sigma);
 
 /// The cached facts, as key discriminants. kDownwardProof records that pass
 /// 2 proved a downward (τ1, τ2, transducer) triple typechecks; it is keyed
-/// on the *input* hashes, and its payload is the empty trimmed offending
-/// product. Values 2, 3, 4, 5, 7 and 8 are unused.
+/// on the *input* hashes, and its payload is an empty automaton over the
+/// input alphabet (the record carries no data). Values 2, 3, 4, 5, 7 and 8
+/// are unused.
 enum class TaOpKind : uint64_t {
   kDeterminize = 1,
   kDownwardProof = 6,

@@ -69,13 +69,13 @@ struct TaOpBudgets {
   /// Per-tree configuration space for the Prop. 3.8 output automaton.
   size_t max_configs = 1u << 20;
   /// (A-state, B-state-set) pairs interned by the antichain inclusion search
-  /// (docs/INCLUSION.md). The antichain prunes dominated pairs, so this is
-  /// normally far below the 2^|Q_B| subsets an explicit determinization would
-  /// intern — but the worst case is still exponential, and the search aborts
-  /// with kResourceExhausted once the cap is crossed.
+  /// (docs/INCLUSION.md), and (τ1-state, S) pairs interned by the
+  /// typechecker's downward search (src/core/downward.h). The antichain
+  /// prunes dominated pairs, so this is normally far below the subsets an
+  /// explicit construction would intern — but the worst case is still
+  /// exponential, and the search aborts with kResourceExhausted once the cap
+  /// is crossed.
   size_t max_antichain_pairs = 200000;
-  /// Subset budget for the downward fast path's lazy construction.
-  size_t fastpath_max_states = 100000;
   /// 1-pebble behavior composition: refuse automata beyond this many state
   /// bits (tables are 2^bits entries), and this many distinct behaviors.
   uint32_t behavior_max_state_bits = 12;
@@ -127,16 +127,17 @@ struct TaOpCounters {
   size_t det_subsets_interned = 0;
   /// Complementations (each implies a determinization).
   size_t complementations = 0;
-  /// Completed antichain inclusion checks (NbtaIncludedIn runs that reached
-  /// a verdict; exhausted/interrupted runs do not count).
+  /// Completed antichain searches (NbtaIncludedIn and the downward search
+  /// runs that reached a verdict; exhausted/interrupted runs do not count).
   size_t inclusions = 0;
-  /// (A-state, B-state-set) pairs interned by antichain inclusion searches,
-  /// counted as they are created (not just on success) so an exhausted run
-  /// still reports how far the frontier got.
+  /// Pairs interned by antichain searches — (A-state, B-state-set) for
+  /// inclusion, (τ1-state, S) for the downward search — counted as they are
+  /// created (not just on success) so an exhausted run still reports how
+  /// far the frontier got.
   size_t incl_pairs_interned = 0;
-  /// Candidate pairs discarded by antichain subsumption (a kept pair with a
-  /// ⊆-smaller B-set already dominated them) — the savings the antichain
-  /// buys over the explicit subset construction.
+  /// Candidate pairs discarded by antichain subsumption (a kept pair of the
+  /// same automaton state already dominated them) — the savings the
+  /// antichain buys over the explicit subset construction.
   size_t incl_pairs_pruned = 0;
   /// Product constructions (intersections and transducer products).
   size_t intersections = 0;

@@ -412,14 +412,14 @@ TEST(InverseInferenceTest, CopyInverseIsTheOutputType) {
 }
 
 TEST(DownwardProductTest, AgreesWithPerInputChecks) {
-  // Cross-validation: the downward product automaton's language must equal
-  // {t | T(t) ∩ inst(D) ≠ ∅}, checked per-tree via A_t on random inputs.
+  // Cross-validation: the reference downward closure's language must equal
+  // {t | T(t) ∩ inst(D) ≠ ∅}, checked per-tree on random inputs.
   RankedAlphabet sigma = TinyRanked();
   PebbleTransducer copy = MakeCopyTransducer(sigma);
   Nbta d_lang = AllLeaves(sigma, sigma.Find("a0"));
   auto d = std::move(DeterminizeNbta(d_lang, sigma)).ValueOrDie();
   auto product =
-      std::move(DownwardProductAutomaton(copy, d, sigma)).ValueOrDie();
+      std::move(RefDownwardProduct(copy, d, sigma)).ValueOrDie();
   Rng rng(31);
   for (int i = 0; i < 40; ++i) {
     BinaryTree t = RandomBinaryTree(sigma, rng, rng.NextBelow(10));
@@ -629,9 +629,11 @@ TEST(TypecheckTest, OpCacheHoldsOnlyDownwardProofs) {
   EXPECT_EQ(cache.entries(), before) << "a pass-2 refutation is not cached";
 
   // On an empty cache, so no entry of the runs above can mask an insert.
+  // Pass 1 off, so the one-pair budget starves pass 2's search.
   cache.Clear();
   TypecheckOptions starved = opts;
-  starved.fastpath_max_states = 1;
+  starved.refutation_max_trees = 0;
+  starved.max_antichain_pairs = 1;
   auto exhausted =
       std::move(tc.Typecheck(tau1, good_out, starved)).ValueOrDie();
   EXPECT_TRUE(exhausted.exhausted.exhausted);

@@ -304,5 +304,28 @@ TEST(FaultInjectionTest, DeadlineInBehaviorCompositionSkipsTheMsoRoute) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(50));
 }
 
+TEST(FaultInjectionTest, InverseInferenceMeetsItsDeadline) {
+  // A real 5 ms deadline at the default checkpoint stride. Behavior
+  // composition of the copy × ¬τ2 product (12 states) summarizes each
+  // subtree with 2·2^12 accessibility fixpoints; it must poll the clock
+  // between them, not only between summaries.
+  const SpecializedDtd dtd = std::move(ParseDtd("m := ()\n")).ValueOrDie();
+  const EncodedAlphabet enc =
+      std::move(MakeEncodedAlphabet(dtd.tags())).ValueOrDie();
+  const RankedAlphabet& sigma = enc.ranked;
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Nbta tau = std::move(CompileDtdOver(dtd, enc)).ValueOrDie();
+  const Typechecker tc(copy, sigma, sigma);
+
+  TypecheckOptions opts;
+  opts.deadline = std::chrono::milliseconds(5);
+  const auto start = std::chrono::steady_clock::now();
+  Result<Nbta> r = tc.InferInverseType(tau, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+}
+
 }  // namespace
 }  // namespace pebbletc

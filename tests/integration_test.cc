@@ -171,13 +171,14 @@ TEST(FailureInjectionTest, BudgetsSurfaceAsResourceExhausted) {
   Typechecker tc(copy, sigma, sigma);
   Nbta uni = UniversalNbta(sigma);
   TypecheckOptions opts;
-  opts.refutation_max_trees = 3;
-  opts.refutation_max_nodes = 3;
-  opts.max_configs = 1;  // cripple the per-tree check
+  opts.refutation_max_trees = 0;  // pass 1 off: pass 2 meets the budget
   opts.run_complete_decision = false;
-  opts.fastpath_max_states = 1;  // cripple the fast path
+  opts.max_antichain_pairs = 1;  // cripple the fast path's search
   auto r = std::move(tc.Typecheck(uni, uni, opts)).ValueOrDie();
   EXPECT_EQ(r.verdict, TypecheckVerdict::kUnknown);
+  EXPECT_TRUE(r.exhausted.exhausted);
+  EXPECT_EQ(r.exhausted.code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.exhausted.pass, "downward-fastpath");
   EXPECT_FALSE(r.notes.empty());
 }
 

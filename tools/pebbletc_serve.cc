@@ -59,7 +59,7 @@ int Usage(const char* argv0) {
       "                              (at most --max-deadline-ms)\n"
       "  --max-deadline-ms=N         hard per-request deadline ceiling\n"
       "  --max-det-states=N          determinization budget per request\n"
-      "  --max-antichain-pairs=N     antichain-inclusion budget per request\n"
+      "  --max-antichain-pairs=N     antichain-search pair budget per request\n"
       "  --max-frame-bytes=N         wire frame cap (default 4 MiB; rejected\n"
       "                              outside the supported window, never\n"
       "                              clamped)\n"
