@@ -6,17 +6,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
-
-#include "src/ta/thread_pool.h"
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "host_nproc", std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext(
       "host_hardware_workers",
-      std::to_string(pebbletc::TaThreadPool::HardwareWorkers()));
+      std::to_string(std::max(1u, std::thread::hardware_concurrency())));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

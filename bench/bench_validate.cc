@@ -187,7 +187,7 @@ void BM_ValidateStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateStreaming);
 
-// ----------------------------------------------- batch serve fan-out -------
+// ------------------------------------------------------- batch serve -------
 
 // kValidateBatch through a warm ServerCore: the plan is compiled by the
 // first (untimed) request and served from the plan cache inside the loop,

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,6 @@
 #include "src/ta/op_context.h"
 #include "src/ta/serialize.h"
 #include "src/ta/random_ta.h"
-#include "src/ta/thread_pool.h"
 #include "src/ta/topdown.h"
 #include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
@@ -1202,10 +1202,10 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
     }
   }
 
-  // Law "membership/batch": the forked batch fan-out returns exactly the
-  // verdicts of a sequential ValidateDoc loop — same codes, same validity
-  // bits, same diagnostics — on a mixed batch of well-formed, rejected,
-  // unknown-tag, and malformed documents.
+  // Law "membership/batch": the in-order batch under one context returns
+  // exactly the verdicts of context-free ValidateDoc calls — same codes,
+  // same validity bits, same diagnostics — on a mixed batch of well-formed,
+  // rejected, unknown-tag, and malformed documents.
   if (!LawDone("membership/batch")) {
     SchemaArtifact schema{enc_.ranked, m};
     Result<serve::ValidationPlan> plan = serve::CompileSchemaPlan(schema);
@@ -1230,7 +1230,6 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
       seq.push_back(serve::ValidateDoc(*plan, d));
     }
     TaOpContext bctx;
-    bctx.budgets.num_threads = 3;
     serve::BatchResult batch = serve::ValidateBatch(*plan, docs, &bctx);
     ++report_.comparisons;
     std::string mismatch;
@@ -1263,7 +1262,7 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
       os << FormatNbtaConstruction(m, enc_.ranked, "m")
          << "// expect: ValidateBatch verdicts == sequential ValidateDoc\n";
       Fail("membership/batch", iter,
-           "batch fan-out agrees with sequential validation: " + mismatch,
+           "batch agrees with per-document validation: " + mismatch,
            os.str());
     }
   }
@@ -1843,8 +1842,9 @@ std::string FormatNbtaConstruction(const Nbta& a, const RankedAlphabet& sigma,
 
 DiffcheckReport RunDiffcheck(const DiffcheckOptions& options) {
   const uint32_t threads = std::min<uint64_t>(
-      options.num_threads == 0 ? TaThreadPool::HardwareWorkers()
-                               : options.num_threads,
+      options.num_threads == 0
+          ? std::max(1u, std::thread::hardware_concurrency())
+          : options.num_threads,
       options.iters == 0 ? 1 : options.iters);
   if (threads <= 1) {
     Harness harness(options);
@@ -1853,8 +1853,9 @@ DiffcheckReport RunDiffcheck(const DiffcheckOptions& options) {
 
   // Sharded sweep: contiguous per-worker iteration ranges (iteration i draws
   // from MixSeed(seed, i) alone, so the split has no effect on what any
-  // iteration does), one Harness per worker, a shared failure tally capping
-  // the whole sweep, and a deterministic merge ordered by worker index.
+  // iteration does), one thread and one Harness per worker, a shared failure
+  // tally capping the whole sweep, and a deterministic merge ordered by
+  // worker index.
   std::vector<DiffcheckReport::WorkerRange> ranges(threads);
   const size_t base = options.iters / threads;
   const size_t rem = options.iters % threads;
@@ -1868,13 +1869,20 @@ DiffcheckReport RunDiffcheck(const DiffcheckOptions& options) {
 
   std::atomic<size_t> shared_failures{0};
   std::vector<DiffcheckReport> reports(threads);
-  TaThreadPool::Instance().Run(threads, [&](uint32_t w) {
-    DiffcheckOptions shard = options;
-    shard.start = ranges[w].start;
-    shard.iters = ranges[w].iters;
-    Harness harness(shard, &shared_failures);
-    reports[w] = harness.Run();
-  });
+  {
+    // jthreads join when the vector goes out of scope, on every path.
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (uint32_t w = 0; w < threads; ++w) {
+      workers.emplace_back([&, w] {
+        DiffcheckOptions shard = options;
+        shard.start = ranges[w].start;
+        shard.iters = ranges[w].iters;
+        Harness harness(shard, &shared_failures);
+        reports[w] = harness.Run();
+      });
+    }
+  }
 
   DiffcheckReport merged;
   merged.worker_ranges = std::move(ranges);

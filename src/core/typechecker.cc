@@ -228,6 +228,13 @@ Result<TypecheckResult> Typechecker::Typecheck(
     std::vector<BinaryTree> inputs =
         EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
                                options.refutation_max_trees, &ctx);
+    // Interrupted: the list is partial. Name this pass, not the next one to
+    // checkpoint.
+    if (ctx.interrupted()) {
+      if (!IsExhaustion(ctx.interrupt().code())) return ctx.interrupt();
+      note_exhaustion("bounded-refutation", ctx.interrupt());
+      inputs.clear();
+    }
     for (BinaryTree& input : inputs) {
       std::optional<BinaryTree> violating;
       auto ok = CheckOnInputAntichain(input, tau2_idx, &ctx, &violating);

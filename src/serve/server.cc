@@ -266,7 +266,6 @@ TaOpContext ValidateContext(const ServeOptions& server,
   budgets.cancel = cancel;
   budgets.max_det_states = server.max_det_states;
   budgets.max_antichain_pairs = server.max_antichain_pairs;
-  budgets.num_threads = server.num_threads;
   budgets.memo = server.memo;  // auto-bypassed when an injector is installed
   TaOpContext ctx(budgets);
   ctx.fault = injector;

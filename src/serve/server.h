@@ -69,12 +69,11 @@ struct ServeOptions {
   /// (docs/INCLUSION.md). Kept so existing callers that read it still
   /// compile.
   TaInclusionPath inclusion = TaInclusionPath::kAntichain;
-  /// Pool workers a kValidateBatch request fans its documents across
-  /// (docs/PARALLEL.md); every other opcode is serial on its connection
-  /// thread. 1, the default, means no fan-out: the daemon's concurrency
-  /// comes from serving connections in parallel. BENCH_parallel.json records
-  /// the fan-out's 4-core scaling, the measurement to decide this default
-  /// from.
+  /// Ignored: a kValidateBatch request validates its documents in order on
+  /// its connection thread, like every other opcode; the daemon's
+  /// concurrency comes from serving connections in parallel
+  /// (docs/PARALLEL.md). Kept so existing callers that assign it still
+  /// compile.
   uint32_t num_threads = 1;
   /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
   /// serving default: a repeated typecheck of a proven downward triple

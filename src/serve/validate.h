@@ -1,16 +1,15 @@
 // The serving layer's validation fast path (docs/VALIDATION.md): a named
 // artifact compiled once into a ValidationPlan — tag table, Section 2.1
 // encoding, and a compiled MembershipEngine — then applied per document, or
-// fanned out across a whole batch.
+// in order across a whole batch.
 //
 // ValidateDoc is the only place a served document is parsed: its streaming
 // DBTA fold decides well-formedness and membership in one pass, so a
 // malformed document gets its answer (kInvalidArgument, "document: "
 // diagnostic) from the same parse that would have validated it. The
 // NbtaAccepts fallback runs when determinization blew its budget.
-// ValidateBatch runs one plan over N documents, sharding across TaThreadPool
-// workers with merge-on-join contexts — the only workload where one request
-// gives the pool concurrent work (docs/PARALLEL.md).
+// ValidateBatch runs one plan over N documents in order, on the caller's
+// context.
 
 #ifndef PEBBLETC_SERVE_VALIDATE_H_
 #define PEBBLETC_SERVE_VALIDATE_H_
@@ -83,10 +82,7 @@ struct BatchResult {
   uint64_t fallback_docs = 0;        ///< answered via NbtaAccepts
 };
 
-/// Validates every document against one plan. Fans out across
-/// min(TaEffectiveThreads(ctx), documents.size()) TaThreadPool workers, each
-/// on a Fork() child context (merged back on join); a context carrying a
-/// fault injector runs serial with deterministic checkpoint ordinals. Once
+/// Validates every document against one plan, in order, under `ctx`. Once
 /// the context's sticky interrupt trips (deadline, disconnect cancellation),
 /// every not-yet-validated document reports that code honestly instead of a
 /// fabricated verdict.

@@ -30,12 +30,18 @@ std::string Key(const BinaryTree& t) {
 
 }  // namespace
 
-std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
+std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& untrimmed,
+                                               size_t max_nodes,
                                                size_t max_count,
                                                TaOpContext* ctx) {
   TaOpTimer timer(ctx);
   std::vector<BinaryTree> out;
   if (max_nodes == 0 || max_count == 0) return out;
+  // Only accepting states emit trees, so only the trim's states need them:
+  // a state that never sits below an accepting root may hold almost every
+  // tree. The trim keeps state and rule order, so the emitted list is the
+  // untrimmed one.
+  const Nbta a = TrimNbta(untrimmed);
 
   // per_state[q][s] = distinct trees of size s evaluating to q. Sizes are
   // odd; index by size directly for clarity.
@@ -75,12 +81,13 @@ std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
   for (size_t s = 3; s <= max_nodes && out.size() < max_count; s += 2) {
     for (const Nbta::BinaryRule& r : a.rules) {
       for (size_t s1 = 1; s1 + 2 <= s; s1 += 2) {
-        // Interrupted: return the trees emitted so far — each is a genuine
-        // accepted tree; only exhaustiveness of the sweep is lost.
-        if (!TaCheckpoint(ctx).ok()) return out;
         const size_t s2 = s - 1 - s1;
         for (const BinaryTree& lt : per_state[r.left][s1]) {
           for (const BinaryTree& rt : per_state[r.right][s2]) {
+            // One checkpoint per built tree. Interrupted: return the trees
+            // emitted so far — each is a genuine accepted tree; only
+            // exhaustiveness of the sweep is lost.
+            if (!TaCheckpoint(ctx).ok()) return out;
             BinaryTree combined;
             NodeId l = combined.CopySubtree(lt, lt.root());
             NodeId rr = combined.CopySubtree(rt, rt.root());

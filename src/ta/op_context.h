@@ -24,16 +24,11 @@
 // Threading convention: operations take `TaOpContext*` (nullptr = default
 // budgets, no accounting, no interruption). Budgets of 0 mean "unlimited".
 //
-// Thread-safety contract (the merge-on-join model, docs/PARALLEL.md): a
-// context is owned by exactly one thread at a time — only the cancel flag it
-// points at may be flipped from elsewhere. Parallel operations never share a
-// context between workers; each worker share runs on its own Fork() child
-// (same deadline/cancel/stride, zeroed counters, no fault injector), workers
-// accumulate counters thread-locally into that child, and the joining thread
-// calls MergeChild() once per worker — on every exit path, including
-// interrupted drains — so the parent's counters and sticky interrupt reflect
-// the whole fan-out. Debug builds assert that Checkpoint() is never invoked
-// from two threads concurrently (see the owner-thread check below).
+// Thread-safety contract: a context is owned by exactly one thread — only
+// the cancel flag it points at may be flipped from elsewhere. Every op and
+// every batch runs serial on its caller's context; the diffcheck sweep's
+// shards (docs/PARALLEL.md) each build their own. A plain copy carries the
+// budgets, counters and sticky interrupt, so it drains like the original.
 
 #ifndef PEBBLETC_TA_OP_CONTEXT_H_
 #define PEBBLETC_TA_OP_CONTEXT_H_
@@ -45,7 +40,6 @@
 #include <optional>
 #include <string>
 
-#include "src/common/check.h"
 #include "src/common/status.h"
 
 namespace pebbletc {
@@ -90,13 +84,9 @@ struct TaOpBudgets {
   /// dominate checkpoint cost, the counter bump is nearly free. Cancel and
   /// fault injection are checked every call regardless.
   uint32_t checkpoint_stride = 256;
-  /// Worker count for the one op that fans out across TaThreadPool,
-  /// serve::ValidateBatch (docs/PARALLEL.md): 0 = hardware concurrency (the
-  /// default), 1 = serial. Every automaton op — determinize, complement,
-  /// intersect, inclusion, the typechecker's passes — is serial and ignores
-  /// it. A context carrying a fault injector always runs serial (injection
-  /// ordinals must stay deterministic); see TaEffectiveThreads in
-  /// src/ta/thread_pool.h.
+  /// Ignored: every automaton op and every batch runs serial on its
+  /// caller's context (docs/PARALLEL.md, "What stays serial"). Kept only so
+  /// existing callers that assign it still compile.
   uint32_t num_threads = 0;
   /// Content-addressed memoization (docs/CACHING.md): compiled validation
   /// tables and downward typecheck proofs, in the op cache. Off by default;
@@ -187,24 +177,6 @@ class TaOpContext {
  public:
   TaOpContext() = default;
   explicit TaOpContext(const TaOpBudgets& budgets) : budgets(budgets) {}
-  // Copies transfer budgets/counters/interrupt state but never the (debug-
-  // only, non-copyable) concurrency guard — a copy starts unobserved.
-  TaOpContext(const TaOpContext& other)
-      : budgets(other.budgets),
-        counters(other.counters),
-        fault(other.fault),
-        interrupted_(other.interrupted_),
-        interrupt_(other.interrupt_),
-        timer_depth_(other.timer_depth_) {}
-  TaOpContext& operator=(const TaOpContext& other) {
-    budgets = other.budgets;
-    counters = other.counters;
-    fault = other.fault;
-    interrupted_ = other.interrupted_;
-    interrupt_ = other.interrupt_;
-    timer_depth_ = other.timer_depth_;
-    return *this;
-  }
 
   TaOpBudgets budgets;
   TaOpCounters counters;
@@ -221,62 +193,11 @@ class TaOpContext {
     return Status::OK();
   }
 
-  /// A worker-share child for the merge-on-join model: same budgets
-  /// (deadline, cancel flag, stride, state caps), zeroed counters, no fault
-  /// injector (injection ordinals are only deterministic on the serial
-  /// path), and the parent's sticky interrupt if one already tripped — a
-  /// share forked after cancellation drains immediately. The child is
-  /// independently checkpointable from its worker thread.
-  TaOpContext Fork() const {
-    TaOpContext child(budgets);
-    child.budgets.num_threads = 1;  // shares do not re-fan-out
-    if (interrupted_) (void)child.SetInterrupt(interrupt_);
-    // The fork region runs under the parent's (outermost) TaOpTimer; mark
-    // the child's timer depth so nested timed ops never double-count wall
-    // time into the merged op_nanos.
-    child.timer_depth_ = 1;
-    return child;
-  }
-
-  /// Folds a joined worker share back into this context: counters add, and
-  /// the first child interrupt becomes the parent's sticky interrupt (so a
-  /// deadline or cancellation observed by any worker propagates with its
-  /// original code). Call exactly once per Fork(), after joining the worker.
-  void MergeChild(const TaOpContext& child) {
-    // One summed line per TaOpCounters field below: a counter added to the
-    // struct without a line here fails the build instead of being dropped.
-    static_assert(sizeof(TaOpCounters) == 21 * sizeof(uint64_t),
-                  "TaOpCounters changed: update MergeChild");
-    counters.states_materialized += child.counters.states_materialized;
-    counters.rules_scanned += child.counters.rules_scanned;
-    counters.determinizations += child.counters.determinizations;
-    counters.det_pairs_expanded += child.counters.det_pairs_expanded;
-    counters.det_subsets_interned += child.counters.det_subsets_interned;
-    counters.complementations += child.counters.complementations;
-    counters.inclusions += child.counters.inclusions;
-    counters.incl_pairs_interned += child.counters.incl_pairs_interned;
-    counters.incl_pairs_pruned += child.counters.incl_pairs_pruned;
-    counters.intersections += child.counters.intersections;
-    counters.trims += child.counters.trims;
-    counters.minimizations += child.counters.minimizations;
-    counters.indexes_built += child.counters.indexes_built;
-    counters.checkpoints += child.counters.checkpoints;
-    counters.op_nanos += child.counters.op_nanos;
-    counters.memo_hits += child.counters.memo_hits;
-    counters.memo_misses += child.counters.memo_misses;
-    counters.memo_evictions += child.counters.memo_evictions;
-    counters.memo_bytes += child.counters.memo_bytes;
-    counters.membership_fast_hits += child.counters.membership_fast_hits;
-    counters.membership_fallbacks += child.counters.membership_fallbacks;
-    if (!interrupted_ && child.interrupted_) (void)SetInterrupt(child.interrupt_);
-  }
-
   /// The cheap cooperative interruption point. Returns the sticky interrupt
   /// if one already tripped; otherwise checks (in order) the fault injector,
   /// the cancel flag, and — every `checkpoint_stride` calls — the deadline.
   /// Once non-OK, every subsequent call returns the same Status.
   Status Checkpoint() {
-    AssertSingleThreaded();
     if (interrupted_) return interrupt_;
     const uint64_t n = counters.checkpoints++;
     if (fault != nullptr) {
@@ -315,22 +236,6 @@ class TaOpContext {
     interrupt_ = s;
     return s;
   }
-
-  // Debug-only guard for the ownership contract above: Checkpoint() must
-  // never run on two threads concurrently. Sequential hand-off between
-  // threads (create on A, run the op on B, merge back on A) is legal, so
-  // the check is entry/exit marking, not a pinned owner thread.
-#ifndef NDEBUG
-  void AssertSingleThreaded() {
-    PEBBLETC_CHECK(!in_checkpoint_.exchange(true, std::memory_order_acquire))
-        << "TaOpContext checkpointed from two threads concurrently; "
-           "parallel workers must run on Fork() children (docs/PARALLEL.md)";
-    in_checkpoint_.store(false, std::memory_order_release);
-  }
-  std::atomic<bool> in_checkpoint_{false};
-#else
-  void AssertSingleThreaded() {}
-#endif
 
   bool interrupted_ = false;
   Status interrupt_;

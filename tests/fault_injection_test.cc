@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -99,6 +101,47 @@ PebbleTransducer PlaceAndCopy(const RankedAlphabet& sigma) {
   t.AddMove({}, q1, M::kDownLeft, q);
   t.AddMove({}, q2, M::kDownRight, q);
   return t;
+}
+
+// Pass 1 enumeration instances over TinyRanked(), for the copy transducer.
+// An NBTA with one accepting state, from {symbol, state} leaf rules and
+// {symbol, left, right, state} binary rules.
+constexpr SymbolId kA0 = 0, kB0 = 1, kA2 = 2, kB2 = 3;
+Nbta TinyNbta(uint32_t states, StateId accepting,
+              std::initializer_list<std::array<uint32_t, 2>> leaves,
+              std::initializer_list<std::array<uint32_t, 4>> rules) {
+  Nbta a;
+  a.num_symbols = 4;
+  for (uint32_t i = 0; i < states; ++i) a.AddState();
+  a.accepting[accepting] = true;
+  for (const auto& [sym, to] : leaves) a.AddLeafRule(sym, to);
+  for (const auto& [sym, l, r, to] : rules) a.AddRule(sym, l, r, to);
+  return a;
+}
+
+// Instance A: only the leaves reach τ1's accepting state 0, so
+// L(τ1) = {a0, b0}, while every binary rule feeds state 1, which holds
+// almost every tree. τ2 accepts a0 but not b0.
+Nbta DeadStateInput() {
+  return TinyNbta(2, 0, {{kA0, 0}, {kA0, 1}, {kB0, 0}, {kB0, 1}},
+                  {{kA2, 0, 1, 1}, {kA2, 1, 1, 1}, {kB2, 1, 0, 1},
+                   {kB2, 1, 1, 1}});
+}
+Nbta DeadStateOutput() {
+  return TinyNbta(2, 1, {{kA0, 0}, {kA0, 1}, {kB0, 0}},
+                  {{kA2, 0, 0, 1}, {kA2, 0, 1, 0}, {kA2, 1, 0, 1},
+                   {kA2, 1, 1, 0}, {kB2, 0, 1, 1}, {kB2, 1, 1, 1}});
+}
+
+// Instance B (τ1 = τ2): state 0 holds every tree, state 1 is a0, b2(i, 0)
+// climbs from state i to i + 1 up to 8, and a2(0, 8) reaches the accepting
+// state 9. No accepted tree has fewer than 17 nodes, so pass 1's 15-node
+// enumeration finds nothing while building every state-0 tree.
+Nbta LongSpineType() {
+  Nbta a = TinyNbta(10, 9, {{kA0, 0}, {kB0, 0}, {kA0, 1}},
+                    {{kA2, 0, 0, 0}, {kB2, 0, 0, 0}, {kA2, 0, 8, 9}});
+  for (StateId i = 1; i <= 7; ++i) a.AddRule(kB2, i, 0, i + 1);
+  return a;
 }
 
 // Runs `tc.Typecheck(tau1, tau2, opts)` once cleanly to learn the total
@@ -325,6 +368,72 @@ TEST(FaultInjectionTest, InverseInferenceMeetsItsDeadline) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+}
+
+TEST(FaultInjectionTest, RefutationSkipsTreesOfDeadStates) {
+  // Instance A: pass 1 must not build the trees of state 1, which never
+  // sits below an accepting root.
+  const RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Typechecker tc(copy, sigma, sigma);
+  const Nbta tau1 = DeadStateInput();
+  const Nbta tau2 = DeadStateOutput();
+  const auto start = std::chrono::steady_clock::now();
+  auto r = tc.Typecheck(tau1, tau2);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->verdict, TypecheckVerdict::kCounterexample);
+  EXPECT_EQ(r->method, "bounded-refutation");
+  ASSERT_TRUE(r->counterexample_input.has_value());
+  EXPECT_EQ(r->counterexample_input->symbol(r->counterexample_input->root()),
+            sigma.Find("b0"));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(FaultInjectionTest, RefutationEnumerationMeetsItsDeadline) {
+  // Instance B under a real 50 ms deadline at the default checkpoint
+  // stride: the enumeration must poll the clock per built tree, not once
+  // per (size, rule, split). Salvage off: it would add its own fixed 25 ms
+  // budget after the deadline, which is not what this pins.
+  const RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Typechecker tc(copy, sigma, sigma);
+  const Nbta tau = LongSpineType();
+  TypecheckOptions opts;
+  opts.deadline = std::chrono::milliseconds(50);
+  opts.degrade_on_exhaustion = false;
+  const auto start = std::chrono::steady_clock::now();
+  auto r = tc.Typecheck(tau, tau, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->verdict, TypecheckVerdict::kUnknown);
+  EXPECT_EQ(r->exhausted.code, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r->exhausted.pass, "bounded-refutation");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+}
+
+TEST(FaultInjectionTest, FaultInRefutationEnumerationNamesThatPass) {
+  // A fault at instance B's first checkpoint trips inside pass 1's
+  // enumeration; the report must name that pass, not the τ2 complement
+  // that would otherwise be the first to notice the sticky interrupt.
+  const RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Typechecker tc(copy, sigma, sigma);
+  const Nbta tau = LongSpineType();
+  TaFaultInjector fault;
+  fault.trip_at = 0;
+  fault.code = StatusCode::kDeadlineExceeded;
+  TypecheckOptions opts;
+  opts.fault_injector = &fault;
+  opts.degrade_on_exhaustion = false;
+  auto r = tc.Typecheck(tau, tau, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(fault.tripped);
+  EXPECT_EQ(r->verdict, TypecheckVerdict::kUnknown);
+  EXPECT_TRUE(r->exhausted.exhausted);
+  EXPECT_EQ(r->exhausted.code, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r->exhausted.pass, "bounded-refutation");
+  EXPECT_EQ(r->exhausted.counters.checkpoints, 1u);
 }
 
 }  // namespace

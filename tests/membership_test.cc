@@ -4,7 +4,7 @@
 // counter accounting, memoization of the compiled table, interrupt
 // propagation, streaming XML validation against the tree-materializing
 // route, and the serve-layer ValidationPlan (per-document verdicts, batch
-// fan-out vs sequential equality, cancellation honesty).
+// vs sequential equality, cancellation honesty).
 
 #include <atomic>
 #include <cstdint>
@@ -265,7 +265,7 @@ TEST(ValidateDoc, UnknownTagDiagnosticNamesTheTag) {
       << "diagnostic: " << v.diagnostic;
 }
 
-TEST(ValidateBatch, MatchesSequentialValidationAcrossThreadCounts) {
+TEST(ValidateBatch, MatchesSequentialValidation) {
   const DocAlphabet d = MakeDocAlphabet();
   const serve::ValidationPlan plan = SamplePlan(d, 3);
   Rng rng(77);
@@ -280,23 +280,19 @@ TEST(ValidateBatch, MatchesSequentialValidationAcrossThreadCounts) {
   docs.push_back("<p><zz/></p>");
   std::vector<serve::DocVerdict> seq;
   for (const std::string& doc : docs) seq.push_back(serve::ValidateDoc(plan, doc));
-  for (uint32_t threads : {1u, 4u}) {
-    TaOpContext ctx;
-    ctx.budgets.num_threads = threads;
-    serve::BatchResult batch = serve::ValidateBatch(plan, docs, &ctx);
-    ASSERT_EQ(batch.verdicts.size(), seq.size());
-    for (size_t k = 0; k < seq.size(); ++k) {
-      EXPECT_EQ(batch.verdicts[k].code, seq[k].code) << "doc " << k;
-      EXPECT_EQ(batch.verdicts[k].valid, seq[k].valid) << "doc " << k;
-      EXPECT_EQ(batch.verdicts[k].diagnostic, seq[k].diagnostic)
-          << "doc " << k;
-    }
-    // Every well-formed document over the schema alphabet was answered by
-    // the compiled table (the malformed and unknown-tag documents never
-    // reach a table verdict).
-    EXPECT_EQ(batch.fast_path_docs, docs.size() - 2);
-    EXPECT_EQ(batch.fallback_docs, 0u);
+  TaOpContext ctx;
+  serve::BatchResult batch = serve::ValidateBatch(plan, docs, &ctx);
+  ASSERT_EQ(batch.verdicts.size(), seq.size());
+  for (size_t k = 0; k < seq.size(); ++k) {
+    EXPECT_EQ(batch.verdicts[k].code, seq[k].code) << "doc " << k;
+    EXPECT_EQ(batch.verdicts[k].valid, seq[k].valid) << "doc " << k;
+    EXPECT_EQ(batch.verdicts[k].diagnostic, seq[k].diagnostic) << "doc " << k;
   }
+  // Every well-formed document over the schema alphabet was answered by the
+  // compiled table (the malformed and unknown-tag documents never reach a
+  // table verdict).
+  EXPECT_EQ(batch.fast_path_docs, docs.size() - 2);
+  EXPECT_EQ(batch.fallback_docs, 0u);
 }
 
 TEST(ValidateBatch, CancelledContextReportsCancelledPerDocument) {

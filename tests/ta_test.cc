@@ -502,5 +502,27 @@ TEST(OpContextTest, CancelIsPolledEveryCheckpoint) {
   EXPECT_EQ(TaInterruptStatus(&ctx).code(), StatusCode::kCancelled);
 }
 
+TEST(OpContextTest, CopyOfTrippedContextKeepsBudgetsCountersAndInterrupt) {
+  // A derived context is a plain copy: it must carry the sticky interrupt,
+  // so work handed a copy after cancellation drains immediately.
+  std::atomic<bool> cancel{true};
+  TaOpContext ctx;
+  ctx.budgets.cancel = &cancel;
+  ctx.budgets.max_det_states = 77;
+  ctx.counters.rules_scanned = 100;
+  const Status tripped = ctx.Checkpoint();
+  ASSERT_EQ(tripped.code(), StatusCode::kCancelled);
+
+  cancel.store(false);  // the copy must not need the flag to stay tripped
+  TaOpContext copy = ctx;
+  EXPECT_EQ(copy.budgets.max_det_states, 77u);
+  EXPECT_EQ(copy.budgets.cancel, &cancel);
+  EXPECT_EQ(copy.counters.rules_scanned, 100u);
+  EXPECT_TRUE(copy.interrupted());
+  EXPECT_EQ(copy.Checkpoint().code(), tripped.code());
+  // A tripped context stops counting checkpoints, the copy included.
+  EXPECT_EQ(copy.counters.checkpoints, ctx.counters.checkpoints);
+}
+
 }  // namespace
 }  // namespace pebbletc
