@@ -17,6 +17,7 @@
 #include "src/pa/to_mso.h"
 #include "src/pt/paper_machines.h"
 #include "src/ta/convert.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 
 namespace pebbletc {

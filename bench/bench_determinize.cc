@@ -112,7 +112,7 @@ void BM_DeterminizeSparse(benchmark::State& state) {
 BENCHMARK(BM_DeterminizeSparse)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 // Complementation is determinize + flag flip + re-materialization: the op
-// every NbtaIncludes/NbtaEquivalent/typechecker call pays, end to end.
+// the typechecker pays for ¬τ2 before passes 2 and 3, end to end.
 void BM_ComplementDense(benchmark::State& state) {
   RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
   Nbta a = DrawDense(sigma, static_cast<uint32_t>(state.range(0)));

@@ -13,6 +13,7 @@
 #include "src/dtd/dtd.h"
 #include "src/pt/paper_machines.h"
 #include "src/query/selection.h"
+#include "src/ta/inclusion.h"
 #include "src/tree/encode.h"
 #include "src/tree/term.h"
 

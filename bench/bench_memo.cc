@@ -7,6 +7,10 @@
 //    TaOpCache::Global()). The warm row is the service-shape workload — the
 //    same transducer checked against the same schemas per request — and the
 //    headline number is warm_speedup = time(cold) / time(warm).
+//  * Refutation traffic: the same transducer against a tightened output
+//    schema it violates. Refutations are never cached, so with memo on
+//    every decision still runs pass 1 (the τ1 enumeration and a per-input
+//    antichain check) — the served typecheck's most frequent work.
 //  * Cache-size sensitivity: a working set of distinct schema tables (the
 //    kDeterminize entry MembershipEngine::Compile probes) cycled through
 //    caches from ample to starved; the starved rows measure the
@@ -19,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/check/diffcheck.h"
@@ -57,6 +62,8 @@ struct RenameFixture {
   EncodedAlphabet in_enc, out_enc;
   PebbleTransducer t;
   Nbta tau1, tau2;
+  // Every b must have a child, so <a/> ↦ <b/> violates it.
+  Nbta tau2_refuting;
 
   RenameFixture() : t(1, 1, 1) {
     auto program =
@@ -70,6 +77,10 @@ struct RenameFixture {
     tau1 = std::move(CompileDtdToNbta(in_dtd, in_enc)).ValueOrDie();
     auto good_dtd = std::move(ParseDtd("b := (b|d)*\nd := ()")).ValueOrDie();
     tau2 = std::move(CompileDtdToNbta(good_dtd, out_enc)).ValueOrDie();
+    auto tight_dtd =
+        std::move(ParseDtd("b := (b|d).(b|d)*\nd := ()")).ValueOrDie();
+    tau2_refuting =
+        std::move(CompileDtdToNbta(tight_dtd, out_enc)).ValueOrDie();
   }
 
   TypecheckOptions Options(TaMemoMode memo) const {
@@ -83,8 +94,13 @@ struct RenameFixture {
   }
 };
 
-void RunTypecheck(benchmark::State& state, TaMemoMode memo) {
+const RenameFixture& Rename() {
   static const RenameFixture* f = new RenameFixture();
+  return *f;
+}
+
+void RunTypecheck(benchmark::State& state, TaMemoMode memo) {
+  const RenameFixture* f = &Rename();
   Typechecker tc(f->t, f->in_enc.ranked, f->out_enc.ranked);
   const TypecheckOptions opts = f->Options(memo);
   TaOpCache::Global().Clear();
@@ -117,6 +133,29 @@ void BM_TypecheckWarm(benchmark::State& state) {
   RunTypecheck(state, TaMemoMode::kInMemory);
 }
 BENCHMARK(BM_TypecheckWarm)->Unit(benchmark::kMillisecond);
+
+void BM_TypecheckRefuted(benchmark::State& state) {
+  const RenameFixture& f = Rename();
+  Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
+  TypecheckOptions opts;
+  opts.memo = TaMemoMode::kInMemory;
+  TaOpCache::Global().Clear();
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
+  std::string method;
+  for (auto _ : state) {
+    auto r = tc.Typecheck(f.tau1, f.tau2_refuting, opts);
+    PEBBLETC_CHECK(r.ok());
+    verdict = r->verdict;
+    method = r->method;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["refuted"] =
+      verdict == TypecheckVerdict::kCounterexample ? 1 : 0;
+  state.counters["bounded_refutation"] =
+      method == "bounded-refutation" ? 1 : 0;
+  state.SetLabel(method);
+}
+BENCHMARK(BM_TypecheckRefuted)->Unit(benchmark::kMicrosecond);
 
 void BM_WarmWorkingSet(benchmark::State& state) {
   // Cache-size sensitivity: cycle a working set of 8 distinct schemas

@@ -20,6 +20,7 @@
 #include "src/dtd/dtd.h"
 #include "src/pt/paper_machines.h"
 #include "src/query/selection.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/tree/encode.h"
 #include "src/tree/term.h"

@@ -120,6 +120,14 @@ TaOpContext BudgetCtx(const DiffcheckOptions& opts) {
   return ctx;
 }
 
+// NbtaIncludedIn over throwaway indexes, for the shrink predicates.
+Result<NbtaInclusionResult> IncludedIn(const Nbta& a, const Nbta& b,
+                                       const RankedAlphabet& sigma) {
+  NbtaIndex ia(a);
+  NbtaIndex ib(b);
+  return NbtaIncludedIn(ia, ib, sigma);
+}
+
 using Pred1 = std::function<bool(const Nbta&, const BinaryTree&)>;
 using Pred2 =
     std::function<bool(const Nbta&, const Nbta&, const BinaryTree&)>;
@@ -481,13 +489,10 @@ void Harness::RunIteration(size_t iter) {
   }
   refdet_a = Budgeted(RefDeterminize(a, sigma), "RefDeterminize", iter);
   if (det_a) {
-    TaOpContext ctx = BudgetCtx(opts_);
-    min_a = Budgeted(MinimizeDbta(*det_a, sigma, &ctx), "MinimizeDbta", iter);
+    min_a = Budgeted(MinimizeDbta(*det_a, sigma), "MinimizeDbta", iter);
   }
   if (det_b) {
-    TaOpContext ctx = BudgetCtx(opts_);
-    min_b = Budgeted(MinimizeDbta(*det_b, sigma, &ctx), "MinimizeDbta(b)",
-                     iter);
+    min_b = Budgeted(MinimizeDbta(*det_b, sigma), "MinimizeDbta(b)", iter);
   }
 
   std::optional<Nbta> comp_a, comp_b, compcomp, refcomp_a, comp_uni,
@@ -1386,7 +1391,7 @@ void Harness::CheckInclusion(size_t iter, bool extended, const Nbta& a,
       Pred2 v = [&sigma](const Nbta& ca, const Nbta& cb, const BinaryTree&) {
         Result<Nbta> rc = RefComplement(cb, sigma);
         if (!rc.ok()) return false;
-        auto r = NbtaIncludedIn(ca, cb, sigma);
+        auto r = IncludedIn(ca, cb, sigma);
         return r.ok() &&
                r->included != RefIsEmpty(RefIntersect(ca, *rc));
       };
@@ -1407,7 +1412,7 @@ void Harness::CheckInclusion(size_t iter, bool extended, const Nbta& a,
                   !RefAccepts(b, *incl->counterexample);
     if (!witness_ok) {
       Pred2 v = [&sigma](const Nbta& ca, const Nbta& cb, const BinaryTree&) {
-        auto r = NbtaIncludedIn(ca, cb, sigma);
+        auto r = IncludedIn(ca, cb, sigma);
         if (!r.ok()) return false;
         if (r->included) return r->counterexample.has_value();
         return !r->counterexample.has_value() ||
@@ -1436,8 +1441,8 @@ void Harness::CheckInclusion(size_t iter, bool extended, const Nbta& a,
       if (*eq_ab != want || *eq_ba != want) {
         Pred2 v = [&sigma](const Nbta& ca, const Nbta& cb,
                            const BinaryTree&) {
-          auto fwd = NbtaIncludedIn(ca, cb, sigma);
-          auto bwd = NbtaIncludedIn(cb, ca, sigma);
+          auto fwd = IncludedIn(ca, cb, sigma);
+          auto bwd = IncludedIn(cb, ca, sigma);
           auto e1 = NbtaEquivalent(ca, cb, sigma);
           auto e2 = NbtaEquivalent(cb, ca, sigma);
           if (!fwd.ok() || !bwd.ok() || !e1.ok() || !e2.ok()) return false;

@@ -451,6 +451,109 @@ Result<Nbta> RefDownwardProduct(const PebbleTransducer& t, const Dbta& d,
   return out;
 }
 
+Result<Dbta> MinimizeDbta(const Dbta& d, const RankedAlphabet& alphabet) {
+  if (alphabet.size() != d.num_symbols()) {
+    return Status::InvalidArgument("alphabet size mismatch in minimize");
+  }
+  const uint32_t n = d.num_states();
+
+  // Inhabited states (reachable bottom-up); everything else collapses into
+  // whatever block its signature lands in — harmless, but restricting keeps
+  // the refinement honest and the result canonical.
+  std::vector<bool> inhabited(n, false);
+  {
+    bool changed = true;
+    for (SymbolId a : alphabet.LeafSymbols()) inhabited[d.LeafState(a)] = true;
+    while (changed) {
+      changed = false;
+      for (SymbolId a : alphabet.BinarySymbols()) {
+        for (StateId l = 0; l < n; ++l) {
+          if (!inhabited[l]) continue;
+          for (StateId r = 0; r < n; ++r) {
+            if (!inhabited[r]) continue;
+            StateId to = d.Next(a, l, r);
+            if (!inhabited[to]) {
+              inhabited[to] = true;
+              changed = true;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::vector<StateId> live;  // inhabited states, dense order
+  std::vector<int64_t> live_index(n, -1);
+  for (StateId q = 0; q < n; ++q) {
+    if (inhabited[q]) {
+      live_index[q] = static_cast<int64_t>(live.size());
+      live.push_back(q);
+    }
+  }
+  const size_t m = live.size();
+  if (m == 0) {
+    // Empty language (no leaf symbols): a one-state reject automaton.
+    Dbta out(1, d.num_symbols());
+    return out;
+  }
+
+  // Moore refinement over inhabited states: a state's signature is its block
+  // and the blocks of its successors as either child; each round's blocks
+  // are the distinct signatures, numbered in order of first appearance.
+  std::vector<uint32_t> block(m);
+  for (size_t i = 0; i < m; ++i) block[i] = d.accepting(live[i]) ? 1 : 0;
+  size_t num_blocks = 2;
+  for (bool changed = true; changed;) {
+    std::map<std::vector<uint32_t>, uint32_t> ids;
+    std::vector<uint32_t> next_block(m);
+    for (size_t i = 0; i < m; ++i) {
+      std::vector<uint32_t> sig = {block[i]};
+      for (SymbolId a : alphabet.BinarySymbols()) {
+        for (size_t j = 0; j < m; ++j) {
+          for (StateId to : {d.Next(a, live[i], live[j]),
+                             d.Next(a, live[j], live[i])}) {
+            // Successors outside the inhabited set cannot occur in any run.
+            sig.push_back(live_index[to] < 0 ? ~0u : block[live_index[to]]);
+          }
+        }
+      }
+      const uint32_t fresh = static_cast<uint32_t>(ids.size());
+      next_block[i] = ids.try_emplace(std::move(sig), fresh).first->second;
+    }
+    changed = ids.size() != num_blocks;
+    num_blocks = ids.size();
+    block = std::move(next_block);
+  }
+
+  // Emit blocks (+ a sink for transitions leaving the inhabited set). The
+  // sink may be unreachable; that is fine for a complete automaton.
+  const uint32_t sink = static_cast<uint32_t>(num_blocks);
+  Dbta out(static_cast<uint32_t>(num_blocks) + 1, d.num_symbols());
+  auto block_of = [&](StateId q) -> StateId {
+    return live_index[q] < 0 ? sink
+                             : static_cast<StateId>(block[live_index[q]]);
+  };
+  for (size_t i = 0; i < m; ++i) {
+    out.set_accepting(block[i], d.accepting(live[i]));
+  }
+  for (SymbolId a : alphabet.LeafSymbols()) {
+    out.SetLeafState(a, block_of(d.LeafState(a)));
+  }
+  // Representative per block for transition lookups.
+  std::vector<StateId> rep(num_blocks, 0);
+  for (size_t i = m; i-- > 0;) rep[block[i]] = live[i];
+  for (SymbolId a : alphabet.BinarySymbols()) {
+    for (uint32_t bi = 0; bi < num_blocks; ++bi) {
+      for (uint32_t bj = 0; bj < num_blocks; ++bj) {
+        out.SetNext(a, bi, bj, block_of(d.Next(a, rep[bi], rep[bj])));
+      }
+      out.SetNext(a, bi, sink, sink);
+      out.SetNext(a, sink, bi, sink);
+    }
+    out.SetNext(a, sink, sink, sink);
+  }
+  return out;
+}
+
 std::vector<BinaryTree> AllTreesWithNodes(const RankedAlphabet& alphabet,
                                           size_t num_nodes, size_t max_count,
                                           bool* truncated) {

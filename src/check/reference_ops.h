@@ -71,6 +71,14 @@ bool RefIsEmpty(const Nbta& a);
 /// keeping states that are both.
 Nbta RefTrim(const Nbta& a);
 
+/// Canonical minimization of a complete DBTA (Moore partition refinement
+/// over inhabited states, then completion with a sink): the same language
+/// with the fewest states among complete DBTAs. Not a reference twin —
+/// nothing in the library minimizes. The oracle uses it to keep the
+/// product-form De Morgan operands small, and its minimize/lang law checks
+/// it. kInvalidArgument when `alphabet` does not match `d`.
+Result<Dbta> MinimizeDbta(const Dbta& d, const RankedAlphabet& alphabet);
+
 /// Number of accepting runs on trees with exactly `num_nodes` nodes,
 /// saturating at UINT64_MAX — the reference twin of CountAcceptedTrees,
 /// computed by top-down memoized recursion instead of the bottom-up table.

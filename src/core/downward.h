@@ -10,15 +10,15 @@
 // that T started in q at t's root emits some output on which D ends in d.
 // S(a(t1, t2)) is a least fixpoint over S(t1) and S(t2), monotone in both.
 // FindDownwardBadInput searches bottom-up for an input t in τ1 with
-// (start, accepting d) ∈ S(t), i.e. T(t) ∩ inst(D) ≠ ∅. It explores
-// (τ1-state, S) pairs only along τ1's rules, as the antichain inclusion
-// search of src/ta/inclusion.h does, and keeps only the ⊆-maximal S per
-// τ1 state: "bad" is upward-closed, so a dominated S can never lead to a
-// bad pair that its dominator does not. This is Frisch–Hosoya's on-the-fly
-// backward inference on the fragment Martens–Neven analyse — exponential in
-// the worst case (the paper's discussion of §5), but it visits only the
-// pairs τ1 can reach. The all-pairs closure it replaced lives on as the
-// oracle RefDownwardProduct (src/check/reference_ops.h).
+// (start, accepting d) ∈ S(t), i.e. T(t) ∩ inst(D) ≠ ∅. It is the
+// Q_T × Q_D domain of the antichain engine (src/ta/antichain.h), guided by
+// τ1: it explores (τ1-state, S) pairs only along τ1's rules and keeps only
+// the ⊆-maximal S per τ1 state, since "bad" is closed under supersets.
+// This is Frisch–Hosoya's on-the-fly backward inference on the fragment
+// Martens–Neven analyse — exponential in the worst case (the paper's
+// discussion of §5), but it visits only the pairs τ1 can reach. The
+// all-pairs closure it replaced lives on as the oracle RefDownwardProduct
+// (src/check/reference_ops.h).
 
 #ifndef PEBBLETC_CORE_DOWNWARD_H_
 #define PEBBLETC_CORE_DOWNWARD_H_

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/ta/inclusion.h"
 #include "src/ta/nbta_index.h"
 
 namespace pebbletc {
@@ -950,42 +949,6 @@ std::optional<BinaryTree> WitnessTree(const Nbta& a) {
   return WitnessTree(NbtaIndex(a), nullptr);
 }
 
-Result<bool> NbtaIncludes(const Nbta& super, const Nbta& sub,
-                          const RankedAlphabet& alphabet, TaOpContext* ctx) {
-  NbtaIndex sub_idx(sub, ctx);
-  NbtaIndex super_idx(super, ctx);
-  PEBBLETC_ASSIGN_OR_RETURN(
-      NbtaInclusionResult r,
-      NbtaIncludedIn(sub_idx, super_idx, alphabet, ctx));
-  return r.included;
-}
-
-Result<bool> NbtaIncludes(const Nbta& super, const Nbta& sub,
-                          const RankedAlphabet& alphabet, size_t max_states) {
-  TaOpContext ctx;
-  // Legacy single-knob form: the one cap bounds whichever engine runs (the
-  // antichain pair arena here; determinization in ops reached downstream).
-  ctx.budgets.max_det_states = max_states;
-  if (max_states != 0) ctx.budgets.max_antichain_pairs = max_states;
-  return NbtaIncludes(super, sub, alphabet, &ctx);
-}
-
-Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
-                            const RankedAlphabet& alphabet, TaOpContext* ctx) {
-  PEBBLETC_ASSIGN_OR_RETURN(bool ab, NbtaIncludes(b, a, alphabet, ctx));
-  if (!ab) return false;
-  return NbtaIncludes(a, b, alphabet, ctx);
-}
-
-Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
-                            const RankedAlphabet& alphabet,
-                            size_t max_states) {
-  TaOpContext ctx;
-  ctx.budgets.max_det_states = max_states;
-  if (max_states != 0) ctx.budgets.max_antichain_pairs = max_states;
-  return NbtaEquivalent(a, b, alphabet, &ctx);
-}
-
 Nbta TrimNbta(const NbtaIndex& idx, TaOpContext* ctx) {
   TaOpTimer timer(ctx);
   const Nbta& a = idx.nbta();
@@ -1090,152 +1053,6 @@ Nbta RelabelNbta(const Nbta& a, const std::vector<SymbolId>& map,
     PEBBLETC_CHECK(r.symbol < map.size() && map[r.symbol] < new_num_symbols)
         << "unmapped symbol " << r.symbol;
     out.AddRule(map[r.symbol], r.left, r.right, r.to);
-  }
-  return out;
-}
-
-Result<Dbta> MinimizeDbta(const Dbta& d, const RankedAlphabet& alphabet,
-                          TaOpContext* ctx) {
-  if (alphabet.size() != d.num_symbols()) {
-    return Status::InvalidArgument("alphabet size mismatch in minimize");
-  }
-  TaOpTimer timer(ctx);
-  const uint32_t n = d.num_states();
-
-  // Inhabited states (reachable bottom-up); everything else collapses into
-  // whatever block its signature lands in — harmless, but restricting keeps
-  // the refinement honest and the result canonical.
-  std::vector<bool> inhabited(n, false);
-  {
-    bool changed = true;
-    for (SymbolId a : alphabet.LeafSymbols()) inhabited[d.LeafState(a)] = true;
-    while (changed) {
-      changed = false;
-      for (SymbolId a : alphabet.BinarySymbols()) {
-        for (StateId l = 0; l < n; ++l) {
-          if (!inhabited[l]) continue;
-          PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
-          for (StateId r = 0; r < n; ++r) {
-            if (!inhabited[r]) continue;
-            StateId to = d.Next(a, l, r);
-            if (!inhabited[to]) {
-              inhabited[to] = true;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-  }
-  std::vector<StateId> live;  // inhabited states, dense order
-  std::vector<int64_t> live_index(n, -1);
-  for (StateId q = 0; q < n; ++q) {
-    if (inhabited[q]) {
-      live_index[q] = static_cast<int64_t>(live.size());
-      live.push_back(q);
-    }
-  }
-  const size_t m = live.size();
-  if (m == 0) {
-    // Empty language (no leaf symbols): a one-state reject automaton.
-    Dbta out(1, d.num_symbols());
-    return out;
-  }
-
-  // Moore refinement over inhabited states. Signatures within one round all
-  // have the same length, so each round interns fixed-length rows into a
-  // flat arena behind an open-addressing table (block id = order of first
-  // appearance) — the same discipline as the product's pair interner; the
-  // node-based map this replaces allocated one tree node per distinct
-  // signature per round.
-  std::vector<uint32_t> block(m);
-  for (size_t i = 0; i < m; ++i) block[i] = d.accepting(live[i]) ? 1 : 0;
-  size_t num_blocks = 2;
-  const size_t sig_len = 1 + 2 * alphabet.BinarySymbols().size() * m;
-  // At most m distinct signatures per round: a capacity with load <= 9/16 at
-  // m entries never needs to grow mid-round.
-  size_t sig_cap = 64;
-  while (sig_cap * 9 < m * 16) sig_cap *= 2;
-  std::vector<uint32_t> sig_arena;
-  std::vector<uint32_t> sig_table;
-  std::vector<uint32_t> next_block(m);
-  std::vector<uint32_t> sig(sig_len);
-  for (bool changed = true; changed;) {
-    changed = false;
-    sig_arena.clear();
-    sig_table.assign(sig_cap, ~0u);
-    size_t interned = 0;
-    for (size_t i = 0; i < m; ++i) {
-      PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
-      size_t k = 0;
-      sig[k++] = block[i];
-      for (SymbolId a : alphabet.BinarySymbols()) {
-        for (size_t j = 0; j < m; ++j) {
-          StateId as_left = d.Next(a, live[i], live[j]);
-          StateId as_right = d.Next(a, live[j], live[i]);
-          // Successors outside the inhabited set cannot occur in any run.
-          sig[k++] = live_index[as_left] < 0 ? ~0u
-                                             : block[live_index[as_left]];
-          sig[k++] = live_index[as_right] < 0 ? ~0u
-                                              : block[live_index[as_right]];
-        }
-      }
-      uint64_t h = 1469598103934665603ull;  // FNV-1a 64 over the row words
-      for (uint32_t v : sig) h = (h ^ v) * 1099511628211ull;
-      size_t slot = h & (sig_cap - 1);
-      uint32_t id = ~0u;
-      for (;;) {
-        const uint32_t cand = sig_table[slot];
-        if (cand == ~0u) break;
-        if (std::equal(sig.begin(), sig.end(),
-                       sig_arena.begin() + cand * sig_len)) {
-          id = cand;
-          break;
-        }
-        slot = (slot + 1) & (sig_cap - 1);
-      }
-      if (id == ~0u) {
-        id = static_cast<uint32_t>(interned++);
-        sig_table[slot] = id;
-        sig_arena.insert(sig_arena.end(), sig.begin(), sig.end());
-      }
-      next_block[i] = id;
-    }
-    if (interned != num_blocks) changed = true;
-    num_blocks = interned;
-    std::swap(block, next_block);
-  }
-
-  // Emit blocks (+ a sink for transitions leaving the inhabited set). The
-  // sink may be unreachable; that is fine for a complete automaton.
-  const uint32_t sink = static_cast<uint32_t>(num_blocks);
-  Dbta out(static_cast<uint32_t>(num_blocks) + 1, d.num_symbols());
-  auto block_of = [&](StateId q) -> StateId {
-    return live_index[q] < 0 ? sink
-                             : static_cast<StateId>(block[live_index[q]]);
-  };
-  for (size_t i = 0; i < m; ++i) {
-    out.set_accepting(block[i], d.accepting(live[i]));
-  }
-  for (SymbolId a : alphabet.LeafSymbols()) {
-    out.SetLeafState(a, block_of(d.LeafState(a)));
-  }
-  // Representative per block for transition lookups.
-  std::vector<StateId> rep(num_blocks, 0);
-  for (size_t i = m; i-- > 0;) rep[block[i]] = live[i];
-  for (SymbolId a : alphabet.BinarySymbols()) {
-    for (uint32_t bi = 0; bi < num_blocks; ++bi) {
-      for (uint32_t bj = 0; bj < num_blocks; ++bj) {
-        out.SetNext(a, bi, bj, block_of(d.Next(a, rep[bi], rep[bj])));
-      }
-      out.SetNext(a, bi, sink, sink);
-      out.SetNext(a, sink, bi, sink);
-    }
-    out.SetNext(a, sink, sink, sink);
-  }
-  if (ctx != nullptr) {
-    ctx->counters.minimizations++;
-    ctx->counters.states_materialized += out.num_states();
   }
   return out;
 }

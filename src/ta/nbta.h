@@ -1,8 +1,9 @@
 // Nondeterministic bottom-up (frontier-to-root) tree automata over complete
 // binary trees, and the full operation suite on regular tree languages:
 // determinization, boolean operations, emptiness with witness extraction,
-// membership, inclusion/equivalence, relabelings (used as cylindrification /
-// projection by the MSO compiler), and language statistics.
+// membership, relabelings (used as cylindrification / projection by the MSO
+// compiler), and language statistics. Inclusion and equivalence live in
+// src/ta/inclusion.h.
 //
 // Bottom-up NTAs are the library's canonical representation of a *type*
 // (regular tree language); top-down automata (Def. 2.1) convert losslessly in
@@ -172,45 +173,10 @@ std::optional<BinaryTree> WitnessTree(const NbtaIndex& a,
                                       TaOpContext* ctx = nullptr);
 std::optional<BinaryTree> WitnessTree(const Nbta& a);
 
-/// inst(sub) ⊆ inst(super)? Dispatches to the antichain on-the-fly search
-/// (NbtaIncludedIn, src/ta/inclusion.h, docs/INCLUSION.md): no explicit
-/// determinization or complement is materialized; `super`'s subsets are
-/// interned lazily along reachable product pairs and pruned by antichain
-/// subsumption. Still exponential in |super| in the worst case. Budget:
-/// `max_antichain_pairs` bounds the search (the `max_states` convenience
-/// parameter maps onto it; 0 = default budget) and kResourceExhausted /
-/// kDeadlineExceeded / kCancelled propagate. Callers wanting the refuting
-/// tree should call NbtaIncludedIn directly.
-Result<bool> NbtaIncludes(const Nbta& super, const Nbta& sub,
-                          const RankedAlphabet& alphabet,
-                          size_t max_states = 0);
-Result<bool> NbtaIncludes(const Nbta& super, const Nbta& sub,
-                          const RankedAlphabet& alphabet, TaOpContext* ctx);
-
-/// inst(a) = inst(b)? Two antichain inclusion checks (one per direction),
-/// each determinization-free; `max_antichain_pairs` bounds each direction
-/// (the `max_states` convenience parameter maps onto it; 0 = default
-/// budget) and kResourceExhausted / kDeadlineExceeded / kCancelled
-/// propagate.
-Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
-                            const RankedAlphabet& alphabet,
-                            size_t max_states = 0);
-Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
-                            const RankedAlphabet& alphabet, TaOpContext* ctx);
-
 /// Removes states that are not inhabited (reachable bottom-up) or not
 /// co-reachable (cannot lead to acceptance); shrinks rule lists accordingly.
 Nbta TrimNbta(const NbtaIndex& a, TaOpContext* ctx = nullptr);
 Nbta TrimNbta(const Nbta& a);
-
-/// Canonical minimization of a deterministic automaton (Moore partition
-/// refinement over inhabited states, then completion with a sink). The
-/// result accepts the same language with the minimum number of states among
-/// complete DBTAs. Does not determinize (the input already is); checkpoints
-/// between refinement rounds, so kDeadlineExceeded / kCancelled can surface,
-/// but no state budget applies.
-Result<Dbta> MinimizeDbta(const Dbta& d, const RankedAlphabet& alphabet,
-                          TaOpContext* ctx = nullptr);
 
 /// Inverse relabeling (cylindrification): `map[b]` gives, for each symbol of
 /// the *larger* alphabet, its image in a's alphabet. Returns an automaton

@@ -62,13 +62,13 @@ struct TaOpBudgets {
   size_t max_det_states = 200000;
   /// Per-tree configuration space for the Prop. 3.8 output automaton.
   size_t max_configs = 1u << 20;
-  /// (A-state, B-state-set) pairs interned by the antichain inclusion search
-  /// (docs/INCLUSION.md), and (τ1-state, S) pairs interned by the
-  /// typechecker's downward search (src/core/downward.h). The antichain
-  /// prunes dominated pairs, so this is normally far below the subsets an
-  /// explicit construction would intern — but the worst case is still
-  /// exponential, and the search aborts with kResourceExhausted once the cap
-  /// is crossed.
+  /// Pairs interned by one run of the antichain engine (src/ta/antichain.h,
+  /// docs/INCLUSION.md): (A-state, B-state-set) for inclusion, (τ1-state,
+  /// S) for the typechecker's downward search (src/core/downward.h). The
+  /// antichain prunes dominated pairs, so this is normally far below the
+  /// subsets an explicit construction would intern — but the worst case is
+  /// still exponential, and the search aborts with kResourceExhausted once
+  /// the cap is crossed.
   size_t max_antichain_pairs = 200000;
   /// 1-pebble behavior composition: refuse automata beyond this many state
   /// bits (tables are 2^bits entries), and this many distinct behaviors.
@@ -117,8 +117,9 @@ struct TaOpCounters {
   size_t det_subsets_interned = 0;
   /// Complementations (each implies a determinization).
   size_t complementations = 0;
-  /// Completed antichain searches (NbtaIncludedIn and the downward search
-  /// runs that reached a verdict; exhausted/interrupted runs do not count).
+  /// Completed antichain searches (SearchAntichain runs, for NbtaIncludedIn
+  /// or the downward search, that reached a verdict; exhausted/interrupted
+  /// runs do not count).
   size_t inclusions = 0;
   /// Pairs interned by antichain searches — (A-state, B-state-set) for
   /// inclusion, (τ1-state, S) for the downward search — counted as they are
@@ -133,8 +134,6 @@ struct TaOpCounters {
   size_t intersections = 0;
   /// TrimNbta runs.
   size_t trims = 0;
-  /// MinimizeDbta runs.
-  size_t minimizations = 0;
   /// NbtaIndex instances compiled.
   size_t indexes_built = 0;
   /// TaCheckpoint calls observed (the fault injector's ordinal space).

@@ -12,6 +12,7 @@
 #include "src/pa/to_mso.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"

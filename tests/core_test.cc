@@ -17,6 +17,7 @@
 #include "src/query/selection.h"
 #include "src/query/xslt.h"
 #include "src/ta/enumerate.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/ta/op_cache.h"
 #include "src/tree/encode.h"

@@ -9,6 +9,7 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/rng.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
@@ -136,8 +137,8 @@ TEST(DeterminizeBudgetTest, SparseExhaustionLeavesConsistentCounters) {
   EXPECT_EQ(ctx.counters.states_materialized, 0u);
 }
 
-// Ops that determinize internally (ComplementNbta here, and through it
-// NbtaIncludes/NbtaEquivalent) surface the frontier counters on the same
+// Ops that determinize internally (ComplementNbta here, and through it the
+// typechecker's complement of τ2) surface the frontier counters on the same
 // context, so a pipeline's op_counters expose the subset-construction work.
 TEST(DeterminizeCountersTest, ComplementPropagatesFrontierCounters) {
   Rng rng(5);

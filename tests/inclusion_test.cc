@@ -1,6 +1,7 @@
-// Tests for src/ta/inclusion: the antichain on-the-fly inclusion search,
-// Martens–Neven fragment detection, and the rewired
-// NbtaIncludes/NbtaEquivalent dispatch.
+// Tests for src/ta/inclusion and the antichain engine it shares with the
+// typechecker's downward search (src/ta/antichain.h): verdicts, witnesses,
+// counters, the pair budget in both domains, Martens–Neven fragment
+// behavior, and NbtaEquivalent.
 
 #include "src/ta/inclusion.h"
 
@@ -11,6 +12,8 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/rng.h"
+#include "src/core/downward.h"
+#include "src/pt/paper_machines.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
@@ -40,6 +43,14 @@ Nbta AllLeavesA0(const RankedAlphabet& sigma) {
   return a;
 }
 
+// NbtaIncludedIn over throwaway indexes.
+Result<NbtaInclusionResult> IncludedIn(const Nbta& a, const Nbta& b,
+                                       const RankedAlphabet& sigma) {
+  NbtaIndex ia(a);
+  NbtaIndex ib(b);
+  return NbtaIncludedIn(ia, ib, sigma);
+}
+
 // The explicit pipeline the antichain search replaces; the ground truth.
 bool ExplicitIncluded(const Nbta& a, const Nbta& b,
                       const RankedAlphabet& sigma) {
@@ -53,12 +64,12 @@ TEST(InclusionTest, BasicChain) {
   Nbta all_a0 = AllLeavesA0(sigma);
   Nbta uni = UniversalNbta(sigma);
 
-  auto sub = NbtaIncludedIn(all_a0, uni, sigma);
+  auto sub = IncludedIn(all_a0, uni, sigma);
   ASSERT_TRUE(sub.ok());
   EXPECT_TRUE(sub->included);
   EXPECT_FALSE(sub->counterexample.has_value());
 
-  auto super = NbtaIncludedIn(uni, all_a0, sigma);
+  auto super = IncludedIn(uni, all_a0, sigma);
   ASSERT_TRUE(super.ok());
   EXPECT_FALSE(super->included);
   ASSERT_TRUE(super->counterexample.has_value());
@@ -70,10 +81,10 @@ TEST(InclusionTest, BasicChain) {
 TEST(InclusionTest, EmptyLanguagesAreIncludedInEverything) {
   RankedAlphabet sigma = TinyRanked();
   Nbta empty = EmptyLanguageNbta(sigma);
-  auto r = NbtaIncludedIn(empty, empty, sigma);
+  auto r = IncludedIn(empty, empty, sigma);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->included);
-  auto r2 = NbtaIncludedIn(AllLeavesA0(sigma), empty, sigma);
+  auto r2 = IncludedIn(AllLeavesA0(sigma), empty, sigma);
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2->included);
 }
@@ -86,7 +97,7 @@ TEST(InclusionTest, AgreesWithExplicitPipelineOnRandomAutomata) {
     opts.num_states = 1 + seed % 5;
     Nbta a = RandomNbta(sigma, rng, opts);
     Nbta b = RandomNbta(sigma, rng, opts);
-    auto r = NbtaIncludedIn(a, b, sigma);
+    auto r = IncludedIn(a, b, sigma);
     ASSERT_TRUE(r.ok()) << "seed " << seed;
     EXPECT_EQ(r->included, ExplicitIncluded(a, b, sigma)) << "seed " << seed;
     if (!r->included) {
@@ -118,12 +129,36 @@ TEST(InclusionTest, PairBudgetEnforced) {
   opts.rule_density = 0.7;
   Nbta a = RandomNbta(sigma, rng, opts);
   Nbta b = RandomNbta(sigma, rng, opts);
-  auto r = NbtaIncludedIn(a, b, sigma, /*max_pairs=*/1);
-  // Either the search finishes within two interned pairs or the budget
-  // trips with the documented code.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  }
+  TaOpContext ctx;
+  ctx.budgets.max_antichain_pairs = 1;
+  NbtaIndex ia(a, &ctx);
+  NbtaIndex ib(b, &ctx);
+  auto r = NbtaIncludedIn(ia, ib, sigma, &ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(),
+            "resource-exhausted: antichain pairs exceeded budget of 1 "
+            "(needed 2)");
+}
+
+// The downward domain runs on the same engine, so the same budget trips
+// with the same detail: the copy transducer's leaf sets and its first
+// binary set are two pairs on the universal τ1's one state.
+TEST(InclusionTest, DownwardPairBudgetEnforced) {
+  RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  Nbta uni = UniversalNbta(sigma);
+  auto not_uni = ComplementNbta(uni, sigma);
+  ASSERT_TRUE(not_uni.ok());
+  auto d = DeterminizeNbta(*not_uni, sigma);
+  ASSERT_TRUE(d.ok());
+  TaOpContext ctx;
+  ctx.budgets.max_antichain_pairs = 1;
+  NbtaIndex tau1(uni, &ctx);
+  auto r = FindDownwardBadInput(copy, *d, tau1, sigma, &ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(),
+            "resource-exhausted: antichain pairs exceeded budget of 1 "
+            "(needed 2)");
 }
 
 TEST(InclusionTest, DeadlineSurfaces) {
@@ -143,12 +178,12 @@ TEST(InclusionTest, RewiredIncludesAndEquivalentAgree) {
   RankedAlphabet sigma = TinyRanked();
   Nbta all_a0 = AllLeavesA0(sigma);
   Nbta uni = UniversalNbta(sigma);
-  auto r1 = NbtaIncludes(uni, all_a0, sigma);
+  auto r1 = IncludedIn(all_a0, uni, sigma);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(*r1);
-  auto r2 = NbtaIncludes(all_a0, uni, sigma);
+  EXPECT_TRUE(r1->included);
+  auto r2 = IncludedIn(uni, all_a0, sigma);
   ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(*r2);
+  EXPECT_FALSE(r2->included);
   auto eq = NbtaEquivalent(all_a0, all_a0, sigma);
   ASSERT_TRUE(eq.ok());
   EXPECT_TRUE(*eq);

@@ -1,6 +1,7 @@
 // Property tests for the tree-automaton operation layer: language
-// preservation of TrimNbta and MinimizeDbta on randomized automata,
-// agreement of the shared-index operations with the convenience forms, and
+// preservation of TrimNbta and of the oracle's MinimizeDbta
+// (src/check/reference_ops.h) on randomized automata, agreement of the
+// shared-index operations with the convenience forms, and
 // CountAcceptedTrees saturation behavior near UINT64_MAX.
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <optional>
 
 #include "src/alphabet/alphabet.h"
+#include "src/check/reference_ops.h"
 #include "src/common/rng.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/random_ta.h"

@@ -10,11 +10,14 @@
 #include <thread>
 
 #include "src/alphabet/alphabet.h"
+#include "src/check/reference_ops.h"
 #include "src/common/rng.h"
 #include "src/graph/agap.h"
 #include "src/ta/convert.h"
 #include "src/ta/enumerate.h"
+#include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
+#include "src/ta/nbta_index.h"
 #include "src/ta/random_ta.h"
 #include "src/ta/op_context.h"
 #include "src/ta/topdown.h"
@@ -307,12 +310,14 @@ TEST(NbtaDecisionTest, InclusionChain) {
   RankedAlphabet sigma = TinyRanked();
   Nbta all_a0 = AllLeavesA0();
   Nbta uni = UniversalNbta(sigma);
-  auto r1 = NbtaIncludes(uni, all_a0, sigma);
+  NbtaIndex i_all_a0(all_a0);
+  NbtaIndex i_uni(uni);
+  auto r1 = NbtaIncludedIn(i_all_a0, i_uni, sigma);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(*r1);
-  auto r2 = NbtaIncludes(all_a0, uni, sigma);
+  EXPECT_TRUE(r1->included);
+  auto r2 = NbtaIncludedIn(i_uni, i_all_a0, sigma);
   ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(*r2);
+  EXPECT_FALSE(r2->included);
   auto r3 = NbtaEquivalent(all_a0, all_a0, sigma);
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(*r3);
