@@ -1,13 +1,14 @@
 // E13 close-out (docs/DETERMINIZE.md): the frontier-driven determinization
-// engine measured in both of its regimes, against the naive all-2^n bitmask
-// reference in the dense regime where that reference used to win.
+// engine on dense and on sparse automata, against the naive all-2^n bitmask
+// reference on the dense ones, where that reference used to win.
 //
 // Dense series: the exact E13 configuration (DiffcheckAlphabet, seed 13,
 // rule_density 0.3) at n = 4…10 input states — most subsets reachable, so
 // the pass-rescan fixpoint this engine replaced lost to the reference by
-// ~10× at n = 10. Sparse series: larger, thinner automata (n > 16, the
-// packed-bitset worklist path) that the reference refuses outright; here the
-// regression bar is the engine's own recorded baseline, not the reference.
+// ~10× at n = 10. Sparse series: larger, thinner automata (n = 24…128, one
+// and two 64-bit words per subset) that the reference refuses outright;
+// here the regression bar is the engine's own recorded baseline, not the
+// reference.
 //
 // CI runs this binary with tiny sizes (--benchmark_filter=dense-smoke
 // equivalent, see the bench-smoke job) and uploads the JSON as the
@@ -43,15 +44,17 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states) {
   return RandomNbta(sigma, rng, opts);
 }
 
-// Sparse-regime instances: more states than the dense cutoff (16) at a
-// density low enough that only a sliver of the 2^n subset space is
-// reachable — the shape of the MSO pipeline's intermediate automata.
+// Sparse instances: many states at a density low enough that only a sliver
+// of the 2^n subset space is reachable. In served traffic this is the shape
+// of servebench's validation plans, the only determinizations with more
+// than 16 input states (19–98); the MSO pipeline's have at most 8.
 Nbta DrawSparse(const RankedAlphabet& sigma, uint32_t states) {
   Rng rng(29);
   RandomNbtaOptions opts;
   opts.num_states = states;
   // ~n expected rules per symbol: keeps the reachable-subset count near 50
-  // at every size here, so the series isolates the cost of wider bitsets.
+  // at 24–64 states, so those sizes isolate the cost of wider bitsets; the
+  // two-word sizes reach 306 (96) and 170 (128) subsets.
   opts.rule_density = 1.0 / states;
   opts.leaf_density = 0.25;
   return RandomNbta(sigma, rng, opts);
@@ -109,7 +112,13 @@ void BM_DeterminizeSparse(benchmark::State& state) {
   }
   ReportDetCounters(state, last);
 }
-BENCHMARK(BM_DeterminizeSparse)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
+BENCHMARK(BM_DeterminizeSparse)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(128);
 
 // Complementation is determinize + flag flip + re-materialization: the op
 // the typechecker pays for ¬τ2 before passes 2 and 3, end to end.

@@ -509,7 +509,8 @@ void Harness::RunIteration(size_t iter) {
   }
   refcomp_a = Budgeted(RefComplement(a, sigma), "RefComplement", iter);
   if (comp_a) {
-    compcomp = Budgeted(ComplementNbta(*comp_a, sigma, opts_.max_det_states),
+    TaOpContext ctx = BudgetCtx(opts_);
+    compcomp = Budgeted(ComplementNbta(*comp_a, sigma, &ctx),
                         "ComplementNbta(comp a)", iter);
   }
   // Complementing the union (12 states) and the intersection product (up to
@@ -521,11 +522,12 @@ void Harness::RunIteration(size_t iter) {
   // pair of reached subsets is expanded), so even *aborting* at a large
   // budget is slow; 512 keeps the worst heavy iteration in the tens of
   // milliseconds.
-  const size_t heavy_budget = std::min<size_t>(opts_.max_det_states, 512);
   if (heavy) {
-    comp_uni = Budgeted(ComplementNbta(uni, sigma, heavy_budget),
+    TaOpContext ctx = BudgetCtx(opts_);
+    ctx.budgets.max_det_states = std::min<size_t>(opts_.max_det_states, 512);
+    comp_uni = Budgeted(ComplementNbta(uni, sigma, &ctx),
                         "ComplementNbta(a union b)", iter);
-    comp_inter = Budgeted(ComplementNbta(inter, sigma, heavy_budget),
+    comp_inter = Budgeted(ComplementNbta(inter, sigma, &ctx),
                           "ComplementNbta(a intersect b)", iter);
   }
   // Product-form De Morgan operands: complements built from the *minimized*
@@ -577,23 +579,27 @@ void Harness::RunIteration(size_t iter) {
     return ca.Accepts(ct) != RefAccepts(ca, ct);
   };
   Pred1 v_det = [sig, op](const Nbta& ca, const BinaryTree& ct) {
-    Result<Dbta> d = DeterminizeNbta(ca, *sig, op->max_det_states);
+    TaOpContext ctx = BudgetCtx(*op);
+    Result<Dbta> d = DeterminizeNbta(ca, *sig, &ctx);
     return d.ok() && d->Accepts(ct) != RefAccepts(ca, ct);
   };
   Pred1 v_min = [sig, op](const Nbta& ca, const BinaryTree& ct) {
-    Result<Dbta> d = DeterminizeNbta(ca, *sig, op->max_det_states);
+    TaOpContext ctx = BudgetCtx(*op);
+    Result<Dbta> d = DeterminizeNbta(ca, *sig, &ctx);
     if (!d.ok()) return false;
     Result<Dbta> m = MinimizeDbta(*d, *sig);
     return m.ok() && m->Accepts(ct) != RefAccepts(ca, ct);
   };
   Pred1 v_comp = [sig, op](const Nbta& ca, const BinaryTree& ct) {
-    Result<Nbta> c = ComplementNbta(ca, *sig, op->max_det_states);
+    TaOpContext ctx = BudgetCtx(*op);
+    Result<Nbta> c = ComplementNbta(ca, *sig, &ctx);
     return c.ok() && c->Accepts(ct) == RefAccepts(ca, ct);
   };
   Pred1 v_compcomp = [sig, op](const Nbta& ca, const BinaryTree& ct) {
-    Result<Nbta> c = ComplementNbta(ca, *sig, op->max_det_states);
+    TaOpContext ctx = BudgetCtx(*op);
+    Result<Nbta> c = ComplementNbta(ca, *sig, &ctx);
     if (!c.ok()) return false;
-    Result<Nbta> cc = ComplementNbta(*c, *sig, op->max_det_states);
+    Result<Nbta> cc = ComplementNbta(*c, *sig, &ctx);
     return cc.ok() && cc->Accepts(ct) != RefAccepts(ca, ct);
   };
   Pred1 v_self_union = [](const Nbta& ca, const BinaryTree& ct) {
@@ -636,14 +642,13 @@ void Harness::RunIteration(size_t iter) {
   Pred2 v_demorgan = [sig, op](const Nbta& ca, const Nbta& cb,
                                const BinaryTree& ct) {
     bool ra = RefAccepts(ca, ct), rb = RefAccepts(cb, ct);
-    Result<Nbta> cu =
-        ComplementNbta(UnionNbta(ca, cb), *sig, op->max_det_states);
+    TaOpContext ctx = BudgetCtx(*op);
+    Result<Nbta> cu = ComplementNbta(UnionNbta(ca, cb), *sig, &ctx);
     if (cu.ok() && cu->Accepts(ct) != (!ra && !rb)) return true;
-    Result<Nbta> ci =
-        ComplementNbta(IntersectNbta(ca, cb), *sig, op->max_det_states);
+    Result<Nbta> ci = ComplementNbta(IntersectNbta(ca, cb), *sig, &ctx);
     if (ci.ok() && ci->Accepts(ct) != !(ra && rb)) return true;
-    Result<Nbta> cca = ComplementNbta(ca, *sig, op->max_det_states);
-    Result<Nbta> ccb = ComplementNbta(cb, *sig, op->max_det_states);
+    Result<Nbta> cca = ComplementNbta(ca, *sig, &ctx);
+    Result<Nbta> ccb = ComplementNbta(cb, *sig, &ctx);
     if (cca.ok() && ccb.ok()) {
       if (IntersectNbta(*cca, *ccb).Accepts(ct) != (!ra && !rb)) return true;
       if (UnionNbta(*cca, *ccb).Accepts(ct) != !(ra && rb)) return true;

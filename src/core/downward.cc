@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/ta/antichain.h"
+#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 
@@ -157,7 +158,7 @@ class DownwardSets final : public AntichainDomain {
         row_words_((d.num_states() + 63) / 64),
         accepting_row_(row_words_, 0) {
     for (StateId dq = 0; dq < d.num_states(); ++dq) {
-      if (d.accepting(dq)) accepting_row_[dq / 64] |= uint64_t{1} << (dq % 64);
+      if (d.accepting(dq)) SetBit(accepting_row_.data(), dq);
     }
     TaCountRules(ctx_, t.transitions().size());
   }
@@ -177,11 +178,8 @@ class DownwardSets final : public AntichainDomain {
 
   // Bad: some output from the start state ends in an accepting D-state.
   bool Bad(const uint64_t* set) const override {
-    const uint64_t* start_row = set + static_cast<size_t>(start_) * row_words_;
-    for (uint32_t i = 0; i < row_words_; ++i) {
-      if ((start_row[i] & accepting_row_[i]) != 0) return true;
-    }
-    return false;
+    return Intersects(set + static_cast<size_t>(start_) * row_words_,
+                      accepting_row_.data(), row_words_);
   }
 
  private:

@@ -9,7 +9,6 @@ namespace pebbletc {
 namespace {
 
 constexpr uint32_t kNoPair = static_cast<uint32_t>(-1);
-constexpr uint32_t kNoSet = static_cast<uint32_t>(-1);
 constexpr uint64_t kNoKey = static_cast<uint64_t>(-1);
 
 // One pair (q, S) — q a guide state, S an interned set id — plus the
@@ -57,9 +56,8 @@ class Engine {
         domain_(domain),
         ctx_(ctx),
         max_pairs_(TaBudgetMaxAntichainPairs(ctx)),
-        words_(domain.words),
-        slots_(64, kNoSet),
-        pending_(words_),
+        sets_(domain.words),
+        pending_(sets_.words()),
         offered_(64, kNoKey),
         kept_(guide.num_states()),
         processed_(guide.num_states()) {}
@@ -143,44 +141,20 @@ class Engine {
     const uint32_t sr = pairs_[rp].set;
     if (post_memo_.size() <= rule.symbol) post_memo_.resize(rule.symbol + 1);
     auto [it, fresh] = post_memo_[rule.symbol].try_emplace(
-        (static_cast<uint64_t>(sl) << 32) | sr, kNoSet);
+        (static_cast<uint64_t>(sl) << 32) | sr);
     if (fresh) {
       std::fill(pending_.begin(), pending_.end(), 0);
-      PEBBLETC_RETURN_IF_ERROR(domain_.Post(rule.symbol, Set(sl), Set(sr),
-                                            pending_.data()));
+      PEBBLETC_RETURN_IF_ERROR(domain_.Post(rule.symbol, sets_.Set(sl),
+                                            sets_.Set(sr), pending_.data()));
       it->second = Intern();
     }
     return Offer(rule.to, it->second, rule.symbol, lp, rp);
   }
 
-  const uint64_t* Set(uint32_t id) const {
-    return arena_.data() + static_cast<size_t>(id) * words_;
-  }
-
-  static uint64_t Hash(const uint64_t* w, size_t n) {
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) h = (h ^ w[i]) * 1099511628211ull;
-    return Mix(h);
-  }
-
-  // Interns pending_: open addressing over the set arena, load ≤ 1/2.
+  // Interns pending_, testing a new set once for badness.
   uint32_t Intern() {
-    const uint64_t h = Hash(pending_.data(), words_);
-    const size_t mask = slots_.size() - 1;
-    size_t i = h & mask;
-    for (; slots_[i] != kNoSet; i = (i + 1) & mask) {
-      if (std::equal(pending_.begin(), pending_.end(), Set(slots_[i]))) {
-        return slots_[i];
-      }
-    }
-    const uint32_t id = static_cast<uint32_t>(hashes_.size());
-    arena_.insert(arena_.end(), pending_.begin(), pending_.end());
-    hashes_.push_back(h);
-    bad_set_.push_back(domain_.Bad(Set(id)));
-    slots_[i] = id;
-    if (2 * hashes_.size() > slots_.size()) {
-      Grow(slots_, kNoSet, [&](uint32_t s) { return hashes_[s]; });
-    }
+    const uint32_t id = sets_.Intern(pending_.data());
+    if (id == bad_set_.size()) bad_set_.push_back(domain_.Bad(sets_.Set(id)));
     return id;
   }
 
@@ -198,9 +172,9 @@ class Engine {
   }
 
   bool SubsetOf(uint32_t a, uint32_t b) const {
-    const uint64_t* wa = Set(a);
-    const uint64_t* wb = Set(b);
-    for (size_t i = 0; i < words_; ++i) {
+    const uint64_t* wa = sets_.Set(a);
+    const uint64_t* wb = sets_.Set(b);
+    for (size_t i = 0; i < sets_.words(); ++i) {
       if ((wa[i] & ~wb[i]) != 0) return false;
     }
     return true;
@@ -300,14 +274,9 @@ class Engine {
   AntichainDomain& domain_;
   TaOpContext* ctx_;
   const size_t max_pairs_;
-  const size_t words_;
 
-  // Interned sets: set i is arena_[i * words_, (i + 1) * words_), with its
-  // hash and whether it is bad. slots_ is the open-addressing table.
-  std::vector<uint64_t> arena_;
-  std::vector<uint64_t> hashes_;
-  std::vector<bool> bad_set_;
-  std::vector<uint32_t> slots_;
+  PackedSetTable sets_;
+  std::vector<bool> bad_set_;      // per interned set: whether it is bad
   std::vector<uint64_t> pending_;  // the set being computed
   // Per binary symbol: (left set << 32 | right set) → Post set id.
   std::vector<std::unordered_map<uint64_t, uint32_t>> post_memo_;

@@ -7,14 +7,14 @@
 // The search walks pairs (q, S) along a *guide* automaton's rules: q is a
 // guide state some tree t reaches, S the domain's exact summary of t. A
 // domain supplies the summaries and Bad(S). The engine owns the rest: sets
-// as interned 64-bit words with Post memoized per (symbol, left set, right
-// set), the rule-driven combine, the antichain with its repeat-offer probe,
+// as packed 64-bit words interned in the PackedSetTable of
+// src/ta/packed_sets.h, Post memoized per (symbol, left set, right set),
+// the rule-driven combine, the antichain with its repeat-offer probe,
 // the pair budget, and the witness replay.
 
 #ifndef PEBBLETC_TA_ANTICHAIN_H_
 #define PEBBLETC_TA_ANTICHAIN_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -23,6 +23,7 @@
 #include "src/common/result.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
+#include "src/ta/packed_sets.h"
 #include "src/tree/binary_tree.h"
 
 namespace pebbletc {
@@ -62,16 +63,6 @@ class AntichainDomain {
   const size_t words;
   const AntichainClosure closure;
 };
-
-/// Calls fn(i) for every bit i set in words[0, n), in increasing order.
-template <typename Fn>
-void ForEachBit(const uint64_t* words, size_t n, Fn&& fn) {
-  for (size_t w = 0; w < n; ++w) {
-    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-      fn(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
-    }
-  }
-}
 
 /// A tree accepted by `guide` whose set `domain` calls bad, replayed from
 /// the first bad pair the search interns (genuine, not necessarily

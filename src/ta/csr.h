@@ -30,11 +30,14 @@ struct Csr {
     for (size_t r = 0; r < num_rows; ++r) {
       csr.offsets[r + 1] += csr.offsets[r];
     }
+    // offsets[r] serves as row r's cursor, ending at row r + 1's start;
+    // shifting the array down one row then restores the starts.
     csr.values.resize(num_items);
-    std::vector<uint32_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
     for (size_t i = 0; i < num_items; ++i) {
-      csr.values[cursor[key(i)]++] = val(i);
+      csr.values[csr.offsets[key(i)]++] = val(i);
     }
+    for (size_t r = num_rows; r > 0; --r) csr.offsets[r] = csr.offsets[r - 1];
+    csr.offsets[0] = 0;
     return csr;
   }
 };

@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/ta/antichain.h"
 #include "src/ta/nbta_index.h"
+#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 namespace {
@@ -20,12 +21,12 @@ class BStateSets final : public AntichainDomain {
         ctx_(ctx),
         accepting_(words, 0) {
     for (StateId q = 0; q < b.num_states(); ++q) {
-      if (b.nbta().accepting[q]) Add(accepting_.data(), q);
+      if (b.nbta().accepting[q]) SetBit(accepting_.data(), q);
     }
   }
 
   Status Leaf(SymbolId c, uint64_t* out) override {
-    for (StateId q : b_.LeafTargets(c)) Add(out, q);
+    for (StateId q : b_.LeafTargets(c)) SetBit(out, q);
     return Status::OK();
   }
 
@@ -36,7 +37,7 @@ class BStateSets final : public AntichainDomain {
       const auto row = b_.SymbolLeft(f, q1);
       TaCountRules(ctx_, row.size());
       for (const auto& rt : row) {
-        if ((right[rt.right / 64] >> (rt.right % 64)) & 1) Add(out, rt.to);
+        if (TestBit(right, rt.right)) SetBit(out, rt.to);
       }
     });
     return Status::OK();
@@ -44,17 +45,10 @@ class BStateSets final : public AntichainDomain {
 
   // S ∩ F_B = ∅: no run of B accepts the tree.
   bool Bad(const uint64_t* set) const override {
-    for (size_t i = 0; i < words; ++i) {
-      if ((set[i] & accepting_[i]) != 0) return false;
-    }
-    return true;
+    return !Intersects(set, accepting_.data(), words);
   }
 
  private:
-  static void Add(uint64_t* set, StateId q) {
-    set[q / 64] |= uint64_t{1} << (q % 64);
-  }
-
   const NbtaIndex& b_;
   TaOpContext* ctx_;
   std::vector<uint64_t> accepting_;

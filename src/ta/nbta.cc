@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <span>
 #include <string>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/ta/nbta_index.h"
+#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 
@@ -154,16 +154,17 @@ Nbta Dbta::ToNbta(const RankedAlphabet& alphabet) const {
 
 namespace {
 
-// --- the frontier-driven determinization engine (docs/DETERMINIZE.md) ---
+// --- the frontier-driven subset construction (docs/DETERMINIZE.md) ---
 //
 // Subsets are processed in interning order; dequeuing subset p expands the
 // pairs (p, j) and (j, p) for every j ≤ p and each binary symbol. Any pair
 // (i, j) is therefore expanded exactly once — when max(i, j) leaves the
 // frontier — instead of being rescanned on every pass of a fixpoint.
 
-// One computed transition δ_sym(l, r) = to. The frontier discipline produces
-// each (sym, l, r) triple exactly once, so records append to a flat list; no
-// transition map is needed.
+// One computed transition δ_sym(l, r) = to, recorded only when `to` is not
+// the sink (the Dbta constructor maps every entry to the sink). The
+// frontier discipline produces each (sym, l, r) triple exactly once, so
+// records append to a flat list; no transition map is needed.
 struct DetTrans {
   SymbolId sym;
   StateId l;
@@ -171,12 +172,9 @@ struct DetTrans {
   StateId to;
 };
 
-constexpr uint32_t kNoSubset = 0xffffffffu;
-
-// Budget/overflow check shared by both regimes. The state budget and the
-// dense-table cap are enforced *during* the frontier loop (between frontier
-// items and at the interior polls), so a blowing-up construction aborts
-// promptly instead of after a full pass.
+// The state budget and the transition-table cap, enforced *during* the
+// frontier loop (between frontier items and at the interior polls), so a
+// blowing-up construction aborts promptly instead of after a full pass.
 Status DetBudgetCheck(size_t num_subsets, size_t max_states,
                       uint32_t num_symbols) {
   if (max_states != 0 && num_subsets > max_states) {
@@ -194,37 +192,44 @@ Status DetBudgetCheck(size_t num_subsets, size_t max_states,
   return Status::OK();
 }
 
-// Dense regime (≤ kDenseMaskMaxStates states): a subset is one uint32_t
-// mask, the interner is a direct-mapped 2^|Q| array, and δ is a mask fold
-// over the index's precomputed successor-mask table. Folding the table
-// against the frontier subset once per (item, symbol) makes each pair cost
-// O(|S_j|) single-word ORs — the regime where the naive all-2^n bitmask
-// reference used to win.
-Result<Dbta> DeterminizeDense(const NbtaIndex& idx, TaOpContext* ctx) {
+// A fold's rows may not pass this many words (32 MiB), so an input's width
+// alone never forces an allocation: rows are appended as the adjacency
+// touches them. Inputs of at most 11584 states never reach it.
+constexpr size_t kMaxFoldWords = size_t{1} << 22;
+
+// Interior polls come every kPollPairs pairs or kPollWords word operations,
+// whichever is first. A one-word input counts fewer than 200 word
+// operations per pair, so below 65 states the pairs always come first.
+constexpr size_t kPollPairs = 4096;
+constexpr size_t kPollWords = size_t{1} << 20;
+
+// Subsets are packed sets of w = ⌈n/64⌉ words interned in a PackedSetTable
+// (src/ta/packed_sets.h); kWords = 1 fixes w at compile time for inputs of
+// at most 64 states, kWords = 0 reads it at run time. When S_p leaves the
+// frontier, each binary symbol folds it once, through the (symbol, child)
+// adjacency, into rows indexed by state: left row q2 is δ(S_p, {q2}), right
+// row q1 is δ({q1}, S_p). δ(S_p, S_j) is then the union of the left rows of
+// S_j's states and δ(S_j, S_p) that of its right rows: |S_j| w-word ORs.
+template <size_t kWords>
+Result<Dbta> Determinize(const NbtaIndex& idx, TaOpContext* ctx) {
   const Nbta& a = idx.nbta();
   const uint32_t ns = a.num_states;
+  const size_t w = kWords != 0 ? kWords : (ns + 63) / 64;
   const size_t max_states = TaBudgetMaxDetStates(ctx);
 
-  uint32_t accepting_mask = 0;
-  for (StateId q : idx.AcceptingStates()) accepting_mask |= 1u << q;
+  // Three w-word sets: the one being built, and a pair's two results.
+  std::vector<uint64_t> buf(3 * w, 0);
+  uint64_t* const scratch = buf.data();
+  uint64_t* const out_lr = scratch + w;  // δ(S_p, S_j)
+  uint64_t* const out_rl = out_lr + w;   // δ(S_j, S_p)
 
-  std::vector<uint32_t> mask_to_id(size_t{1} << ns, kNoSubset);
-  std::vector<uint32_t> subsets;  // id → state mask
-  auto intern = [&](uint32_t m) -> StateId {
-    uint32_t& slot = mask_to_id[m];
-    if (slot == kNoSubset) {
-      slot = static_cast<uint32_t>(subsets.size());
-      subsets.push_back(m);
-    }
-    return slot;
-  };
-
-  intern(0);  // the empty (sink) subset is state 0
+  PackedSetTable subsets(w);
+  subsets.Intern<kWords>(scratch);  // the empty subset: sink, state 0
   std::vector<StateId> leaf_state(a.num_symbols);
   for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    uint32_t m = 0;
-    for (StateId q : idx.LeafTargets(s)) m |= 1u << q;
-    leaf_state[s] = intern(m);
+    std::fill_n(scratch, w, 0);
+    for (StateId q : idx.LeafTargets(s)) SetBit(scratch, q);
+    leaf_state[s] = subsets.Intern<kWords>(scratch);
   }
 
   std::vector<SymbolId> active;  // symbols with at least one binary rule
@@ -232,264 +237,122 @@ Result<Dbta> DeterminizeDense(const NbtaIndex& idx, TaOpContext* ctx) {
     if (!idx.RulesWithSymbol(s).empty()) active.push_back(s);
   }
 
+  // The fold's rows, by side k (0: left, 1: right) and state q: row (k, q)
+  // is [slot[k * ns + q] * w, +w) of `rows` while bit q of side k's `live`
+  // words is set. A fold appends a row, zeroed, on its first touch; the
+  // next fold clears `live` and refills `rows` from the start.
+  std::vector<uint64_t> live(2 * w);
+  std::vector<uint32_t> slot(2 * static_cast<size_t>(ns));
+  std::vector<uint64_t> rows;
+  size_t used = 0;
+  bool capped = false;  // a fold's rows would pass kMaxFoldWords
+  size_t words = 0;     // word operations of folds and pairs, for the polls
+  // Sets bit `to` of row (k, q), appending the row when absent.
+  auto add = [&](size_t k, StateId q, StateId to) {
+    uint32_t& at = slot[k * ns + q];
+    if (!TestBit(live.data() + k * w, q)) {
+      if ((used + 1) * w > kMaxFoldWords) {
+        capped = true;
+        return;
+      }
+      SetBit(live.data() + k * w, q);
+      at = static_cast<uint32_t>(used++);
+      if (rows.size() < used * w) rows.resize(used * w);
+      std::fill_n(rows.data() + at * w, w, 0);
+      words += w;
+    }
+    SetBit(rows.data() + static_cast<size_t>(at) * w, to);
+  };
+  // out = the union of side k's rows of `set`'s states; false when there
+  // are none: out is then empty and the pair goes to the sink.
+  auto apply = [&](size_t k, const uint64_t* set, uint64_t* out) {
+    const uint64_t* side_live = live.data() + k * w;
+    const uint32_t* side_slot = slot.data() + k * ns;
+    std::fill_n(out, w, 0);
+    size_t ored = 0;
+    for (size_t wi = 0; wi < w; ++wi) {
+      for (uint64_t bits = set[wi] & side_live[wi]; bits != 0;
+           bits &= bits - 1) {
+        const size_t q = wi * 64 + std::countr_zero(bits);
+        const uint64_t* row = rows.data() + side_slot[q] * w;
+        for (size_t i = 0; i < w; ++i) out[i] |= row[i];
+        ++ored;
+      }
+    }
+    words += (2 + ored) * w;
+    return ored != 0;
+  };
+
   std::vector<DetTrans> trans;
   size_t pairs = 0;
   size_t rules_scanned = 0;
-  auto flush = [&]() {
-    TaCountRules(ctx, rules_scanned);
-    if (ctx != nullptr) {
-      ctx->counters.det_pairs_expanded += pairs;
-      ctx->counters.det_subsets_interned += subsets.size();
+  // The frontier loop. Its counters are flushed on every exit path.
+  auto frontier = [&]() -> Status {
+    size_t next_poll = kPollPairs;
+    size_t next_words = kPollWords;
+    for (uint32_t p = 0; p < subsets.size(); ++p) {
+      for (SymbolId s : active) {
+        PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
+        std::fill(live.begin(), live.end(), 0);
+        used = 0;
+        ForEachBit(subsets.Set(p), w, [&](StateId q) {
+          if (capped) return;
+          const auto as_left = idx.SymbolLeft(s, q);
+          const auto as_right = idx.SymbolRight(s, q);
+          rules_scanned += as_left.size() + as_right.size();
+          for (const auto& rt : as_left) add(0, rt.right, rt.to);
+          for (const auto& lt : as_right) add(1, lt.left, lt.to);
+        });
+        if (capped) {
+          return Status::ResourceExhausted("determinization fold exceeded " +
+                                           std::to_string(kMaxFoldWords) +
+                                           " words");
+        }
+
+        for (uint32_t j = 0; j <= p; ++j) {
+          // Both results before either intern: interning may move S_j.
+          const uint64_t* sj = subsets.Set(j);
+          const bool lr = apply(0, sj, out_lr);
+          const bool rl = j != p && apply(1, sj, out_rl);
+          if (lr) trans.push_back({s, p, j, subsets.Intern<kWords>(out_lr)});
+          if (rl) trans.push_back({s, j, p, subsets.Intern<kWords>(out_rl)});
+          pairs += j != p ? 2 : 1;
+          if (pairs >= next_poll || words >= next_words) {
+            next_poll = pairs + kPollPairs;
+            next_words = words + kPollWords;
+            PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
+            PEBBLETC_RETURN_IF_ERROR(
+                DetBudgetCheck(subsets.size(), max_states, a.num_symbols));
+          }
+        }
+        PEBBLETC_RETURN_IF_ERROR(
+            DetBudgetCheck(subsets.size(), max_states, a.num_symbols));
+      }
     }
+    return Status::OK();
   };
-
-  std::vector<uint32_t> left_fold(ns), right_fold(ns);
-  size_t next_poll = 4096;
-  for (uint32_t p = 0; p < subsets.size(); ++p) {
-    for (SymbolId s : active) {
-      Status interrupt = TaCheckpoint(ctx);
-      if (!interrupt.ok()) {
-        flush();
-        return interrupt;
-      }
-      std::span<const uint32_t> tm = idx.SuccessorMasks(s);
-      const uint32_t sp = subsets[p];
-      // Fold the successor table against the frontier subset once:
-      //   left_fold[q2]  = δ-contribution of S_p as *left* child with q2,
-      //   right_fold[q1] = δ-contribution of S_p as *right* child with q1.
-      for (uint32_t q2 = 0; q2 < ns; ++q2) left_fold[q2] = 0;
-      for (uint32_t m = sp; m != 0; m &= m - 1) {
-        const uint32_t q1 = static_cast<uint32_t>(std::countr_zero(m));
-        const uint32_t* row = tm.data() + static_cast<size_t>(q1) * ns;
-        for (uint32_t q2 = 0; q2 < ns; ++q2) left_fold[q2] |= row[q2];
-      }
-      for (uint32_t q1 = 0; q1 < ns; ++q1) {
-        const uint32_t* row = tm.data() + static_cast<size_t>(q1) * ns;
-        uint32_t acc = 0;
-        for (uint32_t m = sp; m != 0; m &= m - 1) {
-          acc |= row[std::countr_zero(m)];
-        }
-        right_fold[q1] = acc;
-      }
-      rules_scanned +=
-          2 * static_cast<size_t>(ns) * std::popcount(sp);
-
-      for (uint32_t j = 0; j <= p; ++j) {
-        const uint32_t sj = subsets[j];
-        uint32_t out_lr = 0;  // δ(S_p, S_j)
-        for (uint32_t m = sj; m != 0; m &= m - 1) {
-          out_lr |= left_fold[std::countr_zero(m)];
-        }
-        trans.push_back({s, p, j, intern(out_lr)});
-        ++pairs;
-        if (j != p) {
-          uint32_t out_rl = 0;  // δ(S_j, S_p)
-          for (uint32_t m = sj; m != 0; m &= m - 1) {
-            out_rl |= right_fold[std::countr_zero(m)];
-          }
-          trans.push_back({s, j, p, intern(out_rl)});
-          ++pairs;
-        }
-        if (pairs >= next_poll) {
-          next_poll = pairs + 4096;
-          Status st = TaCheckpoint(ctx);
-          if (st.ok()) {
-            st = DetBudgetCheck(subsets.size(), max_states, a.num_symbols);
-          }
-          if (!st.ok()) {
-            flush();
-            return st;
-          }
-        }
-      }
-      Status st = DetBudgetCheck(subsets.size(), max_states, a.num_symbols);
-      if (!st.ok()) {
-        flush();
-        return st;
-      }
-    }
+  const Status done = frontier();
+  TaCountRules(ctx, rules_scanned);
+  if (ctx != nullptr) {
+    ctx->counters.det_pairs_expanded += pairs;
+    ctx->counters.det_subsets_interned += subsets.size();
   }
+  PEBBLETC_RETURN_IF_ERROR(done);
 
-  const size_t n = subsets.size();
-  Dbta out(static_cast<uint32_t>(n), a.num_symbols);
-  for (size_t q = 0; q < n; ++q) {
-    out.set_accepting(static_cast<StateId>(q),
-                      (subsets[q] & accepting_mask) != 0);
+  uint64_t* const accepting = scratch;
+  std::fill_n(accepting, w, 0);
+  for (StateId q : idx.AcceptingStates()) SetBit(accepting, q);
+  const uint32_t n = subsets.size();
+  Dbta out(n, a.num_symbols);
+  for (StateId q = 0; q < n; ++q) {
+    out.set_accepting(q, Intersects(subsets.Set(q), accepting, w));
   }
-  // Symbols with no binary rules never fire; their table rows keep the sink
-  // default (0) from the Dbta constructor.
   for (SymbolId s = 0; s < a.num_symbols; ++s) out.SetLeafState(s, leaf_state[s]);
   for (const DetTrans& t : trans) out.SetNext(t.sym, t.l, t.r, t.to);
   if (ctx != nullptr) {
     ctx->counters.determinizations++;
     ctx->counters.states_materialized += n;
   }
-  flush();
-  return out;
-}
-
-// Sparse regime (> kDenseMaskMaxStates states): subsets are w-word packed
-// bitsets in a flat arena, interned through an open-addressing hash table
-// (linear probing, power-of-two capacity, grown at 9/16 load), and δ walks
-// the compiled (symbol, left-state) adjacency rows — each pair exactly once.
-Result<Dbta> DeterminizeSparse(const NbtaIndex& idx, TaOpContext* ctx) {
-  const Nbta& a = idx.nbta();
-  const uint32_t ns = a.num_states;
-  const uint32_t w = (ns + 63) / 64;
-  const size_t max_states = TaBudgetMaxDetStates(ctx);
-
-  std::vector<uint64_t> acc_words(w, 0);
-  for (StateId q : idx.AcceptingStates()) {
-    acc_words[q >> 6] |= uint64_t{1} << (q & 63);
-  }
-
-  // Subset arena + open-addressing interner keyed on the packed words.
-  std::vector<uint64_t> pool;  // subset k occupies [k*w, (k+1)*w)
-  size_t count = 0;
-  size_t cap = 64;  // power of two
-  std::vector<uint32_t> slots(cap, kNoSubset);
-  auto hash_words = [w](const uint64_t* s) -> uint64_t {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (uint32_t i = 0; i < w; ++i) {
-      h ^= s[i];
-      h *= 0xbf58476d1ce4e5b9ull;
-      h ^= h >> 27;
-    }
-    return h;
-  };
-  auto find_slot = [&](const uint64_t* s) -> uint32_t* {
-    size_t i = hash_words(s) & (cap - 1);
-    while (slots[i] != kNoSubset) {
-      const uint64_t* have = pool.data() + static_cast<size_t>(slots[i]) * w;
-      if (std::equal(have, have + w, s)) return &slots[i];
-      i = (i + 1) & (cap - 1);
-    }
-    return &slots[i];
-  };
-  auto intern = [&](const uint64_t* s) -> StateId {
-    if ((count + 1) * 16 > cap * 9) {  // keep load ≤ 9/16
-      cap *= 2;
-      std::fill(slots.begin(), slots.end(), kNoSubset);
-      slots.resize(cap, kNoSubset);
-      for (size_t k = 0; k < count; ++k) {
-        const uint64_t* have = pool.data() + k * w;
-        size_t i = hash_words(have) & (cap - 1);
-        while (slots[i] != kNoSubset) i = (i + 1) & (cap - 1);
-        slots[i] = static_cast<uint32_t>(k);
-      }
-    }
-    uint32_t* slot = find_slot(s);
-    if (*slot == kNoSubset) {
-      *slot = static_cast<uint32_t>(count++);
-      pool.insert(pool.end(), s, s + w);
-    }
-    return *slot;
-  };
-
-  std::vector<uint64_t> scratch(w, 0);
-  intern(scratch.data());  // the empty (sink) subset is state 0
-  std::vector<StateId> leaf_state(a.num_symbols);
-  for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    std::fill(scratch.begin(), scratch.end(), 0);
-    for (StateId q : idx.LeafTargets(s)) {
-      scratch[q >> 6] |= uint64_t{1} << (q & 63);
-    }
-    leaf_state[s] = intern(scratch.data());
-  }
-
-  std::vector<SymbolId> active;
-  for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    if (!idx.RulesWithSymbol(s).empty()) active.push_back(s);
-  }
-
-  size_t rules_scanned = 0;
-  size_t pairs = 0;
-  auto flush = [&]() {
-    TaCountRules(ctx, rules_scanned);
-    if (ctx != nullptr) {
-      ctx->counters.det_pairs_expanded += pairs;
-      ctx->counters.det_subsets_interned += count;
-    }
-  };
-
-  // δ(left, right) for `sym` into `scratch`. Pointers into the arena are
-  // taken fresh per call: interning grows the pool only between calls.
-  auto successor = [&](SymbolId sym, uint32_t li, uint32_t ri) {
-    std::fill(scratch.begin(), scratch.end(), 0);
-    const uint64_t* lw = pool.data() + static_cast<size_t>(li) * w;
-    const uint64_t* rw = pool.data() + static_cast<size_t>(ri) * w;
-    for (uint32_t wi = 0; wi < w; ++wi) {
-      for (uint64_t word = lw[wi]; word != 0; word &= word - 1) {
-        const uint32_t q1 = wi * 64 + static_cast<uint32_t>(
-                                          std::countr_zero(word));
-        std::span<const NbtaIndex::RightTo> row = idx.SymbolLeft(sym, q1);
-        rules_scanned += row.size();
-        for (const NbtaIndex::RightTo& rt : row) {
-          if ((rw[rt.right >> 6] >> (rt.right & 63)) & 1) {
-            scratch[rt.to >> 6] |= uint64_t{1} << (rt.to & 63);
-          }
-        }
-      }
-    }
-  };
-
-  std::vector<DetTrans> trans;
-  size_t next_poll = 4096;
-  for (uint32_t p = 0; p < count; ++p) {
-    for (SymbolId s : active) {
-      Status interrupt = TaCheckpoint(ctx);
-      if (!interrupt.ok()) {
-        flush();
-        return interrupt;
-      }
-      for (uint32_t j = 0; j <= p; ++j) {
-        successor(s, p, j);
-        trans.push_back({s, p, j, intern(scratch.data())});
-        ++pairs;
-        if (j != p) {
-          successor(s, j, p);
-          trans.push_back({s, j, p, intern(scratch.data())});
-          ++pairs;
-        }
-        // Adjacency rows can be long, so the interior poll is driven by
-        // rules scanned rather than pairs: bounded interruption latency
-        // even when single pairs are heavy.
-        if (rules_scanned >= next_poll) {
-          next_poll = rules_scanned + 4096;
-          Status st = TaCheckpoint(ctx);
-          if (st.ok()) {
-            st = DetBudgetCheck(count, max_states, a.num_symbols);
-          }
-          if (!st.ok()) {
-            flush();
-            return st;
-          }
-        }
-      }
-      Status st = DetBudgetCheck(count, max_states, a.num_symbols);
-      if (!st.ok()) {
-        flush();
-        return st;
-      }
-    }
-  }
-
-  Dbta out(static_cast<uint32_t>(count), a.num_symbols);
-  for (size_t q = 0; q < count; ++q) {
-    const uint64_t* qs = pool.data() + q * w;
-    bool acc = false;
-    for (uint32_t wi = 0; wi < w && !acc; ++wi) {
-      acc = (qs[wi] & acc_words[wi]) != 0;
-    }
-    out.set_accepting(static_cast<StateId>(q), acc);
-  }
-  for (SymbolId s = 0; s < a.num_symbols; ++s) out.SetLeafState(s, leaf_state[s]);
-  for (const DetTrans& t : trans) out.SetNext(t.sym, t.l, t.r, t.to);
-  if (ctx != nullptr) {
-    ctx->counters.determinizations++;
-    ctx->counters.states_materialized += count;
-  }
-  flush();
   return out;
 }
 
@@ -502,15 +365,13 @@ Result<Dbta> DeterminizeNbta(const NbtaIndex& idx,
     return Status::InvalidArgument("alphabet size mismatch in determinize");
   }
   TaOpTimer timer(ctx);
-  return idx.DenseMasksApplicable() ? DeterminizeDense(idx, ctx)
-                                    : DeterminizeSparse(idx, ctx);
+  return a.num_states <= 64 ? Determinize<1>(idx, ctx)
+                            : Determinize<0>(idx, ctx);
 }
 
 Result<Dbta> DeterminizeNbta(const Nbta& a, const RankedAlphabet& alphabet,
-                             size_t max_states) {
-  TaOpContext ctx;
-  ctx.budgets.max_det_states = max_states;
-  return DeterminizeNbta(NbtaIndex(a), alphabet, &ctx);
+                             TaOpContext* ctx) {
+  return DeterminizeNbta(NbtaIndex(a, ctx), alphabet, ctx);
 }
 
 Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
@@ -524,10 +385,8 @@ Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
 }
 
 Result<Nbta> ComplementNbta(const Nbta& a, const RankedAlphabet& alphabet,
-                            size_t max_states) {
-  TaOpContext ctx;
-  ctx.budgets.max_det_states = max_states;
-  return ComplementNbta(NbtaIndex(a), alphabet, &ctx);
+                            TaOpContext* ctx) {
+  return ComplementNbta(NbtaIndex(a, ctx), alphabet, ctx);
 }
 
 namespace {
@@ -559,8 +418,7 @@ inline uint64_t HashPairKey(uint64_t key) {
 }
 
 // Open-addressing map from a packed (x, y) state pair to a product StateId.
-// Power-of-two capacity, linear probing, grown at 9/16 load (the
-// determinization interner's discipline).
+// Power-of-two capacity, linear probing, grown at 9/16 load.
 class FlatPairIndex {
  public:
   FlatPairIndex() { Grow(1u << 10); }

@@ -131,9 +131,9 @@ class Dbta {
 };
 
 /// Subset construction (only reachable subsets are materialized), frontier
-/// driven: each (symbol, subset, subset) pair is expanded exactly once, via
-/// uint32 masks for inputs of ≤ 16 states and packed bitsets above that (see
-/// docs/DETERMINIZE.md for the regimes and invariants). May be exponential.
+/// driven: each (symbol, subset, subset) pair is expanded exactly once, over
+/// subsets packed into ⌈n/64⌉ words (see docs/DETERMINIZE.md for the folds
+/// and invariants). May be exponential.
 ///
 /// Budgets: `max_det_states` (0 = unlimited) aborts with kResourceExhausted
 /// once the interned-subset count exceeds it; a hard transition-table cap
@@ -145,7 +145,7 @@ class Dbta {
 Result<Dbta> DeterminizeNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
                              TaOpContext* ctx = nullptr);
 Result<Dbta> DeterminizeNbta(const Nbta& a, const RankedAlphabet& alphabet,
-                             size_t max_states = 0);
+                             TaOpContext* ctx = nullptr);
 
 /// Complement *relative to well-ranked trees*: accepts exactly the trees over
 /// `alphabet` that `a` rejects. Determinizes internally, so the
@@ -154,7 +154,7 @@ Result<Dbta> DeterminizeNbta(const Nbta& a, const RankedAlphabet& alphabet,
 Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
                             TaOpContext* ctx = nullptr);
 Result<Nbta> ComplementNbta(const Nbta& a, const RankedAlphabet& alphabet,
-                            size_t max_states = 0);
+                            TaOpContext* ctx = nullptr);
 
 /// Language intersection via the product construction (no determinization).
 Nbta IntersectNbta(const NbtaIndex& a, const NbtaIndex& b,

@@ -1,7 +1,5 @@
 #include "src/ta/nbta_index.h"
 
-#include "src/common/check.h"
-
 namespace pebbletc {
 
 NbtaIndex::NbtaIndex(const Nbta& a, TaOpContext* ctx) : a_(&a) {
@@ -52,23 +50,22 @@ std::span<const NbtaIndex::RightTo> NbtaIndex::SymbolLeft(SymbolId symbol,
   return symbol_left_.Row(static_cast<size_t>(symbol) * a_->num_states + left);
 }
 
-std::span<const uint32_t> NbtaIndex::SuccessorMasks(SymbolId symbol) const {
-  PEBBLETC_CHECK(DenseMasksApplicable())
-      << "SuccessorMasks on an automaton with more than "
-      << kDenseMaskMaxStates << " states";
-  const size_t n = a_->num_states;
-  const size_t per_symbol = n * n;
-  if (!dense_masks_built_) {
-    dense_masks_.assign(static_cast<size_t>(a_->num_symbols) * per_symbol, 0);
-    for (const Nbta::BinaryRule& r : a_->rules) {
-      dense_masks_[static_cast<size_t>(r.symbol) * per_symbol +
-                   static_cast<size_t>(r.left) * n + r.right] |= 1u << r.to;
-    }
-    dense_masks_built_ = true;
+std::span<const NbtaIndex::LeftTo> NbtaIndex::SymbolRight(
+    SymbolId symbol, StateId right) const {
+  if (!symbol_right_built_) {
+    const auto& bin = a_->rules;
+    const size_t rows = static_cast<size_t>(a_->num_symbols) * a_->num_states;
+    symbol_right_ = Csr<LeftTo>::Build(
+        rows, bin.size(),
+        [&](size_t i) {
+          return static_cast<size_t>(bin[i].symbol) * a_->num_states +
+                 bin[i].right;
+        },
+        [&](size_t i) { return LeftTo{bin[i].left, bin[i].to}; });
+    symbol_right_built_ = true;
   }
-  return std::span<const uint32_t>(
-      dense_masks_.data() + static_cast<size_t>(symbol) * per_symbol,
-      per_symbol);
+  return symbol_right_.Row(static_cast<size_t>(symbol) * a_->num_states +
+                           right);
 }
 
 }  // namespace pebbletc

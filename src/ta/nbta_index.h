@@ -1,7 +1,7 @@
 // Compiled, immutable rule indexes for bottom-up tree automata.
 //
 // Every operation on an Nbta needs some grouping of the flat rule vectors:
-// per-symbol buckets (membership, relabelings), by-(symbol, left-state)
+// per-symbol buckets (membership, relabelings), by-(symbol, child-state)
 // adjacency (determinization), by-child-state lists (products, reachability),
 // reverse by-target lists (trimming, witness extraction). Historically each
 // operation rebuilt its own ad-hoc index on every call; an NbtaIndex is
@@ -67,28 +67,21 @@ class NbtaIndex {
   }
 
   /// (right child, target) successors of the rules labelled `symbol` with
-  /// left child `left` — the determinization adjacency. Built lazily on
-  /// first use (its row count is |Σ|·|Q|, which only the subset
-  /// construction needs); not thread-safe.
+  /// left child `left`, and the (left child, target) twins of the rules
+  /// with right child `right`: the adjacency of the subset construction's
+  /// folds and of the inclusion domain's Post. Each is built lazily on
+  /// first use (its row count is |Σ|·|Q|, which only those need); not
+  /// thread-safe.
   struct RightTo {
     StateId right;
     StateId to;
   };
   std::span<const RightTo> SymbolLeft(SymbolId symbol, StateId left) const;
-
-  /// True when the automaton is small enough (≤ kDenseMaskMaxStates states)
-  /// for the dense determinization fast path: subsets fit one machine word
-  /// and transitions reduce to mask folds over SuccessorMasks().
-  static constexpr uint32_t kDenseMaskMaxStates = 16;
-  bool DenseMasksApplicable() const {
-    return a_->num_states <= kDenseMaskMaxStates;
-  }
-
-  /// Row-major |Q|×|Q| table for `symbol`: entry [q1*|Q| + q2] is the bitmask
-  /// of states q with a rule symbol(q1, q2) → q. Only valid when
-  /// DenseMasksApplicable(); built lazily for all symbols on first use
-  /// (|Σ|·|Q|² uint32 entries — at most 256 per symbol); not thread-safe.
-  std::span<const uint32_t> SuccessorMasks(SymbolId symbol) const;
+  struct LeftTo {
+    StateId left;
+    StateId to;
+  };
+  std::span<const LeftTo> SymbolRight(SymbolId symbol, StateId right) const;
 
   /// The accepting states, as a list.
   std::span<const StateId> AcceptingStates() const {
@@ -114,9 +107,8 @@ class NbtaIndex {
 
   mutable bool symbol_left_built_ = false;
   mutable Csr<RightTo> symbol_left_;
-
-  mutable bool dense_masks_built_ = false;
-  mutable std::vector<uint32_t> dense_masks_;
+  mutable bool symbol_right_built_ = false;
+  mutable Csr<LeftTo> symbol_right_;
 };
 
 }  // namespace pebbletc

@@ -1,7 +1,7 @@
 // Regression tests pinning the frontier-driven determinization engine
-// (docs/DETERMINIZE.md): dense/sparse regime parity, mid-frontier budget
-// exhaustion leaving consistent counters, and counter plumbing through the
-// operations that determinize internally.
+// (docs/DETERMINIZE.md): one-word and two-word subsets building the same
+// DBTA, mid-frontier budget exhaustion leaving consistent counters, and
+// counter plumbing through the operations that determinize internally.
 
 #include <gtest/gtest.h>
 
@@ -28,21 +28,39 @@ RankedAlphabet TinyRanked() {
   return sigma;
 }
 
-// Appending inert states pushes the automaton across the dense-regime
-// cutoff without changing its language, so the same language runs through
-// both subset representations.
-Nbta PadAcrossDenseCutoff(const Nbta& a) {
+// A subset of n states is ⌈n/64⌉ words. Appending inert states pushes the
+// automaton past 64 states without changing its language, so the same
+// language runs through one-word and two-word subsets.
+Nbta PadPastOneWord(const Nbta& a) {
   Nbta padded = a;
-  while (padded.num_states <= NbtaIndex::kDenseMaskMaxStates) {
-    (void)padded.AddState();
-  }
+  while (padded.num_states <= 64) (void)padded.AddState();
   return padded;
 }
 
-// The engine picks its regime from the *input* state count: ≤ 16 states is
-// the uint32-mask fast path, above it the packed-bitset worklist. Both must
-// produce the same deterministic language (state numbering may differ).
-TEST(DeterminizeRegimeTest, DenseAndSparseRegimesAgreeOnTheSameLanguage) {
+// Same state count, accepting set, leaf states and transition table.
+void ExpectIdenticalDbtas(const Dbta& x, const Dbta& y,
+                          const RankedAlphabet& sigma) {
+  ASSERT_EQ(x.num_states(), y.num_states());
+  for (StateId q = 0; q < x.num_states(); ++q) {
+    EXPECT_EQ(x.accepting(q), y.accepting(q)) << "state " << q;
+  }
+  for (SymbolId s : sigma.LeafSymbols()) {
+    EXPECT_EQ(x.LeafState(s), y.LeafState(s)) << "leaf " << s;
+  }
+  for (SymbolId s : sigma.BinarySymbols()) {
+    for (StateId l = 0; l < x.num_states(); ++l) {
+      for (StateId r = 0; r < x.num_states(); ++r) {
+        EXPECT_EQ(x.Next(s, l, r), y.Next(s, l, r))
+            << "symbol " << s << " (" << l << ", " << r << ")";
+      }
+    }
+  }
+}
+
+// The inert padding states never enter a reachable subset, so the subsets,
+// their interning order and hence the whole DBTA are the same at both
+// widths — not only its language.
+TEST(DeterminizeWidthTest, OneAndTwoWordSetsBuildIdenticalDbtas) {
   RankedAlphabet sigma = TinyRanked();
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -50,27 +68,52 @@ TEST(DeterminizeRegimeTest, DenseAndSparseRegimesAgreeOnTheSameLanguage) {
     opts.num_states = 5;
     opts.rule_density = 0.4;
     Nbta a = RandomNbta(sigma, rng, opts);
-    Nbta padded = PadAcrossDenseCutoff(a);
-    ASSERT_LE(a.num_states, NbtaIndex::kDenseMaskMaxStates);
-    ASSERT_GT(padded.num_states, NbtaIndex::kDenseMaskMaxStates);
+    Nbta padded = PadPastOneWord(a);
+    ASSERT_LE(a.num_states, 64u);
+    ASSERT_GT(padded.num_states, 64u);
 
-    auto dense = DeterminizeNbta(a, sigma);
-    auto sparse = DeterminizeNbta(padded, sigma);
-    ASSERT_TRUE(dense.ok()) << "seed " << seed;
-    ASSERT_TRUE(sparse.ok()) << "seed " << seed;
-    // Reachable-subset counts match: the inert padding states never appear
-    // in any reachable subset.
-    EXPECT_EQ(dense->num_states(), sparse->num_states()) << "seed " << seed;
+    auto one_word = DeterminizeNbta(a, sigma);
+    auto two_words = DeterminizeNbta(padded, sigma);
+    ASSERT_TRUE(one_word.ok()) << "seed " << seed;
+    ASSERT_TRUE(two_words.ok()) << "seed " << seed;
+    EXPECT_EQ(one_word->num_states(), two_words->num_states())
+        << "seed " << seed;
+    ExpectIdenticalDbtas(*one_word, *two_words, sigma);
     for (int i = 0; i < 60; ++i) {
       BinaryTree t = RandomBinaryTree(sigma, rng, rng.NextBelow(15));
-      EXPECT_EQ(dense->Accepts(t), sparse->Accepts(t))
+      EXPECT_EQ(one_word->Accepts(t), two_words->Accepts(t))
           << "seed " << seed << " tree " << i;
     }
-    auto equiv =
-        NbtaEquivalent(dense->ToNbta(sigma), sparse->ToNbta(sigma), sigma);
+    auto equiv = NbtaEquivalent(one_word->ToNbta(sigma),
+                                two_words->ToNbta(sigma), sigma);
     ASSERT_TRUE(equiv.ok()) << "seed " << seed;
     EXPECT_TRUE(*equiv) << "seed " << seed;
   }
+}
+
+// Fold rows are appended as the adjacency touches them, so an input of 2^20
+// states and two rules determinizes in memory that follows its rules: a
+// row per state would be 2^20 rows of 2^14 words on each side.
+TEST(DeterminizeWidthTest, WideInputWithFewRulesDeterminizes) {
+  RankedAlphabet sigma = TinyRanked();
+  const SymbolId leaf = sigma.LeafSymbols()[0];
+  const SymbolId bin = sigma.BinarySymbols()[0];
+  Nbta a;
+  a.num_symbols = static_cast<uint32_t>(sigma.size());
+  while (a.num_states < (1u << 20)) (void)a.AddState();
+  a.accepting[1] = true;
+  a.AddLeafRule(leaf, 0);
+  a.AddRule(bin, 0, 0, 1);
+
+  auto det = DeterminizeNbta(a, sigma);
+  ASSERT_TRUE(det.ok()) << det.status().ToString();
+  // The sink, {0} (the leaf) and {1}.
+  ASSERT_EQ(det->num_states(), 3u);
+  EXPECT_EQ(det->LeafState(leaf), 1u);
+  EXPECT_EQ(det->Next(bin, 1, 1), 2u);
+  EXPECT_EQ(det->Next(bin, 2, 2), 0u);
+  EXPECT_FALSE(det->accepting(1));
+  EXPECT_TRUE(det->accepting(2));
 }
 
 // A state budget tripping mid-frontier must fail with kResourceExhausted
@@ -116,7 +159,7 @@ TEST(DeterminizeBudgetTest, SparseExhaustionLeavesConsistentCounters) {
   Rng rng(78);
   RankedAlphabet sigma = TinyRanked();
   RandomNbtaOptions opts;
-  opts.num_states = 20;  // above the dense cutoff: packed-bitset path
+  opts.num_states = 20;
   opts.rule_density = 0.02;
   Nbta a = RandomNbta(sigma, rng, opts);
 
@@ -133,6 +176,65 @@ TEST(DeterminizeBudgetTest, SparseExhaustionLeavesConsistentCounters) {
   EXPECT_EQ(det.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(ctx.counters.det_subsets_interned, 2u);
   EXPECT_GT(ctx.counters.det_pairs_expanded, 0u);
+  EXPECT_EQ(ctx.counters.determinizations, 0u);
+  EXPECT_EQ(ctx.counters.states_materialized, 0u);
+}
+
+// Past 64 states every subset is two words; a budget tripping there
+// behaves the same.
+TEST(DeterminizeBudgetTest, TwoWordExhaustionLeavesConsistentCounters) {
+  Rng rng(79);
+  RankedAlphabet sigma = TinyRanked();
+  RandomNbtaOptions opts;
+  opts.num_states = 80;
+  opts.rule_density = 1.0 / 80;
+  opts.leaf_density = 0.1;
+  Nbta a = RandomNbta(sigma, rng, opts);
+
+  TaOpContext free_ctx;
+  free_ctx.budgets.max_det_states = 0;
+  auto full = DeterminizeNbta(NbtaIndex(a), sigma, &free_ctx);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->num_states(), 16u) << "instance too small to exhaust";
+
+  TaOpContext ctx;
+  ctx.budgets.max_det_states = 16;
+  auto det = DeterminizeNbta(NbtaIndex(a), sigma, &ctx);
+  ASSERT_FALSE(det.ok());
+  EXPECT_EQ(det.status().ToString(),
+            "resource-exhausted: determinization exceeded state budget of 16");
+  EXPECT_GT(ctx.counters.det_subsets_interned, 16u);
+  EXPECT_LE(ctx.counters.det_subsets_interned,
+            free_ctx.counters.det_subsets_interned);
+  EXPECT_GT(ctx.counters.det_pairs_expanded, 0u);
+  EXPECT_LT(ctx.counters.det_pairs_expanded,
+            free_ctx.counters.det_pairs_expanded);
+  EXPECT_EQ(ctx.counters.determinizations, 0u);
+  EXPECT_EQ(ctx.counters.states_materialized, 0u);
+}
+
+// A fold's rows may not pass 2^22 words. Here the leaf subset holds 4100
+// states, all right children of left child 0, and 4100 rows of
+// ⌈66000/64⌉ = 1032 words would pass the cap: the construction fails
+// instead of allocating them.
+TEST(DeterminizeBudgetTest, FoldPastItsRowCapIsResourceExhausted) {
+  RankedAlphabet sigma = TinyRanked();
+  const SymbolId leaf = sigma.LeafSymbols()[0];
+  const SymbolId bin = sigma.BinarySymbols()[0];
+  Nbta a;
+  a.num_symbols = static_cast<uint32_t>(sigma.size());
+  while (a.num_states < 66000) (void)a.AddState();
+  for (StateId q = 0; q < 4100; ++q) {
+    a.AddLeafRule(leaf, q);
+    a.AddRule(bin, 0, q, 0);
+  }
+
+  TaOpContext ctx;
+  auto det = DeterminizeNbta(a, sigma, &ctx);
+  ASSERT_FALSE(det.ok());
+  EXPECT_EQ(det.status().ToString(),
+            "resource-exhausted: determinization fold exceeded 4194304 words");
+  EXPECT_EQ(ctx.counters.det_subsets_interned, 2u);  // the sink and the leaf
   EXPECT_EQ(ctx.counters.determinizations, 0u);
   EXPECT_EQ(ctx.counters.states_materialized, 0u);
 }
@@ -158,14 +260,14 @@ TEST(DeterminizeCountersTest, ComplementPropagatesFrontierCounters) {
 // The deterministic result is complete: every (symbol, l, r) entry of the
 // table is defined and evaluation never escapes the materialized states —
 // the frontier discipline's "paired against every known subset" invariant.
-TEST(DeterminizeRegimeTest, ResultIsCompleteInBothRegimes) {
+TEST(DeterminizeWidthTest, ResultIsCompleteAtBothWidths) {
   Rng rng(9);
   RankedAlphabet sigma = TinyRanked();
   RandomNbtaOptions opts;
   opts.num_states = 6;
   opts.rule_density = 0.5;
   Nbta a = RandomNbta(sigma, rng, opts);
-  for (const Nbta& input : {a, PadAcrossDenseCutoff(a)}) {
+  for (const Nbta& input : {a, PadPastOneWord(a)}) {
     auto det = DeterminizeNbta(input, sigma);
     ASSERT_TRUE(det.ok());
     const uint32_t n = det->num_states();

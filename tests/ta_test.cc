@@ -330,11 +330,13 @@ TEST(NbtaDecisionTest, DeterminizeBudgetEnforced) {
   opts.num_states = 8;
   opts.rule_density = 0.8;
   Nbta a = RandomNbta(sigma, rng, opts);
-  auto det = DeterminizeNbta(a, sigma, /*max_states=*/2);
-  // Either the automaton is tiny (fine) or the budget trips.
-  if (!det.ok()) {
-    EXPECT_EQ(det.status().code(), StatusCode::kResourceExhausted);
-  }
+  // 7 reachable subsets: a budget of 2 must trip.
+  TaOpContext ctx;
+  ctx.budgets.max_det_states = 2;
+  auto det = DeterminizeNbta(a, sigma, &ctx);
+  ASSERT_FALSE(det.ok());
+  EXPECT_EQ(det.status().ToString(),
+            "resource-exhausted: determinization exceeded state budget of 2");
 }
 
 // --- top-down specifics: silent transitions ---
