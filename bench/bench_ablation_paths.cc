@@ -19,6 +19,7 @@
 #include "src/ta/convert.h"
 #include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
+#include "src/ta/nbta_index.h"
 
 namespace pebbletc {
 namespace {
@@ -86,9 +87,7 @@ BENCHMARK(BM_PathBehavior)->Unit(benchmark::kMicrosecond);
 
 void BM_PathDownward(benchmark::State& state) {
   static const Instance* inst = new Instance();
-  auto not_tau2 =
-      std::move(ComplementNbta(inst->tau2, inst->sigma)).ValueOrDie();
-  auto d = std::move(DeterminizeNbta(TrimNbta(not_tau2), inst->sigma))
+  auto d = std::move(ComplementDbta(NbtaIndex(inst->tau2), inst->sigma))
                .ValueOrDie();
   size_t states = 0;
   for (auto _ : state) {
@@ -144,9 +143,7 @@ void BM_PathsAgree(benchmark::State& state) {
     auto by_behavior =
         std::move(OnePebbleToNbtaByBehavior(inst->product, inst->sigma))
             .ValueOrDie();
-    auto not_tau2 =
-        std::move(ComplementNbta(inst->tau2, inst->sigma)).ValueOrDie();
-    auto d = std::move(DeterminizeNbta(TrimNbta(not_tau2), inst->sigma))
+    auto d = std::move(ComplementDbta(NbtaIndex(inst->tau2), inst->sigma))
                  .ValueOrDie();
     auto by_down =
         std::move(RefDownwardProduct(inst->copy, d, inst->sigma))

@@ -10,7 +10,8 @@
 //  * Refutation traffic: the same transducer against a tightened output
 //    schema it violates. Refutations are never cached, so with memo on
 //    every decision still runs pass 1 (the τ1 enumeration and a per-input
-//    antichain check) — the served typecheck's most frequent work.
+//    antichain check) — the served typecheck's most frequent work. The
+//    Pass2 row turns pass 1 off, so pass 2's downward search refutes.
 //  * Cache-size sensitivity: a working set of distinct schema tables (the
 //    kDeterminize entry MembershipEngine::Compile probes) cycled through
 //    caches from ample to starved; the starved rows measure the
@@ -53,10 +54,10 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
 }
 
 // The downward rename pipeline instance (bench_parallel's end-to-end shape).
-// A cold decision runs the whole chain (complement τ2, determinize, the
-// downward product, intersect, witness search); a warm one is answered by
-// the instance's downward proof, so it costs the structural hashes of τ1
-// and τ2 and one probe.
+// A cold decision runs the whole chain (complement τ2, one determinization,
+// then the downward search); a warm one is answered by the instance's
+// downward proof, so it costs the structural hashes of τ1 and τ2 and one
+// probe.
 struct RenameFixture {
   Alphabet in_tags, out_tags;
   EncodedAlphabet in_enc, out_enc;
@@ -134,11 +135,16 @@ void BM_TypecheckWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_TypecheckWarm)->Unit(benchmark::kMillisecond);
 
-void BM_TypecheckRefuted(benchmark::State& state) {
+// The refuting pair, served with memo on as the daemon runs it. Pass 1's
+// bound comes from `refutation_max_trees`; at 0 the refutation is pass 2's:
+// the complement of τ2, the downward search and the violating-output
+// recovery.
+void RunRefuted(benchmark::State& state, size_t refutation_max_trees) {
   const RenameFixture& f = Rename();
   Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
   TypecheckOptions opts;
   opts.memo = TaMemoMode::kInMemory;
+  opts.refutation_max_trees = refutation_max_trees;
   TaOpCache::Global().Clear();
   TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   std::string method;
@@ -155,7 +161,16 @@ void BM_TypecheckRefuted(benchmark::State& state) {
       method == "bounded-refutation" ? 1 : 0;
   state.SetLabel(method);
 }
+
+void BM_TypecheckRefuted(benchmark::State& state) {
+  RunRefuted(state, TypecheckOptions{}.refutation_max_trees);
+}
 BENCHMARK(BM_TypecheckRefuted)->Unit(benchmark::kMicrosecond);
+
+void BM_TypecheckRefutedPass2(benchmark::State& state) {
+  RunRefuted(state, 0);
+}
+BENCHMARK(BM_TypecheckRefutedPass2)->Unit(benchmark::kMicrosecond);
 
 void BM_WarmWorkingSet(benchmark::State& state) {
   // Cache-size sensitivity: cycle a working set of 8 distinct schemas

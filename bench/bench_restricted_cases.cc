@@ -92,9 +92,8 @@ BENCHMARK(BM_DownwardTypecheckWidth)
 void BM_DownwardSubsetConstruction(benchmark::State& state) {
   // The reference closure: subset-automaton size vs machine/DTD width.
   Family f(static_cast<int>(state.range(0)));
-  auto not_tau2 =
-      std::move(ComplementNbta(f.tau2, f.out_enc.ranked)).ValueOrDie();
-  auto d = std::move(DeterminizeNbta(TrimNbta(not_tau2), f.out_enc.ranked))
+  // D is the DBTA typecheck pass 2 searches: ComplementDbta(τ2).
+  auto d = std::move(ComplementDbta(NbtaIndex(f.tau2), f.out_enc.ranked))
                .ValueOrDie();
   size_t product_states = 0;
   for (auto _ : state) {

@@ -114,11 +114,16 @@ Result<bool> Typechecker::CheckOnInput(
   return CheckOnInputAntichain(input, tau2_idx, &ctx, violating_output);
 }
 
-Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
+Result<Nbta> Typechecker::BadInputsAutomaton(const Dbta& not_tau2,
                                              MsoCompileStats* stats,
                                              std::string* method,
                                              TaOpContext* ctx) const {
-  // Prop. 4.6: A = T × complement(τ2) accepts {t | T(t) ⊄ τ2}.
+  // Prop. 4.6: A = T × complement(τ2) accepts {t | T(t) ⊄ τ2}, built over
+  // the trimmed NBTA view of ¬τ2. A trim cut short by the sticky interrupt
+  // is partial, so it never feeds the product.
+  const Nbta not_tau2_trimmed =
+      TrimNbta(NbtaIndex(not_tau2.ToNbta(output_alphabet_), ctx), ctx);
+  PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
   TopDownTA b = NbtaToTopDown(not_tau2_trimmed, ctx);
   PEBBLETC_ASSIGN_OR_RETURN(PebbleAutomaton product,
                             TransducerTimesTopDown(transducer_, b, ctx));
@@ -155,12 +160,10 @@ Result<Nbta> Typechecker::InferInverseType(
   PEBBLETC_RETURN_IF_ERROR(output_type.Validate(output_alphabet_));
   TaOpContext ctx = MakeContext(options);
   PEBBLETC_ASSIGN_OR_RETURN(
-      Nbta not_tau2,
-      ComplementNbta(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
-  Nbta not_tau2_trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
+      Dbta not_tau2,
+      ComplementDbta(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
   PEBBLETC_ASSIGN_OR_RETURN(
-      Nbta bad,
-      BadInputsAutomaton(not_tau2_trimmed, nullptr, nullptr, &ctx));
+      Nbta bad, BadInputsAutomaton(not_tau2, nullptr, nullptr, &ctx));
   PEBBLETC_ASSIGN_OR_RETURN(
       Nbta inverse,
       ComplementNbta(NbtaIndex(bad, &ctx), input_alphabet_, &ctx));
@@ -198,7 +201,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
             TransducerFingerprint(transducer_)),
         TaMixFingerprints(ctx.budgets.max_det_states,
                           ctx.budgets.max_antichain_pairs));
-    if (TaOpCache::Global().FindNbta(*proof_key, &ctx) != nullptr) {
+    if (TaOpCache::Global().FindProof(*proof_key, &ctx)) {
       result.verdict = TypecheckVerdict::kTypechecks;
       result.method = "downward-fastpath";
       result.op_counters = ctx.counters;
@@ -220,7 +223,8 @@ Result<TypecheckResult> Typechecker::Typecheck(
   };
 
   // Every per-input check (pass 1, and recovering a violating output for a
-  // pass 2/3 witness) runs against this one index of τ2.
+  // pass 2/3 witness) runs against this one index of τ2, and the complement
+  // of τ2 is built off it.
   NbtaIndex tau2_idx(output_type, &ctx);
 
   // Pass 1: bounded refutation — exact per-input checks on small τ1 trees.
@@ -254,47 +258,39 @@ Result<TypecheckResult> Typechecker::Typecheck(
     }
   }
 
-  // Passes 2/3 need the explicit complement (pass 2 determinizes ¬τ2; pass
-  // 3 inverts it), so it is built only here: a pass-1 refutation returns
-  // without ever determinizing τ2. If it exhausts its budget, both passes
-  // are skipped with the exhaustion noted.
-  std::optional<Nbta> not_tau2;
-  std::optional<NbtaIndex> not_tau2_idx;
+  // Passes 2/3 need the complement of τ2, so it is built only here: a
+  // pass-1 refutation returns without ever determinizing τ2. Pass 2 searches
+  // the DBTA as built; only pass 3 takes its NBTA view. If it exhausts its
+  // budget, both passes are skipped with the exhaustion noted.
+  std::optional<Dbta> not_tau2;
   if (IsDownwardTransducer(transducer_) || options.run_complete_decision) {
-    Result<Nbta> complement =
-        ComplementNbta(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
+    Result<Dbta> complement = ComplementDbta(tau2_idx, output_alphabet_, &ctx);
     if (complement.ok()) {
-      not_tau2 = TrimNbta(NbtaIndex(*complement, &ctx), &ctx);
-      not_tau2_idx.emplace(*not_tau2, &ctx);
+      not_tau2.emplace(std::move(*complement));
     } else if (IsExhaustion(complement.status().code())) {
       note_exhaustion("output-complement", complement.status());
     } else {
       return complement.status();
     }
   }
-  const bool have_complement = not_tau2_idx.has_value();
 
   // Pass 2: complete decision for the downward fragment — the τ1-guided
-  // search for an input whose image meets the determinized ¬τ2.
-  if (IsDownwardTransducer(transducer_) && have_complement) {
+  // search for an input whose image meets ¬τ2.
+  if (IsDownwardTransducer(transducer_) && not_tau2.has_value()) {
     auto verdict = [&]() -> Result<TypecheckResult> {
       PEBBLETC_ASSIGN_OR_RETURN(
-          Dbta d, DeterminizeNbta(*not_tau2_idx, output_alphabet_, &ctx));
-      PEBBLETC_ASSIGN_OR_RETURN(
           std::optional<BinaryTree> witness,
-          FindDownwardBadInput(transducer_, d, NbtaIndex(input_type, &ctx),
-                               input_alphabet_, &ctx));
+          FindDownwardBadInput(transducer_, *not_tau2,
+                               NbtaIndex(input_type, &ctx), input_alphabet_,
+                               &ctx));
       TypecheckResult r;
       r.method = "downward-fastpath";
       if (!witness.has_value()) {
         // The search returns "none" only from an uninterrupted run, so this
-        // is a proof; only a proof is cached. The record carries no data:
-        // its payload is an empty automaton over the input alphabet.
+        // is a proof; only a proof is cached.
         r.verdict = TypecheckVerdict::kTypechecks;
         if (proof_key.has_value()) {
-          Nbta proof;
-          proof.num_symbols = static_cast<uint32_t>(input_alphabet_.size());
-          TaOpCache::Global().InsertNbta(*proof_key, proof, &ctx);
+          TaOpCache::Global().InsertProof(*proof_key, &ctx);
         }
         return r;
       }
@@ -322,7 +318,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
   }
 
   // Pass 3: the complete (non-elementary) decision.
-  if (options.run_complete_decision && have_complement) {
+  if (options.run_complete_decision && not_tau2.has_value()) {
     std::string method = "mso-complete";
     auto bad =
         BadInputsAutomaton(*not_tau2, &result.mso_stats, &method, &ctx);

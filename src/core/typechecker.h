@@ -10,8 +10,9 @@
 //     Finds concrete counterexamples (input *and* violating output)
 //     quickly; cannot prove correctness.
 //  2. *Downward fast path* (complete for the top-down fragment): the
-//     τ1-guided antichain search of src/core/downward.h, which returns a
-//     bad τ1 input or proves that none exists.
+//     τ1-guided antichain search of src/core/downward.h through
+//     ComplementDbta(τ2), which returns a bad τ1 input or proves that none
+//     exists.
 //  3. *Complete decision* (any k): the paper's pipeline — Prop. 4.6 product
 //     of T with complement(τ2), Theorem 4.7 MSO translation to a regular
 //     tree automaton, intersection with τ1, emptiness. Non-elementary
@@ -192,13 +193,12 @@ class Typechecker {
                                 nullptr) const;
 
  private:
-  // {t | T(t) ∩ inst(not_tau2_trimmed) ≠ ∅} as a regular automaton, where
-  // `not_tau2_trimmed` is the (already trimmed) complement of the output
-  // type: the Prop. 4.6 product regularized by behavior composition
-  // (1-pebble, when it fits) or the Thm 4.7 MSO route. Shared by Typecheck
-  // and InferInverseType — the caller computes the complement once and both
-  // passes reuse it. `*method` (if non-null) reports which route ran.
-  Result<Nbta> BadInputsAutomaton(const Nbta& not_tau2_trimmed,
+  // {t | T(t) ∩ inst(not_tau2) ≠ ∅} as a regular automaton, where
+  // `not_tau2` is ComplementDbta of the output type: the Prop. 4.6 product
+  // regularized by behavior composition (1-pebble, when it fits) or the
+  // Thm 4.7 MSO route. Shared by Typecheck's pass 3 and InferInverseType.
+  // `*method` (if non-null) reports which route ran.
+  Result<Nbta> BadInputsAutomaton(const Dbta& not_tau2,
                                   MsoCompileStats* stats, std::string* method,
                                   TaOpContext* ctx) const;
 

@@ -85,8 +85,9 @@ class Regex {
 /// Maximum '(' nesting depth the parser accepts. The parser (and the AST it
 /// would build) recurse per nesting level, so unbounded depth lets a hostile
 /// input — e.g. a DTD content model — overflow the call stack. Deeper input
-/// fails cleanly with kLimitExceeded.
-inline constexpr size_t kDefaultMaxRegexDepth = 2000;
+/// fails cleanly with kLimitExceeded. A level costs about 9 KiB of stack in
+/// an ASan/UBSan RelWithDebInfo build, so 256 levels stay near 2.3 MiB.
+inline constexpr size_t kDefaultMaxRegexDepth = 256;
 
 /// Parses the concrete syntax above. Symbol names are resolved against (and
 /// interned into) `*alphabet`. Operator precedence: postfix (* + ?) binds

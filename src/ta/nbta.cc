@@ -374,13 +374,19 @@ Result<Dbta> DeterminizeNbta(const Nbta& a, const RankedAlphabet& alphabet,
   return DeterminizeNbta(NbtaIndex(a, ctx), alphabet, ctx);
 }
 
-Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
+Result<Dbta> ComplementDbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
                             TaOpContext* ctx) {
   PEBBLETC_ASSIGN_OR_RETURN(Dbta det, DeterminizeNbta(a, alphabet, ctx));
   if (ctx != nullptr) ctx->counters.complementations++;
   for (StateId q = 0; q < det.num_states(); ++q) {
     det.set_accepting(q, !det.accepting(q));
   }
+  return det;
+}
+
+Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
+                            TaOpContext* ctx) {
+  PEBBLETC_ASSIGN_OR_RETURN(Dbta det, ComplementDbta(a, alphabet, ctx));
   return det.ToNbta(alphabet);
 }
 

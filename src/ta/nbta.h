@@ -147,10 +147,12 @@ Result<Dbta> DeterminizeNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
 Result<Dbta> DeterminizeNbta(const Nbta& a, const RankedAlphabet& alphabet,
                              TaOpContext* ctx = nullptr);
 
-/// Complement *relative to well-ranked trees*: accepts exactly the trees over
-/// `alphabet` that `a` rejects. Determinizes internally, so the
-/// `max_det_states` budget applies and kResourceExhausted /
-/// kDeadlineExceeded propagate from DeterminizeNbta unchanged.
+/// Complement *relative to well-ranked trees*: DeterminizeNbta with every
+/// accepting bit flipped, counting one complementation. The `max_det_states`
+/// budget and DeterminizeNbta's failure codes apply unchanged.
+Result<Dbta> ComplementDbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
+                            TaOpContext* ctx = nullptr);
+/// ComplementDbta's Dbta::ToNbta view.
 Result<Nbta> ComplementNbta(const NbtaIndex& a, const RankedAlphabet& alphabet,
                             TaOpContext* ctx = nullptr);
 Result<Nbta> ComplementNbta(const Nbta& a, const RankedAlphabet& alphabet,

@@ -176,21 +176,20 @@ void TaOpCache::Touch(Entry& e) {
   lru_.splice(lru_.begin(), lru_, e.lru_it);
 }
 
-std::shared_ptr<const Nbta> TaOpCache::FindNbta(const TaCacheKey& key,
-                                                TaOpContext* ctx) {
-  std::shared_ptr<const Nbta> out;
+bool TaOpCache::FindProof(const TaCacheKey& key, TaOpContext* ctx) {
+  bool hit = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it != map_.end() && it->second.nbta != nullptr) {
+    if (it != map_.end() && it->second.dbta == nullptr) {
       Touch(it->second);
-      out = it->second.nbta;
+      hit = true;
     }
   }
   if (ctx != nullptr) {
-    (out != nullptr ? ctx->counters.memo_hits : ctx->counters.memo_misses)++;
+    (hit ? ctx->counters.memo_hits : ctx->counters.memo_misses)++;
   }
-  return out;
+  return hit;
 }
 
 std::shared_ptr<const Dbta> TaOpCache::FindDbta(const TaCacheKey& key,
@@ -240,12 +239,6 @@ void TaOpCache::InsertLocked(const TaCacheKey& key, Entry entry,
 
 namespace {
 
-size_t NbtaBytes(const Nbta& a) {
-  return sizeof(Nbta) + a.accepting.size() / 8 +
-         a.leaf_rules.size() * sizeof(Nbta::LeafRule) +
-         a.rules.size() * sizeof(Nbta::BinaryRule);
-}
-
 size_t DbtaBytes(const Dbta& d) {
   return sizeof(Dbta) + d.num_states() / 8 +
          (static_cast<size_t>(d.num_symbols()) * d.num_states() *
@@ -256,11 +249,9 @@ size_t DbtaBytes(const Dbta& d) {
 
 }  // namespace
 
-void TaOpCache::InsertNbta(const TaCacheKey& key, const Nbta& value,
-                           TaOpContext* ctx) {
+void TaOpCache::InsertProof(const TaCacheKey& key, TaOpContext* ctx) {
   Entry e;
-  e.nbta = std::make_shared<const Nbta>(value);
-  e.bytes = NbtaBytes(value);
+  e.bytes = kProofBytes;
   std::lock_guard<std::mutex> lock(mu_);
   InsertLocked(key, std::move(e), ctx);
 }

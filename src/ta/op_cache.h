@@ -11,10 +11,10 @@
 //     and inserted by Typechecker::Typecheck, so a warm repeat decision
 //     hashes two small input automata and returns.
 //
-// Every intermediate of the decision (complement, determinized ¬τ2, the
-// downward search's sets, the intersections) is computed cold: a census of a
-// serving run found those entries held 10 MB and took 3 hits, against
-// thousands of warm repeats served by the whole decision.
+// Every intermediate of the decision (the complement of τ2, the downward
+// search's sets, the intersections) is computed cold: a census of a serving
+// run found those entries held 10 MB and took 3 hits, against thousands of
+// warm repeats served by the whole decision.
 //
 // Keys are structural: operands are trimmed and states renumbered by a
 // refinement coloring, so two constructions of one automaton that number
@@ -68,9 +68,8 @@ uint64_t RankedAlphabetFingerprint(const RankedAlphabet& sigma);
 
 /// The cached facts, as key discriminants. kDownwardProof records that pass
 /// 2 proved a downward (τ1, τ2, transducer) triple typechecks; it is keyed
-/// on the *input* hashes, and its payload is an empty automaton over the
-/// input alphabet (the record carries no data). Values 2, 3, 4, 5, 7 and 8
-/// are unused.
+/// on the *input* hashes and has no payload. Values 2, 3, 4, 5, 7 and 8 are
+/// unused.
 enum class TaOpKind : uint64_t {
   kDeterminize = 1,
   kDownwardProof = 6,
@@ -98,15 +97,17 @@ TaCacheKey MakeTaCacheKey(TaOpKind op, const TaStructuralHash& a,
 /// fingerprints, the transducer fingerprint, and two budget caps).
 uint64_t TaMixFingerprints(uint64_t a, uint64_t b);
 
-/// A bounded, thread-safe, content-addressed store of computed automata.
-/// Size-aware LRU: entries are charged their payload byte size and the
-/// least-recently-used entries are evicted until the total fits the
-/// capacity. One process-wide instance (Global()) serves the daemon and
-/// every caller that passes no cache; tests and benchmarks may run private
-/// instances.
+/// A bounded, thread-safe, content-addressed store of DBTAs and proof
+/// records. Size-aware LRU: a DBTA is charged its table's byte size, a proof
+/// record a fixed kProofBytes, and the least-recently-used entries are
+/// evicted until the total fits the capacity. One process-wide instance
+/// (Global()) serves the daemon and every caller that passes no cache; tests
+/// and benchmarks may run private instances.
 class TaOpCache {
  public:
   static constexpr size_t kDefaultCapacityBytes = 64ull << 20;
+  /// What a proof record is charged, so proofs count against the capacity.
+  static constexpr size_t kProofBytes = 96;
 
   explicit TaOpCache(size_t capacity_bytes = kDefaultCapacityBytes);
 
@@ -117,17 +118,16 @@ class TaOpCache {
   static TaOpCache& Global();
 
   /// Lookup. A hit refreshes recency and bumps ctx->counters.memo_hits; a
-  /// miss bumps memo_misses. Payload type must match the key's op (an
-  /// entry of the other type is a miss).
-  std::shared_ptr<const Nbta> FindNbta(const TaCacheKey& key,
-                                       TaOpContext* ctx);
+  /// miss bumps memo_misses. The entry kind must match (a DBTA entry is a
+  /// miss for FindProof, a proof record a miss for FindDbta).
+  bool FindProof(const TaCacheKey& key, TaOpContext* ctx);
   std::shared_ptr<const Dbta> FindDbta(const TaCacheKey& key,
                                        TaOpContext* ctx);
 
   /// Insert (idempotent: re-inserting an existing key only refreshes
-  /// recency). Bumps memo_bytes by the payload size and memo_evictions per
+  /// recency). Bumps memo_bytes by the entry's charge and memo_evictions per
   /// entry displaced. InsertDbta shares `value` rather than copying it.
-  void InsertNbta(const TaCacheKey& key, const Nbta& value, TaOpContext* ctx);
+  void InsertProof(const TaCacheKey& key, TaOpContext* ctx);
   void InsertDbta(const TaCacheKey& key, std::shared_ptr<const Dbta> value,
                   TaOpContext* ctx);
 
@@ -142,8 +142,7 @@ class TaOpCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const Nbta> nbta;  // exactly one of the two is set
-    std::shared_ptr<const Dbta> dbta;
+    std::shared_ptr<const Dbta> dbta;  // null for a proof record
     size_t bytes = 0;
     std::list<TaCacheKey>::iterator lru_it;
   };

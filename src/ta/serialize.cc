@@ -50,6 +50,8 @@ void PutString(std::string_view s, std::string* out) {
 constexpr uint32_t kMaxNameBytes = 1024;
 constexpr uint32_t kMaxAlphabetSymbols = 1u << 20;
 constexpr uint32_t kMaxRegexNodes = 1u << 16;
+// Not the parser's '(' cap: n sequenced children parse to an AST n deep.
+constexpr size_t kMaxRegexAstDepth = 2000;
 
 // Bounds-checked little-endian reader over the input view.
 class Reader {
@@ -416,8 +418,8 @@ Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
       default:
         return Status::ParseError("unknown regex node kind");
     }
-    if (stack.back().second > kDefaultMaxRegexDepth) {
-      return Status::ParseError("regex deeper than the parser depth cap");
+    if (stack.back().second > kMaxRegexAstDepth) {
+      return Status::ParseError("regex deeper than the AST depth cap");
     }
   }
   if (stack.size() != 1) {

@@ -281,6 +281,32 @@ TEST(ArtifactSerializeTest, SpecializedDtdRoundTripPreservesBehavior) {
   }
 }
 
+TEST(ArtifactSerializeTest, LongContentModelRoundTripsPastTheParserDepthCap) {
+  // A sequence of 300 children nests one '(' level, but its concat chain is
+  // an AST 300 deep, past the parser's '(' cap of 256. The artifact of a DTD
+  // the parser accepts must read back.
+  std::string seq, children;
+  for (int i = 0; i < 300; ++i) {
+    seq += i ? ".c" : "c";
+    children += i ? ",c" : "c";
+  }
+  SpecializedDtd dtd =
+      std::move(ParseDtd("r := (" + seq + ")\nc := ()\n")).ValueOrDie();
+  const std::string bytes = DtdBytesOf(dtd);
+  Result<SpecializedDtd> back = DeserializeDtdArtifact(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(DtdBytesOf(*back), bytes);
+  auto full = std::move(ParseUnrankedTerm("r(" + children + ")",
+                                          back->mutable_tags()))
+                  .ValueOrDie();
+  EXPECT_TRUE(*back->Accepts(full));
+  auto short_by_one = std::move(ParseUnrankedTerm(
+                                    "r(" + children.substr(2) + ")",
+                                    back->mutable_tags()))
+                          .ValueOrDie();
+  EXPECT_FALSE(*back->Accepts(short_by_one));
+}
+
 TEST(ArtifactSerializeTest, DtdRejectsEveryTruncation) {
   SpecializedDtd dtd =
       std::move(ParseSpecializedDtd(kSpecializedDtd)).ValueOrDie();

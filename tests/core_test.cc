@@ -576,39 +576,77 @@ constexpr char kInDtd[] = "a := c\nc := ()\n";
 constexpr char kGoodOutDtd[] = "b := d\nd := ()\n";
 constexpr char kBadOutDtd[] = "b := e\ne := ()\n";
 
+// The rename fixture compiled over one output alphabet for both types.
+struct RenameInstance {
+  Alphabet in_tags, out_tags;
+  EncodedAlphabet in_enc, out_enc;
+  PebbleTransducer t{1, 1, 1};
+  Nbta tau1, good_out, bad_out;
+
+  RenameInstance() {
+    auto program =
+        std::move(ParseXslt(kRenameXslt, &in_tags, &out_tags)).ValueOrDie();
+    out_tags.Intern("e");  // bad_out's extra tag
+    in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
+    out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
+    t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
+    auto compile = [](const char* text, const EncodedAlphabet& enc) {
+      auto dtd = std::move(ParseDtd(text)).ValueOrDie();
+      return std::move(CompileDtdOver(dtd, enc)).ValueOrDie();
+    };
+    tau1 = compile(kInDtd, in_enc);
+    good_out = compile(kGoodOutDtd, out_enc);
+    bad_out = compile(kBadOutDtd, out_enc);
+  }
+};
+
+// A cold downward decision determinizes τ2 once: pass 2 searches
+// ComplementDbta(τ2) as built, and only pass 3 would trim its NBTA view.
+TEST(TypecheckTest, ColdDownwardDecisionDeterminizesTau2Once) {
+  const RenameInstance f;
+  ASSERT_TRUE(IsDownwardTransducer(f.t));
+  const Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
+  TypecheckOptions opts;
+  opts.refutation_max_trees = 0;  // pass 1 off: every count is pass 2's
+
+  auto proof = std::move(tc.Typecheck(f.tau1, f.good_out, opts)).ValueOrDie();
+  EXPECT_EQ(proof.verdict, TypecheckVerdict::kTypechecks);
+  EXPECT_EQ(proof.method, "downward-fastpath");
+  EXPECT_EQ(proof.op_counters.determinizations, 1u);
+  EXPECT_EQ(proof.op_counters.complementations, 1u);
+  EXPECT_EQ(proof.op_counters.trims, 0u);
+  EXPECT_EQ(proof.op_counters.indexes_built, 2u) << "one of τ2, one of τ1";
+
+  // The witness's violating output is recovered by a per-input check, which
+  // trims and indexes its own automaton but determinizes nothing.
+  auto refuted =
+      std::move(tc.Typecheck(f.tau1, f.bad_out, opts)).ValueOrDie();
+  EXPECT_EQ(refuted.verdict, TypecheckVerdict::kCounterexample);
+  EXPECT_EQ(refuted.method, "downward-fastpath");
+  EXPECT_EQ(refuted.op_counters.determinizations, 1u);
+  EXPECT_EQ(refuted.op_counters.complementations, 1u);
+}
+
 // The op cache's census under a typecheck workload (docs/CACHING.md): a
 // proven downward triple adds exactly one entry and serves its repeats, and
 // nothing else — no intermediate of the decision, no refutation, no
 // exhausted pass 2 — adds any.
 TEST(TypecheckTest, OpCacheHoldsOnlyDownwardProofs) {
-  Alphabet in_tags, out_tags;
-  auto program =
-      std::move(ParseXslt(kRenameXslt, &in_tags, &out_tags)).ValueOrDie();
-  out_tags.Intern("e");  // bad_out's extra tag: one alphabet serves both
-  auto in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
-  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
-  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
-  ASSERT_TRUE(IsDownwardTransducer(t));
-  auto compile = [](const char* text, const EncodedAlphabet& enc) {
-    auto dtd = std::move(ParseDtd(text)).ValueOrDie();
-    return std::move(CompileDtdOver(dtd, enc)).ValueOrDie();
-  };
-  const Nbta tau1 = compile(kInDtd, in_enc);
-  const Nbta good_out = compile(kGoodOutDtd, out_enc);
-  const Nbta bad_out = compile(kBadOutDtd, out_enc);
-  const Typechecker tc(t, in_enc.ranked, out_enc.ranked);
+  const RenameInstance f;
+  ASSERT_TRUE(IsDownwardTransducer(f.t));
+  const Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
 
   TaOpCache& cache = TaOpCache::Global();
   cache.Clear();
   TypecheckOptions opts;
   opts.memo = TaMemoMode::kInMemory;
 
-  auto proof = std::move(tc.Typecheck(tau1, good_out, opts)).ValueOrDie();
+  auto proof = std::move(tc.Typecheck(f.tau1, f.good_out, opts)).ValueOrDie();
   EXPECT_EQ(proof.verdict, TypecheckVerdict::kTypechecks);
   EXPECT_EQ(proof.method, "downward-fastpath");
   EXPECT_EQ(cache.entries(), 1u) << "a proof adds exactly one entry";
 
-  auto repeat = std::move(tc.Typecheck(tau1, good_out, opts)).ValueOrDie();
+  auto repeat = std::move(tc.Typecheck(f.tau1, f.good_out, opts)).ValueOrDie();
   EXPECT_EQ(repeat.verdict, TypecheckVerdict::kTypechecks);
   EXPECT_EQ(repeat.method, "downward-fastpath");
   EXPECT_EQ(repeat.op_counters.memo_hits, 1u);
@@ -617,14 +655,14 @@ TEST(TypecheckTest, OpCacheHoldsOnlyDownwardProofs) {
       << "a repeat is answered by the proof, not recomputed";
 
   const size_t before = cache.entries();
-  auto refuted = std::move(tc.Typecheck(tau1, bad_out, opts)).ValueOrDie();
+  auto refuted = std::move(tc.Typecheck(f.tau1, f.bad_out, opts)).ValueOrDie();
   EXPECT_EQ(refuted.verdict, TypecheckVerdict::kCounterexample);
   EXPECT_EQ(cache.entries(), before) << "a refutation is not cached";
   // The same pair refuted by pass 2's witness instead of pass 1.
   TypecheckOptions no_pass1 = opts;
   no_pass1.refutation_max_trees = 0;
   auto witnessed =
-      std::move(tc.Typecheck(tau1, bad_out, no_pass1)).ValueOrDie();
+      std::move(tc.Typecheck(f.tau1, f.bad_out, no_pass1)).ValueOrDie();
   EXPECT_EQ(witnessed.verdict, TypecheckVerdict::kCounterexample);
   EXPECT_EQ(witnessed.method, "downward-fastpath");
   EXPECT_EQ(cache.entries(), before) << "a pass-2 refutation is not cached";
@@ -636,7 +674,7 @@ TEST(TypecheckTest, OpCacheHoldsOnlyDownwardProofs) {
   starved.refutation_max_trees = 0;
   starved.max_antichain_pairs = 1;
   auto exhausted =
-      std::move(tc.Typecheck(tau1, good_out, starved)).ValueOrDie();
+      std::move(tc.Typecheck(f.tau1, f.good_out, starved)).ValueOrDie();
   EXPECT_TRUE(exhausted.exhausted.exhausted);
   EXPECT_EQ(exhausted.exhausted.pass, "downward-fastpath");
   EXPECT_EQ(cache.entries(), 0u) << "an exhausted pass 2 proves nothing";

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/dtd/dtd.h"
 #include "src/query/pattern.h"
 #include "src/query/xslt.h"
+#include "src/regex/dfa.h"
 #include "src/regex/regex.h"
 #include "src/tree/term.h"
 #include "src/xml/xml.h"
@@ -130,6 +132,26 @@ TEST(ParserFuzz, DeeplyNestedInputsDoNotOverflow) {
   auto re = ParseRegex(deep_regex, &sigma3);
   ASSERT_FALSE(re.ok());
   EXPECT_EQ(re.status().code(), StatusCode::kLimitExceeded);
+
+  // The cap is exact: 256 levels of "a.(" parse and compile to a DFA for
+  // a^256 b; 257 are refused.
+  auto nested = [](size_t levels) {
+    std::string s;
+    for (size_t i = 0; i < levels; ++i) s += "a.(";
+    return s + "b" + std::string(levels, ')');
+  };
+  Alphabet sigma4;
+  auto at_cap = ParseRegex(nested(256), &sigma4);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  Dfa dfa = CompileRegexToDfa(*at_cap, static_cast<uint32_t>(sigma4.size()));
+  std::vector<SymbolId> word(256, sigma4.Find("a"));
+  word.push_back(sigma4.Find("b"));
+  EXPECT_TRUE(dfa.Accepts(word));
+  word.erase(word.begin());
+  EXPECT_FALSE(dfa.Accepts(word));
+  auto past_cap = ParseRegex(nested(257), &sigma4);
+  ASSERT_FALSE(past_cap.ok());
+  EXPECT_EQ(past_cap.status().code(), StatusCode::kLimitExceeded);
 }
 
 TEST(ParserFuzz, PathologicalRegexesStayPolynomial) {

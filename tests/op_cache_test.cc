@@ -219,62 +219,69 @@ TaCacheKey KeyFor(uint64_t tag) {
 TEST(TaOpCacheTest, HitMissAndByteAccounting) {
   TaOpCache cache(1 << 20);
   TaOpContext ctx;
-  const Nbta a = SampleNbta(0x1234);
 
-  EXPECT_EQ(cache.FindNbta(KeyFor(1), &ctx), nullptr);
+  EXPECT_FALSE(cache.FindProof(KeyFor(1), &ctx));
   EXPECT_EQ(ctx.counters.memo_misses, 1u);
   EXPECT_EQ(ctx.counters.memo_hits, 0u);
 
-  cache.InsertNbta(KeyFor(1), a, &ctx);
+  cache.InsertProof(KeyFor(1), &ctx);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_GT(ctx.counters.memo_bytes, 0u);
+  EXPECT_EQ(ctx.counters.memo_bytes, TaOpCache::kProofBytes);
   EXPECT_EQ(cache.size_bytes(), ctx.counters.memo_bytes);
 
-  std::shared_ptr<const Nbta> hit = cache.FindNbta(KeyFor(1), &ctx);
-  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(cache.FindProof(KeyFor(1), &ctx));
   EXPECT_EQ(ctx.counters.memo_hits, 1u);
-  EXPECT_EQ(NbtaBytesOf(*hit), NbtaBytesOf(a));
 
-  // A key holding an NBTA is a miss for the DBTA probe (and vice versa).
+  // A key holding a proof is a miss for the DBTA probe, and vice versa.
   EXPECT_EQ(cache.FindDbta(KeyFor(1), &ctx), nullptr);
   EXPECT_EQ(ctx.counters.memo_misses, 2u);
+  const Nbta a = SampleNbta(0x1234);
+  const TaCacheKey table_key = MakeTaCacheKey(
+      TaOpKind::kDeterminize, NbtaStructuralHash(a), TaStructuralHash{}, 7, 0);
+  Result<Dbta> det = DeterminizeNbta(a, DiffcheckAlphabet(false));
+  ASSERT_TRUE(det.ok());
+  cache.InsertDbta(table_key, std::make_shared<const Dbta>(std::move(*det)),
+                   &ctx);
+  EXPECT_FALSE(cache.FindProof(table_key, &ctx));
+  EXPECT_EQ(ctx.counters.memo_misses, 3u);
+  EXPECT_NE(cache.FindDbta(table_key, &ctx), nullptr);
+  EXPECT_EQ(ctx.counters.memo_hits, 2u);
 
   // Idempotent re-insert: no growth, no duplicate charge.
   const size_t bytes_before = cache.size_bytes();
-  cache.InsertNbta(KeyFor(1), a, &ctx);
-  EXPECT_EQ(cache.entries(), 1u);
+  cache.InsertProof(KeyFor(1), &ctx);
+  EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.size_bytes(), bytes_before);
 
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.size_bytes(), 0u);
-  EXPECT_EQ(cache.FindNbta(KeyFor(1), &ctx), nullptr);
+  EXPECT_FALSE(cache.FindProof(KeyFor(1), &ctx));
 }
 
 TEST(TaOpCacheTest, LruEvictionPrefersStaleEntries) {
-  // Identical payloads under distinct keys make every entry the same size,
-  // so a capacity of exactly two entries forces the third insert to evict.
-  const Nbta a = SampleNbta(0x4321);
+  // Every proof record is charged the same fixed size, so a capacity of
+  // exactly two entries forces the third insert to evict.
   TaOpCache probe(1 << 20);
   TaOpContext ctx;
-  probe.InsertNbta(KeyFor(1), a, &ctx);
+  probe.InsertProof(KeyFor(1), &ctx);
   const size_t entry_bytes = probe.size_bytes();
   ASSERT_GT(entry_bytes, 0u);
 
   TaOpCache cache(2 * entry_bytes);
-  cache.InsertNbta(KeyFor(1), a, &ctx);
-  cache.InsertNbta(KeyFor(2), a, &ctx);
+  cache.InsertProof(KeyFor(1), &ctx);
+  cache.InsertProof(KeyFor(2), &ctx);
   EXPECT_EQ(cache.entries(), 2u);
 
   // Touch key 1 so key 2 is the LRU entry, then overflow.
-  ASSERT_NE(cache.FindNbta(KeyFor(1), &ctx), nullptr);
+  ASSERT_TRUE(cache.FindProof(KeyFor(1), &ctx));
   const size_t evictions_before = ctx.counters.memo_evictions;
-  cache.InsertNbta(KeyFor(3), a, &ctx);
+  cache.InsertProof(KeyFor(3), &ctx);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(ctx.counters.memo_evictions, evictions_before + 1);
-  EXPECT_NE(cache.FindNbta(KeyFor(1), &ctx), nullptr) << "recency refreshed";
-  EXPECT_NE(cache.FindNbta(KeyFor(3), &ctx), nullptr);
-  EXPECT_EQ(cache.FindNbta(KeyFor(2), &ctx), nullptr) << "LRU entry evicted";
+  EXPECT_TRUE(cache.FindProof(KeyFor(1), &ctx)) << "recency refreshed";
+  EXPECT_TRUE(cache.FindProof(KeyFor(3), &ctx));
+  EXPECT_FALSE(cache.FindProof(KeyFor(2), &ctx)) << "LRU entry evicted";
 
   // Shrinking the capacity evicts oldest-first until the contents fit.
   cache.set_capacity_bytes(entry_bytes);
@@ -285,16 +292,15 @@ TEST(TaOpCacheTest, LruEvictionPrefersStaleEntries) {
 TEST(TaOpCacheTest, BudgetCapsSeparateEntries) {
   TaOpCache cache(1 << 20);
   TaOpContext ctx;
-  const Nbta a = SampleNbta(0x5678);
-  const TaStructuralHash h = NbtaStructuralHash(a);
+  const TaStructuralHash h = NbtaStructuralHash(SampleNbta(0x5678));
   const TaCacheKey under_small =
-      MakeTaCacheKey(TaOpKind::kDeterminize, h, TaStructuralHash{}, 7, 100);
+      MakeTaCacheKey(TaOpKind::kDownwardProof, h, TaStructuralHash{}, 7, 100);
   const TaCacheKey under_big =
-      MakeTaCacheKey(TaOpKind::kDeterminize, h, TaStructuralHash{}, 7, 200);
-  cache.InsertNbta(under_small, a, &ctx);
-  EXPECT_EQ(cache.FindNbta(under_big, &ctx), nullptr)
+      MakeTaCacheKey(TaOpKind::kDownwardProof, h, TaStructuralHash{}, 7, 200);
+  cache.InsertProof(under_small, &ctx);
+  EXPECT_FALSE(cache.FindProof(under_big, &ctx))
       << "a success under one cap must not serve a query under another";
-  EXPECT_NE(cache.FindNbta(under_small, &ctx), nullptr);
+  EXPECT_TRUE(cache.FindProof(under_small, &ctx));
 }
 
 // ------------------------------------------ memo gate, determinize entry ---
