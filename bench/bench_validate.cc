@@ -17,6 +17,12 @@
 // per_doc_ns shows the per-document amortization of frame, admission, and
 // plan-lookup overhead.
 //
+// DTD compile series: ParseDtd (parse plus one content DFA per type) of
+// two families that cost far more than their bytes: the wide union
+// r := (c0|…|cN-1)* over N empty types, whose subset construction reaches
+// N+2 states of O(N) NFA states each, and N empty types alone, whose
+// content DFAs are dense over the type alphabet (2N² table entries).
+//
 // CI runs this binary with --benchmark_min_time=0.05s in the bench-smoke
 // job and uploads the JSON as the BENCH_validate.json artifact; the
 // checked-in BENCH_validate.json records the measured numbers.
@@ -33,6 +39,7 @@
 #include "src/check/diffcheck.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/dtd/dtd.h"
 #include "src/serve/protocol.h"
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
@@ -228,6 +235,36 @@ void BM_ServeBatchWarm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServeBatchWarm)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
+
+// ------------------------------------------------------- DTD compile -------
+
+std::string WideUnionDtd(int n) {
+  std::string text = "r := (";
+  for (int i = 0; i < n; ++i) text += (i ? "|c" : "c") + std::to_string(i);
+  text += ")*\n";
+  for (int i = 0; i < n; ++i) text += "c" + std::to_string(i) + " := ()\n";
+  return text;
+}
+
+std::string EmptyTypesDtd(int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) text += "c" + std::to_string(i) + " := ()\n";
+  return text;
+}
+
+void BM_DtdCompile(benchmark::State& state, std::string (*family)(int)) {
+  const std::string text = family(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    Result<SpecializedDtd> dtd = ParseDtd(text);
+    PEBBLETC_CHECK(dtd.ok()) << dtd.status().ToString();
+    benchmark::DoNotOptimize(dtd);
+  }
+  state.counters["dtd_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK_CAPTURE(BM_DtdCompile, wide_union, WideUnionDtd)
+    ->Arg(50)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DtdCompile, empty_types, EmptyTypesDtd)
+    ->Arg(500)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pebbletc

@@ -1,5 +1,6 @@
 #include "src/dtd/dtd.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -45,16 +46,40 @@ Status SpecializedDtd::Finalize() {
   }
   // Content models range over the *type* alphabet. A regex mentioning a
   // symbol id ≥ num_types would have failed at parse time; defensive checks
-  // happen inside CompileRegexToDfa's NFA construction.
+  // happen inside CompileRegexToNfa.
+  const auto n = static_cast<uint32_t>(num_types());
+  auto past_table_cap = [n] {
+    return Status::LimitExceeded(
+        "content DFAs over " + std::to_string(n) + " types need more than " +
+        std::to_string(kMaxContentTableEntries) + " table entries");
+  };
+  // Every content DFA has at least one state, so n types need n² entries.
+  if (static_cast<size_t>(n) * n > kMaxContentTableEntries) {
+    return past_table_cap();
+  }
   content_dfa_.clear();
-  content_dfa_.reserve(num_types());
-  for (SymbolId p = 0; p < num_types(); ++p) {
+  content_dfa_.reserve(n);
+  size_t table_entries = 0;  // held by the DFAs compiled so far
+  for (SymbolId p = 0; p < n; ++p) {
     if (content_[p] == nullptr) {
       return Status::FailedPrecondition("type '" + types_.Name(p) +
                                         "' has no content model");
     }
-    content_dfa_.push_back(std::make_unique<Dfa>(CompileRegexToDfa(
-        content_[p], static_cast<uint32_t>(num_types()))));
+    // The subset construction's table must fit in what the cap leaves.
+    const size_t room = (kMaxContentTableEntries - table_entries) / n;
+    const size_t max_states = std::min(kMaxContentModelStates, room);
+    Result<Dfa> dfa =
+        DeterminizeWithin(CompileRegexToNfa(content_[p], n), max_states);
+    if (!dfa.ok()) {
+      if (max_states == kMaxContentModelStates) {
+        return Status::LimitExceeded(
+            "content model of '" + types_.Name(p) + "' needs more than " +
+            std::to_string(kMaxContentModelStates) + " DFA states");
+      }
+      return past_table_cap();
+    }
+    content_dfa_.push_back(std::make_unique<Dfa>(Minimize(*dfa)));
+    table_entries += static_cast<size_t>(content_dfa_.back()->num_states()) * n;
   }
   finalized_ = true;
   return Status::OK();

@@ -31,6 +31,16 @@
 
 namespace pebbletc {
 
+/// Caps on what compiling a DTD's content models may build, so that a few
+/// bytes of DTD cannot make Finalize run for minutes or allocate gigabytes:
+/// the subset construction of one content model stops past
+/// kMaxContentModelStates DFA states, and the content DFAs together hold at
+/// most kMaxContentTableEntries transitions (states × number of types; the
+/// tables are dense over the type alphabet). Finalize refuses a DTD past
+/// either cap with kLimitExceeded.
+inline constexpr size_t kMaxContentModelStates = 1u << 14;
+inline constexpr size_t kMaxContentTableEntries = 1u << 22;
+
 /// A specialized DTD. Plain DTDs are represented with types ≡ tags
 /// (type_tag is the identity and type/tag names coincide).
 class SpecializedDtd {
@@ -57,7 +67,7 @@ class SpecializedDtd {
 
   /// Compiles content models; must be called after the last AddType and
   /// before validation/compilation. Fails if any referenced type is
-  /// undeclared.
+  /// undeclared, and with kLimitExceeded past the content-model caps above.
   Status Finalize();
 
   /// Does `tree` (whose tags are ids of tags()) conform to this DTD?

@@ -1,10 +1,6 @@
 #include "src/ext/joins.h"
 
-#include <set>
-#include <string>
-#include <utility>
-
-#include "src/common/check.h"
+#include "src/pt/eval.h"
 
 namespace pebbletc {
 
@@ -18,31 +14,13 @@ PebbleTransducer AbstractJoins(const JoinTransducer& jt) {
   return out;
 }
 
-namespace {
-
-bool GuardMatches(const PebbleGuard& g, const BinaryTree& tree,
-                  const PebbleTransducer::Config& config) {
-  const NodeId current = config.pebbles.back();
-  if (g.symbol != kAnySymbol && tree.symbol(current) != g.symbol) return false;
-  if (g.presence_mask != 0) {
-    uint32_t presence = 0;
-    for (size_t j = 0; j + 1 < config.pebbles.size(); ++j) {
-      if (config.pebbles[j] == current) presence |= (1u << j);
-    }
-    if ((presence & g.presence_mask) != g.presence_value) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<BinaryTree> EvalJoinConcrete(const JoinTransducer& jt,
                                     const DataTree& input, size_t max_steps) {
   const BinaryTree& tree = input.tree;
   const PebbleTransducer& t = jt.base;
   if (tree.empty()) return Status::InvalidArgument("empty input");
   using Config = PebbleTransducer::Config;
-  using TK = PebbleTransducer::TransitionKind;
+  using Transition = PebbleTransducer::Transition;
 
   auto test_applies = [&](const EqualityTest& test,
                           const Config& c) -> Result<bool> {
@@ -63,125 +41,48 @@ Result<BinaryTree> EvalJoinConcrete(const JoinTransducer& jt,
     return true;
   };
 
-  struct ProtoNode {
-    SymbolId symbol = kNoSymbol;
-    int64_t left = -1;
-    int64_t right = -1;
-  };
-  std::vector<ProtoNode> proto;
-  struct Branch {
-    Config config;
-    int64_t parent;
-    bool is_left;
-  };
-  int64_t root_index = -1;
-  std::vector<Branch> work;
-  work.push_back({t.InitialConfig(tree), -1, false});
-  size_t steps = 0;
-
-  while (!work.empty()) {
-    Branch branch = std::move(work.back());
-    work.pop_back();
-    std::set<Config> seen;
-    while (true) {
-      if (++steps > max_steps) {
-        return Status::ResourceExhausted("join evaluation exceeded " +
-                                         std::to_string(max_steps) +
-                                         " steps");
-      }
-      // Equality tests first (they are the extension's primitive).
-      const EqualityTest* fired = nullptr;
-      for (const EqualityTest& test : jt.tests) {
-        PEBBLETC_ASSIGN_OR_RETURN(bool applies, test_applies(test,
-                                                             branch.config));
-        if (applies) {
-          if (fired != nullptr) {
-            return Status::FailedPrecondition(
-                "two equality tests apply to one configuration");
+  return RunDeterministicBranches(
+      t, tree, max_steps, /*ctx=*/nullptr,
+      [&](const Config& config) -> Result<Transition> {
+        // Equality tests first (they are the extension's primitive).
+        const EqualityTest* fired = nullptr;
+        for (const EqualityTest& test : jt.tests) {
+          PEBBLETC_ASSIGN_OR_RETURN(bool applies, test_applies(test, config));
+          if (applies) {
+            if (fired != nullptr) {
+              return Status::FailedPrecondition(
+                  "two equality tests apply to one configuration");
+            }
+            fired = &test;
           }
-          fired = &test;
         }
-      }
-      auto applicable = t.Applicable(tree, branch.config);
-      if (fired != nullptr) {
-        if (!applicable.empty()) {
+        auto applicable = t.Applicable(tree, config);
+        if (fired != nullptr) {
+          if (!applicable.empty()) {
+            return Status::FailedPrecondition(
+                "equality test races a base transition");
+          }
+          // A test is a stay move whose target the data values pick.
+          NodeId a = config.pebbles[fired->pebble_a - 1];
+          NodeId b = config.pebbles[fired->pebble_b - 1];
+          Transition stay;
+          stay.kind = PebbleTransducer::TransitionKind::kMove;
+          stay.guard = fired->guard;
+          stay.from = fired->from;
+          stay.to = input.values[a] == input.values[b] ? fired->if_equal
+                                                       : fired->if_distinct;
+          return stay;
+        }
+        if (applicable.empty()) {
           return Status::FailedPrecondition(
-              "equality test races a base transition");
+              "computation branch is stuck; no output on this input");
         }
-        if (!seen.insert(branch.config).second) {
-          return Status::FailedPrecondition("join evaluation diverges");
+        if (applicable.size() > 1) {
+          return Status::FailedPrecondition(
+              "base transducer is nondeterministic");
         }
-        NodeId a = branch.config.pebbles[fired->pebble_a - 1];
-        NodeId b = branch.config.pebbles[fired->pebble_b - 1];
-        const bool equal = input.values[a] == input.values[b];
-        branch.config.state = equal ? fired->if_equal : fired->if_distinct;
-        continue;
-      }
-      if (applicable.empty()) {
-        return Status::FailedPrecondition(
-            "computation branch is stuck; no output on this input");
-      }
-      if (applicable.size() > 1) {
-        return Status::FailedPrecondition(
-            "base transducer is nondeterministic");
-      }
-      const auto* tr = applicable.front();
-      if (tr->kind == TK::kMove) {
-        if (!seen.insert(branch.config).second) {
-          return Status::FailedPrecondition("join evaluation diverges");
-        }
-        branch.config = t.ApplyMove(*tr, tree, branch.config);
-        continue;
-      }
-      int64_t node = static_cast<int64_t>(proto.size());
-      proto.push_back({tr->output_symbol, -1, -1});
-      if (branch.parent < 0) {
-        root_index = node;
-      } else if (branch.is_left) {
-        proto[branch.parent].left = node;
-      } else {
-        proto[branch.parent].right = node;
-      }
-      if (tr->kind == TK::kOutputLeaf) break;
-      Config right_config = branch.config;
-      right_config.state = tr->out_right;
-      work.push_back({std::move(right_config), node, false});
-      branch.config.state = tr->out_left;
-      branch.parent = node;
-      branch.is_left = true;
-      seen.clear();
-    }
-  }
-  PEBBLETC_CHECK(root_index >= 0) << "no output produced";
-  // Convert the proto tree (children first).
-  BinaryTree out;
-  struct Frame {
-    int64_t node;
-    bool expanded;
-  };
-  std::vector<Frame> stack = {{root_index, false}};
-  std::vector<NodeId> results;
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    const ProtoNode& p = proto[f.node];
-    if (p.left < 0) {
-      results.push_back(out.AddLeaf(p.symbol));
-    } else if (!f.expanded) {
-      stack.push_back({f.node, true});
-      stack.push_back({p.right, false});
-      stack.push_back({p.left, false});
-    } else {
-      NodeId r = results.back();
-      results.pop_back();
-      NodeId l = results.back();
-      results.pop_back();
-      results.push_back(out.AddInternal(p.symbol, l, r));
-    }
-  }
-  PEBBLETC_CHECK(results.size() == 1) << "conversion imbalance";
-  out.SetRoot(results.back());
-  return out;
+        return *applicable.front();
+      });
 }
 
 }  // namespace pebbletc

@@ -9,50 +9,13 @@
 
 namespace pebbletc {
 
-PebbleAutomaton::PebbleAutomaton(uint32_t max_pebbles, uint32_t num_symbols)
-    : max_pebbles_(max_pebbles), num_symbols_(num_symbols) {
-  PEBBLETC_CHECK(max_pebbles >= 1) << "need at least one pebble";
-  PEBBLETC_CHECK(max_pebbles <= 30) << "pebble guard bits limited to 30";
-}
-
-StateId PebbleAutomaton::AddState(uint32_t level) {
-  PEBBLETC_CHECK(level >= 1 && level <= max_pebbles_)
-      << "state level " << level << " out of range";
-  StateId q = static_cast<StateId>(level_.size());
-  level_.push_back(level);
-  by_state_.emplace_back();
-  return q;
-}
-
-void PebbleAutomaton::SetStart(StateId q) {
-  PEBBLETC_CHECK(q < level_.size()) << "bad start state";
-  start_ = q;
-}
-
-void PebbleAutomaton::AddMove(const PebbleGuard& guard, StateId from,
-                              MoveKind move, StateId to) {
-  PEBBLETC_CHECK(from < level_.size() && to < level_.size()) << "bad state";
-  Transition t;
-  t.kind = TransitionKind::kMove;
-  t.guard = guard;
-  t.from = from;
-  t.move = move;
-  t.to = to;
-  t.left = t.right = 0;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
-}
-
 void PebbleAutomaton::AddAccept(const PebbleGuard& guard, StateId from) {
   PEBBLETC_CHECK(from < level_.size()) << "bad state";
   Transition t;
   t.kind = TransitionKind::kAccept;
   t.guard = guard;
   t.from = from;
-  t.move = MoveKind::kStay;
-  t.to = t.left = t.right = 0;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
+  Add(t);
 }
 
 void PebbleAutomaton::AddBranch(const PebbleGuard& guard, StateId from,
@@ -64,147 +27,25 @@ void PebbleAutomaton::AddBranch(const PebbleGuard& guard, StateId from,
   t.kind = TransitionKind::kBranch;
   t.guard = guard;
   t.from = from;
-  t.move = MoveKind::kStay;
-  t.to = 0;
   t.left = left;
   t.right = right;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
+  Add(t);
 }
 
 Status PebbleAutomaton::Validate(const RankedAlphabet& alphabet) const {
   if (alphabet.size() != num_symbols_) {
     return Status::InvalidArgument("alphabet size mismatch");
   }
-  if (level_.empty()) return Status::FailedPrecondition("no states");
-  if (level_[start_] != 1) {
-    return Status::InvalidArgument("start state must have level 1");
-  }
-  for (size_t i = 0; i < transitions_.size(); ++i) {
-    const Transition& t = transitions_[i];
-    const std::string where = "transition " + std::to_string(i);
-    if (t.guard.symbol != kAnySymbol && t.guard.symbol >= num_symbols_) {
-      return Status::InvalidArgument(where + ": guard symbol out of range");
-    }
-    const uint32_t lvl = level_[t.from];
-    if (lvl >= 1 && (t.guard.presence_mask >> (lvl - 1)) != 0) {
-      return Status::InvalidArgument(
-          where + ": presence guard mentions pebbles ≥ the state level");
-    }
-    if ((t.guard.presence_value & ~t.guard.presence_mask) != 0) {
-      return Status::InvalidArgument(
-          where + ": presence value has bits outside the mask");
-    }
-    switch (t.kind) {
-      case TransitionKind::kMove: {
-        const uint32_t to_lvl = level_[t.to];
-        if (t.move == MoveKind::kPlacePebble) {
-          if (to_lvl != lvl + 1) {
-            return Status::InvalidArgument(
-                where + ": place-new-pebble must raise the level by one");
-          }
-        } else if (t.move == MoveKind::kPickPebble) {
-          if (lvl < 2 || to_lvl != lvl - 1) {
-            return Status::InvalidArgument(
-                where + ": pick-current-pebble must lower the level by one");
-          }
-        } else if (to_lvl != lvl) {
-          return Status::InvalidArgument(where + ": move must preserve level");
-        }
-        break;
-      }
-      case TransitionKind::kAccept:
-        break;
-      case TransitionKind::kBranch:
-        if (level_[t.left] != lvl || level_[t.right] != lvl) {
+  return ValidateStack(
+      num_symbols_,
+      [&](const Transition& t, uint32_t lvl, const std::string& where) {
+        if (t.kind == TransitionKind::kBranch &&
+            (level_[t.left] != lvl || level_[t.right] != lvl)) {
           return Status::InvalidArgument(
               where + ": branch states must stay at the same level");
         }
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-PebbleAutomaton::Config PebbleAutomaton::InitialConfig(
-    const BinaryTree& tree) const {
-  PEBBLETC_CHECK(!tree.empty()) << "empty tree";
-  return Config{start_, {tree.root()}};
-}
-
-bool PebbleAutomaton::Applies(const Transition& t, const BinaryTree& tree,
-                              const Config& config) const {
-  if (t.from != config.state) return false;
-  const NodeId current = config.pebbles.back();
-  if (t.guard.symbol != kAnySymbol && tree.symbol(current) != t.guard.symbol) {
-    return false;
-  }
-  if (t.guard.presence_mask != 0) {
-    uint32_t presence = 0;
-    for (size_t j = 0; j + 1 < config.pebbles.size(); ++j) {
-      if (config.pebbles[j] == current) presence |= (1u << j);
-    }
-    if ((presence & t.guard.presence_mask) != t.guard.presence_value) {
-      return false;
-    }
-  }
-  if (t.kind != TransitionKind::kMove) return true;
-  switch (t.move) {
-    case MoveKind::kStay:
-      return true;
-    case MoveKind::kDownLeft:
-    case MoveKind::kDownRight:
-      return !tree.IsLeaf(current);
-    case MoveKind::kUpLeft:
-      return !tree.IsRoot(current) && tree.IsLeftChild(current);
-    case MoveKind::kUpRight:
-      return !tree.IsRoot(current) && !tree.IsLeftChild(current);
-    case MoveKind::kPlacePebble:
-      return config.pebbles.size() < max_pebbles_;
-    case MoveKind::kPickPebble:
-      return config.pebbles.size() > 1;
-  }
-  return false;
-}
-
-PebbleAutomaton::Config PebbleAutomaton::ApplyMove(const Transition& t,
-                                                   const BinaryTree& tree,
-                                                   const Config& config) const {
-  PEBBLETC_DCHECK(t.kind == TransitionKind::kMove) << "not a move";
-  Config next = config;
-  next.state = t.to;
-  NodeId& current = next.pebbles.back();
-  switch (t.move) {
-    case MoveKind::kStay:
-      break;
-    case MoveKind::kDownLeft:
-      current = tree.left(current);
-      break;
-    case MoveKind::kDownRight:
-      current = tree.right(current);
-      break;
-    case MoveKind::kUpLeft:
-    case MoveKind::kUpRight:
-      current = tree.parent(current);
-      break;
-    case MoveKind::kPlacePebble:
-      next.pebbles.push_back(tree.root());
-      break;
-    case MoveKind::kPickPebble:
-      next.pebbles.pop_back();
-      break;
-  }
-  return next;
-}
-
-std::vector<const PebbleAutomaton::Transition*> PebbleAutomaton::Applicable(
-    const BinaryTree& tree, const Config& config) const {
-  std::vector<const Transition*> out;
-  for (uint32_t idx : by_state_[config.state]) {
-    const Transition& t = transitions_[idx];
-    if (Applies(t, tree, config)) out.push_back(&t);
-  }
-  return out;
+        return Status::OK();
+      });
 }
 
 Result<bool> PebbleAutomatonAccepts(const PebbleAutomaton& a,

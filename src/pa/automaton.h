@@ -1,6 +1,6 @@
 // The k-pebble tree automaton (Definition 4.5): the acceptor variant of the
-// k-pebble transducer. Move transitions are as in the transducer; output
-// transitions are replaced by
+// k-pebble transducer. Move transitions are as in the transducer (the shared
+// semantics of src/pt/machine.h); output transitions are replaced by
 //   branch0 — halt the current computation branch and accept,
 //   branch2 — spawn two independent branches (same pebble stack, two states).
 // A tree is accepted when every branch of some computation accepts.
@@ -13,46 +13,37 @@
 #define PEBBLETC_PA_AUTOMATON_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
-#include "src/pt/transducer.h"  // PebbleGuard, MoveKind, Config
+#include "src/pt/machine.h"
 #include "src/tree/binary_tree.h"
 
 namespace pebbletc {
 
-class PebbleAutomaton {
+/// An automaton transition: a move of the current pebble, branch0 or branch2.
+struct PebbleAutomatonTransition {
+  enum class Kind { kMove, kAccept, kBranch };
+
+  Kind kind;
+  PebbleGuard guard;
+  StateId from;
+  PebbleMoveKind move = PebbleMoveKind::kStay;  // kMove only
+  StateId to = 0;                               // kMove only
+  StateId left = 0;                             // kBranch only
+  StateId right = 0;                            // kBranch only
+};
+
+class PebbleAutomaton : public PebbleMachine<PebbleAutomatonTransition> {
  public:
-  using MoveKind = PebbleTransducer::MoveKind;
-  using Config = PebbleTransducer::Config;
+  using TransitionKind = PebbleAutomatonTransition::Kind;
+  using Transition = PebbleAutomatonTransition;
 
-  enum class TransitionKind { kMove, kAccept, kBranch };
+  PebbleAutomaton(uint32_t max_pebbles, uint32_t num_symbols)
+      : PebbleMachine(max_pebbles), num_symbols_(num_symbols) {}
 
-  struct Transition {
-    TransitionKind kind;
-    PebbleGuard guard;
-    StateId from;
-    MoveKind move;   // kMove only
-    StateId to;      // kMove only
-    StateId left;    // kBranch only
-    StateId right;   // kBranch only
-  };
-
-  PebbleAutomaton(uint32_t max_pebbles, uint32_t num_symbols);
-
-  uint32_t max_pebbles() const { return max_pebbles_; }
   uint32_t num_symbols() const { return num_symbols_; }
-  uint32_t num_states() const { return static_cast<uint32_t>(level_.size()); }
-  uint32_t level(StateId q) const { return level_[q]; }
-  StateId start() const { return start_; }
-  const std::vector<Transition>& transitions() const { return transitions_; }
 
-  StateId AddState(uint32_t level);
-  void SetStart(StateId q);
-
-  void AddMove(const PebbleGuard& guard, StateId from, MoveKind move,
-               StateId to);
   /// branch0: the branch halts and accepts.
   void AddAccept(const PebbleGuard& guard, StateId from);
   /// branch2: spawn branches in states `left` and `right` (same level).
@@ -62,21 +53,8 @@ class PebbleAutomaton {
   /// Stack-discipline and range validation.
   Status Validate(const RankedAlphabet& alphabet) const;
 
-  Config InitialConfig(const BinaryTree& tree) const;
-  bool Applies(const Transition& t, const BinaryTree& tree,
-               const Config& config) const;
-  Config ApplyMove(const Transition& t, const BinaryTree& tree,
-                   const Config& config) const;
-  std::vector<const Transition*> Applicable(const BinaryTree& tree,
-                                            const Config& config) const;
-
  private:
-  uint32_t max_pebbles_;
   uint32_t num_symbols_;
-  StateId start_ = 0;
-  std::vector<uint32_t> level_;
-  std::vector<Transition> transitions_;
-  std::vector<std::vector<uint32_t>> by_state_;
 };
 
 /// Direct acceptance via AGAP on the configuration graph (the Theorem 4.7

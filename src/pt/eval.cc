@@ -190,19 +190,11 @@ BinaryTree ProtoToTree(const std::vector<ProtoNode>& proto, int64_t root) {
 
 }  // namespace
 
-Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
-                                     const BinaryTree& input,
-                                     size_t max_steps, TaOpContext* ctx) {
-  TaOpTimer timer(ctx);
-  if (input.empty()) {
-    return Status::InvalidArgument("empty input tree");
-  }
-  if (!t.IsDeterministic()) {
-    return Status::FailedPrecondition(
-        "transducer is (syntactically) nondeterministic; use "
-        "BuildOutputAutomaton/EnumerateOutputs instead");
-  }
-
+Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
+                                            const BinaryTree& input,
+                                            size_t max_steps,
+                                            TaOpContext* ctx,
+                                            const NextTransition& next) {
   std::vector<ProtoNode> proto;
   // Each pending branch computes the subtree for a slot in `proto`:
   // slot < 0 means "the root slot".
@@ -229,25 +221,21 @@ Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
                                          std::to_string(max_steps) +
                                          " steps");
       }
-      auto applicable = t.Applicable(input, branch.config);
-      if (applicable.empty()) {
-        return Status::FailedPrecondition(
-            "computation branch is stuck (no applicable transition); the "
-            "transducer produces no output on this input");
-      }
-      const auto* tr = applicable.front();
-      if (tr->kind == TKind::kMove) {
-        if (!seen.insert(branch.config).second) {
+      PEBBLETC_ASSIGN_OR_RETURN(const PebbleTransducer::Transition tr,
+                                next(branch.config));
+      if (tr.kind == TKind::kMove) {
+        Config moved = t.ApplyMove(tr, input, branch.config);
+        if (!seen.insert(std::move(branch.config)).second) {
           return Status::FailedPrecondition(
               "transducer diverges on this input (configuration revisited "
               "without output)");
         }
-        branch.config = t.ApplyMove(*tr, input, branch.config);
+        branch.config = std::move(moved);
         continue;
       }
       // Output: allocate the proto node and wire it to the parent slot.
       int64_t node = static_cast<int64_t>(proto.size());
-      proto.push_back({tr->output_symbol, -1, -1});
+      proto.push_back({tr.output_symbol, -1, -1});
       if (branch.parent < 0) {
         root_index = node;
       } else if (branch.is_left) {
@@ -255,12 +243,12 @@ Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
       } else {
         proto[branch.parent].right = node;
       }
-      if (tr->kind == TKind::kOutputLeaf) break;
+      if (tr.kind == TKind::kOutputLeaf) break;
       // output2: continue this branch as the left child, queue the right.
       Config right_config = branch.config;
-      right_config.state = tr->out_right;
+      right_config.state = tr.out_right;
       work.push_back({std::move(right_config), node, false});
-      branch.config.state = tr->out_left;
+      branch.config.state = tr.out_left;
       branch.parent = node;
       branch.is_left = true;
       seen.clear();
@@ -268,6 +256,31 @@ Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
   }
   PEBBLETC_CHECK(root_index >= 0) << "no output produced";
   return ProtoToTree(proto, root_index);
+}
+
+Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
+                                     const BinaryTree& input,
+                                     size_t max_steps, TaOpContext* ctx) {
+  TaOpTimer timer(ctx);
+  if (input.empty()) {
+    return Status::InvalidArgument("empty input tree");
+  }
+  if (!t.IsDeterministic()) {
+    return Status::FailedPrecondition(
+        "transducer is (syntactically) nondeterministic; use "
+        "BuildOutputAutomaton/EnumerateOutputs instead");
+  }
+  return RunDeterministicBranches(
+      t, input, max_steps, ctx,
+      [&](const Config& config) -> Result<PebbleTransducer::Transition> {
+        auto applicable = t.Applicable(input, config);
+        if (applicable.empty()) {
+          return Status::FailedPrecondition(
+              "computation branch is stuck (no applicable transition); the "
+              "transducer produces no output on this input");
+        }
+        return *applicable.front();
+      });
 }
 
 }  // namespace pebbletc

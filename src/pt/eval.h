@@ -15,6 +15,7 @@
 #define PEBBLETC_PT_EVAL_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "src/common/result.h"
@@ -62,6 +63,22 @@ Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,
                                      const BinaryTree& input,
                                      size_t max_steps = 10'000'000,
                                      TaOpContext* ctx = nullptr);
+
+/// The deterministic branch walker behind EvalDeterministic and the join
+/// evaluator: runs branches of `t` from its initial configuration on
+/// `input`, taking in each configuration the transition `next` names, which
+/// must apply there, and assembles the outputs into one tree. `next` may
+/// name a transition `t` does not hold (an equality test is a stay move
+/// whose target the data picks). Fails with kFailedPrecondition when a
+/// branch revisits a configuration without output, kResourceExhausted past
+/// `max_steps` steps, and with any error `next` returns.
+using NextTransition = std::function<Result<PebbleTransducer::Transition>(
+    const PebbleTransducer::Config&)>;
+Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
+                                            const BinaryTree& input,
+                                            size_t max_steps,
+                                            TaOpContext* ctx,
+                                            const NextTransition& next);
 
 }  // namespace pebbletc
 

@@ -6,45 +6,6 @@
 
 namespace pebbletc {
 
-PebbleTransducer::PebbleTransducer(uint32_t max_pebbles,
-                                   uint32_t num_input_symbols,
-                                   uint32_t num_output_symbols)
-    : max_pebbles_(max_pebbles),
-      num_input_symbols_(num_input_symbols),
-      num_output_symbols_(num_output_symbols) {
-  PEBBLETC_CHECK(max_pebbles >= 1) << "need at least one pebble";
-  PEBBLETC_CHECK(max_pebbles <= 30) << "pebble guard bits limited to 30";
-}
-
-StateId PebbleTransducer::AddState(uint32_t level) {
-  PEBBLETC_CHECK(level >= 1 && level <= max_pebbles_)
-      << "state level " << level << " out of range";
-  StateId q = static_cast<StateId>(level_.size());
-  level_.push_back(level);
-  by_state_.emplace_back();
-  return q;
-}
-
-void PebbleTransducer::SetStart(StateId q) {
-  PEBBLETC_CHECK(q < level_.size()) << "bad start state";
-  start_ = q;
-}
-
-void PebbleTransducer::AddMove(const PebbleGuard& guard, StateId from,
-                               MoveKind move, StateId to) {
-  PEBBLETC_CHECK(from < level_.size() && to < level_.size()) << "bad state";
-  Transition t;
-  t.kind = TransitionKind::kMove;
-  t.guard = guard;
-  t.from = from;
-  t.move = move;
-  t.to = to;
-  t.output_symbol = kNoSymbol;
-  t.out_left = t.out_right = 0;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
-}
-
 void PebbleTransducer::AddOutputLeaf(const PebbleGuard& guard, StateId from,
                                      SymbolId output_symbol) {
   PEBBLETC_CHECK(from < level_.size()) << "bad state";
@@ -52,12 +13,8 @@ void PebbleTransducer::AddOutputLeaf(const PebbleGuard& guard, StateId from,
   t.kind = TransitionKind::kOutputLeaf;
   t.guard = guard;
   t.from = from;
-  t.move = MoveKind::kStay;
-  t.to = 0;
   t.output_symbol = output_symbol;
-  t.out_left = t.out_right = 0;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
+  Add(t);
 }
 
 void PebbleTransducer::AddOutputBinary(const PebbleGuard& guard, StateId from,
@@ -70,13 +27,10 @@ void PebbleTransducer::AddOutputBinary(const PebbleGuard& guard, StateId from,
   t.kind = TransitionKind::kOutputBinary;
   t.guard = guard;
   t.from = from;
-  t.move = MoveKind::kStay;
-  t.to = 0;
   t.output_symbol = output_symbol;
   t.out_left = left;
   t.out_right = right;
-  by_state_[from].push_back(static_cast<uint32_t>(transitions_.size()));
-  transitions_.push_back(t);
+  Add(t);
 }
 
 Status PebbleTransducer::Validate(const RankedAlphabet& input,
@@ -87,63 +41,17 @@ Status PebbleTransducer::Validate(const RankedAlphabet& input,
   if (output.size() != num_output_symbols_) {
     return Status::InvalidArgument("output alphabet size mismatch");
   }
-  if (level_.empty()) return Status::FailedPrecondition("no states");
-  if (level_[start_] != 1) {
-    return Status::InvalidArgument("start state must have level 1");
-  }
-  for (size_t i = 0; i < transitions_.size(); ++i) {
-    const Transition& t = transitions_[i];
-    const std::string where = "transition " + std::to_string(i);
-    if (t.guard.symbol != kAnySymbol && t.guard.symbol >= num_input_symbols_) {
-      return Status::InvalidArgument(where + ": guard symbol out of range");
-    }
-    const uint32_t lvl = level_[t.from];
-    // Presence bits refer to pebbles 1..lvl-1, i.e. bits 0..lvl-2.
-    if (lvl >= 1 && (t.guard.presence_mask >> (lvl - 1)) != 0) {
-      return Status::InvalidArgument(
-          where + ": presence guard mentions pebbles ≥ the state level");
-    }
-    if ((t.guard.presence_value & ~t.guard.presence_mask) != 0) {
-      return Status::InvalidArgument(
-          where + ": presence value has bits outside the mask");
-    }
-    switch (t.kind) {
-      case TransitionKind::kMove: {
-        const uint32_t to_lvl = level_[t.to];
-        switch (t.move) {
-          case MoveKind::kStay:
-          case MoveKind::kDownLeft:
-          case MoveKind::kDownRight:
-          case MoveKind::kUpLeft:
-          case MoveKind::kUpRight:
-            if (to_lvl != lvl) {
-              return Status::InvalidArgument(where +
-                                             ": move must preserve level");
-            }
-            break;
-          case MoveKind::kPlacePebble:
-            if (to_lvl != lvl + 1) {
-              return Status::InvalidArgument(
-                  where + ": place-new-pebble must raise the level by one");
-            }
-            break;
-          case MoveKind::kPickPebble:
-            if (lvl < 2 || to_lvl != lvl - 1) {
-              return Status::InvalidArgument(
-                  where + ": pick-current-pebble must lower the level by one");
-            }
-            break;
+  return ValidateStack(
+      num_input_symbols_,
+      [&](const Transition& t, uint32_t lvl, const std::string& where) {
+        if (t.kind == TransitionKind::kOutputLeaf) {
+          if (t.output_symbol >= num_output_symbols_ ||
+              output.Rank(t.output_symbol) != 0) {
+            return Status::InvalidArgument(where +
+                                           ": output0 needs a leaf symbol");
+          }
+          return Status::OK();
         }
-        break;
-      }
-      case TransitionKind::kOutputLeaf:
-        if (t.output_symbol >= num_output_symbols_ ||
-            output.Rank(t.output_symbol) != 0) {
-          return Status::InvalidArgument(where +
-                                         ": output0 needs a leaf symbol");
-        }
-        break;
-      case TransitionKind::kOutputBinary:
         if (t.output_symbol >= num_output_symbols_ ||
             output.Rank(t.output_symbol) != 2) {
           return Status::InvalidArgument(where +
@@ -153,90 +61,8 @@ Status PebbleTransducer::Validate(const RankedAlphabet& input,
           return Status::InvalidArgument(
               where + ": output2 branches must stay at the same level");
         }
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-PebbleTransducer::Config PebbleTransducer::InitialConfig(
-    const BinaryTree& tree) const {
-  PEBBLETC_CHECK(!tree.empty()) << "empty input tree";
-  return Config{start_, {tree.root()}};
-}
-
-bool PebbleTransducer::Applies(const Transition& t, const BinaryTree& tree,
-                               const Config& config) const {
-  if (t.from != config.state) return false;
-  const NodeId current = config.pebbles.back();
-  if (t.guard.symbol != kAnySymbol && tree.symbol(current) != t.guard.symbol) {
-    return false;
-  }
-  if (t.guard.presence_mask != 0) {
-    uint32_t presence = 0;
-    for (size_t j = 0; j + 1 < config.pebbles.size(); ++j) {
-      if (config.pebbles[j] == current) presence |= (1u << j);
-    }
-    if ((presence & t.guard.presence_mask) != t.guard.presence_value) {
-      return false;
-    }
-  }
-  if (t.kind != TransitionKind::kMove) return true;
-  switch (t.move) {
-    case MoveKind::kStay:
-      return true;
-    case MoveKind::kDownLeft:
-    case MoveKind::kDownRight:
-      return !tree.IsLeaf(current);
-    case MoveKind::kUpLeft:
-      return !tree.IsRoot(current) && tree.IsLeftChild(current);
-    case MoveKind::kUpRight:
-      return !tree.IsRoot(current) && !tree.IsLeftChild(current);
-    case MoveKind::kPlacePebble:
-      return config.pebbles.size() < max_pebbles_;
-    case MoveKind::kPickPebble:
-      return config.pebbles.size() > 1;
-  }
-  return false;
-}
-
-PebbleTransducer::Config PebbleTransducer::ApplyMove(
-    const Transition& t, const BinaryTree& tree, const Config& config) const {
-  PEBBLETC_DCHECK(t.kind == TransitionKind::kMove) << "not a move";
-  Config next = config;
-  next.state = t.to;
-  NodeId& current = next.pebbles.back();
-  switch (t.move) {
-    case MoveKind::kStay:
-      break;
-    case MoveKind::kDownLeft:
-      current = tree.left(current);
-      break;
-    case MoveKind::kDownRight:
-      current = tree.right(current);
-      break;
-    case MoveKind::kUpLeft:
-    case MoveKind::kUpRight:
-      current = tree.parent(current);
-      break;
-    case MoveKind::kPlacePebble:
-      next.pebbles.push_back(tree.root());
-      break;
-    case MoveKind::kPickPebble:
-      next.pebbles.pop_back();
-      break;
-  }
-  return next;
-}
-
-std::vector<const PebbleTransducer::Transition*> PebbleTransducer::Applicable(
-    const BinaryTree& tree, const Config& config) const {
-  std::vector<const Transition*> out;
-  for (uint32_t idx : by_state_[config.state]) {
-    const Transition& t = transitions_[idx];
-    if (Applies(t, tree, config)) out.push_back(&t);
-  }
-  return out;
+        return Status::OK();
+      });
 }
 
 bool PebbleTransducer::IsDeterministic() const {

@@ -1,14 +1,6 @@
 // The k-pebble tree transducer (Definition 3.1) — the paper's model of XML
-// transformations.
-//
-// Up to k pebbles sit on nodes of the input binary tree under a stack
-// discipline: pebbles are placed in order 1..k (each new pebble starts at
-// the root), removed in reverse order, and only the highest-numbered pebble
-// moves. States are partitioned by the pebble they control: a state of
-// level i is active exactly when i pebbles are on the tree, and its
-// transitions move pebble i. Guards see the symbol under the current pebble
-// and which of pebbles 1..i-1 share its node (the paper's b-vector; here a
-// mask/value pair so "don't care" bits need not be enumerated).
+// transformations. Its pebbles walk the input tree under the stack
+// discipline of src/pt/machine.h.
 //
 // Output transitions emit a node of the output tree: output2 spawns two
 // branches that inherit all pebble positions and continue independently;
@@ -18,94 +10,45 @@
 #define PEBBLETC_PT_TRANSDUCER_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/status.h"
-#include "src/regex/nfa.h"  // StateId
-#include "src/tree/binary_tree.h"
+#include "src/pt/machine.h"
 
 namespace pebbletc {
 
-/// Wildcard for guard symbols.
-inline constexpr SymbolId kAnySymbol = kNoSymbol;
+/// A transducer transition: a move of the current pebble, or the output of
+/// a leaf or of a binary node.
+struct PebbleTransducerTransition {
+  enum class Kind { kMove, kOutputLeaf, kOutputBinary };
 
-/// A transition guard: input symbol under the current pebble (kAnySymbol
-/// matches every symbol) and a partial constraint on which lower-numbered
-/// pebbles sit on the current node — bit j (0-based) of the presence vector
-/// refers to pebble j+1; only bits selected by `presence_mask` are tested.
-struct PebbleGuard {
-  SymbolId symbol = kAnySymbol;
-  uint32_t presence_mask = 0;
-  uint32_t presence_value = 0;
+  Kind kind;
+  PebbleGuard guard;
+  StateId from;
+  // kMove:
+  PebbleMoveKind move = PebbleMoveKind::kStay;
+  StateId to = 0;
+  // kOutputLeaf / kOutputBinary:
+  SymbolId output_symbol = kNoSymbol;
+  StateId out_left = 0;   // kOutputBinary only
+  StateId out_right = 0;  // kOutputBinary only
 };
 
-class PebbleTransducer {
+class PebbleTransducer : public PebbleMachine<PebbleTransducerTransition> {
  public:
-  enum class MoveKind {
-    kStay,
-    kDownLeft,
-    kDownRight,
-    kUpLeft,   ///< move to the parent; applies only if the node is a left child
-    kUpRight,  ///< move to the parent; applies only if the node is a right child
-    kPlacePebble,
-    kPickPebble,
-  };
-
-  enum class TransitionKind { kMove, kOutputLeaf, kOutputBinary };
-
-  struct Transition {
-    TransitionKind kind;
-    PebbleGuard guard;
-    StateId from;
-    // kMove:
-    MoveKind move;
-    StateId to;
-    // kOutputLeaf / kOutputBinary:
-    SymbolId output_symbol;
-    StateId out_left;   // kOutputBinary only
-    StateId out_right;  // kOutputBinary only
-  };
-
-  /// A configuration (i, q, x1..xi): `pebbles.size()` equals the level of
-  /// `state`; pebbles[i-1] is the current pebble's node.
-  struct Config {
-    StateId state;
-    std::vector<NodeId> pebbles;
-
-    friend bool operator==(const Config& a, const Config& b) {
-      return a.state == b.state && a.pebbles == b.pebbles;
-    }
-    friend bool operator<(const Config& a, const Config& b) {
-      if (a.state != b.state) return a.state < b.state;
-      return a.pebbles < b.pebbles;
-    }
-  };
+  using TransitionKind = PebbleTransducerTransition::Kind;
+  using Transition = PebbleTransducerTransition;
 
   /// Creates a transducer with `max_pebbles` ≥ 1 pebbles over input/output
   /// alphabets of the given sizes.
   PebbleTransducer(uint32_t max_pebbles, uint32_t num_input_symbols,
-                   uint32_t num_output_symbols);
+                   uint32_t num_output_symbols)
+      : PebbleMachine(max_pebbles),
+        num_input_symbols_(num_input_symbols),
+        num_output_symbols_(num_output_symbols) {}
 
-  uint32_t max_pebbles() const { return max_pebbles_; }
   uint32_t num_input_symbols() const { return num_input_symbols_; }
   uint32_t num_output_symbols() const { return num_output_symbols_; }
-  uint32_t num_states() const { return static_cast<uint32_t>(level_.size()); }
-  uint32_t level(StateId q) const { return level_[q]; }
-  StateId start() const { return start_; }
-  const std::vector<Transition>& transitions() const { return transitions_; }
-
-  /// Adds a state controlled by pebble `level` (1-based, ≤ max_pebbles).
-  StateId AddState(uint32_t level);
-  /// Sets the initial state (must have level 1).
-  void SetStart(StateId q);
-
-  /// Adds a move transition. Level constraints (checked by Validate):
-  /// kPlacePebble raises the level by one, kPickPebble lowers it, all other
-  /// moves preserve it.
-  void AddMove(const PebbleGuard& guard, StateId from, MoveKind move,
-               StateId to);
 
   /// Adds an output transition emitting a leaf (halts the branch).
   void AddOutputLeaf(const PebbleGuard& guard, StateId from,
@@ -120,37 +63,14 @@ class PebbleTransducer {
   Status Validate(const RankedAlphabet& input,
                   const RankedAlphabet& output) const;
 
-  /// The initial configuration on `tree`: pebble 1 on the root, start state.
-  Config InitialConfig(const BinaryTree& tree) const;
-
-  /// Whether `t` (by index into transitions()) applies to `config` on
-  /// `tree` — guard satisfied and, for moves, the direction possible.
-  bool Applies(const Transition& t, const BinaryTree& tree,
-               const Config& config) const;
-
-  /// Applies an (applicable) move transition, returning the successor
-  /// configuration.
-  Config ApplyMove(const Transition& t, const BinaryTree& tree,
-                   const Config& config) const;
-
-  /// All transitions applicable to `config`, in declaration order.
-  std::vector<const Transition*> Applicable(const BinaryTree& tree,
-                                            const Config& config) const;
-
   /// True if no configuration can have two applicable transitions — checked
   /// syntactically per (state, symbol, presence) combination, which is exact
   /// for guards over declared mask bits.
   bool IsDeterministic() const;
 
  private:
-  uint32_t max_pebbles_;
   uint32_t num_input_symbols_;
   uint32_t num_output_symbols_;
-  StateId start_ = 0;
-  std::vector<uint32_t> level_;
-  std::vector<Transition> transitions_;
-  // transitions_ indexed by from-state for fast lookup.
-  std::vector<std::vector<uint32_t>> by_state_;
 };
 
 }  // namespace pebbletc

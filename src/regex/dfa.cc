@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace pebbletc {
@@ -51,81 +54,88 @@ std::vector<bool> Dfa::LiveStates() const {
   return live;
 }
 
-namespace {
-
-// Sorted-unique subset of NFA states with its ε-closure applied.
-using Subset = std::vector<StateId>;
-
-void Close(const Nfa& nfa, Subset* set) {
-  std::vector<bool> in_set(nfa.num_states, false);
-  for (StateId q : *set) in_set[q] = true;
-  std::vector<StateId> work(*set);
-  while (!work.empty()) {
-    StateId q = work.back();
-    work.pop_back();
-    for (StateId p : nfa.epsilon[q]) {
-      if (!in_set[p]) {
-        in_set[p] = true;
-        set->push_back(p);
-        work.push_back(p);
-      }
-    }
-  }
-  std::sort(set->begin(), set->end());
-}
-
-}  // namespace
-
-Dfa Determinize(const Nfa& nfa) {
+Result<Dfa> DeterminizeWithin(const Nfa& nfa, size_t max_states) {
   PEBBLETC_CHECK(nfa.num_states > 0) << "empty NFA";
+  // DFA states are ε-closed, sorted subsets of NFA states, numbered in the
+  // order they are first reached.
+  using Subset = std::vector<StateId>;
   std::map<Subset, StateId> index;
   std::vector<Subset> subsets;
-  auto intern = [&](Subset s) -> StateId {
+  auto intern = [&](Subset s) -> Result<StateId> {
     auto [it, inserted] = index.emplace(std::move(s), subsets.size());
-    if (inserted) subsets.push_back(it->first);
+    if (inserted) {
+      if (subsets.size() >= max_states) {
+        return Status::LimitExceeded("subset construction passed " +
+                                     std::to_string(max_states) + " states");
+      }
+      subsets.push_back(it->first);
+    }
     return it->second;
   };
+  // A kernel is one symbol's targets from a subset before ε-closure. Equal
+  // kernels close to the same subset, so each is closed and interned once.
+  // The empty kernel, the common case in a content model over many types,
+  // skips the map.
+  std::map<Subset, StateId> kernel_state;
+  std::optional<StateId> empty_state;
 
   Subset init = {nfa.start};
-  Close(nfa, &init);
-  StateId start = intern(std::move(init));
+  EpsilonClosure(nfa, &init);
+  PEBBLETC_ASSIGN_OR_RETURN(const StateId start, intern(std::move(init)));
 
-  // Rows of the transition table, built as subsets are discovered.
-  std::vector<std::vector<StateId>> rows;
+  // Row-major transition table, one row per subset, built as subsets are
+  // discovered.
+  std::vector<StateId> table;
   std::vector<bool> acc;
+  std::vector<Subset> kernels(nfa.num_symbols);
   for (StateId q = 0; q < subsets.size(); ++q) {
-    const Subset current = subsets[q];  // copy: subsets may grow
     bool a = false;
-    for (StateId s : current) a = a || nfa.accepting[s];
-    acc.push_back(a);
-    std::vector<StateId> row(nfa.num_symbols);
-    for (SymbolId sym = 0; sym < nfa.num_symbols; ++sym) {
-      Subset next;
-      std::vector<bool> seen(nfa.num_states, false);
-      for (StateId s : current) {
-        for (const auto& [tsym, to] : nfa.transitions[s]) {
-          if (tsym == sym && !seen[to]) {
-            seen[to] = true;
-            next.push_back(to);
-          }
-        }
+    for (StateId s : subsets[q]) {
+      a = a || nfa.accepting[s];
+      for (const auto& [sym, to] : nfa.transitions[s]) {
+        kernels[sym].push_back(to);
       }
-      Close(nfa, &next);
-      row[sym] = intern(std::move(next));
     }
-    rows.push_back(std::move(row));
+    acc.push_back(a);
+    for (SymbolId sym = 0; sym < nfa.num_symbols; ++sym) {
+      Subset& kernel = kernels[sym];
+      if (kernel.empty()) {
+        if (!empty_state) {
+          PEBBLETC_ASSIGN_OR_RETURN(empty_state, intern(Subset()));
+        }
+        table.push_back(*empty_state);
+        continue;
+      }
+      std::sort(kernel.begin(), kernel.end());
+      kernel.erase(std::unique(kernel.begin(), kernel.end()), kernel.end());
+      auto it = kernel_state.find(kernel);
+      if (it == kernel_state.end()) {
+        Subset closed = kernel;
+        EpsilonClosure(nfa, &closed);
+        PEBBLETC_ASSIGN_OR_RETURN(const StateId to,
+                                  intern(std::move(closed)));
+        it = kernel_state.emplace(kernel, to).first;
+      }
+      table.push_back(it->second);
+      kernel.clear();
+    }
   }
 
   Dfa dfa(static_cast<uint32_t>(subsets.size()),
           nfa.num_symbols == 0 ? 1 : nfa.num_symbols);
   dfa.set_start(start);
-  for (StateId q = 0; q < rows.size(); ++q) {
+  size_t next = 0;
+  for (StateId q = 0; q < subsets.size(); ++q) {
     dfa.set_accepting(q, acc[q]);
     for (SymbolId sym = 0; sym < nfa.num_symbols; ++sym) {
-      dfa.SetNext(q, sym, rows[q][sym]);
+      dfa.SetNext(q, sym, table[next++]);
     }
   }
   return dfa;
+}
+
+Dfa Determinize(const Nfa& nfa) {
+  return *DeterminizeWithin(nfa, std::numeric_limits<size_t>::max());
 }
 
 Dfa Minimize(const Dfa& dfa) {

@@ -12,6 +12,7 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/check.h"
+#include "src/common/result.h"
 #include "src/regex/nfa.h"
 #include "src/regex/regex.h"
 
@@ -58,6 +59,10 @@ class Dfa {
 
 /// Subset construction; only reachable subsets are materialized.
 Dfa Determinize(const Nfa& nfa);
+
+/// Determinize that stops with kLimitExceeded as soon as it would intern
+/// more than `max_states` subsets.
+Result<Dfa> DeterminizeWithin(const Nfa& nfa, size_t max_states);
 
 /// Moore's partition-refinement minimization (also removes unreachable
 /// states). The result is the canonical minimal complete DFA.

@@ -26,9 +26,6 @@ void Nfa::AddEpsilon(StateId from, StateId to) {
   epsilon[from].push_back(to);
 }
 
-namespace {
-
-// Expands `set` to its ε-closure (in place). `set` is a sorted unique vector.
 void EpsilonClosure(const Nfa& nfa, std::vector<StateId>* set) {
   std::vector<bool> in_set(nfa.num_states, false);
   for (StateId q : *set) in_set[q] = true;
@@ -46,8 +43,6 @@ void EpsilonClosure(const Nfa& nfa, std::vector<StateId>* set) {
   }
   std::sort(set->begin(), set->end());
 }
-
-}  // namespace
 
 bool Nfa::Accepts(const std::vector<SymbolId>& word) const {
   std::vector<StateId> current = {start};

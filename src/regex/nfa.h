@@ -40,6 +40,9 @@ struct Nfa {
   bool Accepts(const std::vector<SymbolId>& word) const;
 };
 
+/// Expands `set`, a vector of distinct states, to its ε-closure, sorted.
+void EpsilonClosure(const Nfa& nfa, std::vector<StateId>* set);
+
 /// Thompson construction. The regex must only mention symbols < num_symbols.
 Nfa CompileRegexToNfa(const RegexPtr& regex, uint32_t num_symbols);
 

@@ -132,12 +132,21 @@ class RegexParser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
+  // Checked after every operator, so a long chain stops at the cap instead
+  // of building an AST its walks cannot recurse through.
+  static Status CheckAstDepth(const Regex& r) {
+    if (r.depth() <= kMaxRegexAstDepth) return Status::OK();
+    return Status::LimitExceeded("regex AST deeper than " +
+                                 std::to_string(kMaxRegexAstDepth));
+  }
+
   Result<RegexPtr> ParseUnion() {
     PEBBLETC_ASSIGN_OR_RETURN(RegexPtr r, ParseConcat());
     while (Peek() == '|') {
       ++pos_;
       PEBBLETC_ASSIGN_OR_RETURN(RegexPtr rhs, ParseConcat());
       r = Regex::Union(std::move(r), std::move(rhs));
+      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
     }
     return r;
   }
@@ -148,6 +157,7 @@ class RegexParser {
       ++pos_;
       PEBBLETC_ASSIGN_OR_RETURN(RegexPtr rhs, ParsePostfix());
       r = Regex::Concat(std::move(r), std::move(rhs));
+      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
     }
     return r;
   }
@@ -168,6 +178,7 @@ class RegexParser {
       } else {
         break;
       }
+      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
     }
     return r;
   }

@@ -14,6 +14,8 @@
 #ifndef PEBBLETC_REGEX_REGEX_H_
 #define PEBBLETC_REGEX_REGEX_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -47,6 +49,8 @@ class Regex {
   const RegexPtr& left() const { return left_; }
   /// For kConcat/kUnion: right operand.
   const RegexPtr& right() const { return right_; }
+  /// Levels of the AST rooted here (1 for a leaf).
+  size_t depth() const { return depth_; }
 
   /// True if ε ∈ lang(this).
   bool IsNullable() const;
@@ -74,12 +78,15 @@ class Regex {
  private:
   Regex(Kind kind, SymbolId symbol, RegexPtr left, RegexPtr right)
       : kind_(kind), symbol_(symbol), left_(std::move(left)),
-        right_(std::move(right)) {}
+        right_(std::move(right)),
+        depth_(1 + std::max(left_ ? left_->depth_ : 0,
+                            right_ ? right_->depth_ : 0)) {}
 
   Kind kind_;
   SymbolId symbol_ = kNoSymbol;
   RegexPtr left_;
   RegexPtr right_;
+  size_t depth_;
 };
 
 /// Maximum '(' nesting depth the parser accepts. The parser (and the AST it
@@ -89,9 +96,18 @@ class Regex {
 /// an ASan/UBSan RelWithDebInfo build, so 256 levels stay near 2.3 MiB.
 inline constexpr size_t kDefaultMaxRegexDepth = 256;
 
+/// Maximum AST depth (Regex::depth) of a parsed or deserialized regex. This
+/// is not the '(' cap above: concatenations and unions parse left-deep, so a
+/// chain of n terms is an AST n deep with no parentheses at all, and every
+/// AST walk (NFA construction, IsNullable, Reverse, printing, destruction)
+/// recurses once per level. Deeper input fails with kLimitExceeded.
+inline constexpr size_t kMaxRegexAstDepth = 2000;
+
 /// Parses the concrete syntax above. Symbol names are resolved against (and
 /// interned into) `*alphabet`. Operator precedence: postfix (* + ?) binds
-/// tighter than '.', which binds tighter than '|'.
+/// tighter than '.', which binds tighter than '|'. Input nested past
+/// `max_depth` parentheses or building an AST past kMaxRegexAstDepth fails
+/// with kLimitExceeded.
 Result<RegexPtr> ParseRegex(std::string_view text, Alphabet* alphabet,
                             size_t max_depth = kDefaultMaxRegexDepth);
 

@@ -50,8 +50,6 @@ void PutString(std::string_view s, std::string* out) {
 constexpr uint32_t kMaxNameBytes = 1024;
 constexpr uint32_t kMaxAlphabetSymbols = 1u << 20;
 constexpr uint32_t kMaxRegexNodes = 1u << 16;
-// Not the parser's '(' cap: n sequenced children parse to an AST n deep.
-constexpr size_t kMaxRegexAstDepth = 2000;
 
 // Bounds-checked little-endian reader over the input view.
 class Reader {
@@ -369,18 +367,19 @@ Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
   if (n_nodes > kMaxRegexNodes) {
     return Status::ParseError("regex node count exceeds cap");
   }
-  // Build stack of (subtree, depth). The factories may simplify (identities
-  // with ∅/ε), so the rebuilt AST is at most as deep as the declared one.
-  std::vector<std::pair<RegexPtr, size_t>> stack;
+  // Postfix stream of nodes, rebuilt on an explicit stack. The cap applies
+  // to the AST the factories build, which may be shallower than the stream
+  // declares (they fold identities with ∅ and ε).
+  std::vector<RegexPtr> stack;
   for (uint32_t i = 0; i < n_nodes; ++i) {
     uint8_t kind = 0;
     PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&kind));
     switch (kind) {
       case kRegexEmptySet:
-        stack.push_back({Regex::EmptySet(), 1});
+        stack.push_back(Regex::EmptySet());
         break;
       case kRegexEpsilon:
-        stack.push_back({Regex::Epsilon(), 1});
+        stack.push_back(Regex::Epsilon());
         break;
       case kRegexSymbol: {
         uint32_t sym = 0;
@@ -388,16 +387,14 @@ Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
         if (sym >= num_symbols) {
           return Status::ParseError("regex symbol out of range");
         }
-        stack.push_back({Regex::Symbol(sym), 1});
+        stack.push_back(Regex::Symbol(sym));
         break;
       }
       case kRegexStar: {
         if (stack.empty()) {
           return Status::ParseError("regex star with no operand");
         }
-        auto [body, depth] = std::move(stack.back());
-        stack.pop_back();
-        stack.push_back({Regex::Star(std::move(body)), depth + 1});
+        stack.back() = Regex::Star(std::move(stack.back()));
         break;
       }
       case kRegexConcat:
@@ -405,20 +402,18 @@ Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
         if (stack.size() < 2) {
           return Status::ParseError("regex binary operator with <2 operands");
         }
-        auto [rhs, rdepth] = std::move(stack.back());
+        RegexPtr rhs = std::move(stack.back());
         stack.pop_back();
-        auto [lhs, ldepth] = std::move(stack.back());
-        stack.pop_back();
-        RegexPtr combined = kind == kRegexConcat
-                                ? Regex::Concat(std::move(lhs), std::move(rhs))
-                                : Regex::Union(std::move(lhs), std::move(rhs));
-        stack.push_back({std::move(combined), 1 + std::max(ldepth, rdepth)});
+        RegexPtr lhs = std::move(stack.back());
+        stack.back() = kind == kRegexConcat
+                           ? Regex::Concat(std::move(lhs), std::move(rhs))
+                           : Regex::Union(std::move(lhs), std::move(rhs));
         break;
       }
       default:
         return Status::ParseError("unknown regex node kind");
     }
-    if (stack.back().second > kMaxRegexAstDepth) {
+    if (stack.back()->depth() > kMaxRegexAstDepth) {
       return Status::ParseError("regex deeper than the AST depth cap");
     }
   }
@@ -427,7 +422,7 @@ Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
                               std::to_string(stack.size()) +
                               " roots (expected 1)");
   }
-  *out = std::move(stack.back().first);
+  *out = std::move(stack.back());
   return Status::OK();
 }
 
@@ -674,6 +669,16 @@ Result<SchemaArtifact> DeserializeSchemaArtifact(std::string_view bytes) {
   PEBBLETC_RETURN_IF_ERROR(ReadRankedAlphabet(in, &artifact.alphabet));
   PEBBLETC_RETURN_IF_ERROR(ReadNbtaBody(in, &artifact.automaton));
   PEBBLETC_RETURN_IF_ERROR(in.Done());
+  const Nbta& a = artifact.automaton;
+  if (a.num_states > kMaxSchemaStates) {
+    return Status::ParseError("schema has more than " +
+                              std::to_string(kMaxSchemaStates) + " states");
+  }
+  if (static_cast<uint64_t>(a.num_symbols) * a.num_states >
+      kMaxSchemaIndexEntries) {
+    return Status::ParseError("schema symbols × states exceed " +
+                              std::to_string(kMaxSchemaIndexEntries));
+  }
   Status valid = artifact.automaton.Validate(artifact.alphabet);
   if (!valid.ok()) {
     return Status::ParseError("schema artifact failed validation: " +

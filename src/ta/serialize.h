@@ -96,8 +96,15 @@ struct SchemaArtifact {
 /// Appends the binary encoding of `artifact`.
 void SerializeSchemaArtifact(const SchemaArtifact& artifact, std::string* out);
 
+/// Caps on a schema artifact's width. A state costs one bit on the wire, but
+/// the schema's first validation builds an NbtaIndex with row offsets per
+/// (symbol, state), so the artifact's size alone does not bound its cost.
+inline constexpr uint32_t kMaxSchemaStates = 1u << 16;
+inline constexpr uint64_t kMaxSchemaIndexEntries = 1u << 22;  // |Σ| × states
+
 /// Parses a schema artifact; the automaton must pass Nbta::Validate against
-/// the bundled alphabet (rank discipline included). Violations → kParseError.
+/// the bundled alphabet (rank discipline included) and stay within the caps
+/// above. Violations → kParseError.
 Result<SchemaArtifact> DeserializeSchemaArtifact(std::string_view bytes);
 
 /// What a wrapped artifact contains. Wire-stable values — do not renumber.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <string_view>
 
@@ -307,6 +308,75 @@ TEST(ArtifactSerializeTest, LongContentModelRoundTripsPastTheParserDepthCap) {
   EXPECT_FALSE(*back->Accepts(short_by_one));
 }
 
+// r := (c0|…|c299)* over 300 empty types: the subset construction reaches
+// 302 states of about 900 NFA states each, which took seconds while every
+// symbol rescanned the subset and re-closed its successor.
+TEST(ArtifactSerializeTest, WideUnionDtdCompilesAndRoundTripsInUnderASecond) {
+  constexpr int kTypes = 300;
+  std::string text = "r := (";
+  for (int i = 0; i < kTypes; ++i) {
+    text += (i ? "|c" : "c") + std::to_string(i);
+  }
+  text += ")*\n";
+  for (int i = 0; i < kTypes; ++i) text += "c" + std::to_string(i) + " := ()\n";
+
+  const auto start = std::chrono::steady_clock::now();
+  SpecializedDtd dtd = std::move(ParseDtd(text)).ValueOrDie();
+  const std::string bytes = DtdBytesOf(dtd);
+  Result<SpecializedDtd> back = DeserializeDtdArtifact(bytes);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(DtdBytesOf(*back), bytes);
+  auto doc = std::move(ParseUnrankedTerm("r(c0,c299,c7,c0)",
+                                         back->mutable_tags()))
+                 .ValueOrDie();
+  EXPECT_TRUE(*back->Accepts(doc));
+  auto nested = std::move(ParseUnrankedTerm("r(r)", back->mutable_tags()))
+                    .ValueOrDie();
+  EXPECT_FALSE(*back->Accepts(nested));
+}
+
+// The content-model caps hold on the artifact path, where a refusal is
+// kParseError: a content model whose DFA passes kMaxContentModelStates and
+// a DTD whose dense content tables pass kMaxContentTableEntries. Neither was
+// built by ParseDtd, which applies the same caps.
+TEST(ArtifactSerializeTest, DtdPastTheContentModelCapsIsAParseError) {
+  // r := (a|b)*.a.(a|b)^20 needs 2^21 subset states in a 114-byte DTD.
+  SpecializedDtd exponential;
+  const RegexPtr ab = Regex::Union(Regex::Symbol(1), Regex::Symbol(2));
+  RegexPtr r = Regex::Concat(Regex::Star(ab), Regex::Symbol(1));
+  for (int i = 0; i < 20; ++i) r = Regex::Concat(r, ab);
+  ASSERT_TRUE(exponential.AddType("r", "r", r).ok());
+  ASSERT_TRUE(exponential.AddType("a", "a", Regex::Epsilon()).ok());
+  ASSERT_TRUE(exponential.AddType("b", "b", Regex::Epsilon()).ok());
+  ASSERT_TRUE(exponential.AddRootType(0).ok());
+  Result<SpecializedDtd> refused =
+      DeserializeDtdArtifact(DtdBytesOf(exponential));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  EXPECT_NE(refused.status().message().find("DFA states"), std::string::npos)
+      << refused.status().message();
+
+  // n empty types cost 2n² dense table entries: 1,000 load, 20,000 do not.
+  auto empty_types = [](int n) {
+    SpecializedDtd dtd;
+    for (int i = 0; i < n; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      EXPECT_TRUE(dtd.AddType(name, name, Regex::Epsilon()).ok());
+    }
+    EXPECT_TRUE(dtd.AddRootType(0).ok());
+    return dtd;
+  };
+  EXPECT_TRUE(DeserializeDtdArtifact(DtdBytesOf(empty_types(1000))).ok());
+  refused = DeserializeDtdArtifact(DtdBytesOf(empty_types(20000)));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  EXPECT_NE(refused.status().message().find("table entries"),
+            std::string::npos)
+      << refused.status().message();
+}
+
 TEST(ArtifactSerializeTest, DtdRejectsEveryTruncation) {
   SpecializedDtd dtd =
       std::move(ParseSpecializedDtd(kSpecializedDtd)).ValueOrDie();
@@ -376,6 +446,22 @@ TEST(ArtifactSerializeTest, DtdRejectsMalformedRegexStreams) {
     b.push_back(9);  // unknown node kind
     EXPECT_FALSE(DeserializeDtdArtifact(b).ok());
   }
+  // A chain a.a.….a rebuilds left-deep; kMaxRegexAstDepth levels load and
+  // one more is refused.
+  for (size_t terms : {kMaxRegexAstDepth, kMaxRegexAstDepth + 1}) {
+    std::string b = header();
+    put_u32(static_cast<uint32_t>(2 * terms - 1), &b);
+    for (size_t i = 0; i < terms; ++i) {
+      b.push_back(2);  // symbol 0
+      put_u32(0, &b);
+      if (i > 0) b.push_back(3);  // concat
+    }
+    put_u32(1, &b);  // one root type: type 0
+    put_u32(0, &b);
+    Result<SpecializedDtd> chain = DeserializeDtdArtifact(b);
+    EXPECT_EQ(chain.ok(), terms == kMaxRegexAstDepth)
+        << terms << " terms: " << chain.status().message();
+  }
 }
 
 TEST(ArtifactSerializeTest, DtdRejectsOutOfRangeReferences) {
@@ -421,6 +507,42 @@ TEST(ArtifactSerializeTest, SchemaRejectsEveryTruncation) {
         << "prefix of " << cut << " bytes parsed";
   }
   EXPECT_FALSE(DeserializeSchemaArtifact(bytes + '\0').ok());
+}
+
+// A schema of `states` states over `symbols` leaf symbols; state 0 accepts
+// the first leaf.
+SchemaArtifact WideSchema(uint32_t symbols, uint32_t states) {
+  SchemaArtifact artifact;
+  for (uint32_t i = 0; i < symbols; ++i) {
+    EXPECT_TRUE(artifact.alphabet.AddLeaf("l" + std::to_string(i)).ok());
+  }
+  artifact.automaton.num_symbols = symbols;
+  for (uint32_t q = 0; q < states; ++q) (void)artifact.automaton.AddState();
+  artifact.automaton.accepting[0] = true;
+  artifact.automaton.AddLeafRule(0, 0);
+  return artifact;
+}
+
+TEST(ArtifactSerializeTest, SchemaWidthIsCapped) {
+  const auto load = [](uint32_t symbols, uint32_t states) {
+    return DeserializeSchemaArtifact(
+        SchemaBytesOf(WideSchema(symbols, states)));
+  };
+  Result<SchemaArtifact> at_cap = load(1, kMaxSchemaStates);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().message();
+  EXPECT_EQ(at_cap->automaton.num_states, kMaxSchemaStates);
+  Result<SchemaArtifact> over = load(1, kMaxSchemaStates + 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+
+  // Symbols × states, the size of the NbtaIndex row offsets.
+  constexpr uint32_t kSymbols = 1024;
+  constexpr auto kStates =
+      static_cast<uint32_t>(kMaxSchemaIndexEntries / kSymbols);
+  EXPECT_TRUE(load(kSymbols, kStates).ok());
+  over = load(kSymbols, kStates + 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,42 @@ TEST(DtdTest, ParseErrors) {
   EXPECT_FALSE(ParseDtd("a[b] := ()").ok());      // specialized form in plain
 }
 
+// Compiling content models is bounded: a few bytes of DTD text cannot make
+// ParseDtd determinize for minutes or allocate gigabytes of dense tables.
+TEST(DtdTest, ContentModelCapsRefuseWithLimitExceeded) {
+  // (a|b)*.a.(a|b)^k needs 2^(k+1) subset states: k = 12 loads, k = 20 passes
+  // kMaxContentModelStates.
+  auto exponential = [](int k) {
+    std::string text = "r := (a|b)*.a";
+    for (int i = 0; i < k; ++i) text += ".(a|b)";
+    return text + "\na := ()\nb := ()\n";
+  };
+  EXPECT_TRUE(ParseDtd(exponential(12)).ok());
+  Result<SpecializedDtd> refused = ParseDtd(exponential(20));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kLimitExceeded);
+
+  // n empty types cost 2n² dense table entries: 1,000 types load, 20,000
+  // pass kMaxContentTableEntries.
+  auto empty_types = [](int n) {
+    std::string text;
+    for (int i = 0; i < n; ++i) text += "c" + std::to_string(i) + " := ()\n";
+    return text;
+  };
+  EXPECT_TRUE(ParseDtd(empty_types(1000)).ok());
+  refused = ParseDtd(empty_types(20000));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kLimitExceeded);
+
+  // A content model chaining 20,000 children is an AST past
+  // kMaxRegexAstDepth.
+  std::string chain = "r := c";
+  for (int i = 1; i < 20000; ++i) chain += ".c";
+  refused = ParseDtd(chain + "\nc := ()\n");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kLimitExceeded);
+}
+
 TEST(DtdTest, SpecializedDistinguishesSameTag) {
   // The paper's example: t = a(b(c), b(d)) needs the two b's to have
   // different types — impossible for a plain DTD, expressible specialized.

@@ -152,6 +152,33 @@ TEST(ParserFuzz, DeeplyNestedInputsDoNotOverflow) {
   auto past_cap = ParseRegex(nested(257), &sigma4);
   ASSERT_FALSE(past_cap.ok());
   EXPECT_EQ(past_cap.status().code(), StatusCode::kLimitExceeded);
+
+  // Chains need no parentheses to be deep: n terms joined by '.' or '|'
+  // parse left-deep to an AST n levels deep, which every AST walk recurses
+  // through. 20,000 terms are refused; a chain at kMaxRegexAstDepth parses
+  // and compiles.
+  auto chain = [](size_t terms, char op) {
+    std::string s = "a";
+    for (size_t i = 1; i < terms; ++i) s += std::string(1, op) + "a";
+    return s;
+  };
+  for (char op : {'.', '|'}) {
+    Alphabet sigma5;
+    auto long_chain = ParseRegex(chain(20000, op), &sigma5);
+    ASSERT_FALSE(long_chain.ok()) << op;
+    EXPECT_EQ(long_chain.status().code(), StatusCode::kLimitExceeded) << op;
+    auto just_past = ParseRegex(chain(kMaxRegexAstDepth + 1, op), &sigma5);
+    EXPECT_EQ(just_past.status().code(), StatusCode::kLimitExceeded) << op;
+
+    auto at_depth_cap = ParseRegex(chain(kMaxRegexAstDepth, op), &sigma5);
+    ASSERT_TRUE(at_depth_cap.ok()) << at_depth_cap.status().ToString();
+    EXPECT_EQ((*at_depth_cap)->depth(), kMaxRegexAstDepth);
+    Dfa chain_dfa =
+        CompileRegexToDfa(*at_depth_cap, static_cast<uint32_t>(sigma5.size()));
+    const std::vector<SymbolId> a_word(op == '.' ? kMaxRegexAstDepth : 1,
+                                       sigma5.Find("a"));
+    EXPECT_TRUE(chain_dfa.Accepts(a_word)) << op;
+  }
 }
 
 TEST(ParserFuzz, PathologicalRegexesStayPolynomial) {

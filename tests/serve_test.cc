@@ -610,6 +610,79 @@ TEST_F(ServeDispatchTest, CorruptArtifactLoadIsRejectedAndInstallsNothing) {
   EXPECT_EQ(server_.registry().Get("bare"), nullptr);
 }
 
+// Artifacts whose load would cost far more than their bytes are refused
+// inside the request, through the whole frame path, with a structured error
+// and nothing installed: a 114-byte DTD whose content model needs 2^21
+// subset states, a DTD of 20,000 types whose dense content tables would
+// take about 3 GB, and a schema one state past kMaxSchemaStates.
+TEST_F(ServeDispatchTest, CostlyArtifactsAreRefusedQuicklyAndInstallNothing) {
+  struct Case {
+    std::string name;
+    TaArtifactKind kind;
+    std::string payload;
+  };
+  std::vector<Case> cases;
+  {
+    SpecializedDtd dtd;
+    const RegexPtr ab = Regex::Union(Regex::Symbol(1), Regex::Symbol(2));
+    RegexPtr r = Regex::Concat(Regex::Star(ab), Regex::Symbol(1));
+    for (int i = 0; i < 20; ++i) r = Regex::Concat(r, ab);
+    ASSERT_TRUE(dtd.AddType("r", "r", r).ok());
+    ASSERT_TRUE(dtd.AddType("a", "a", Regex::Epsilon()).ok());
+    ASSERT_TRUE(dtd.AddType("b", "b", Regex::Epsilon()).ok());
+    ASSERT_TRUE(dtd.AddRootType(0).ok());
+    cases.push_back({"exponential", TaArtifactKind::kDtd, ""});
+    SerializeDtdArtifact(dtd, &cases.back().payload);
+  }
+  {
+    SpecializedDtd dtd;
+    for (int i = 0; i < 20000; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      ASSERT_TRUE(dtd.AddType(name, name, Regex::Epsilon()).ok());
+    }
+    ASSERT_TRUE(dtd.AddRootType(0).ok());
+    cases.push_back({"wide", TaArtifactKind::kDtd, ""});
+    SerializeDtdArtifact(dtd, &cases.back().payload);
+  }
+  {
+    SchemaArtifact schema;
+    ASSERT_TRUE(schema.alphabet.AddLeaf("l").ok());
+    schema.automaton.num_symbols = 1;
+    for (uint32_t q = 0; q <= kMaxSchemaStates; ++q) {
+      (void)schema.automaton.AddState();
+    }
+    cases.push_back({"schema", TaArtifactKind::kSchema, ""});
+    SerializeSchemaArtifact(schema, &cases.back().payload);
+  }
+
+  uint32_t request_id = 1;
+  for (const Case& c : cases) {
+    Request load;
+    load.header.opcode = Opcode::kLoadArtifact;
+    load.header.request_id = request_id++;
+    std::string wrapped;
+    WrapTaArtifact(c.kind, c.payload, &wrapped);
+    load.body = LoadArtifactRequest{c.name, wrapped};
+    std::string frame;
+    EncodeRequest(load, &frame);
+
+    const auto start = std::chrono::steady_clock::now();
+    Result<Response> response = DecodeResponse(server_.HandleFrame(frame));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(response.ok()) << c.name;
+    EXPECT_EQ(response->header.status, WireStatus::kValidationFailed)
+        << c.name << ": " << response->header.detail;
+    EXPECT_FALSE(response->header.detail.empty()) << c.name;
+    EXPECT_LT(elapsed, std::chrono::seconds(1)) << c.name;
+    EXPECT_EQ(server_.registry().Get(c.name), nullptr) << c.name;
+
+    Response next = server_.Handle(MakeValidate(request_id++, "in",
+                                                "<a><c/></a>"));
+    ASSERT_EQ(next.header.status, WireStatus::kOk) << next.header.detail;
+    EXPECT_TRUE(std::get<ValidateResponse>(next.body).valid) << c.name;
+  }
+}
+
 TEST_F(ServeDispatchTest, LoadCanBeDisabled) {
   ServeOptions options = TestOptions();
   options.allow_load = false;
