@@ -11,7 +11,12 @@
 //    schema it violates. Refutations are never cached, so with memo on
 //    every decision still runs pass 1 (the τ1 enumeration and a per-input
 //    antichain check) — the served typecheck's most frequent work. The
-//    Pass2 row turns pass 1 off, so pass 2's downward search refutes.
+//    Pass2 row turns pass 1 off, so pass 2's downward search refutes; the
+//    Late row's first violator has 13 nodes, so pass 1 builds and checks
+//    every smaller τ1 tree first.
+//  * Pass 1's enumeration alone: EnumerateAcceptedTrees over a τ1 whose
+//    smallest tree has 17 nodes while one state holds every tree, so each
+//    row builds every tree up to its node bound and emits none.
 //  * Cache-size sensitivity: a working set of distinct schema tables (the
 //    kDeterminize entry MembershipEngine::Compile probes) cycled through
 //    caches from ample to starved; the starved rows measure the
@@ -34,6 +39,7 @@
 #include "src/dtd/dtd.h"
 #include "src/query/xslt.h"
 #include "src/ta/membership.h"
+#include "src/ta/enumerate.h"
 #include "src/ta/nbta.h"
 #include "src/ta/op_cache.h"
 #include "src/ta/op_context.h"
@@ -65,6 +71,9 @@ struct RenameFixture {
   Nbta tau1, tau2;
   // Every b must have a child, so <a/> ↦ <b/> violates it.
   Nbta tau2_refuting;
+  // No b has more than two children, so the smallest violating input is an
+  // a with three children: 13 nodes encoded, the 42nd τ1 tree enumerated.
+  Nbta tau2_refuting_late;
 
   RenameFixture() : t(1, 1, 1) {
     auto program =
@@ -82,6 +91,10 @@ struct RenameFixture {
         std::move(ParseDtd("b := (b|d).(b|d)*\nd := ()")).ValueOrDie();
     tau2_refuting =
         std::move(CompileDtdToNbta(tight_dtd, out_enc)).ValueOrDie();
+    auto narrow_dtd =
+        std::move(ParseDtd("b := (b|d)?.(b|d)?\nd := ()")).ValueOrDie();
+    tau2_refuting_late =
+        std::move(CompileDtdToNbta(narrow_dtd, out_enc)).ValueOrDie();
   }
 
   TypecheckOptions Options(TaMemoMode memo) const {
@@ -139,7 +152,8 @@ BENCHMARK(BM_TypecheckWarm)->Unit(benchmark::kMillisecond);
 // bound comes from `refutation_max_trees`; at 0 the refutation is pass 2's:
 // the complement of τ2, the downward search and the violating-output
 // recovery.
-void RunRefuted(benchmark::State& state, size_t refutation_max_trees) {
+void RunRefuted(benchmark::State& state, const Nbta& tau2,
+                size_t refutation_max_trees) {
   const RenameFixture& f = Rename();
   Typechecker tc(f.t, f.in_enc.ranked, f.out_enc.ranked);
   TypecheckOptions opts;
@@ -148,29 +162,78 @@ void RunRefuted(benchmark::State& state, size_t refutation_max_trees) {
   TaOpCache::Global().Clear();
   TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   std::string method;
+  size_t witness_nodes = 0;
   for (auto _ : state) {
-    auto r = tc.Typecheck(f.tau1, f.tau2_refuting, opts);
+    auto r = tc.Typecheck(f.tau1, tau2, opts);
     PEBBLETC_CHECK(r.ok());
     verdict = r->verdict;
     method = r->method;
+    witness_nodes =
+        r->counterexample_input ? r->counterexample_input->size() : 0;
     benchmark::DoNotOptimize(r);
   }
   state.counters["refuted"] =
       verdict == TypecheckVerdict::kCounterexample ? 1 : 0;
   state.counters["bounded_refutation"] =
       method == "bounded-refutation" ? 1 : 0;
+  state.counters["witness_nodes"] = static_cast<double>(witness_nodes);
   state.SetLabel(method);
 }
 
 void BM_TypecheckRefuted(benchmark::State& state) {
-  RunRefuted(state, TypecheckOptions{}.refutation_max_trees);
+  RunRefuted(state, Rename().tau2_refuting,
+             TypecheckOptions{}.refutation_max_trees);
 }
 BENCHMARK(BM_TypecheckRefuted)->Unit(benchmark::kMicrosecond);
 
 void BM_TypecheckRefutedPass2(benchmark::State& state) {
-  RunRefuted(state, 0);
+  RunRefuted(state, Rename().tau2_refuting, 0);
 }
 BENCHMARK(BM_TypecheckRefutedPass2)->Unit(benchmark::kMicrosecond);
+
+void BM_TypecheckRefutedLate(benchmark::State& state) {
+  RunRefuted(state, Rename().tau2_refuting_late,
+             TypecheckOptions{}.refutation_max_trees);
+}
+BENCHMARK(BM_TypecheckRefutedLate)->Unit(benchmark::kMicrosecond);
+
+// Over {a0, b0, a2, b2}: state 0 holds every tree, b2(i, 0) climbs from
+// state i to i + 1 up to 8, and a2(0, 8) reaches the accepting state 9, so
+// no accepted tree has fewer than 17 nodes.
+Nbta LongSpineType() {
+  constexpr SymbolId kA0 = 0, kB0 = 1, kA2 = 2, kB2 = 3;
+  Nbta a;
+  a.num_symbols = 4;
+  for (int q = 0; q < 10; ++q) a.AddState();
+  a.accepting[9] = true;
+  a.AddLeafRule(kA0, 0);
+  a.AddLeafRule(kB0, 0);
+  a.AddLeafRule(kA0, 1);
+  a.AddRule(kA2, 0, 0, 0);
+  a.AddRule(kB2, 0, 0, 0);
+  a.AddRule(kA2, 0, 8, 9);
+  for (StateId i = 1; i <= 7; ++i) a.AddRule(kB2, i, 0, i + 1);
+  return a;
+}
+
+void BM_EnumerateAcceptedTrees(benchmark::State& state) {
+  const Nbta a = LongSpineType();
+  const size_t max_nodes = static_cast<size_t>(state.range(0));
+  TaOpContext ctx;
+  for (auto _ : state) {
+    auto trees = EnumerateAcceptedTrees(a, max_nodes, 100, &ctx);
+    PEBBLETC_CHECK(trees.empty());
+    benchmark::DoNotOptimize(trees);
+  }
+  // One checkpoint per built tree.
+  state.counters["trees_built"] = static_cast<double>(
+      ctx.counters.checkpoints / static_cast<uint64_t>(state.iterations()));
+}
+BENCHMARK(BM_EnumerateAcceptedTrees)
+    ->Arg(7)
+    ->Arg(9)
+    ->Arg(11)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WarmWorkingSet(benchmark::State& state) {
   // Cache-size sensitivity: cycle a working set of 8 distinct schemas

@@ -282,6 +282,65 @@ uint64_t RefCountRuns(const Nbta& a, StateId q, size_t s,
 
 }  // namespace
 
+Dfa RefMinimizeDfa(const Dfa& dfa) {
+  const uint32_t n = dfa.num_states();
+  const uint32_t k = dfa.num_symbols();
+
+  // Restrict to reachable states first.
+  std::vector<StateId> order;
+  std::vector<int64_t> reach_index(n, -1);
+  order.push_back(dfa.start());
+  reach_index[dfa.start()] = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (SymbolId a = 0; a < k; ++a) {
+      StateId t = dfa.Next(order[i], a);
+      if (reach_index[t] < 0) {
+        reach_index[t] = static_cast<int64_t>(order.size());
+        order.push_back(t);
+      }
+    }
+  }
+  const uint32_t m = static_cast<uint32_t>(order.size());
+
+  // Moore refinement over reachable states: block id per state, refined until
+  // stable. Initial partition: accepting vs non-accepting.
+  std::vector<uint32_t> block(m);
+  for (uint32_t i = 0; i < m; ++i) block[i] = dfa.accepting(order[i]) ? 1 : 0;
+  uint32_t num_blocks = 2;
+  for (bool changed = true; changed;) {
+    changed = false;
+    // Signature: (current block, successor blocks per symbol).
+    std::map<std::vector<uint32_t>, uint32_t> sig_index;
+    std::vector<uint32_t> new_block(m);
+    for (uint32_t i = 0; i < m; ++i) {
+      std::vector<uint32_t> sig;
+      sig.reserve(k + 1);
+      sig.push_back(block[i]);
+      for (SymbolId a = 0; a < k; ++a) {
+        StateId t = dfa.Next(order[i], a);
+        sig.push_back(block[reach_index[t]]);
+      }
+      auto [it, inserted] = sig_index.emplace(
+          std::move(sig), static_cast<uint32_t>(sig_index.size()));
+      new_block[i] = it->second;
+      (void)inserted;
+    }
+    if (sig_index.size() != num_blocks) changed = true;
+    num_blocks = static_cast<uint32_t>(sig_index.size());
+    block = std::move(new_block);
+  }
+
+  Dfa out(num_blocks, k);
+  out.set_start(block[0]);  // order[0] == start
+  for (uint32_t i = 0; i < m; ++i) {
+    out.set_accepting(block[i], dfa.accepting(order[i]));
+    for (SymbolId a = 0; a < k; ++a) {
+      out.SetNext(block[i], a, block[reach_index[dfa.Next(order[i], a)]]);
+    }
+  }
+  return out;
+}
+
 uint64_t RefCountAcceptedTrees(const Nbta& a, size_t num_nodes) {
   if (num_nodes == 0 || num_nodes % 2 == 0) return 0;
   std::map<std::pair<StateId, size_t>, uint64_t> memo;

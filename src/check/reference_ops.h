@@ -24,6 +24,7 @@
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
 #include "src/pt/transducer.h"
+#include "src/regex/dfa.h"
 #include "src/ta/nbta.h"
 #include "src/tree/binary_tree.h"
 
@@ -78,6 +79,14 @@ Nbta RefTrim(const Nbta& a);
 /// product-form De Morgan operands small, and its minimize/lang law checks
 /// it. kInvalidArgument when `alphabet` does not match `d`.
 Result<Dbta> MinimizeDbta(const Dbta& d, const RankedAlphabet& alphabet);
+
+/// Moore's partition refinement over the states reachable from the start
+/// (breadth-first, symbols ascending): refine accepting vs non-accepting by
+/// (block, successor blocks) signatures until the block count stops
+/// growing, numbering each round's blocks by first occurrence. The oracle
+/// for Minimize (src/regex/dfa.h), whose tables must be identical.
+/// O(k·n²·log n): a chain of n states takes n rounds.
+Dfa RefMinimizeDfa(const Dfa& dfa);
 
 /// Number of accepting runs on trees with exactly `num_nodes` nodes,
 /// saturating at UINT64_MAX — the reference twin of CountAcceptedTrees,

@@ -227,34 +227,46 @@ Result<TypecheckResult> Typechecker::Typecheck(
   // of τ2 is built off it.
   NbtaIndex tau2_idx(output_type, &ctx);
 
-  // Pass 1: bounded refutation — exact per-input checks on small τ1 trees.
+  // Pass 1: bounded refutation — exact per-input checks on small τ1 trees,
+  // each checked as soon as the enumeration closes its size, so the first
+  // violator ends the run before any larger tree is built.
   if (options.refutation_max_trees > 0) {
-    std::vector<BinaryTree> inputs =
-        EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
-                               options.refutation_max_trees, &ctx);
-    // Interrupted: the list is partial. Name this pass, not the next one to
-    // checkpoint.
-    if (ctx.interrupted()) {
-      if (!IsExhaustion(ctx.interrupt().code())) return ctx.interrupt();
-      note_exhaustion("bounded-refutation", ctx.interrupt());
-      inputs.clear();
+    size_t checked = 0;
+    Status check_failed;
+    const EnumerationEnd end = ForEachAcceptedTree(
+        input_type, options.refutation_max_nodes, &ctx, [&](BinaryTree input) {
+          std::optional<BinaryTree> violating;
+          Result<bool> ok =
+              CheckOnInputAntichain(input, tau2_idx, &ctx, &violating);
+          if (!ok.ok()) {
+            check_failed = ok.status();
+            return false;
+          }
+          if (!*ok) {
+            result.verdict = TypecheckVerdict::kCounterexample;
+            result.counterexample_input = std::move(input);
+            result.counterexample_output = std::move(violating);
+            return false;
+          }
+          return ++checked < options.refutation_max_trees;
+        });
+    if (result.verdict == TypecheckVerdict::kCounterexample) {
+      result.method = "bounded-refutation";
+      result.op_counters = ctx.counters;
+      return result;
     }
-    for (BinaryTree& input : inputs) {
-      std::optional<BinaryTree> violating;
-      auto ok = CheckOnInputAntichain(input, tau2_idx, &ctx, &violating);
-      if (!ok.ok()) {
-        if (!IsExhaustion(ok.status().code())) return ok.status();
-        note_exhaustion("bounded-refutation", ok.status());
-        break;
-      }
-      if (!*ok) {
-        result.verdict = TypecheckVerdict::kCounterexample;
-        result.method = "bounded-refutation";
-        result.counterexample_input = std::move(input);
-        result.counterexample_output = std::move(violating);
-        result.op_counters = ctx.counters;
-        return result;
-      }
+    // An interrupt inside the enumeration is named for this pass, not for
+    // the next one to checkpoint.
+    const Status stop =
+        end == EnumerationEnd::kInterrupted ? ctx.interrupt() : check_failed;
+    if (!stop.ok()) {
+      if (!IsExhaustion(stop.code())) return stop;
+      note_exhaustion("bounded-refutation", stop);
+    } else if (end == EnumerationEnd::kStoreFull) {
+      // A bound on the pre-pass like refutation_max_trees, not an
+      // exhaustion: passes 2 and 3 decide as usual.
+      result.notes += "bounded-refutation: enumeration stopped at its cap of " +
+                      std::to_string(kMaxEnumeratedTrees) + " trees; ";
     }
   }
 

@@ -3,12 +3,17 @@
 // encodings), decide whether T(τ1) ⊆ τ2.
 //
 // Three cooperating procedures, in escalating cost:
-//  1. *Bounded refutation*: enumerate small τ1-trees, and for each t decide
+//  1. *Bounded refutation*: enumerate small τ1-trees smallest first
+//     (ForEachAcceptedTree, src/ta/enumerate.h), and for each t decide
 //     T(t) ⊆ τ2 exactly via the Prop. 3.8 automaton A_t (inst(A_t) = T(t)),
 //     by the antichain on-the-fly inclusion search NbtaIncludedIn(A_t, τ2)
-//     that never materializes complement(τ2) (docs/INCLUSION.md).
-//     Finds concrete counterexamples (input *and* violating output)
-//     quickly; cannot prove correctness.
+//     that never materializes complement(τ2) (docs/INCLUSION.md). Each t is
+//     checked as soon as the enumeration closes its size, and the first
+//     violator ends the run, so no larger tree is built. The enumeration
+//     interns at most kMaxEnumeratedTrees trees; reaching that cap ends the
+//     pass like its node bound (noted in TypecheckResult::notes, not an
+//     exhaustion). Finds concrete counterexamples (input *and* violating
+//     output) quickly; cannot prove correctness.
 //  2. *Downward fast path* (complete for the top-down fragment): the
 //     τ1-guided antichain search of src/core/downward.h through
 //     ComplementDbta(τ2), which returns a bad τ1 input or proves that none
@@ -60,7 +65,8 @@ struct TypecheckOptions {
   /// the owning pass, like every other budget on the ladder.
   size_t max_antichain_pairs = 200000;
   /// Bounded refutation: how many τ1 trees to try (0 disables the pre-pass)
-  /// and the node-count cap per tree.
+  /// and the node-count cap per tree. The enumeration behind it also stops
+  /// at kMaxEnumeratedTrees interned trees (src/ta/enumerate.h), a constant.
   size_t refutation_max_trees = 100;
   size_t refutation_max_nodes = 15;
   /// Budgets for the 1-pebble behavior-composition path (complete for

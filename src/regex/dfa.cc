@@ -142,7 +142,7 @@ Dfa Minimize(const Dfa& dfa) {
   const uint32_t n = dfa.num_states();
   const uint32_t k = dfa.num_symbols();
 
-  // Restrict to reachable states first.
+  // Restrict to reachable states first, numbered in BFS order.
   std::vector<StateId> order;
   std::vector<int64_t> reach_index(n, -1);
   order.push_back(dfa.start());
@@ -157,41 +157,128 @@ Dfa Minimize(const Dfa& dfa) {
     }
   }
   const uint32_t m = static_cast<uint32_t>(order.size());
-
-  // Moore refinement over reachable states: block id per state, refined until
-  // stable. Initial partition: accepting vs non-accepting.
-  std::vector<uint32_t> block(m);
-  for (uint32_t i = 0; i < m; ++i) block[i] = dfa.accepting(order[i]) ? 1 : 0;
-  uint32_t num_blocks = 2;
-  for (bool changed = true; changed;) {
-    changed = false;
-    // Signature: (current block, successor blocks per symbol).
-    std::map<std::vector<uint32_t>, uint32_t> sig_index;
-    std::vector<uint32_t> new_block(m);
-    for (uint32_t i = 0; i < m; ++i) {
-      std::vector<uint32_t> sig;
-      sig.reserve(k + 1);
-      sig.push_back(block[i]);
-      for (SymbolId a = 0; a < k; ++a) {
-        StateId t = dfa.Next(order[i], a);
-        sig.push_back(block[reach_index[t]]);
-      }
-      auto [it, inserted] =
-          sig_index.emplace(std::move(sig), static_cast<uint32_t>(sig_index.size()));
-      new_block[i] = it->second;
-      (void)inserted;
+  std::vector<uint32_t> next(static_cast<size_t>(m) * k);
+  for (uint32_t i = 0; i < m; ++i) {
+    for (SymbolId a = 0; a < k; ++a) {
+      next[static_cast<size_t>(i) * k + a] =
+          static_cast<uint32_t>(reach_index[dfa.Next(order[i], a)]);
     }
-    if (sig_index.size() != num_blocks) changed = true;
-    num_blocks = static_cast<uint32_t>(sig_index.size());
-    block = std::move(new_block);
+  }
+  // The a-predecessors of t are pred[pred_begin[a * m + t] ..
+  // pred_begin[a * m + t + 1]).
+  std::vector<uint32_t> pred_begin(static_cast<size_t>(k) * m + 1, 0);
+  std::vector<uint32_t> pred(static_cast<size_t>(m) * k);
+  for (uint32_t i = 0; i < m; ++i) {
+    for (SymbolId a = 0; a < k; ++a) {
+      ++pred_begin[static_cast<size_t>(a) * m +
+                   next[static_cast<size_t>(i) * k + a] + 1];
+    }
+  }
+  for (size_t j = 1; j < pred_begin.size(); ++j) {
+    pred_begin[j] += pred_begin[j - 1];
+  }
+  {
+    std::vector<uint32_t> fill(pred_begin.begin(), pred_begin.end() - 1);
+    for (uint32_t i = 0; i < m; ++i) {
+      for (SymbolId a = 0; a < k; ++a) {
+        pred[fill[static_cast<size_t>(a) * m +
+                  next[static_cast<size_t>(i) * k + a]]++] = i;
+      }
+    }
   }
 
-  Dfa out(num_blocks, k);
-  out.set_start(block[0]);  // order[0] == start
-  for (uint32_t i = 0; i < m; ++i) {
-    out.set_accepting(block[i], dfa.accepting(order[i]));
+  // Hopcroft's refinement, starting from accepting vs non-accepting. A block
+  // is a range of `elems`; the predecessors of a splitter are swapped to the
+  // front of their block, and a block they do not fill splits. The part
+  // split off is the smaller one, and it always waits to split others: if
+  // its block was waiting, both halves now wait; if not, the block's
+  // splits are already done, and with them the larger half's.
+  struct Block {
+    uint32_t begin, end, marked;
+  };
+  std::vector<Block> blocks;
+  std::vector<uint32_t> elems, pos(m), block_of(m);
+  for (const bool acc : {false, true}) {
+    const uint32_t begin = static_cast<uint32_t>(elems.size());
+    for (uint32_t i = 0; i < m; ++i) {
+      if (dfa.accepting(order[i]) != acc) continue;
+      pos[i] = static_cast<uint32_t>(elems.size());
+      block_of[i] = static_cast<uint32_t>(blocks.size());
+      elems.push_back(i);
+    }
+    if (elems.size() > begin) {
+      blocks.push_back({begin, static_cast<uint32_t>(elems.size()), 0});
+    }
+  }
+  std::vector<uint32_t> waiting;
+  if (blocks.size() == 2) {
+    waiting.push_back(blocks[0].end - blocks[0].begin <=
+                              blocks[1].end - blocks[1].begin
+                          ? 0
+                          : 1);
+  }
+  std::vector<uint32_t> splitter, touched;
+  while (!waiting.empty()) {
+    const Block b = blocks[waiting.back()];
+    waiting.pop_back();
+    splitter.assign(elems.begin() + b.begin, elems.begin() + b.end);
     for (SymbolId a = 0; a < k; ++a) {
-      out.SetNext(block[i], a, block[reach_index[dfa.Next(order[i], a)]]);
+      for (const uint32_t t : splitter) {
+        const size_t key = static_cast<size_t>(a) * m + t;
+        for (uint32_t j = pred_begin[key]; j < pred_begin[key + 1]; ++j) {
+          const uint32_t p = pred[j];
+          Block& x = blocks[block_of[p]];
+          if (x.marked == 0) touched.push_back(block_of[p]);
+          const uint32_t dst = x.begin + x.marked++;
+          const uint32_t q = elems[dst];
+          elems[pos[p]] = q;
+          pos[q] = pos[p];
+          elems[dst] = p;
+          pos[p] = dst;
+        }
+      }
+      for (const uint32_t xb : touched) {
+        Block x = blocks[xb];
+        const uint32_t marked = x.marked;
+        x.marked = 0;
+        if (marked == x.end - x.begin) {
+          blocks[xb] = x;
+          continue;
+        }
+        Block y{x.begin, x.begin + marked, 0};
+        if (2 * marked <= x.end - x.begin) {
+          x.begin = y.end;
+        } else {
+          y = {x.begin + marked, x.end, 0};
+          x.end = y.begin;
+        }
+        blocks[xb] = x;
+        const uint32_t yb = static_cast<uint32_t>(blocks.size());
+        for (uint32_t i = y.begin; i < y.end; ++i) block_of[elems[i]] = yb;
+        blocks.push_back(y);
+        waiting.push_back(yb);
+      }
+      touched.clear();
+    }
+  }
+
+  // Number the blocks by their first state in BFS order: the numbering
+  // Moore's refinement (RefMinimizeDfa, src/check/reference_ops.h) ends
+  // with, so the two tables are identical.
+  constexpr uint32_t kUnnumbered = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> number(blocks.size(), kUnnumbered);
+  uint32_t num_blocks = 0;
+  for (uint32_t i = 0; i < m; ++i) {
+    if (number[block_of[i]] == kUnnumbered) number[block_of[i]] = num_blocks++;
+  }
+  Dfa out(num_blocks, k);
+  out.set_start(number[block_of[0]]);  // order[0] == start
+  for (uint32_t i = 0; i < m; ++i) {
+    const StateId from = number[block_of[i]];
+    out.set_accepting(from, dfa.accepting(order[i]));
+    for (SymbolId a = 0; a < k; ++a) {
+      out.SetNext(from, a,
+                  number[block_of[next[static_cast<size_t>(i) * k + a]]]);
     }
   }
   return out;

@@ -1,4 +1,4 @@
-// Deterministic finite automata: subset construction, Moore minimization,
+// Deterministic finite automata: subset construction, Hopcroft minimization,
 // boolean operations, and decision procedures (emptiness, inclusion,
 // equivalence, shortest witness). DFAs are always *complete*: every
 // (state, symbol) pair has a successor, so complementation is a flag flip.
@@ -64,8 +64,10 @@ Dfa Determinize(const Nfa& nfa);
 /// more than `max_states` subsets.
 Result<Dfa> DeterminizeWithin(const Nfa& nfa, size_t max_states);
 
-/// Moore's partition-refinement minimization (also removes unreachable
-/// states). The result is the canonical minimal complete DFA.
+/// Hopcroft's partition-refinement minimization (also removes unreachable
+/// states), O(k·n·log n) for n states over k symbols. The result is the
+/// canonical minimal complete DFA, its states numbered by their first
+/// member in breadth-first order from the start state, symbols ascending.
 Dfa Minimize(const Dfa& dfa);
 
 /// Convenience: Minimize(Determinize(Thompson(regex))).

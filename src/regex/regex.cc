@@ -132,12 +132,18 @@ class RegexParser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
-  // Checked after every operator, so a long chain stops at the cap instead
-  // of building an AST its walks cannot recurse through.
-  static Status CheckAstDepth(const Regex& r) {
-    if (r.depth() <= kMaxRegexAstDepth) return Status::OK();
-    return Status::LimitExceeded("regex AST deeper than " +
-                                 std::to_string(kMaxRegexAstDepth));
+  // Checked after every operator, so a long chain or a run of '+' stops at
+  // the caps instead of building an AST its walks cannot get through.
+  static Status CheckAst(const Regex& r) {
+    if (r.depth() > kMaxRegexAstDepth) {
+      return Status::LimitExceeded("regex AST deeper than " +
+                                   std::to_string(kMaxRegexAstDepth));
+    }
+    if (r.nodes() > kMaxRegexNodes) {
+      return Status::LimitExceeded("regex AST of more than " +
+                                   std::to_string(kMaxRegexNodes) + " nodes");
+    }
+    return Status::OK();
   }
 
   Result<RegexPtr> ParseUnion() {
@@ -146,7 +152,7 @@ class RegexParser {
       ++pos_;
       PEBBLETC_ASSIGN_OR_RETURN(RegexPtr rhs, ParseConcat());
       r = Regex::Union(std::move(r), std::move(rhs));
-      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
+      PEBBLETC_RETURN_IF_ERROR(CheckAst(*r));
     }
     return r;
   }
@@ -157,7 +163,7 @@ class RegexParser {
       ++pos_;
       PEBBLETC_ASSIGN_OR_RETURN(RegexPtr rhs, ParsePostfix());
       r = Regex::Concat(std::move(r), std::move(rhs));
-      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
+      PEBBLETC_RETURN_IF_ERROR(CheckAst(*r));
     }
     return r;
   }
@@ -178,7 +184,7 @@ class RegexParser {
       } else {
         break;
       }
-      PEBBLETC_RETURN_IF_ERROR(CheckAstDepth(*r));
+      PEBBLETC_RETURN_IF_ERROR(CheckAst(*r));
     }
     return r;
   }

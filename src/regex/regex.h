@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -51,6 +52,10 @@ class Regex {
   const RegexPtr& right() const { return right_; }
   /// Levels of the AST rooted here (1 for a leaf).
   size_t depth() const { return depth_; }
+  /// Nodes of the AST rooted here counted as a tree, so an operand shared
+  /// twice (Plus shares its operand) counts twice: the size of every AST
+  /// walk, the NFA construction's included. Saturates at SIZE_MAX.
+  size_t nodes() const { return nodes_; }
 
   /// True if ε ∈ lang(this).
   bool IsNullable() const;
@@ -80,13 +85,20 @@ class Regex {
       : kind_(kind), symbol_(symbol), left_(std::move(left)),
         right_(std::move(right)),
         depth_(1 + std::max(left_ ? left_->depth_ : 0,
-                            right_ ? right_->depth_ : 0)) {}
+                            right_ ? right_->depth_ : 0)),
+        nodes_(SaturatingAdd(1, SaturatingAdd(left_ ? left_->nodes_ : 0,
+                                              right_ ? right_->nodes_ : 0))) {}
+
+  static size_t SaturatingAdd(size_t a, size_t b) {
+    return a > SIZE_MAX - b ? SIZE_MAX : a + b;
+  }
 
   Kind kind_;
   SymbolId symbol_ = kNoSymbol;
   RegexPtr left_;
   RegexPtr right_;
   size_t depth_;
+  size_t nodes_;
 };
 
 /// Maximum '(' nesting depth the parser accepts. The parser (and the AST it
@@ -103,11 +115,19 @@ inline constexpr size_t kDefaultMaxRegexDepth = 256;
 /// recurses once per level. Deeper input fails with kLimitExceeded.
 inline constexpr size_t kMaxRegexAstDepth = 2000;
 
+/// Maximum expanded node count (Regex::nodes) of a parsed or deserialized
+/// regex. r+ is r.r* over one shared r, so each postfix '+' doubles the tree
+/// that the NFA construction walks: 20 of them on one symbol would expand
+/// to 3·2^20 nodes from 21 bytes of text. Larger input fails with
+/// kLimitExceeded from the parser and kParseError from the artifact reader
+/// (src/ta/serialize.h), whose stream holds the expanded tree.
+inline constexpr size_t kMaxRegexNodes = size_t{1} << 16;
+
 /// Parses the concrete syntax above. Symbol names are resolved against (and
 /// interned into) `*alphabet`. Operator precedence: postfix (* + ?) binds
 /// tighter than '.', which binds tighter than '|'. Input nested past
-/// `max_depth` parentheses or building an AST past kMaxRegexAstDepth fails
-/// with kLimitExceeded.
+/// `max_depth` parentheses or building an AST past kMaxRegexAstDepth levels
+/// or kMaxRegexNodes nodes fails with kLimitExceeded.
 Result<RegexPtr> ParseRegex(std::string_view text, Alphabet* alphabet,
                             size_t max_depth = kDefaultMaxRegexDepth);
 

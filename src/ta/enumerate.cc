@@ -1,104 +1,165 @@
 #include "src/ta/enumerate.h"
 
-#include <string>
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
-#include "src/common/check.h"
+#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 
 namespace {
 
-// Canonical structural key of a subtree, independent of node ids.
-void AppendKey(const BinaryTree& t, NodeId n, std::string* out) {
-  *out += std::to_string(t.symbol(n));
-  if (!t.IsLeaf(n)) {
-    *out += '(';
-    AppendKey(t, t.left(n), out);
-    *out += ',';
-    AppendKey(t, t.right(n), out);
-    *out += ')';
-  }
+constexpr uint32_t kNoTree = 0xffffffffu;
+
+// A tree is one node, (left << 32 | right, symbol), interned in a
+// two-word PackedSetTable; a leaf's children are kNoTree.
+uint32_t InternTree(PackedSetTable& trees, SymbolId symbol, uint32_t left,
+                    uint32_t right) {
+  const uint64_t node[2] = {(uint64_t{left} << 32) | right, symbol};
+  return trees.Intern<2>(node);
 }
 
-std::string Key(const BinaryTree& t) {
-  std::string out;
-  AppendKey(t, t.root(), &out);
+// The tree `id` as a BinaryTree in post-order, as CopySubtree builds it.
+BinaryTree Materialize(const PackedSetTable& trees, uint32_t id) {
+  struct Frame {
+    uint32_t id;
+    bool expanded;
+  };
+  BinaryTree out;
+  std::vector<Frame> stack = {{id, false}};
+  std::vector<NodeId> built;
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    const uint64_t* node = trees.Set(f.id);
+    const uint32_t left = static_cast<uint32_t>(node[0] >> 32);
+    const uint32_t right = static_cast<uint32_t>(node[0]);
+    const SymbolId symbol = static_cast<SymbolId>(node[1]);
+    if (left == kNoTree) {
+      built.push_back(out.AddLeaf(symbol));
+    } else if (!f.expanded) {
+      stack.push_back({f.id, true});
+      stack.push_back({right, false});
+      stack.push_back({left, false});
+    } else {
+      const NodeId r = built.back();
+      built.pop_back();
+      built.back() = out.AddInternal(symbol, built.back(), r);
+    }
+  }
+  out.SetRoot(built.back());
   return out;
 }
 
 }  // namespace
 
-std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& untrimmed,
-                                               size_t max_nodes,
-                                               size_t max_count,
-                                               TaOpContext* ctx) {
+EnumerationEnd ForEachAcceptedTree(
+    const Nbta& untrimmed, size_t max_nodes, TaOpContext* ctx,
+    const std::function<bool(BinaryTree)>& visit) {
   TaOpTimer timer(ctx);
-  std::vector<BinaryTree> out;
-  if (max_nodes == 0 || max_count == 0) return out;
+  if (max_nodes == 0) return EnumerationEnd::kComplete;
   // Only accepting states emit trees, so only the trim's states need them:
   // a state that never sits below an accepting root may hold almost every
   // tree. The trim keeps state and rule order, so the emitted list is the
   // untrimmed one.
   const Nbta a = TrimNbta(untrimmed);
 
-  // per_state[q][s] = distinct trees of size s evaluating to q. Sizes are
-  // odd; index by size directly for clarity.
-  std::vector<std::vector<std::vector<BinaryTree>>> per_state(
-      a.num_states, std::vector<std::vector<BinaryTree>>(max_nodes + 1));
-  std::vector<std::vector<std::unordered_set<std::string>>> seen(
-      a.num_states,
-      std::vector<std::unordered_set<std::string>>(max_nodes + 1));
-
-  auto add = [&](StateId q, size_t s, BinaryTree tree) {
-    std::string key = Key(tree);
-    if (seen[q][s].insert(std::move(key)).second) {
-      per_state[q][s].push_back(std::move(tree));
+  PackedSetTable trees(2);
+  uint32_t interns = 0;
+  // by_state[q][i] = the distinct trees of 2i + 1 nodes that reach q, in
+  // the order they were first built.
+  std::vector<std::vector<std::vector<uint32_t>>> by_state(a.num_states);
+  // A tree joins a state's list once. first_state[t] is the state whose list
+  // t joined when it was interned; `more` holds every later (state, tree)
+  // pair, so a deterministic automaton never touches it.
+  std::vector<StateId> first_state;
+  PackedSetTable more(1);
+  auto add = [&](StateId q, uint32_t t) {
+    std::vector<uint32_t>& list = by_state[q].back();
+    if (t == first_state.size()) {
+      first_state.push_back(q);
+      list.push_back(t);
+      return;
     }
+    if (first_state[t] == q) return;
+    const uint64_t pair = (uint64_t{q} << 32) | t;
+    const uint32_t before = more.size();
+    if (more.Intern<1>(&pair) == before) list.push_back(t);
   };
 
-  for (const Nbta::LeafRule& r : a.leaf_rules) {
-    BinaryTree t;
-    t.SetRoot(t.AddLeaf(r.symbol));
-    add(r.to, 1, std::move(t));
-  }
-
-  std::unordered_set<std::string> emitted;
-  auto emit_size = [&](size_t s) {
-    for (StateId q = 0; q < a.num_states && out.size() < max_count; ++q) {
+  // Visits the closed size's trees: accepting states ascending, each tree
+  // once. Trees of one size are interned together, so `visited` marks ids.
+  std::vector<bool> visited;
+  auto close_size = [&]() {
+    visited.resize(trees.size(), false);
+    for (StateId q = 0; q < a.num_states; ++q) {
       if (!a.accepting[q]) continue;
-      for (const BinaryTree& t : per_state[q][s]) {
-        if (emitted.insert(Key(t)).second) {
-          out.push_back(t);
-          if (out.size() >= max_count) break;
-        }
+      for (const uint32_t t : by_state[q].back()) {
+        if (visited[t]) continue;
+        visited[t] = true;
+        if (!visit(Materialize(trees, t))) return false;
       }
     }
+    return true;
   };
 
-  emit_size(1);
-  for (size_t s = 3; s <= max_nodes && out.size() < max_count; s += 2) {
+  for (auto& lists : by_state) lists.emplace_back();
+  for (const Nbta::LeafRule& r : a.leaf_rules) {
+    if (interns == kMaxEnumeratedTrees) return EnumerationEnd::kStoreFull;
+    ++interns;
+    add(r.to, InternTree(trees, r.symbol, kNoTree, kNoTree));
+  }
+  if (!close_size()) return EnumerationEnd::kStopped;
+  for (size_t s = 3; s <= max_nodes; s += 2) {
+    // Make room for every tree this size may intern, up to the cap, so the
+    // store reallocates at the size boundary rather than between two
+    // checkpoints in the middle of the size.
+    uint64_t planned = 0;
     for (const Nbta::BinaryRule& r : a.rules) {
       for (size_t s1 = 1; s1 + 2 <= s; s1 += 2) {
-        const size_t s2 = s - 1 - s1;
-        for (const BinaryTree& lt : per_state[r.left][s1]) {
-          for (const BinaryTree& rt : per_state[r.right][s2]) {
-            // One checkpoint per built tree. Interrupted: return the trees
-            // emitted so far — each is a genuine accepted tree; only
-            // exhaustiveness of the sweep is lost.
-            if (!TaCheckpoint(ctx).ok()) return out;
-            BinaryTree combined;
-            NodeId l = combined.CopySubtree(lt, lt.root());
-            NodeId rr = combined.CopySubtree(rt, rt.root());
-            combined.SetRoot(combined.AddInternal(r.symbol, l, rr));
-            add(r.to, s, std::move(combined));
+        planned = std::min<uint64_t>(
+            planned + uint64_t{by_state[r.left][s1 / 2].size()} *
+                          by_state[r.right][(s - 1 - s1) / 2].size(),
+            kMaxEnumeratedTrees);
+      }
+    }
+    const uint64_t unspent = kMaxEnumeratedTrees - interns;
+    const size_t room = trees.size() + std::min(planned, unspent);
+    trees.Reserve(room);
+    first_state.reserve(room);
+    for (auto& lists : by_state) lists.emplace_back();
+    for (const Nbta::BinaryRule& r : a.rules) {
+      for (size_t s1 = 1; s1 + 2 <= s; s1 += 2) {
+        const std::vector<uint32_t>& lefts = by_state[r.left][s1 / 2];
+        const std::vector<uint32_t>& rights =
+            by_state[r.right][(s - 1 - s1) / 2];
+        for (const uint32_t lt : lefts) {
+          for (const uint32_t rt : rights) {
+            if (interns == kMaxEnumeratedTrees) {
+              return EnumerationEnd::kStoreFull;
+            }
+            // One checkpoint per built tree.
+            if (!TaCheckpoint(ctx).ok()) return EnumerationEnd::kInterrupted;
+            ++interns;
+            add(r.to, InternTree(trees, r.symbol, lt, rt));
           }
         }
       }
     }
-    emit_size(s);
+    if (!close_size()) return EnumerationEnd::kStopped;
   }
+  return EnumerationEnd::kComplete;
+}
+
+std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
+                                               size_t max_count,
+                                               TaOpContext* ctx) {
+  std::vector<BinaryTree> out;
+  if (max_count == 0) return out;
+  ForEachAcceptedTree(a, max_nodes, ctx, [&](BinaryTree t) {
+    out.push_back(std::move(t));
+    return out.size() < max_count;
+  });
   return out;
 }
 

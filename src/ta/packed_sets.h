@@ -1,7 +1,9 @@
 // Sets of automaton states as packed 64-bit words, and the one table that
 // interns them. The subset construction (DeterminizeNbta, src/ta/nbta.h;
-// docs/DETERMINIZE.md) numbers its DBTA states with it, and the antichain
-// engine (src/ta/antichain.h; docs/INCLUSION.md) the sets of its pairs.
+// docs/DETERMINIZE.md) numbers its DBTA states with it, the antichain
+// engine (src/ta/antichain.h; docs/INCLUSION.md) the sets of its pairs, and
+// the tree enumeration (src/ta/enumerate.h) its hash-consed tree nodes, two
+// words each.
 
 #ifndef PEBBLETC_TA_PACKED_SETS_H_
 #define PEBBLETC_TA_PACKED_SETS_H_
@@ -83,8 +85,17 @@ class PackedSetTable {
     const uint32_t id = size_++;
     slots_[i] = {set[0], id};
     arena_.insert(arena_.end(), set, set + w);
-    if (2 * size_ > slots_.size()) Grow();
+    if (2 * size_ > slots_.size()) Rehash(2 * slots_.size());
     return id;
+  }
+
+  /// Makes room for `sets` sets in all, so that interning up to that many
+  /// reallocates neither the slots nor the arena.
+  void Reserve(size_t sets) {
+    arena_.reserve(sets * words_);
+    size_t slots = slots_.size();
+    while (2 * sets > slots) slots *= 2;
+    if (slots != slots_.size()) Rehash(slots);
   }
 
  private:
@@ -104,9 +115,10 @@ class PackedSetTable {
     return h;
   }
 
-  void Grow() {
-    slots_.assign(2 * slots_.size(), Slot{});
-    --shift_;
+  // `slots` is a power of two.
+  void Rehash(size_t slots) {
+    slots_.assign(slots, Slot{});
+    shift_ = 64 - std::countr_zero(slots);
     const size_t mask = slots_.size() - 1;
     for (uint32_t id = 0; id < size_; ++id) {
       const uint64_t* set = Set(id);

@@ -49,7 +49,8 @@ void PutString(std::string_view s, std::string* out) {
 // the wire is bounded before a single element is allocated.
 constexpr uint32_t kMaxNameBytes = 1024;
 constexpr uint32_t kMaxAlphabetSymbols = 1u << 20;
-constexpr uint32_t kMaxRegexNodes = 1u << 16;
+// A regex stream is capped at the parser's kMaxRegexNodes (src/regex/regex.h),
+// so text DTDs and DTD artifacts share one node cap.
 
 // Bounds-checked little-endian reader over the input view.
 class Reader {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
+#include <string>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/rng.h"
@@ -362,6 +364,88 @@ TEST(TypecheckTest, BoundedRefutationFindsBugBeforeCompletePipeline) {
   auto r = std::move(tc.Typecheck(UniversalNbta(sigma), tau2)).ValueOrDie();
   EXPECT_EQ(r.verdict, TypecheckVerdict::kCounterexample);
   EXPECT_EQ(r.method, "bounded-refutation");
+}
+
+// Every tree over TinyRanked() except the leaf b0: a0 is state 0, b0 state
+// 1, and every binary node state 2.
+Nbta AllButLeafB0(const RankedAlphabet& sigma) {
+  Nbta a;
+  a.num_symbols = static_cast<uint32_t>(sigma.size());
+  for (int q = 0; q < 3; ++q) a.AddState();
+  a.accepting[0] = a.accepting[2] = true;
+  a.AddLeafRule(sigma.Find("a0"), 0);
+  a.AddLeafRule(sigma.Find("b0"), 1);
+  for (SymbolId s : sigma.BinarySymbols()) {
+    for (StateId l = 0; l < 3; ++l) {
+      for (StateId r = 0; r < 3; ++r) a.AddRule(s, l, r, 2);
+    }
+  }
+  return a;
+}
+
+TEST(TypecheckTest, RefutationStopsAtTheFirstViolator) {
+  // τ1 holds every tree, 15.2 million of them within pass 1's 15 nodes. The
+  // second tree enumerated, the leaf b0, already violates τ2, so pass 1
+  // must check it before building a single binary tree.
+  const RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Typechecker tc(copy, sigma, sigma);
+  TypecheckOptions opts;
+  opts.deadline = std::chrono::seconds(2);
+  auto r = std::move(tc.Typecheck(UniversalNbta(sigma), AllButLeafB0(sigma),
+                                  opts))
+               .ValueOrDie();
+  EXPECT_EQ(r.verdict, TypecheckVerdict::kCounterexample);
+  EXPECT_EQ(r.method, "bounded-refutation");
+  EXPECT_FALSE(r.exhausted.exhausted) << r.notes;
+  ASSERT_TRUE(r.counterexample_input.has_value());
+  EXPECT_EQ(BinaryTermString(*r.counterexample_input, sigma), "b0");
+  ASSERT_TRUE(r.counterexample_output.has_value());
+  EXPECT_EQ(BinaryTermString(*r.counterexample_output, sigma), "b0");
+  EXPECT_LT(r.op_counters.checkpoints, 100u);
+}
+
+// τ1 = τ2 whose smallest tree has 17 nodes: state 0 holds every tree, b2(i,
+// 0) climbs from state i to i + 1 up to 8, and a2(0, 8) accepts. Pass 1's
+// 15-node enumeration visits nothing and would build 15.2 million trees of
+// state 0.
+Nbta LongSpineType() {
+  Nbta a;
+  a.num_symbols = 4;
+  for (int q = 0; q < 10; ++q) a.AddState();
+  a.accepting[9] = true;
+  constexpr SymbolId kA0 = 0, kB0 = 1, kA2 = 2, kB2 = 3;
+  a.AddLeafRule(kA0, 0);
+  a.AddLeafRule(kB0, 0);
+  a.AddLeafRule(kA0, 1);
+  a.AddRule(kA2, 0, 0, 0);
+  a.AddRule(kB2, 0, 0, 0);
+  a.AddRule(kA2, 0, 8, 9);
+  for (StateId i = 1; i <= 7; ++i) a.AddRule(kB2, i, 0, i + 1);
+  return a;
+}
+
+TEST(TypecheckTest, WideInputStopsAtTheEnumerationStoreCap) {
+  // No deadline: the enumeration store's cap, not the clock, ends pass 1,
+  // and the downward fast path then proves the instance.
+  const RankedAlphabet sigma = TinyRanked();
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Typechecker tc(copy, sigma, sigma);
+  const Nbta tau = LongSpineType();
+  auto r = std::move(tc.Typecheck(tau, tau)).ValueOrDie();
+  EXPECT_EQ(r.verdict, TypecheckVerdict::kTypechecks);
+  EXPECT_EQ(r.method, "downward-fastpath");
+  EXPECT_FALSE(r.exhausted.exhausted) << r.notes;
+  EXPECT_NE(r.notes.find(std::to_string(kMaxEnumeratedTrees)),
+            std::string::npos)
+      << r.notes;
+  // One checkpoint per built tree: pass 1 passes fewer than the cap.
+  TypecheckOptions no_pass1;
+  no_pass1.refutation_max_trees = 0;
+  auto pass2 = std::move(tc.Typecheck(tau, tau, no_pass1)).ValueOrDie();
+  EXPECT_EQ(pass2.verdict, TypecheckVerdict::kTypechecks);
+  EXPECT_LE(r.op_counters.checkpoints,
+            kMaxEnumeratedTrees + pass2.op_counters.checkpoints);
 }
 
 TEST(TypecheckTest, InconclusiveWhenEverythingDisabled) {

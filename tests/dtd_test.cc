@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "src/common/rng.h"
@@ -119,6 +120,32 @@ TEST(DtdTest, ContentModelCapsRefuseWithLimitExceeded) {
   refused = ParseDtd(chain + "\nc := ()\n");
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kLimitExceeded);
+}
+
+TEST(DtdTest, LongSequenceMinimizesInUnderASecond) {
+  // 8,000 sequenced children make a 8,002-state content DFA that Moore's
+  // refinement split one state per round (8.7 s); Hopcroft's takes
+  // O(n log n). Groups of 1,000 keep the AST under kMaxRegexAstDepth.
+  std::string text = "r := ";
+  for (int g = 0; g < 8; ++g) {
+    text += g == 0 ? "(c" : ".(c";
+    for (int i = 1; i < 1000; ++i) text += ".c";
+    text += ")";
+  }
+  text += "\nc := ()\n";
+  const auto start = std::chrono::steady_clock::now();
+  Result<SpecializedDtd> dtd = ParseDtd(text);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  auto doc = [&](int children) {
+    std::string term = "r(c";
+    for (int i = 1; i < children; ++i) term += ",c";
+    return std::move(ParseUnrankedTerm(term + ")", dtd->mutable_tags()))
+        .ValueOrDie();
+  };
+  EXPECT_TRUE(dtd->Validate(doc(8000)).ok());
+  EXPECT_FALSE(dtd->Validate(doc(7999)).ok());
 }
 
 TEST(DtdTest, SpecializedDistinguishesSameTag) {

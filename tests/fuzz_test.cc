@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,29 @@ TEST(ParserFuzz, DeeplyNestedInputsDoNotOverflow) {
                                        sigma5.Find("a"));
     EXPECT_TRUE(chain_dfa.Accepts(a_word)) << op;
   }
+
+  // r+ is r.r* over one shared r, so each postfix '+' doubles the expanded
+  // AST that the NFA construction walks. Twenty of them pass kMaxRegexNodes
+  // and are refused at once; eight still compile, to c+.
+  auto plus_dtd = [](size_t pluses) {
+    return "r := c" + std::string(pluses, '+') + "\nc := ()\n";
+  };
+  const auto start = std::chrono::steady_clock::now();
+  auto refused = ParseDtd(plus_dtd(20));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kLimitExceeded);
+  auto compiled = ParseDtd(plus_dtd(8));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  for (const char* doc : {"r(c)", "r(c,c,c)"}) {
+    auto t = std::move(ParseUnrankedTerm(doc, compiled->mutable_tags()))
+                 .ValueOrDie();
+    EXPECT_TRUE(compiled->Validate(t).ok()) << doc;
+  }
+  auto empty =
+      std::move(ParseUnrankedTerm("r", compiled->mutable_tags())).ValueOrDie();
+  EXPECT_FALSE(compiled->Validate(empty).ok());
 }
 
 TEST(ParserFuzz, PathologicalRegexesStayPolynomial) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
+#include "src/check/reference_ops.h"
 #include "src/common/rng.h"
 #include "src/regex/dfa.h"
 #include "src/regex/nfa.h"
@@ -317,6 +318,60 @@ TEST_P(RegexPropertyTest, ReverseOfReverseIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegexPropertyTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+void ExpectSameTable(const Dfa& got, const Dfa& want, const std::string& what) {
+  ASSERT_EQ(got.num_states(), want.num_states()) << what;
+  ASSERT_EQ(got.num_symbols(), want.num_symbols()) << what;
+  EXPECT_EQ(got.start(), want.start()) << what;
+  for (StateId q = 0; q < got.num_states(); ++q) {
+    EXPECT_EQ(got.accepting(q), want.accepting(q)) << what << " state " << q;
+    for (SymbolId a = 0; a < got.num_symbols(); ++a) {
+      EXPECT_EQ(got.Next(q, a), want.Next(q, a))
+          << what << " state " << q << " symbol " << a;
+    }
+  }
+}
+
+TEST(DfaTest, HopcroftTablesMatchMooreOracle) {
+  // Minimize (Hopcroft) against RefMinimizeDfa (Moore), table for table: on
+  // this file's regexes, on 600 seeded random regexes, and on 200 random
+  // complete DFAs, which also have unreachable states.
+  for (const char* text :
+       {"a", "a.b*.c", "(a|b)+", "a?", "()", "a.(b|(c.a))*.b", "(a|b).c",
+        "a.(b|c.a)*.b", "(a.b)*", "a*", "b*.c.c", "a|b.c", "a+.b?",
+        "a|()", "(a.a)*", "(a|b)*.a.(a|b)", "a*.b*", "(a.b|b)*.a?",
+        "a.(b|c)*.b", "a.c.d", "a.b*"}) {
+    Alphabet sigma;
+    for (const char* letter : {"a", "b", "c", "d"}) sigma.Intern(letter);
+    const RegexPtr r = std::move(ParseRegex(text, &sigma)).ValueOrDie();
+    const Dfa det = Determinize(CompileRegexToNfa(r, 4));
+    ExpectSameTable(Minimize(det), RefMinimizeDfa(det), text);
+  }
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    Rng rng(seed + 7000);
+    const uint32_t symbols = 1 + static_cast<uint32_t>(seed % 4);
+    const RegexPtr r =
+        RandomRegex(rng, symbols, 2 + static_cast<int>(seed % 5));
+    const Dfa det = Determinize(CompileRegexToNfa(r, symbols));
+    ExpectSameTable(Minimize(det), RefMinimizeDfa(det),
+                    "regex seed " + std::to_string(seed));
+  }
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed + 9000);
+    const uint32_t states = 1 + static_cast<uint32_t>(rng.NextBelow(30));
+    const uint32_t symbols = 1 + static_cast<uint32_t>(rng.NextBelow(3));
+    Dfa d(states, symbols);
+    d.set_start(static_cast<StateId>(rng.NextBelow(states)));
+    for (StateId q = 0; q < states; ++q) {
+      d.set_accepting(q, rng.NextBool(0.3));
+      for (SymbolId a = 0; a < symbols; ++a) {
+        d.SetNext(q, a, static_cast<StateId>(rng.NextBelow(states)));
+      }
+    }
+    ExpectSameTable(Minimize(d), RefMinimizeDfa(d),
+                    "dfa seed " + std::to_string(seed));
+  }
+}
 
 // --- Path expressions ---
 

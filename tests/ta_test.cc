@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/check/reference_ops.h"
@@ -215,6 +217,122 @@ TEST(NbtaTest, EnumerateRespectsMaxCount) {
   RankedAlphabet sigma = TinyRanked();
   Nbta uni = UniversalNbta(sigma);
   EXPECT_EQ(EnumerateAcceptedTrees(uni, 9, 7).size(), 7u);
+}
+
+// Three states, two accepting. a0 reaches states 0 and 2, the fifth rule
+// rebuilds trees of the first in state 2, and the sixth puts the second's
+// trees in state 2 as well, so the order pins per-state deduplication and
+// the single visit of a tree two accepting states hold.
+Nbta PinnedOrderNbta() {
+  constexpr SymbolId kA0 = 0, kB0 = 1, kA2 = 2, kB2 = 3;
+  Nbta a;
+  a.num_symbols = 4;
+  for (int q = 0; q < 3; ++q) a.AddState();
+  a.accepting[1] = a.accepting[2] = true;
+  a.AddLeafRule(kA0, 0);
+  a.AddLeafRule(kB0, 1);
+  a.AddLeafRule(kA0, 2);
+  a.AddRule(kB2, 0, 1, 2);
+  a.AddRule(kA2, 1, 0, 1);
+  a.AddRule(kA2, 2, 2, 2);
+  a.AddRule(kB2, 0, 0, 1);
+  a.AddRule(kB2, 2, 1, 2);
+  a.AddRule(kA2, 1, 0, 2);
+  return a;
+}
+
+TEST(EnumerateTest, PinnedOrderOfAThreeStateAutomaton) {
+  // Sizes ascending; within a size, accepting states ascending; within a
+  // state, build order.
+  const RankedAlphabet sigma = TinyRanked();
+  const std::vector<std::string> want = {
+      "b0",
+      "a0",
+      "a2(b0,a0)",
+      "b2(a0,a0)",
+      "b2(a0,b0)",
+      "a2(a0,a0)",
+      "a2(a2(b0,a0),a0)",
+      "a2(b2(a0,a0),a0)",
+      "b2(a0,a2(b0,a0))",
+      "b2(a0,b2(a0,a0))",
+      "a2(a0,b2(a0,b0))",
+      "a2(a0,a2(a0,a0))",
+  };
+  const std::vector<BinaryTree> all =
+      EnumerateAcceptedTrees(PinnedOrderNbta(), 7, 1000);
+  ASSERT_GE(all.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(BinaryTermString(all[i], sigma), want[i]) << "tree " << i;
+  }
+}
+
+TEST(EnumerateTest, StoppedVisitorSeesAPrefix) {
+  const Nbta a = PinnedOrderNbta();
+  const std::vector<BinaryTree> all = EnumerateAcceptedTrees(a, 7, 1000);
+  std::vector<BinaryTree> seen;
+  EXPECT_EQ(ForEachAcceptedTree(a, 7, nullptr,
+                                [&](BinaryTree t) {
+                                  seen.push_back(std::move(t));
+                                  return true;
+                                }),
+            EnumerationEnd::kComplete);
+  EXPECT_EQ(seen, all);
+  for (size_t k = 1; k <= all.size(); ++k) {
+    seen.clear();
+    const EnumerationEnd end =
+        ForEachAcceptedTree(a, 7, nullptr, [&](BinaryTree t) {
+          seen.push_back(std::move(t));
+          return seen.size() < k;
+        });
+    EXPECT_EQ(end, EnumerationEnd::kStopped) << "k = " << k;
+    ASSERT_EQ(seen.size(), k);
+    for (size_t i = 0; i < k; ++i) EXPECT_EQ(seen[i], all[i]) << "k = " << k;
+  }
+}
+
+TEST(EnumerateTest, TreesAreLaidOutAsCopySubtreeCopies) {
+  // Node for node: the post-order a CopySubtree copy has.
+  for (const BinaryTree& t :
+       EnumerateAcceptedTrees(PinnedOrderNbta(), 9, 1000)) {
+    BinaryTree copy;
+    copy.SetRoot(copy.CopySubtree(t, t.root()));
+    ASSERT_EQ(copy.size(), t.size());
+    EXPECT_EQ(copy.root(), t.root());
+    for (NodeId n = 0; n < t.size(); ++n) {
+      EXPECT_EQ(copy.symbol(n), t.symbol(n));
+      EXPECT_EQ(copy.left(n), t.left(n));
+      EXPECT_EQ(copy.right(n), t.right(n));
+    }
+  }
+}
+
+TEST(EnumerateTest, StoreCapEndsAtAClosedSize) {
+  // Every tree over TinyRanked(): sizes up to 11 hold 93,898 trees and size
+  // 13 another 1,081,344, so the cap falls inside size 13, whose trees are
+  // then not visited.
+  const RankedAlphabet sigma = TinyRanked();
+  const Nbta uni = UniversalNbta(sigma);
+  uint64_t closed = 0;
+  for (size_t s = 1; s <= 11; s += 2) closed += CountAcceptedTrees(uni, s);
+  ASSERT_LT(closed, kMaxEnumeratedTrees);
+  ASSERT_GT(closed + CountAcceptedTrees(uni, 13), kMaxEnumeratedTrees);
+  TaOpContext ctx;
+  uint64_t visited = 0;
+  size_t largest = 0;
+  const EnumerationEnd end =
+      ForEachAcceptedTree(uni, 15, &ctx, [&](BinaryTree t) {
+        ++visited;
+        largest = std::max(largest, t.size());
+        return true;
+      });
+  EXPECT_EQ(end, EnumerationEnd::kStoreFull);
+  EXPECT_EQ(visited, closed);
+  EXPECT_EQ(largest, 11u);
+  // Every intern counts, the two leaves' too; every built tree passed one
+  // checkpoint.
+  EXPECT_EQ(ctx.counters.checkpoints, kMaxEnumeratedTrees - 2);
+  EXPECT_TRUE(TaInterruptStatus(&ctx).ok());
 }
 
 // --- determinization / boolean ops, property-tested ---
