@@ -85,102 +85,83 @@ Status SpecializedDtd::Finalize() {
   return Status::OK();
 }
 
-namespace {
-
-// possible[n] = set of types assignable to node n (bottom-up DP). Exploits
-// the invariant that children have smaller NodeIds than parents.
-Result<std::vector<std::vector<bool>>> PossibleTypes(
-    const SpecializedDtd& dtd, const UnrankedTree& tree,
-    const std::vector<std::vector<SymbolId>>& types_by_tag,
-    const std::vector<const Dfa*>& dfas) {
-  std::vector<std::vector<bool>> possible(
-      tree.size(), std::vector<bool>(dtd.num_types(), false));
+Result<SpecializedDtd::NodeTypes> SpecializedDtd::PossibleTypes(
+    const UnrankedTree& tree) const {
+  std::vector<std::vector<SymbolId>> types_by_tag(tags_.size());
+  for (SymbolId p = 0; p < num_types(); ++p) {
+    types_by_tag[type_tag_[p]].push_back(p);
+  }
+  // Bottom-up, since children have smaller NodeIds than their parents.
+  NodeTypes possible;
+  possible.start.reserve(tree.size() + 1);
+  possible.start.push_back(0);
+  // A content DFA's live states over the children read so far, listed once
+  // each by a per-state stamp: a child step costs live states × the child's
+  // types, not the DFA's size.
+  std::vector<StateId> live, next;
+  std::vector<uint64_t> seen;
+  uint64_t stamp = 0;
   for (NodeId n = 0; n < tree.size(); ++n) {
     SymbolId tag = tree.tag(n);
-    if (tag >= dtd.tags().size()) {
+    if (tag >= tags_.size()) {
       return Status::InvalidArgument("node " + std::to_string(n) +
                                      " has a tag outside the DTD alphabet");
     }
     for (SymbolId p : types_by_tag[tag]) {
-      const Dfa& dfa = *dfas[p];
-      // Subset simulation of the content DFA over the children, where each
-      // child contributes its possible types as alternative letters.
-      std::vector<bool> current(dfa.num_states(), false);
-      current[dfa.start()] = true;
-      bool dead = false;
+      const Dfa& dfa = *content_dfa_[p];
+      if (seen.size() < dfa.num_states()) seen.resize(dfa.num_states());
+      live.assign(1, dfa.start());
       for (NodeId child : tree.children(n)) {
-        std::vector<bool> next(dfa.num_states(), false);
-        bool any = false;
-        for (StateId s = 0; s < dfa.num_states(); ++s) {
-          if (!current[s]) continue;
-          for (SymbolId q = 0; q < dtd.num_types(); ++q) {
-            if (possible[child][q]) {
-              next[dfa.Next(s, q)] = true;
-              any = true;
+        ++stamp;
+        next.clear();
+        for (StateId s : live) {
+          for (SymbolId q : possible.of(child)) {
+            const StateId to = dfa.Next(s, q);
+            if (seen[to] != stamp) {
+              seen[to] = stamp;
+              next.push_back(to);
             }
           }
         }
-        if (!any) {
-          dead = true;
-          break;
-        }
-        current = std::move(next);
+        live.swap(next);
+        if (live.empty()) break;
       }
-      if (dead) continue;
-      for (StateId s = 0; s < dfa.num_states(); ++s) {
-        if (current[s] && dfa.accepting(s)) {
-          possible[n][p] = true;
-          break;
-        }
+      if (std::any_of(live.begin(), live.end(),
+                      [&dfa](StateId s) { return dfa.accepting(s); })) {
+        possible.types.push_back(p);
       }
     }
+    possible.start.push_back(possible.types.size());
   }
   return possible;
 }
 
-}  // namespace
+bool SpecializedDtd::HasRootType(std::span<const SymbolId> types) const {
+  return std::any_of(root_types_.begin(), root_types_.end(), [&](SymbolId r) {
+    return std::binary_search(types.begin(), types.end(), r);
+  });
+}
 
 Result<bool> SpecializedDtd::Accepts(const UnrankedTree& tree) const {
   if (!finalized_) {
     return Status::FailedPrecondition("DTD not finalized");
   }
   if (tree.empty()) return false;
-  std::vector<std::vector<SymbolId>> types_by_tag(tags_.size());
-  for (SymbolId p = 0; p < num_types(); ++p) {
-    types_by_tag[type_tag_[p]].push_back(p);
-  }
-  std::vector<const Dfa*> dfas;
-  for (const auto& d : content_dfa_) dfas.push_back(d.get());
-  PEBBLETC_ASSIGN_OR_RETURN(auto possible,
-                            PossibleTypes(*this, tree, types_by_tag, dfas));
-  for (SymbolId r : root_types_) {
-    if (possible[tree.root()][r]) return true;
-  }
-  return false;
+  PEBBLETC_ASSIGN_OR_RETURN(NodeTypes possible, PossibleTypes(tree));
+  return HasRootType(possible.of(tree.root()));
 }
 
 Status SpecializedDtd::Validate(const UnrankedTree& tree) const {
   if (!finalized_) return Status::FailedPrecondition("DTD not finalized");
   if (tree.empty()) return Status::InvalidArgument("empty document");
-  std::vector<std::vector<SymbolId>> types_by_tag(tags_.size());
-  for (SymbolId p = 0; p < num_types(); ++p) {
-    types_by_tag[type_tag_[p]].push_back(p);
-  }
-  std::vector<const Dfa*> dfas;
-  for (const auto& d : content_dfa_) dfas.push_back(d.get());
-  auto possible_or = PossibleTypes(*this, tree, types_by_tag, dfas);
-  if (!possible_or.ok()) return possible_or.status();
-  const auto& possible = *possible_or;
-  for (SymbolId r : root_types_) {
-    if (possible[tree.root()][r]) return Status::OK();
-  }
+  PEBBLETC_ASSIGN_OR_RETURN(NodeTypes possible, PossibleTypes(tree));
+  if (HasRootType(possible.of(tree.root()))) return Status::OK();
   // Diagnose: find the lowest node with no assignable type.
   for (NodeId n = 0; n < tree.size(); ++n) {
-    bool any = false;
-    for (SymbolId p = 0; p < num_types(); ++p) any = any || possible[n][p];
-    if (!any) {
+    if (possible.of(n).empty()) {
       SymbolId tag = tree.tag(n);
-      if (types_by_tag[tag].empty()) {
+      if (std::find(type_tag_.begin(), type_tag_.end(), tag) ==
+          type_tag_.end()) {
         return Status::InvalidArgument("element '" + tags_.Name(tag) +
                                        "' (node " + std::to_string(n) +
                                        ") is not declared in the DTD");

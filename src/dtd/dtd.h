@@ -18,6 +18,7 @@
 #define PEBBLETC_DTD_DTD_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,6 +84,20 @@ class SpecializedDtd {
  private:
   friend Result<Nbta> CompileDtdToNbta(const SpecializedDtd& dtd,
                                        const EncodedAlphabet& enc);
+
+  /// The types assignable to each node of a tree, in increasing id order:
+  /// node n's are types[start[n]] up to types[start[n + 1]].
+  struct NodeTypes {
+    std::vector<SymbolId> types;
+    std::vector<size_t> start;
+    std::span<const SymbolId> of(NodeId n) const {
+      return {types.data() + start[n], types.data() + start[n + 1]};
+    }
+  };
+  /// The bottom-up DP behind Accepts and Validate.
+  Result<NodeTypes> PossibleTypes(const UnrankedTree& tree) const;
+  /// Is a root type among `types` (sorted)?
+  bool HasRootType(std::span<const SymbolId> types) const;
 
   Alphabet tags_;
   Alphabet types_;

@@ -1,108 +1,193 @@
 #include "src/serve/protocol.h"
 
-#include <cstring>
+#include <type_traits>
+#include <utility>
 
+#include "src/common/bytes.h"
 #include "src/common/status.h"
 
 namespace pebbletc::serve {
 namespace {
 
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
+constexpr auto kMaxWireStatus =
+    static_cast<uint8_t>(WireStatus::kInvalidArgument);
+
+// Each message body lists its fields once, in wire order. `io` is a Writer
+// (encode) or a Reader (decode): io(fields...) walks plain fields,
+// io.Capped a u8 with a largest legal value, and io.List a u32 count then
+// that many entries of at least `min_bytes` wire bytes each.
+template <class Io, class Empty>
+std::enable_if_t<std::is_empty_v<Empty>> Fields(Io&, Empty&) {}
+
+template <class Io>
+void Fields(Io& io, RawRequestHeader& m) {
+  io(m.version, m.opcode_byte, m.request_id, m.deadline_ms);
+}
+template <class Io>
+void Fields(Io& io, ValidateRequest& m) {
+  io(m.schema, m.document);
+}
+template <class Io>
+void Fields(Io& io, TypecheckRequest& m) {
+  io(m.transducer, m.input_type, m.output_type);
+}
+template <class Io>
+void Fields(Io& io, InferInverseRequest& m) {
+  io(m.transducer, m.output_type);
+}
+template <class Io>
+void Fields(Io& io, LoadArtifactRequest& m) {
+  io(m.name, m.artifact);
+}
+template <class Io>
+void Fields(Io& io, ValidateBatchRequest& m) {
+  io(m.schema);
+  io.List(m.documents, /*min_bytes=*/4,
+          "batch document count exceeds the payload");
 }
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <class Io>
+void Fields(Io& io, ValidateResponse& m) {
+  io(m.valid, m.diagnostic);
+}
+template <class Io>
+void Fields(Io& io, TypecheckResponse& m) {
+  io.Capped(m.verdict, 2, "typecheck verdict out of range");
+  io(m.method, m.exhausted, m.exhaustion_code, m.exhaustion_pass,
+     m.exhaustion_detail, m.checkpoints, m.states_materialized,
+     m.counterexample_input_xml, m.counterexample_output_xml);
+}
+template <class Io>
+void Fields(Io& io, InferInverseResponse& m) {
+  io(m.num_states, m.num_leaf_rules, m.num_rules, m.checkpoints);
+}
+template <class Io>
+void Fields(Io& io, LoadArtifactResponse& m) {
+  io(m.kind);
+}
+template <class Io>
+void Fields(Io& io, ArtifactInfo& m) {
+  io(m.name, m.kind);
+}
+template <class Io>
+void Fields(Io& io, ListArtifactsResponse& m) {
+  io.List(m.artifacts, /*min_bytes=*/5,
+          "artifact list count exceeds the payload");
+}
+template <class Io>
+void Fields(Io& io, StatsResponse& m) {
+  io(m.requests_total, m.responses_ok, m.malformed_rejected,
+     m.validation_rejected, m.overload_rejected, m.degraded_verdicts,
+     m.hard_errors, m.faults_injected, m.in_flight);
+}
+template <class Io>
+void Fields(Io& io, BatchDocVerdict& m) {
+  io.Capped(m.status, kMaxWireStatus, "unknown wire status in batch verdict");
+  io(m.valid, m.diagnostic);
+}
+template <class Io>
+void Fields(Io& io, ValidateBatchResponse& m) {
+  io.List(m.verdicts, /*min_bytes=*/6,
+          "batch verdict count exceeds the payload");
+  io(m.fast_path_docs, m.fallback_docs);
+}
+
+// Appends each field it walks.
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+
+  template <class... F>
+  void operator()(const F&... fields) {
+    (Put(fields), ...);
   }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  void Capped(uint8_t v, uint8_t, const char*) { PutU8(v, out_); }
+  template <class T>
+  void List(const std::vector<T>& entries, size_t, const char*) {
+    PutU32(static_cast<uint32_t>(entries.size()), out_);
+    for (const T& entry : entries) Put(entry);
   }
-}
 
-void PutString(std::string_view s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
+ private:
+  void Put(const uint8_t& v) { PutU8(v, out_); }
+  void Put(const uint32_t& v) { PutU32(v, out_); }
+  void Put(const uint64_t& v) { PutU64(v, out_); }
+  void Put(const bool& v) { PutU8(v ? 1 : 0, out_); }
+  void Put(const std::string& s) { PutString(s, out_); }
+  // Fields takes a mutable message so one list serves both directions; the
+  // writer only reads it.
+  template <class Msg>
+  void Put(const Msg& m) {
+    Fields(*this, const_cast<Msg&>(m));
+  }
 
+  std::string* out_;
+};
+
+// Fills each field it walks. The first failure sticks: later reads do
+// nothing, and status() reports it.
 class Reader {
  public:
   Reader(std::string_view bytes, uint32_t max_field_bytes)
-      : bytes_(bytes), max_field_(max_field_bytes) {}
+      : in_(bytes, "wire message"), max_field_(max_field_bytes) {}
 
-  Status ReadU8(uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) return Truncated();
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status::OK();
+  template <class... F>
+  void operator()(F&... fields) {
+    (Get(fields), ...);
   }
-
-  Status ReadU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return Truncated();
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
+  void Capped(uint8_t& v, uint8_t max, const char* what) {
+    Get(v);
+    if (status_.ok() && v > max) status_ = Status::ParseError(what);
+  }
+  template <class T>
+  void List(std::vector<T>& entries, size_t min_bytes, const char* what) {
+    uint32_t count = 0;
+    Get(count);
+    if (!status_.ok()) return;
+    // A count the rest of the payload cannot hold is rejected before the
+    // reserve, so a hostile count cannot force a huge allocation.
+    if (count > in_.remaining() / min_bytes) {
+      status_ = Status::ParseError(what);
+      return;
     }
-    pos_ += 4;
-    *v = r;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return Truncated();
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
+    entries.reserve(count);
+    for (uint32_t i = 0; i < count && status_.ok(); ++i) {
+      Get(entries.emplace_back());
     }
-    pos_ += 8;
-    *v = r;
-    return Status::OK();
   }
 
-  Status ReadBool(bool* v) {
-    uint8_t b = 0;
-    PEBBLETC_RETURN_IF_ERROR(ReadU8(&b));
-    if (b > 1) return Status::ParseError("wire bool out of {0, 1}");
-    *v = b != 0;
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out) {
-    uint32_t len = 0;
-    PEBBLETC_RETURN_IF_ERROR(ReadU32(&len));
-    if (len > max_field_) {
-      return Status::ParseError("wire string field exceeds the frame cap");
-    }
-    if (pos_ + len > bytes_.size()) return Truncated();
-    out->assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status Done() const {
-    if (pos_ != bytes_.size()) {
-      return Status::ParseError("trailing bytes after wire message");
-    }
-    return Status::OK();
-  }
-
-  /// Bytes left to read — used to reject count fields that claim more
-  /// entries than the payload can encode, before anything is reserved.
-  size_t remaining() const { return bytes_.size() - pos_; }
+  const Status& status() const { return status_; }
+  /// The first failure, else whether every byte was read.
+  Status Done() const { return status_.ok() ? in_.Done() : status_; }
 
  private:
-  static Status Truncated() {
-    return Status::ParseError("wire message truncated");
+  void Get(uint8_t& v) { if (status_.ok()) status_ = in_.ReadU8(&v); }
+  void Get(uint32_t& v) { if (status_.ok()) status_ = in_.ReadU32(&v); }
+  void Get(uint64_t& v) { if (status_.ok()) status_ = in_.ReadU64(&v); }
+  void Get(bool& v) { if (status_.ok()) status_ = in_.ReadBool(&v); }
+  void Get(std::string& s) {
+    if (status_.ok()) status_ = in_.ReadString(max_field_, &s);
+  }
+  template <class Msg>
+  void Get(Msg& m) {
+    Fields(*this, m);
   }
 
-  std::string_view bytes_;
+  ByteReader in_;
   uint32_t max_field_;
-  size_t pos_ = 0;
+  Status status_;
 };
+
+// Sets `body` to its alternative for `opcode` and reads that alternative's
+// fields.
+template <class Body>
+void ReadBody(Reader& in, Body& body, uint8_t opcode) {
+  static_assert(std::variant_size_v<Body> == kMaxOpcode + 1,
+                "one body alternative per opcode, in opcode order");
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    ((opcode == I ? in(body.template emplace<I>()) : void()), ...);
+  }(std::make_index_sequence<std::variant_size_v<Body>>());
+}
 
 }  // namespace
 
@@ -127,113 +212,31 @@ const char* WireStatusName(WireStatus s) {
 }
 
 void EncodeRequest(const Request& request, std::string* out) {
-  PutU8(request.header.version, out);
-  PutU8(static_cast<uint8_t>(request.header.opcode), out);
-  PutU32(request.header.request_id, out);
-  PutU32(request.header.deadline_ms, out);
-  std::visit(
-      [out](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, ValidateRequest>) {
-          PutString(body.schema, out);
-          PutString(body.document, out);
-        } else if constexpr (std::is_same_v<T, TypecheckRequest>) {
-          PutString(body.transducer, out);
-          PutString(body.input_type, out);
-          PutString(body.output_type, out);
-        } else if constexpr (std::is_same_v<T, InferInverseRequest>) {
-          PutString(body.transducer, out);
-          PutString(body.output_type, out);
-        } else if constexpr (std::is_same_v<T, LoadArtifactRequest>) {
-          PutString(body.name, out);
-          PutString(body.artifact, out);
-        } else if constexpr (std::is_same_v<T, ValidateBatchRequest>) {
-          PutString(body.schema, out);
-          PutU32(static_cast<uint32_t>(body.documents.size()), out);
-          for (const std::string& doc : body.documents) PutString(doc, out);
-        }
-        // Ping / ListArtifacts / Stats have empty bodies.
-      },
-      request.body);
+  const RequestHeader& h = request.header;
+  Writer w(out);
+  w(RawRequestHeader{h.version, static_cast<uint8_t>(h.opcode), h.request_id,
+                     h.deadline_ms});
+  std::visit(w, request.body);
 }
 
 Result<Request> DecodeRequest(std::string_view payload,
                               uint32_t max_field_bytes) {
   Reader in(payload, max_field_bytes);
-  Request request;
-  uint8_t opcode_byte = 0;
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&request.header.version));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&opcode_byte));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&request.header.request_id));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&request.header.deadline_ms));
-  if (request.header.version != kWireVersion) {
+  RawRequestHeader raw;
+  in(raw);
+  PEBBLETC_RETURN_IF_ERROR(in.status());
+  if (raw.version != kWireVersion) {
     return Status::ParseError("unsupported wire version " +
-                              std::to_string(request.header.version));
+                              std::to_string(raw.version));
   }
-  if (opcode_byte > kMaxOpcode) {
-    return Status::ParseError("unknown opcode " + std::to_string(opcode_byte));
+  if (raw.opcode_byte > kMaxOpcode) {
+    return Status::ParseError("unknown opcode " +
+                              std::to_string(raw.opcode_byte));
   }
-  request.header.opcode = static_cast<Opcode>(opcode_byte);
-  switch (request.header.opcode) {
-    case Opcode::kPing:
-      request.body = PingRequest{};
-      break;
-    case Opcode::kValidate: {
-      ValidateRequest body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.schema));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.document));
-      request.body = std::move(body);
-      break;
-    }
-    case Opcode::kTypecheck: {
-      TypecheckRequest body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.transducer));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.input_type));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.output_type));
-      request.body = std::move(body);
-      break;
-    }
-    case Opcode::kInferInverse: {
-      InferInverseRequest body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.transducer));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.output_type));
-      request.body = std::move(body);
-      break;
-    }
-    case Opcode::kLoadArtifact: {
-      LoadArtifactRequest body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.name));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.artifact));
-      request.body = std::move(body);
-      break;
-    }
-    case Opcode::kListArtifacts:
-      request.body = ListArtifactsRequest{};
-      break;
-    case Opcode::kStats:
-      request.body = StatsRequest{};
-      break;
-    case Opcode::kValidateBatch: {
-      ValidateBatchRequest body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.schema));
-      uint32_t count = 0;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&count));
-      // Each document costs at least its 4-byte length prefix, so a hostile
-      // count cannot make the server reserve more entries than the payload
-      // it actually sent can hold.
-      if (count > in.remaining() / 4) {
-        return Status::ParseError("batch document count exceeds the payload");
-      }
-      body.documents.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        std::string doc;
-        PEBBLETC_RETURN_IF_ERROR(in.ReadString(&doc));
-        body.documents.push_back(std::move(doc));
-      }
-      request.body = std::move(body);
-      break;
-    }
-  }
+  Request request;
+  request.header = {raw.version, static_cast<Opcode>(raw.opcode_byte),
+                    raw.request_id, raw.deadline_ms};
+  ReadBody(in, request.body, raw.opcode_byte);
   PEBBLETC_RETURN_IF_ERROR(in.Done());
   return request;
 }
@@ -241,73 +244,17 @@ Result<Request> DecodeRequest(std::string_view payload,
 Result<RawRequestHeader> PeekRequestHeader(std::string_view payload) {
   Reader in(payload, kMaxFrameBytes);
   RawRequestHeader header;
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&header.version));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&header.opcode_byte));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&header.request_id));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&header.deadline_ms));
+  in(header);
+  PEBBLETC_RETURN_IF_ERROR(in.status());
   return header;
 }
 
 void EncodeResponse(const Response& response, std::string* out) {
-  PutU8(response.header.version, out);
-  PutU8(static_cast<uint8_t>(response.header.opcode), out);
-  PutU32(response.header.request_id, out);
-  PutU8(static_cast<uint8_t>(response.header.status), out);
-  PutString(response.header.detail, out);
-  if (response.header.status != WireStatus::kOk) return;
-  std::visit(
-      [out](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, ValidateResponse>) {
-          PutU8(body.valid ? 1 : 0, out);
-          PutString(body.diagnostic, out);
-        } else if constexpr (std::is_same_v<T, TypecheckResponse>) {
-          PutU8(body.verdict, out);
-          PutString(body.method, out);
-          PutU8(body.exhausted ? 1 : 0, out);
-          PutU8(body.exhaustion_code, out);
-          PutString(body.exhaustion_pass, out);
-          PutString(body.exhaustion_detail, out);
-          PutU64(body.checkpoints, out);
-          PutU64(body.states_materialized, out);
-          PutString(body.counterexample_input_xml, out);
-          PutString(body.counterexample_output_xml, out);
-        } else if constexpr (std::is_same_v<T, InferInverseResponse>) {
-          PutU32(body.num_states, out);
-          PutU32(body.num_leaf_rules, out);
-          PutU32(body.num_rules, out);
-          PutU64(body.checkpoints, out);
-        } else if constexpr (std::is_same_v<T, LoadArtifactResponse>) {
-          PutU8(body.kind, out);
-        } else if constexpr (std::is_same_v<T, ListArtifactsResponse>) {
-          PutU32(static_cast<uint32_t>(body.artifacts.size()), out);
-          for (const ArtifactInfo& info : body.artifacts) {
-            PutString(info.name, out);
-            PutU8(info.kind, out);
-          }
-        } else if constexpr (std::is_same_v<T, ValidateBatchResponse>) {
-          PutU32(static_cast<uint32_t>(body.verdicts.size()), out);
-          for (const BatchDocVerdict& v : body.verdicts) {
-            PutU8(v.status, out);
-            PutU8(v.valid ? 1 : 0, out);
-            PutString(v.diagnostic, out);
-          }
-          PutU64(body.fast_path_docs, out);
-          PutU64(body.fallback_docs, out);
-        } else if constexpr (std::is_same_v<T, StatsResponse>) {
-          PutU64(body.requests_total, out);
-          PutU64(body.responses_ok, out);
-          PutU64(body.malformed_rejected, out);
-          PutU64(body.validation_rejected, out);
-          PutU64(body.overload_rejected, out);
-          PutU64(body.degraded_verdicts, out);
-          PutU64(body.hard_errors, out);
-          PutU64(body.faults_injected, out);
-          PutU32(body.in_flight, out);
-        }
-        // Ping has an empty body.
-      },
-      response.body);
+  const ResponseHeader& h = response.header;
+  Writer w(out);
+  w(h.version, static_cast<uint8_t>(h.opcode), h.request_id,
+    static_cast<uint8_t>(h.status), h.detail);
+  if (h.status == WireStatus::kOk) std::visit(w, response.body);
 }
 
 Result<Response> DecodeResponse(std::string_view payload,
@@ -315,163 +262,58 @@ Result<Response> DecodeResponse(std::string_view payload,
   Reader in(payload, max_field_bytes);
   Response response;
   uint8_t opcode_byte = 0, status_byte = 0;
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&response.header.version));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&opcode_byte));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&response.header.request_id));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&status_byte));
-  PEBBLETC_RETURN_IF_ERROR(in.ReadString(&response.header.detail));
+  in(response.header.version, opcode_byte, response.header.request_id,
+     status_byte, response.header.detail);
+  PEBBLETC_RETURN_IF_ERROR(in.status());
   if (response.header.version != kWireVersion) {
     return Status::ParseError("unsupported wire version");
   }
   if (opcode_byte > kMaxOpcode) {
     return Status::ParseError("unknown opcode in response");
   }
-  if (status_byte > static_cast<uint8_t>(WireStatus::kInvalidArgument)) {
+  if (status_byte > kMaxWireStatus) {
     return Status::ParseError("unknown wire status in response");
   }
   response.header.opcode = static_cast<Opcode>(opcode_byte);
   response.header.status = static_cast<WireStatus>(status_byte);
-  if (response.header.status != WireStatus::kOk) {
-    PEBBLETC_RETURN_IF_ERROR(in.Done());
-    return response;
-  }
-  switch (response.header.opcode) {
-    case Opcode::kPing:
-      response.body = PingResponse{};
-      break;
-    case Opcode::kValidate: {
-      ValidateResponse body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadBool(&body.valid));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.diagnostic));
-      response.body = std::move(body);
-      break;
-    }
-    case Opcode::kTypecheck: {
-      TypecheckResponse body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&body.verdict));
-      if (body.verdict > 2) {
-        return Status::ParseError("typecheck verdict out of range");
-      }
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.method));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadBool(&body.exhausted));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&body.exhaustion_code));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.exhaustion_pass));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.exhaustion_detail));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.checkpoints));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.states_materialized));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.counterexample_input_xml));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadString(&body.counterexample_output_xml));
-      response.body = std::move(body);
-      break;
-    }
-    case Opcode::kInferInverse: {
-      InferInverseResponse body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&body.num_states));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&body.num_leaf_rules));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&body.num_rules));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.checkpoints));
-      response.body = std::move(body);
-      break;
-    }
-    case Opcode::kLoadArtifact: {
-      LoadArtifactResponse body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&body.kind));
-      response.body = body;
-      break;
-    }
-    case Opcode::kListArtifacts: {
-      ListArtifactsResponse body;
-      uint32_t count = 0;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&count));
-      // An entry is at least 5 wire bytes (4-byte name length + 1-byte
-      // kind), so a hostile or buggy server cannot make the client reserve
-      // more entries than the payload it actually sent can hold.
-      if (count > in.remaining() / 5) {
-        return Status::ParseError("artifact list count exceeds the payload");
-      }
-      body.artifacts.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        ArtifactInfo info;
-        PEBBLETC_RETURN_IF_ERROR(in.ReadString(&info.name));
-        PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&info.kind));
-        body.artifacts.push_back(std::move(info));
-      }
-      response.body = std::move(body);
-      break;
-    }
-    case Opcode::kValidateBatch: {
-      ValidateBatchResponse body;
-      uint32_t count = 0;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&count));
-      // A verdict is at least 6 wire bytes (status + valid + 4-byte
-      // diagnostic length), so a hostile count cannot force an oversized
-      // reserve.
-      if (count > in.remaining() / 6) {
-        return Status::ParseError("batch verdict count exceeds the payload");
-      }
-      body.verdicts.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        BatchDocVerdict v;
-        PEBBLETC_RETURN_IF_ERROR(in.ReadU8(&v.status));
-        if (v.status > static_cast<uint8_t>(WireStatus::kInvalidArgument)) {
-          return Status::ParseError("unknown wire status in batch verdict");
-        }
-        PEBBLETC_RETURN_IF_ERROR(in.ReadBool(&v.valid));
-        PEBBLETC_RETURN_IF_ERROR(in.ReadString(&v.diagnostic));
-        body.verdicts.push_back(std::move(v));
-      }
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.fast_path_docs));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.fallback_docs));
-      response.body = std::move(body);
-      break;
-    }
-    case Opcode::kStats: {
-      StatsResponse body;
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.requests_total));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.responses_ok));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.malformed_rejected));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.validation_rejected));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.overload_rejected));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.degraded_verdicts));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.hard_errors));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU64(&body.faults_injected));
-      PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&body.in_flight));
-      response.body = std::move(body);
-      break;
-    }
+  if (response.header.status == WireStatus::kOk) {
+    ReadBody(in, response.body, opcode_byte);
   }
   PEBBLETC_RETURN_IF_ERROR(in.Done());
   return response;
 }
 
 void EncodeFrame(std::string_view payload, std::string* out) {
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->append(payload);
+  PutString(payload, out);
+}
+
+Result<uint32_t> DecodeFrameLength(const char* prefix,
+                                   uint32_t max_frame_bytes) {
+  const auto len = LoadLe<uint32_t>(prefix);
+  if (len > max_frame_bytes) {
+    return Status::ParseError("declared frame length " + std::to_string(len) +
+                              " exceeds the " +
+                              std::to_string(max_frame_bytes) + "-byte cap");
+  }
+  return len;
 }
 
 Result<std::optional<std::string>> FrameDecoder::Next() {
   if (poisoned_) {
     return Status::ParseError("frame stream poisoned by an oversized frame");
   }
-  if (buffer_.size() < 4) return std::optional<std::string>();
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<unsigned char>(buffer_[i]))
-           << (8 * i);
-  }
-  if (len > max_frame_bytes_) {
+  if (buffer_.size() < kFramePrefixBytes) return std::optional<std::string>();
+  Result<uint32_t> len = DecodeFrameLength(buffer_.data(), max_frame_bytes_);
+  if (!len.ok()) {
     // A bad length desynchronizes the stream permanently — there is no way
     // to find the next frame boundary, so fail every subsequent read too.
     poisoned_ = true;
-    return Status::ParseError("declared frame length " + std::to_string(len) +
-                              " exceeds the " +
-                              std::to_string(max_frame_bytes_) + "-byte cap");
+    return len.status();
   }
-  if (buffer_.size() < 4 + static_cast<size_t>(len)) {
-    return std::optional<std::string>();
-  }
-  std::string payload = buffer_.substr(4, len);
-  buffer_.erase(0, 4 + static_cast<size_t>(len));
+  const size_t end = kFramePrefixBytes + *len;
+  if (buffer_.size() < end) return std::optional<std::string>();
+  std::string payload = buffer_.substr(kFramePrefixBytes, *len);
+  buffer_.erase(0, end);
   return std::optional<std::string>(std::move(payload));
 }
 

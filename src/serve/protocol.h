@@ -250,6 +250,15 @@ Result<Response> DecodeResponse(std::string_view payload,
 /// Appends the u32 length prefix + payload.
 void EncodeFrame(std::string_view payload, std::string* out);
 
+/// Bytes in a frame's length prefix.
+inline constexpr size_t kFramePrefixBytes = 4;
+
+/// The payload length declared by the kFramePrefixBytes bytes at `prefix`;
+/// kParseError ("declared frame length N exceeds the M-byte cap") when it is
+/// above `max_frame_bytes`. Every transport checks its frames through this.
+Result<uint32_t> DecodeFrameLength(const char* prefix,
+                                   uint32_t max_frame_bytes);
+
 /// Incremental frame parser for stream transports. Feed bytes with Append;
 /// Next() yields one complete payload at a time. A declared length above
 /// `max_frame_bytes` is a hard protocol error: the stream is poisoned (every

@@ -217,27 +217,22 @@ size_t SocketServer::ReapFinished() {
 void SocketServer::HandleConnection(std::shared_ptr<Connection> conn) {
   const uint32_t cap = core_->options().max_frame_bytes;
   while (running_.load()) {
-    char len_bytes[4];
-    if (!ReadFull(conn->fd, len_bytes, 4)) break;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(len_bytes[i]))
-             << (8 * i);
-    }
-    if (len > cap) {
+    char prefix[kFramePrefixBytes];
+    if (!ReadFull(conn->fd, prefix, kFramePrefixBytes)) break;
+    Result<uint32_t> len = DecodeFrameLength(prefix, cap);
+    if (!len.ok()) {
       // Framing is unrecoverable: answer with one structured error frame,
       // then close — never read the declared length.
-      Response err = MakeErrorResponse(
-          Opcode::kPing, 0, WireStatus::kMalformedFrame,
-          "declared frame length " + std::to_string(len) + " exceeds the " +
-              std::to_string(cap) + "-byte cap");
       std::string payload;
-      EncodeResponse(err, &payload);
+      EncodeResponse(MakeErrorResponse(Opcode::kPing, 0,
+                                       WireStatus::kMalformedFrame,
+                                       std::string(len.status().message())),
+                     &payload);
       SendFrame(conn->fd, payload);
       break;
     }
-    std::string request(len, '\0');
-    if (len > 0 && !ReadFull(conn->fd, request.data(), len)) break;
+    std::string request(*len, '\0');
+    if (*len > 0 && !ReadFull(conn->fd, request.data(), *len)) break;
 
     conn->busy.store(true);
     std::string response = core_->HandleFrame(request, &conn->cancel);

@@ -122,6 +122,9 @@ class Dbta {
   /// (leaf rules for Σ0 symbols, binary rules for Σ2 symbols).
   Nbta ToNbta(const RankedAlphabet& alphabet) const;
 
+  /// Same state and symbol counts, accepting set, leaf states and table.
+  bool operator==(const Dbta&) const = default;
+
  private:
   uint32_t num_states_;
   uint32_t num_symbols_;

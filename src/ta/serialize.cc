@@ -4,146 +4,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/regex/regex.h"
 
 namespace pebbletc {
-
-namespace {
-
-void PutU8(uint8_t v, std::string* out) { out->push_back(static_cast<char>(v)); }
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xff);
-  b[1] = static_cast<char>((v >> 8) & 0xff);
-  b[2] = static_cast<char>((v >> 16) & 0xff);
-  b[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(b, 4);
-}
-
-void PutBits(const std::vector<bool>& bits, std::string* out) {
-  uint8_t acc = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) acc |= static_cast<uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      out->push_back(static_cast<char>(acc));
-      acc = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) out->push_back(static_cast<char>(acc));
-}
-
-void PutString(std::string_view s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s.data(), s.size());
-}
-
-// Caps on variable-length sections of the artifact formats. Inputs crossing
-// the service trust boundary may be adversarial, so every count read from
-// the wire is bounded before a single element is allocated.
-constexpr uint32_t kMaxNameBytes = 1024;
-constexpr uint32_t kMaxAlphabetSymbols = 1u << 20;
-// A regex stream is capped at the parser's kMaxRegexNodes (src/regex/regex.h),
-// so text DTDs and DTD artifacts share one node cap.
-
-// Bounds-checked little-endian reader over the input view.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  Status ReadU8(uint8_t* v) {
-    if (bytes_.size() - pos_ < 1) {
-      return Status::ParseError("binary artifact truncated");
-    }
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (bytes_.size() - pos_ < 8) {
-      return Status::ParseError("binary artifact truncated");
-    }
-    const auto* p = reinterpret_cast<const unsigned char*>(bytes_.data() + pos_);
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status ReadString(uint32_t max_bytes, std::string* s) {
-    uint32_t n = 0;
-    PEBBLETC_RETURN_IF_ERROR(ReadU32(&n));
-    if (n > max_bytes) {
-      return Status::ParseError("string field exceeds cap of " +
-                                std::to_string(max_bytes) + " bytes");
-    }
-    if (bytes_.size() - pos_ < n) {
-      return Status::ParseError("binary artifact truncated");
-    }
-    s->assign(bytes_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* v) {
-    if (bytes_.size() - pos_ < 4) {
-      return Status::ParseError("binary automaton truncated");
-    }
-    const auto* p = reinterpret_cast<const unsigned char*>(bytes_.data() + pos_);
-    *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadBits(size_t n, std::vector<bool>* bits) {
-    const size_t nbytes = (n + 7) / 8;
-    if (bytes_.size() - pos_ < nbytes) {
-      return Status::ParseError("binary automaton truncated");
-    }
-    bits->assign(n, false);
-    for (size_t i = 0; i < n; ++i) {
-      const auto byte =
-          static_cast<unsigned char>(bytes_[pos_ + i / 8]);
-      (*bits)[i] = (byte >> (i % 8)) & 1;
-    }
-    // Spare bits in the final byte must be zero, so the encoding is unique
-    // and the payload checksum is well-defined.
-    if (n % 8 != 0) {
-      const auto last = static_cast<unsigned char>(bytes_[pos_ + nbytes - 1]);
-      if ((last >> (n % 8)) != 0) {
-        return Status::ParseError("nonzero padding in accepting bitset");
-      }
-    }
-    pos_ += nbytes;
-    return Status::OK();
-  }
-
-  Status Done() const {
-    if (pos_ != bytes_.size()) {
-      return Status::ParseError("trailing bytes after binary automaton");
-    }
-    return Status::OK();
-  }
-
-  /// Bytes left to read. Any count field claiming more elements than the
-  /// remaining input can encode is malformed, and must be rejected before
-  /// the elements are allocated.
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
 
 void SerializeNbta(const Nbta& a, std::string* out) {
   PutU32(a.num_states, out);
@@ -163,25 +27,20 @@ void SerializeNbta(const Nbta& a, std::string* out) {
   }
 }
 
-void SerializeDbta(const Dbta& d, std::string* out) {
-  PutU32(d.num_states(), out);
-  PutU32(d.num_symbols(), out);
-  std::vector<bool> acc(d.num_states());
-  for (StateId q = 0; q < d.num_states(); ++q) acc[q] = d.accepting(q);
-  PutBits(acc, out);
-  for (SymbolId s = 0; s < d.num_symbols(); ++s) PutU32(d.LeafState(s), out);
-  for (SymbolId s = 0; s < d.num_symbols(); ++s) {
-    for (StateId l = 0; l < d.num_states(); ++l) {
-      for (StateId r = 0; r < d.num_states(); ++r) {
-        PutU32(d.Next(s, l, r), out);
-      }
-    }
-  }
-}
-
 namespace {
 
-Status ReadNbtaBody(Reader& in, Nbta* a) {
+// Caps on variable-length sections of the artifact formats. Inputs crossing
+// the service trust boundary may be adversarial, so every count read from
+// the wire is bounded before a single element is allocated.
+constexpr uint32_t kMaxNameBytes = 1024;
+constexpr uint32_t kMaxAlphabetSymbols = 1u << 20;
+// A regex stream is capped at the parser's kMaxRegexNodes (src/regex/regex.h),
+// so text DTDs and DTD artifacts share one node cap.
+
+// What the artifact decoders' ByteReader errors call the input.
+constexpr char kFormat[] = "binary artifact";
+
+Status ReadNbtaBody(ByteReader& in, Nbta* a) {
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&a->num_states));
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&a->num_symbols));
   PEBBLETC_RETURN_IF_ERROR(in.ReadBits(a->num_states, &a->accepting));
@@ -228,7 +87,7 @@ Status ReadNbtaBody(Reader& in, Nbta* a) {
 }  // namespace
 
 Result<Nbta> DeserializeNbta(std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes, kFormat);
   Nbta a;
   PEBBLETC_RETURN_IF_ERROR(ReadNbtaBody(in, &a));
   PEBBLETC_RETURN_IF_ERROR(in.Done());
@@ -257,7 +116,7 @@ void SerializeRankedAlphabet(const RankedAlphabet& alphabet, std::string* out) {
 
 namespace {
 
-Status ReadRankedAlphabet(Reader& in, RankedAlphabet* alphabet) {
+Status ReadRankedAlphabet(ByteReader& in, RankedAlphabet* alphabet) {
   uint32_t n = 0;
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&n));
   if (n > kMaxAlphabetSymbols) {
@@ -288,7 +147,7 @@ Status ReadRankedAlphabet(Reader& in, RankedAlphabet* alphabet) {
 }  // namespace
 
 Result<RankedAlphabet> DeserializeRankedAlphabet(std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes, kFormat);
   RankedAlphabet alphabet;
   PEBBLETC_RETURN_IF_ERROR(ReadRankedAlphabet(in, &alphabet));
   PEBBLETC_RETURN_IF_ERROR(in.Done());
@@ -361,7 +220,7 @@ void WriteRegex(const RegexPtr& r, std::string* out) {
   }
 }
 
-Status ReadRegex(Reader& in, uint32_t num_symbols, RegexPtr* out) {
+Status ReadRegex(ByteReader& in, uint32_t num_symbols, RegexPtr* out) {
   uint32_t n_nodes = 0;
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&n_nodes));
   if (n_nodes == 0) return Status::ParseError("regex with zero nodes");
@@ -461,7 +320,7 @@ Result<TransducerArtifact> DeserializeTransducerArtifact(
     std::string_view bytes) {
   using Kind = PebbleTransducer::TransitionKind;
   using Move = PebbleTransducer::MoveKind;
-  Reader in(bytes);
+  ByteReader in(bytes, kFormat);
   uint32_t max_pebbles = 0;
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&max_pebbles));
   // The PebbleTransducer constructor CHECK-crashes outside [1, 30], so the
@@ -590,7 +449,7 @@ void SerializeDtdArtifact(const SpecializedDtd& dtd, std::string* out) {
 }
 
 Result<SpecializedDtd> DeserializeDtdArtifact(std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes, kFormat);
   uint32_t n_tags = 0;
   PEBBLETC_RETURN_IF_ERROR(in.ReadU32(&n_tags));
   if (n_tags > kMaxAlphabetSymbols) {
@@ -665,7 +524,7 @@ void SerializeSchemaArtifact(const SchemaArtifact& artifact, std::string* out) {
 }
 
 Result<SchemaArtifact> DeserializeSchemaArtifact(std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes, kFormat);
   SchemaArtifact artifact;
   PEBBLETC_RETURN_IF_ERROR(ReadRankedAlphabet(in, &artifact.alphabet));
   PEBBLETC_RETURN_IF_ERROR(ReadNbtaBody(in, &artifact.automaton));
@@ -725,13 +584,8 @@ Result<TaArtifactView> UnwrapTaArtifact(std::string_view bytes) {
     return Status::ParseError("unknown artifact kind " +
                               std::to_string(kind_byte));
   }
-  uint64_t checksum = 0;
-  for (int i = 0; i < 8; ++i) {
-    checksum |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[6 + i]))
-                << (8 * i);
-  }
   std::string_view payload = bytes.substr(kArtifactHeaderBytes);
-  if (TaPayloadChecksum(payload) != checksum) {
+  if (TaPayloadChecksum(payload) != LoadLe<uint64_t>(bytes.data() + 6)) {
     return Status::ParseError("artifact payload checksum mismatch");
   }
   TaArtifactView view;

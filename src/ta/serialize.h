@@ -1,11 +1,9 @@
 // Binary (de)serialization for tree automata, transducers, and DTDs — the
 // typecheck service's artifact registry and wire format (docs/SERVING.md).
-// The op cache's diffcheck replay law (docs/CACHING.md) also uses the
-// automaton encodings, as its byte-exact comparison of a cached table with
-// the cold one.
 //
 // The layouts (docs/FORMATS.md, "Binary formats") are flat little-endian
-// dumps of the in-memory representations: fixed-width u32 fields, bit-packed
+// dumps of the in-memory representations, written and read through the
+// byte codec of src/common/bytes.h: fixed-width u32 fields, bit-packed
 // accepting sets, rules in storage order, length-prefixed names. Every
 // deserializer validates every structural invariant (state/symbol ranges,
 // section sizes, level discipline, regex arity/depth) so a truncated or
@@ -35,9 +33,6 @@ namespace pebbletc {
 
 /// Appends the binary encoding of `a` to `*out`.
 void SerializeNbta(const Nbta& a, std::string* out);
-
-/// Appends the binary encoding of `d` to `*out`.
-void SerializeDbta(const Dbta& d, std::string* out);
 
 /// Parses an automaton serialized by SerializeNbta. The whole string must be
 /// consumed; trailing bytes, truncation, or out-of-range ids are kParseError.

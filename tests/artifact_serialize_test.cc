@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/result.h"
+#include "src/common/rng.h"
 #include "src/dtd/dtd.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
@@ -604,6 +606,232 @@ TEST(ArtifactSerializeTest, EveryBitFlipIsCaughtOrChangesOnlyTheKind) {
     EXPECT_NE(view->kind, TaArtifactKind::kTransducer);
     EXPECT_EQ(view->payload, payload);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden encodings: the exact bytes of each layout in docs/FORMATS.md. A
+// drift of a serializer and its deserializer in step would pass every round
+// trip above; these pins would not.
+// ---------------------------------------------------------------------------
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Nine states over SampleAlphabet's symbols, so the accepting bitset ends in
+// a padded second byte.
+Nbta SampleNbta() {
+  Nbta a;
+  a.num_symbols = 4;
+  for (int q = 0; q < 9; ++q) (void)a.AddState();
+  a.accepting[0] = true;
+  a.accepting[8] = true;
+  a.AddLeafRule(2, 3);
+  a.AddLeafRule(3, 8);
+  a.AddRule(0, 3, 8, 0);
+  a.AddRule(1, 8, 3, 8);
+  return a;
+}
+
+TEST(ArtifactSerializeTest, PayloadsEncodeToPinnedBytes) {
+  std::string nbta;
+  SerializeNbta(SampleNbta(), &nbta);
+  const std::string dtd =
+      DtdBytesOf(std::move(ParseSpecializedDtd(kSpecializedDtd)).ValueOrDie());
+  SchemaArtifact schema;
+  schema.alphabet = SampleAlphabet();
+  schema.automaton = SampleNbta();
+  const struct {
+    const char* kind;
+    std::string bytes;
+    std::string_view hex;
+    std::function<Status(std::string_view)> decode_and_reencode;
+  } cases[] = {
+      {"alphabet", AlphabetBytesOf(SampleAlphabet()),
+       "0400000002020000006132020200000062320002000000613000020000006230",
+       [](std::string_view in) -> Status {
+         PEBBLETC_ASSIGN_OR_RETURN(RankedAlphabet a,
+                                   DeserializeRankedAlphabet(in));
+         return AlphabetBytesOf(a) == in ? Status::OK()
+                                         : Status::Internal("re-encoding");
+       }},
+      {"nbta", nbta,
+       "0900000004000000010102000000020000000300000003000000080000000200"
+       "0000000000000300000008000000000000000100000008000000030000000800"
+       "0000",
+       [](std::string_view in) -> Status {
+         PEBBLETC_ASSIGN_OR_RETURN(Nbta a, DeserializeNbta(in));
+         std::string again;
+         SerializeNbta(a, &again);
+         return again == in ? Status::OK() : Status::Internal("re-encoding");
+       }},
+      {"transducer", TransducerBytesOf(SampleTransducerArtifact()),
+       "0200000004000000020200000061320202000000623200020000006130000200"
+       "0000623004000000020200000061320202000000623200020000006130000200"
+       "0000623003000000010000000200000002000000000000000500000000ffffff"
+       "ff0000000000000000000000000501000000ffffffff00000000000000000000"
+       "0000000000000000000000010000000102000000ffffffff0000000000000000"
+       "00010000000000000000000000010000000002000000ffffffff000000000000"
+       "000001ffffffff01000000010000000200000000000000000200000000000000"
+       "0000000002ffffffff0100000000000000020000000000000000000000000200"
+       "000002000000",
+       [](std::string_view in) -> Status {
+         PEBBLETC_ASSIGN_OR_RETURN(TransducerArtifact t,
+                                   DeserializeTransducerArtifact(in));
+         return TransducerBytesOf(t) == in ? Status::OK()
+                                           : Status::Internal("re-encoding");
+       }},
+      {"dtd", dtd,
+       "0400000001000000610100000062010000006301000000640500000001000000"
+       "6100000000030000000201000000020200000003020000006263010000000200"
+       "0000020300000005020000006264010000000200000002040000000502000000"
+       "6330020000000100000001020000006430030000000100000001010000000000"
+       "0000",
+       [](std::string_view in) -> Status {
+         PEBBLETC_ASSIGN_OR_RETURN(SpecializedDtd d,
+                                   DeserializeDtdArtifact(in));
+         return DtdBytesOf(d) == in ? Status::OK()
+                                    : Status::Internal("re-encoding");
+       }},
+      {"schema", SchemaBytesOf(schema),
+       "0400000002020000006132020200000062320002000000613000020000006230"
+       "0900000004000000010102000000020000000300000003000000080000000200"
+       "0000000000000300000008000000000000000100000008000000030000000800"
+       "0000",
+       [](std::string_view in) -> Status {
+         PEBBLETC_ASSIGN_OR_RETURN(SchemaArtifact a,
+                                   DeserializeSchemaArtifact(in));
+         return SchemaBytesOf(a) == in ? Status::OK()
+                                       : Status::Internal("re-encoding");
+       }},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(ToHex(c.bytes), c.hex) << c.kind;
+    Status back = c.decode_and_reencode(FromHex(c.hex));
+    EXPECT_TRUE(back.ok()) << c.kind << ": " << back;
+  }
+}
+
+TEST(ArtifactSerializeTest, ContainerEncodesToPinnedBytes) {
+  constexpr std::string_view kHex = "505441520104ffc3c6ea87cee92b010278797a";
+  std::string wrapped;
+  WrapTaArtifact(TaArtifactKind::kSchema, "\x01\x02xyz", &wrapped);
+  EXPECT_EQ(ToHex(wrapped), kHex);
+  const std::string bytes = FromHex(kHex);
+  Result<TaArtifactView> view = UnwrapTaArtifact(bytes);
+  ASSERT_TRUE(view.ok()) << view.status().message();
+  EXPECT_EQ(view->kind, TaArtifactKind::kSchema);
+  EXPECT_EQ(view->payload, "\x01\x02xyz");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded payload mutation: hostile bytes past the container checksum.
+// ---------------------------------------------------------------------------
+
+// One to three mutations in sequence: a bit flip, a byte overwrite, a
+// one-byte insert, a short delete, a truncation, or a u32 overwritten with
+// 0xFFFFFFFF (the value that turns a count or length field hostile). The
+// stream is the seeded Rng, so every failure replays.
+std::string MutatePayload(std::string bytes, Rng& rng) {
+  const uint64_t rounds = 1 + rng.NextBelow(3);
+  for (uint64_t i = 0; i < rounds; ++i) {
+    const uint64_t r = rng.NextU64();
+    const size_t pos = bytes.empty() ? 0 : (r >> 8) % bytes.size();
+    switch (r % 6) {
+      case 0:
+        if (!bytes.empty()) {
+          bytes[pos] ^= static_cast<char>(1u << ((r >> 5) % 8));
+        }
+        break;
+      case 1:
+        if (!bytes.empty()) bytes[pos] = static_cast<char>(r >> 48);
+        break;
+      case 2:
+        bytes.insert(pos, 1, static_cast<char>(r >> 48));
+        break;
+      case 3:
+        if (!bytes.empty()) bytes.erase(pos, 1 + (r >> 40) % 8);
+        break;
+      case 4:
+        bytes.resize(pos);
+        break;
+      case 5:
+        if (bytes.size() >= 4) {
+          bytes.replace((r >> 8) % (bytes.size() - 3), 4, 4, '\xff');
+        }
+        break;
+    }
+  }
+  return bytes;
+}
+
+// Every payload decoder a .ptar container can reach, fed 2,000 seeded
+// mutants of a valid payload each: every result is a value or kParseError,
+// never a crash, another status code or (under ASan/UBSan) a memory error.
+TEST(ArtifactSerializeTest, EveryMutatedPayloadParsesOrIsAParseError) {
+  std::string nbta;
+  SerializeNbta(SampleNbta(), &nbta);
+  const std::string dtd =
+      DtdBytesOf(std::move(ParseSpecializedDtd(kSpecializedDtd)).ValueOrDie());
+  SchemaArtifact schema;
+  schema.alphabet = SampleAlphabet();
+  schema.automaton = SampleNbta();
+  const struct {
+    const char* kind;
+    std::string payload;
+    std::function<Status(std::string_view)> decode;
+  } kinds[] = {
+      {"alphabet", AlphabetBytesOf(SampleAlphabet()),
+       [](std::string_view in) {
+         return DeserializeRankedAlphabet(in).status();
+       }},
+      {"nbta", nbta,
+       [](std::string_view in) { return DeserializeNbta(in).status(); }},
+      {"transducer", TransducerBytesOf(SampleTransducerArtifact()),
+       [](std::string_view in) {
+         return DeserializeTransducerArtifact(in).status();
+       }},
+      {"dtd", dtd,
+       [](std::string_view in) { return DeserializeDtdArtifact(in).status(); }},
+      {"schema", SchemaBytesOf(schema),
+       [](std::string_view in) {
+         return DeserializeSchemaArtifact(in).status();
+       }},
+  };
+  Rng rng(20261019);
+  size_t accepted = 0, rejected = 0;
+  for (const auto& k : kinds) {
+    ASSERT_TRUE(k.decode(k.payload).ok()) << k.kind;
+    for (int i = 0; i < 2000; ++i) {
+      const std::string mutant = MutatePayload(k.payload, rng);
+      const Status s = k.decode(mutant);
+      if (s.ok()) {
+        ++accepted;
+      } else {
+        ++rejected;
+        EXPECT_EQ(s.code(), StatusCode::kParseError)
+            << k.kind << " mutant " << i << ": " << s;
+      }
+    }
+  }
+  EXPECT_EQ(accepted + rejected, 10000u);
+  EXPECT_GT(rejected, accepted);
 }
 
 }  // namespace

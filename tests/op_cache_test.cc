@@ -60,12 +60,6 @@ std::string NbtaBytesOf(const Nbta& a) {
   return s;
 }
 
-std::string DbtaBytesOf(const Dbta& d) {
-  std::string s;
-  SerializeDbta(d, &s);
-  return s;
-}
-
 // ------------------------------------------------ structural hashing -------
 
 TEST(StructuralHashTest, InvariantUnderStatePermutation) {
@@ -341,7 +335,7 @@ TEST(TaOpCacheTest, DeterminizeEntryReplaysTheColdTable) {
   EXPECT_EQ(miss_ctx.counters.memo_misses, 1u);
   EXPECT_EQ(miss_ctx.counters.memo_hits, 0u);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(DbtaBytesOf(*e1->table()), DbtaBytesOf(*cold))
+  EXPECT_EQ(*e1->table(), *cold)
       << "a miss computes exactly the cold table";
 
   TaOpContext hit_ctx;

@@ -27,6 +27,7 @@
 #include "src/serve/server.h"
 #include "src/serve/validity.h"
 #include "src/ta/enumerate.h"
+#include "src/ta/op_cache.h"
 #include "src/ta/serialize.h"
 #include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
@@ -279,6 +280,149 @@ TEST(ServeProtocolTest, BatchCountsBeyondPayloadAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden encodings: the exact bytes of the wire layout (docs/SERVING.md). A
+// drift of the encoder and the decoder in step would pass every round trip
+// above, and so would servebench's client, which shares this codec; these
+// pins would not.
+// ---------------------------------------------------------------------------
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// One request per opcode, with header fields whose bytes all differ so the
+// byte order shows.
+TEST(ServeGoldenTest, RequestsEncodeToPinnedBytes) {
+  const std::pair<decltype(Request::body), std::string_view> cases[] = {
+      {PingRequest{}, "01000d0c0b0a34120000"},
+      {ValidateRequest{"s", "<a/>"},
+       "01010d0c0b0a341200000100000073040000003c612f3e"},
+      {TypecheckRequest{"t", "in", "out"},
+       "01020d0c0b0a34120000010000007402000000696e030000006f7574"},
+      {InferInverseRequest{"t", "out"},
+       "01030d0c0b0a341200000100000074030000006f7574"},
+      {LoadArtifactRequest{"n", std::string("\x00\xff", 2)},
+       "01040d0c0b0a34120000010000006e0200000000ff"},
+      {ListArtifactsRequest{}, "01050d0c0b0a34120000"},
+      {StatsRequest{}, "01060d0c0b0a34120000"},
+      {ValidateBatchRequest{"s", {"<a/>", ""}},
+       "01070d0c0b0a34120000010000007302000000040000003c612f3e00"
+       "000000"},
+  };
+  for (const auto& [body, hex] : cases) {
+    Request request;
+    request.header.opcode = static_cast<Opcode>(body.index());
+    request.header.request_id = 0x0a0b0c0d;
+    request.header.deadline_ms = 0x1234;
+    request.body = body;
+    std::string bytes;
+    EncodeRequest(request, &bytes);
+    EXPECT_EQ(ToHex(bytes), hex) << "opcode " << body.index();
+    Result<Request> back = DecodeRequest(FromHex(hex));
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    std::string again;
+    EncodeRequest(*back, &again);
+    EXPECT_EQ(ToHex(again), hex) << "opcode " << body.index();
+  }
+}
+
+// One OK response per opcode, every field set to a distinct value.
+TEST(ServeGoldenTest, OkResponsesEncodeToPinnedBytes) {
+  TypecheckResponse typecheck;
+  typecheck.verdict = 1;
+  typecheck.method = "m";
+  typecheck.exhausted = true;
+  typecheck.exhaustion_code = 8;
+  typecheck.exhaustion_pass = "p";
+  typecheck.exhaustion_detail = "d";
+  typecheck.checkpoints = 0x0102030405060708;
+  typecheck.states_materialized = 0x1112131415161718;
+  typecheck.counterexample_input_xml = "<a/>";
+  typecheck.counterexample_output_xml = "<b/>";
+  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 0x0807060504030201, 9};
+  ValidateBatchResponse batch;
+  batch.verdicts = {{0, true, ""}, {13, false, "x"}};
+  batch.fast_path_docs = 0x100;
+  batch.fallback_docs = 0x200;
+  const std::pair<decltype(Response::body), std::string_view> cases[] = {
+      {PingResponse{}, "01000d0c0b0a0000000000"},
+      {ValidateResponse{false, "bad"},
+       "01010d0c0b0a00000000000003000000626164"},
+      {typecheck,
+       "01020d0c0b0a000000000001010000006d0108010000007001000000"
+       "6408070605040302011817161514131211040000003c612f3e040000"
+       "003c622f3e"},
+      {InferInverseResponse{0x11, 0x22, 0x33, 0x4455667788},
+       "01030d0c0b0a00000000001100000022000000330000008877665544"
+       "000000"},
+      {LoadArtifactResponse{3}, "01040d0c0b0a000000000003"},
+      {ListArtifactsResponse{{{"a", 2}, {"bc", 4}}},
+       "01050d0c0b0a00000000000200000001000000610202000000626304"},
+      {stats,
+       "01060d0c0b0a00000000000100000000000000020000000000000003"
+       "00000000000000040000000000000005000000000000000600000000"
+       "0000000700000000000000010203040506070809000000"},
+      {batch,
+       "01070d0c0b0a0000000000020000000001000000000d000100000078"
+       "00010000000000000002000000000000"},
+  };
+  for (const auto& [body, hex] : cases) {
+    Response response;
+    response.header.opcode = static_cast<Opcode>(body.index());
+    response.header.request_id = 0x0a0b0c0d;
+    response.body = body;
+    std::string bytes;
+    EncodeResponse(response, &bytes);
+    EXPECT_EQ(ToHex(bytes), hex) << "opcode " << body.index();
+    Result<Response> back = DecodeResponse(FromHex(hex));
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    std::string again;
+    EncodeResponse(*back, &again);
+    EXPECT_EQ(ToHex(again), hex) << "opcode " << body.index();
+  }
+}
+
+TEST(ServeGoldenTest, ErrorResponseAndFrameEncodeToPinnedBytes) {
+  constexpr std::string_view kErrorHex = "01020d0c0b0a070400000062757379";
+  std::string bytes;
+  EncodeResponse(MakeErrorResponse(Opcode::kTypecheck, 0x0a0b0c0d,
+                                   WireStatus::kOverloaded, "busy"),
+                 &bytes);
+  EXPECT_EQ(ToHex(bytes), kErrorHex);
+  Result<Response> back = DecodeResponse(FromHex(kErrorHex));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->header.status, WireStatus::kOverloaded);
+  EXPECT_EQ(back->header.detail, "busy");
+
+  constexpr std::string_view kFrameHex = "05000000010278797a";
+  std::string frame;
+  EncodeFrame("\x01\x02xyz", &frame);
+  EXPECT_EQ(ToHex(frame), kFrameHex);
+  FrameDecoder decoder;
+  decoder.Append(FromHex(kFrameHex));
+  Result<std::optional<std::string>> next = decoder.Next();
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(next->has_value());
+  EXPECT_EQ(**next, "\x01\x02xyz");
+}
+
+// ---------------------------------------------------------------------------
 // Frame decoding.
 // ---------------------------------------------------------------------------
 
@@ -482,7 +626,11 @@ TEST(ServeValidityTest, BasicCapsDocumentAndArtifactSizes) {
 
 class ServeDispatchTest : public ::testing::Test {
  protected:
+  // The process-wide op cache outlives each case: a proof cached by an
+  // earlier case would answer a later case's typecheck before it reaches the
+  // checkpoint that case is about.
   ServeDispatchTest() : server_(TestOptions()) {
+    TaOpCache::Global().Clear();
     LoadExampleRegistry(&server_);
   }
   ServerCore server_;

@@ -69,28 +69,10 @@ bool WriteAll(int fd, const std::string& bytes) {
   return true;
 }
 
-/// Reads one response frame. Empty optional on EOF/error.
-bool ReadFrame(int fd, std::string* payload) {
-  char len_bytes[4];
+bool ReadAll(int fd, char* buf, size_t n) {
   size_t got = 0;
-  while (got < 4) {
-    ssize_t r = ::read(fd, len_bytes + got, 4 - got);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<unsigned char>(len_bytes[i]))
-           << (8 * i);
-  }
-  if (len > kMaxFrameBytes) return false;
-  payload->assign(len, '\0');
-  got = 0;
-  while (got < len) {
-    ssize_t r = ::read(fd, payload->data() + got, len - got);
+  while (got < n) {
+    ssize_t r = ::read(fd, buf + got, n - got);
     if (r <= 0) {
       if (r < 0 && errno == EINTR) continue;
       return false;
@@ -98,6 +80,16 @@ bool ReadFrame(int fd, std::string* payload) {
     got += static_cast<size_t>(r);
   }
   return true;
+}
+
+/// Reads one response frame. False on EOF, error or an oversized frame.
+bool ReadFrame(int fd, std::string* payload) {
+  char prefix[kFramePrefixBytes];
+  if (!ReadAll(fd, prefix, kFramePrefixBytes)) return false;
+  Result<uint32_t> len = DecodeFrameLength(prefix, kMaxFrameBytes);
+  if (!len.ok()) return false;
+  payload->assign(*len, '\0');
+  return ReadAll(fd, payload->data(), *len);
 }
 
 bool Call(int fd, const Request& request, Response* response) {
