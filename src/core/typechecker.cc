@@ -33,12 +33,10 @@ TaOpContext MakeContext(const TypecheckOptions& options) {
   budgets.max_configs = options.max_configs;
   budgets.max_antichain_pairs = options.max_antichain_pairs;
   budgets.behavior_max_state_bits = options.behavior_max_state_bits;
-  budgets.behavior_max_behaviors = options.behavior_max_behaviors;
   if (options.deadline.has_value()) {
     budgets.deadline = std::chrono::steady_clock::now() + *options.deadline;
   }
   budgets.cancel = options.cancel;
-  budgets.checkpoint_stride = options.checkpoint_stride;
   budgets.memo = options.memo;
   TaOpContext ctx(budgets);
   ctx.fault = options.fault_injector;
@@ -395,7 +393,6 @@ void Typechecker::RunDegradedSearch(const Nbta& input_type,
   budgets.max_configs = options.max_configs;
   budgets.deadline = std::chrono::steady_clock::now() + kDegradedBudget;
   budgets.cancel = options.cancel;
-  budgets.checkpoint_stride = options.checkpoint_stride;
   TaOpContext ctx(budgets);
 
   NbtaIndex tau1_idx(input_type, &ctx);

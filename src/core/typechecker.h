@@ -73,7 +73,6 @@ struct TypecheckOptions {
   /// machines with up-moves whose product stays small; tables are
   /// 2^state_bits entries).
   uint32_t behavior_max_state_bits = 12;
-  size_t behavior_max_behaviors = 4096;
   /// Run the complete (non-elementary) decision when cheaper passes are
   /// inconclusive.
   bool run_complete_decision = true;
@@ -94,8 +93,6 @@ struct TypecheckOptions {
   /// Cooperative cancellation: polled at every checkpoint; set it from
   /// another thread to abort the run with kCancelled. Must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
-  /// Checkpoints between deadline clock polls (see TaOpBudgets).
-  uint32_t checkpoint_stride = 256;
   /// Deterministic fault injection for robustness tests: trips the Nth
   /// checkpoint of the run with a chosen Status code. Not owned.
   TaFaultInjector* fault_injector = nullptr;

@@ -14,6 +14,9 @@ namespace {
 using TK = PebbleAutomaton::TransitionKind;
 using M = PebbleAutomaton::MoveKind;
 
+// Distinct subtree behaviors (the DBTA's states) the composition admits.
+constexpr size_t kMaxBehaviors = 4096;
+
 // A subtree summary: per mounting side, assumption-set → accessible-set
 // (bitmasks over Q); plus the root (no-up-moves) accessible set.
 struct Behavior {
@@ -157,10 +160,9 @@ Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
   while (changed) {
     changed = false;
     const size_t snapshot = behaviors.size();
-    if (snapshot > budgets.behavior_max_behaviors) {
-      return Status::ResourceExhausted(
-          "behavior count exceeded " +
-          std::to_string(budgets.behavior_max_behaviors));
+    if (snapshot > kMaxBehaviors) {
+      return Status::ResourceExhausted("behavior count exceeded " +
+                                       std::to_string(kMaxBehaviors));
     }
     for (SymbolId sym : alphabet.BinarySymbols()) {
       for (StateId i = 0; i < snapshot; ++i) {

@@ -36,8 +36,8 @@ namespace pebbletc {
 /// (inst(result) = inst(a)). Fails with kInvalidArgument if `a` uses more
 /// than one pebble, kResourceExhausted when a budget trips: the context's
 /// TaOpBudgets::behavior_max_state_bits (more states are refused; tables
-/// have 2^states entries) or behavior_max_behaviors (distinct subtree
-/// behaviors, the DBTA's state count). A null `ctx` runs with default
+/// have 2^states entries) or the fixed cap of 4096 distinct subtree
+/// behaviors (the DBTA's state count). A null `ctx` runs with default
 /// budgets.
 Result<Nbta> OnePebbleToNbtaByBehavior(const PebbleAutomaton& a,
                                        const RankedAlphabet& alphabet,

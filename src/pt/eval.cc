@@ -147,65 +147,23 @@ Result<std::vector<BinaryTree>> EnumerateOutputs(const PebbleTransducer& t,
   return trees;
 }
 
-namespace {
-
-// Proto output tree: built top-down, converted to the bottom-up BinaryTree
-// arena at the end.
-struct ProtoNode {
-  SymbolId symbol = kNoSymbol;
-  int64_t left = -1;
-  int64_t right = -1;
-};
-
-BinaryTree ProtoToTree(const std::vector<ProtoNode>& proto, int64_t root) {
-  BinaryTree out;
-  struct Frame {
-    int64_t node;
-    bool expanded;
-  };
-  std::vector<Frame> stack = {{root, false}};
-  std::vector<NodeId> results;
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    const ProtoNode& p = proto[f.node];
-    if (p.left < 0) {
-      results.push_back(out.AddLeaf(p.symbol));
-    } else if (!f.expanded) {
-      stack.push_back({f.node, true});
-      stack.push_back({p.right, false});
-      stack.push_back({p.left, false});
-    } else {
-      NodeId r = results.back();
-      results.pop_back();
-      NodeId l = results.back();
-      results.pop_back();
-      results.push_back(out.AddInternal(p.symbol, l, r));
-    }
-  }
-  PEBBLETC_CHECK(results.size() == 1) << "proto conversion imbalance";
-  out.SetRoot(results.back());
-  return out;
-}
-
-}  // namespace
-
 Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
                                             const BinaryTree& input,
                                             size_t max_steps,
                                             TaOpContext* ctx,
                                             const NextTransition& next) {
-  std::vector<ProtoNode> proto;
-  // Each pending branch computes the subtree for a slot in `proto`:
-  // slot < 0 means "the root slot".
+  // The output tree, built top-down as nodes that name their children by
+  // index into `proto`, and unfolded into a BinaryTree at the end.
+  std::vector<TreeNodeRef> proto;
+  // Each pending branch computes the subtree for a slot in `proto`.
   struct Branch {
     Config config;
-    int64_t parent;  // proto index, -1 for root
+    NodeId parent;  // proto index, kNoNode for the root slot
     bool is_left;
   };
-  int64_t root_index = -1;
+  NodeId root_index = kNoNode;
   std::vector<Branch> work;
-  work.push_back({t.InitialConfig(input), -1, false});
+  work.push_back({t.InitialConfig(input), kNoNode, false});
   size_t steps = 0;
 
   while (!work.empty()) {
@@ -234,9 +192,9 @@ Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
         continue;
       }
       // Output: allocate the proto node and wire it to the parent slot.
-      int64_t node = static_cast<int64_t>(proto.size());
-      proto.push_back({tr.output_symbol, -1, -1});
-      if (branch.parent < 0) {
+      const NodeId node = static_cast<NodeId>(proto.size());
+      proto.push_back({tr.output_symbol, kNoNode, kNoNode});
+      if (branch.parent == kNoNode) {
         root_index = node;
       } else if (branch.is_left) {
         proto[branch.parent].left = node;
@@ -254,8 +212,8 @@ Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
       seen.clear();
     }
   }
-  PEBBLETC_CHECK(root_index >= 0) << "no output produced";
-  return ProtoToTree(proto, root_index);
+  PEBBLETC_CHECK(root_index != kNoNode) << "no output produced";
+  return UnfoldTree(root_index, [&](NodeId n) { return proto[n]; });
 }
 
 Result<BinaryTree> EvalDeterministic(const PebbleTransducer& t,

@@ -1,15 +1,15 @@
 #include "src/ta/antichain.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace pebbletc {
 namespace {
 
-constexpr uint32_t kNoPair = static_cast<uint32_t>(-1);
-constexpr uint64_t kNoKey = static_cast<uint64_t>(-1);
+// No pair. It is kNoNode, so AppendTree reads a leaf pair's kNoPair
+// children as a leaf.
+constexpr uint32_t kNoPair = kNoNode;
 
 // One pair (q, S) — q a guide state, S an interned set id — plus the
 // provenance that replays its witness tree: a leaf symbol (`left` is
@@ -24,29 +24,6 @@ struct Pair {
   bool dead = false;
 };
 
-uint64_t Mix(uint64_t h) {  // the MurmurHash3 finalizer
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  return h ^ (h >> 33);
-}
-
-// Re-files an open-addressing table (linear probing, power-of-two size)
-// into one twice its size; `hash` gives an entry's hash.
-template <typename T, typename HashFn>
-void Grow(std::vector<T>& slots, T empty, HashFn hash) {
-  std::vector<T> old(2 * slots.size(), empty);
-  old.swap(slots);
-  const size_t mask = slots.size() - 1;
-  for (T e : old) {
-    if (e == empty) continue;
-    size_t j = hash(e) & mask;
-    while (slots[j] != empty) j = (j + 1) & mask;
-    slots[j] = e;
-  }
-}
-
 class Engine {
  public:
   Engine(const NbtaIndex& guide, const RankedAlphabet& alphabet,
@@ -58,7 +35,6 @@ class Engine {
         max_pairs_(TaBudgetMaxAntichainPairs(ctx)),
         sets_(domain.words),
         pending_(sets_.words()),
-        offered_(64, kNoKey),
         kept_(guide.num_states()),
         processed_(guide.num_states()) {}
 
@@ -135,20 +111,20 @@ class Engine {
   }
 
   // Offers (rule.to, Post(rule.symbol, S_l, S_r)); Post is memoized per
-  // (symbol, left set, right set) — set ids are canonical.
+  // (left set, right set, symbol) — set ids are canonical.
   Status Combine(const Nbta::BinaryRule& rule, uint32_t lp, uint32_t rp) {
     const uint32_t sl = pairs_[lp].set;
     const uint32_t sr = pairs_[rp].set;
-    if (post_memo_.size() <= rule.symbol) post_memo_.resize(rule.symbol + 1);
-    auto [it, fresh] = post_memo_[rule.symbol].try_emplace(
-        (static_cast<uint64_t>(sl) << 32) | sr);
-    if (fresh) {
+    const uint64_t key[2] = {(static_cast<uint64_t>(sl) << 32) | sr,
+                             rule.symbol};
+    const uint32_t k = post_keys_.Intern<2>(key);
+    if (k == post_sets_.size()) {
       std::fill(pending_.begin(), pending_.end(), 0);
       PEBBLETC_RETURN_IF_ERROR(domain_.Post(rule.symbol, sets_.Set(sl),
                                             sets_.Set(sr), pending_.data()));
-      it->second = Intern();
+      post_sets_.push_back(Intern());
     }
-    return Offer(rule.to, it->second, rule.symbol, lp, rp);
+    return Offer(rule.to, post_sets_[k], rule.symbol, lp, rp);
   }
 
   // Interns pending_, testing a new set once for badness.
@@ -158,17 +134,10 @@ class Engine {
     return id;
   }
 
-  // Records an offered (q << 32 | set) key: open addressing, load ≤ 1/2.
-  // False when the key was already there.
+  // Records an offered (q << 32 | set) key; false when it was already there.
   bool FirstOffer(uint64_t key) {
-    const size_t mask = offered_.size() - 1;
-    size_t i = Mix(key) & mask;
-    for (; offered_[i] != kNoKey; i = (i + 1) & mask) {
-      if (offered_[i] == key) return false;
-    }
-    offered_[i] = key;
-    if (2 * ++num_offered_ > offered_.size()) Grow(offered_, kNoKey, Mix);
-    return true;
+    const uint32_t before = offered_.size();
+    return offered_.Intern<1>(&key) == before;
   }
 
   bool SubsetOf(uint32_t a, uint32_t b) const {
@@ -226,44 +195,20 @@ class Engine {
     return Status::OK();
   }
 
-  // Replays bad_'s provenance chain into a tree. Iterative (chains can be
-  // deep) and checkpointed per node (shared provenance is duplicated, so
-  // the tree can be much larger than the pair arena).
+  // Replays bad_'s provenance chain into a tree, checkpointed per visit
+  // (shared provenance is duplicated, so the tree can be much larger than
+  // the pair arena).
   Result<std::optional<BinaryTree>> Witness() {
-    struct Frame {
-      uint32_t pair;
-      int stage = 0;
-      NodeId child[2] = {kNoNode, kNoNode};
-    };
     BinaryTree t;
-    NodeId root = kNoNode;
-    std::vector<Frame> stack;
-    stack.push_back({bad_});
-    auto deliver = [&](NodeId n) {
-      stack.pop_back();
-      if (stack.empty()) {
-        root = n;
-      } else {
-        Frame& parent = stack.back();
-        parent.child[parent.stage - 1] = n;
-      }
-    };
-    while (!stack.empty()) {
-      PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx_));
-      Frame& f = stack.back();
-      const Pair& pr = pairs_[f.pair];
-      if (pr.left == kNoPair) {
-        deliver(t.AddLeaf(pr.symbol));
-      } else if (f.stage == 0) {
-        f.stage = 1;
-        stack.push_back({pr.left});
-      } else if (f.stage == 1) {
-        f.stage = 2;
-        stack.push_back({pr.right});
-      } else {
-        deliver(t.AddInternal(pr.symbol, f.child[0], f.child[1]));
-      }
-    }
+    PEBBLETC_ASSIGN_OR_RETURN(
+        const NodeId root,
+        AppendTree(
+            t, bad_,
+            [&](uint32_t p) {
+              const Pair& pr = pairs_[p];
+              return TreeNodeRef{pr.symbol, pr.left, pr.right};
+            },
+            [&] { return TaCheckpoint(ctx_); }));
     t.SetRoot(root);
     if (ctx_ != nullptr) ++ctx_->counters.inclusions;
     return std::optional<BinaryTree>(std::move(t));
@@ -278,12 +223,13 @@ class Engine {
   PackedSetTable sets_;
   std::vector<bool> bad_set_;      // per interned set: whether it is bad
   std::vector<uint64_t> pending_;  // the set being computed
-  // Per binary symbol: (left set << 32 | right set) → Post set id.
-  std::vector<std::unordered_map<uint64_t, uint32_t>> post_memo_;
+  // The Post memo: key k = (left set << 32 | right set, symbol) has Post
+  // set id post_sets_[k].
+  PackedSetTable post_keys_{2};
+  std::vector<uint32_t> post_sets_;
 
   std::vector<Pair> pairs_;
-  std::vector<uint64_t> offered_;  // (q << 32 | set) ever offered, hashed
-  size_t num_offered_ = 0;
+  PackedSetTable offered_{1};  // (q << 32 | set) ever offered
   std::vector<std::vector<uint32_t>> kept_;  // live antichain per guide state
   std::vector<uint32_t> worklist_;           // FIFO; head_ is the cursor
   size_t head_ = 0;

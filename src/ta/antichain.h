@@ -7,10 +7,11 @@
 // The search walks pairs (q, S) along a *guide* automaton's rules: q is a
 // guide state some tree t reaches, S the domain's exact summary of t. A
 // domain supplies the summaries and Bad(S). The engine owns the rest: sets
-// as packed 64-bit words interned in the PackedSetTable of
-// src/ta/packed_sets.h, Post memoized per (symbol, left set, right set),
-// the rule-driven combine, the antichain with its repeat-offer probe,
-// the pair budget, and the witness replay.
+// as packed 64-bit words, Post memoized per (left set, right set, symbol),
+// and the repeat-offer probe, all three interned in PackedSetTables
+// (src/ta/packed_sets.h); the rule-driven combine, the antichain, the pair
+// budget, and the witness replay through AppendTree
+// (src/tree/binary_tree.h).
 
 #ifndef PEBBLETC_TA_ANTICHAIN_H_
 #define PEBBLETC_TA_ANTICHAIN_H_
@@ -42,8 +43,9 @@ enum class AntichainClosure : uint8_t {
 
 /// The sets of one search: `words` 64-bit words each. The engine zeroes the
 /// output buffer before every Leaf and Post call, and checkpoints once per
-/// popped pair, offered pair and witness node; a domain whose sets are
-/// fixpoints checkpoints inside Leaf and Post as well.
+/// popped pair and offered pair, and once per leaf and three times per
+/// internal node of the witness; a domain whose sets are fixpoints
+/// checkpoints inside Leaf and Post as well.
 class AntichainDomain {
  public:
   AntichainDomain(size_t words, AntichainClosure closure)

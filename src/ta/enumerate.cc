@@ -9,10 +9,8 @@ namespace pebbletc {
 
 namespace {
 
-constexpr uint32_t kNoTree = 0xffffffffu;
-
 // A tree is one node, (left << 32 | right, symbol), interned in a
-// two-word PackedSetTable; a leaf's children are kNoTree.
+// two-word PackedSetTable; a leaf's children are kNoNode.
 uint32_t InternTree(PackedSetTable& trees, SymbolId symbol, uint32_t left,
                     uint32_t right) {
   const uint64_t node[2] = {(uint64_t{left} << 32) | right, symbol};
@@ -21,34 +19,12 @@ uint32_t InternTree(PackedSetTable& trees, SymbolId symbol, uint32_t left,
 
 // The tree `id` as a BinaryTree in post-order, as CopySubtree builds it.
 BinaryTree Materialize(const PackedSetTable& trees, uint32_t id) {
-  struct Frame {
-    uint32_t id;
-    bool expanded;
-  };
-  BinaryTree out;
-  std::vector<Frame> stack = {{id, false}};
-  std::vector<NodeId> built;
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const uint64_t* node = trees.Set(f.id);
-    const uint32_t left = static_cast<uint32_t>(node[0] >> 32);
-    const uint32_t right = static_cast<uint32_t>(node[0]);
-    const SymbolId symbol = static_cast<SymbolId>(node[1]);
-    if (left == kNoTree) {
-      built.push_back(out.AddLeaf(symbol));
-    } else if (!f.expanded) {
-      stack.push_back({f.id, true});
-      stack.push_back({right, false});
-      stack.push_back({left, false});
-    } else {
-      const NodeId r = built.back();
-      built.pop_back();
-      built.back() = out.AddInternal(symbol, built.back(), r);
-    }
-  }
-  out.SetRoot(built.back());
-  return out;
+  return UnfoldTree(id, [&](uint32_t t) {
+    const uint64_t* node = trees.Set(t);
+    return TreeNodeRef{static_cast<SymbolId>(node[1]),
+                       static_cast<uint32_t>(node[0] >> 32),
+                       static_cast<uint32_t>(node[0])};
+  });
 }
 
 }  // namespace
@@ -107,7 +83,7 @@ EnumerationEnd ForEachAcceptedTree(
   for (const Nbta::LeafRule& r : a.leaf_rules) {
     if (interns == kMaxEnumeratedTrees) return EnumerationEnd::kStoreFull;
     ++interns;
-    add(r.to, InternTree(trees, r.symbol, kNoTree, kNoTree));
+    add(r.to, InternTree(trees, r.symbol, kNoNode, kNoNode));
   }
   if (!close_size()) return EnumerationEnd::kStopped;
   for (size_t s = 3; s <= max_nodes; s += 2) {

@@ -400,86 +400,18 @@ namespace {
 // ---------------------------------------------------------------------------
 // Flat product-construction machinery (docs/PARALLEL.md).
 //
-// The pair interner and the emitted-combination guard are the two structures
-// every (a-rule, b-rule) candidate touches; both are flat arrays here — the
-// node-based std::map / std::set they replaced dominated the product's
-// profile the same way the determinization maps did before the frontier
-// rewrite (docs/DETERMINIZE.md).
+// Every (a-rule, b-rule) candidate touches two structures: the pair
+// interner — the shared PackedSetTable (src/ta/packed_sets.h) over one-word
+// keys x << 32 | y, whose ids are the product's states — and the
+// emitted-combination guard below. Both are flat arrays; the node-based
+// std::map / std::set they replaced dominated the product's profile the
+// same way the determinization maps did before the frontier rewrite
+// (docs/DETERMINIZE.md).
 // ---------------------------------------------------------------------------
-
-// No valid pair packs to ~0: states are ids below num_states <= 2^32 - 1.
-constexpr uint64_t kEmptyPairKey = ~0ull;
-constexpr StateId kPairNotFound = 0xffffffffu;
 
 inline uint64_t PackPair(StateId x, StateId y) {
   return (static_cast<uint64_t>(x) << 32) | y;
 }
-
-// splitmix64 finalizer over the packed pair.
-inline uint64_t HashPairKey(uint64_t key) {
-  uint64_t h = key + 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-// Open-addressing map from a packed (x, y) state pair to a product StateId.
-// Power-of-two capacity, linear probing, grown at 9/16 load.
-class FlatPairIndex {
- public:
-  FlatPairIndex() { Grow(1u << 10); }
-
-  StateId Find(uint64_t key) const {
-    size_t slot = HashPairKey(key) & mask_;
-    for (;;) {
-      const uint64_t k = keys_[slot];
-      if (k == key) return ids_[slot];
-      if (k == kEmptyPairKey) return kPairNotFound;
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  // Existing id for `key`, or interns it as `id_if_new` with
-  // `*inserted = true`.
-  StateId FindOrInsert(uint64_t key, StateId id_if_new, bool* inserted) {
-    size_t slot = HashPairKey(key) & mask_;
-    for (;;) {
-      const uint64_t k = keys_[slot];
-      if (k == key) {
-        *inserted = false;
-        return ids_[slot];
-      }
-      if (k == kEmptyPairKey) break;
-      slot = (slot + 1) & mask_;
-    }
-    keys_[slot] = key;
-    ids_[slot] = id_if_new;
-    if (++size_ * 16 > (mask_ + 1) * 9) Grow((mask_ + 1) * 2);
-    *inserted = true;
-    return id_if_new;
-  }
-
- private:
-  void Grow(size_t capacity) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<StateId> old_ids = std::move(ids_);
-    keys_.assign(capacity, kEmptyPairKey);
-    ids_.assign(capacity, kPairNotFound);
-    mask_ = capacity - 1;
-    for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmptyPairKey) continue;
-      size_t slot = HashPairKey(old_keys[i]) & mask_;
-      while (keys_[slot] != kEmptyPairKey) slot = (slot + 1) & mask_;
-      keys_[slot] = old_keys[i];
-      ids_[slot] = old_ids[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<StateId> ids_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
-};
 
 // Replaces the per-(a-rule, b-rule) std::set emitted guard with lazily
 // allocated per-a-rule bitmap rows. A surviving candidate's b-rule always
@@ -537,18 +469,21 @@ void IntersectSerial(const NbtaIndex& ia, const NbtaIndex& ib,
   const Nbta& b = ib.nbta();
 
   // Discovered (inhabited) state pairs, worklist-driven.
-  FlatPairIndex index;
+  PackedSetTable pairs(1);
   std::vector<std::pair<StateId, StateId>> worklist;
   auto intern = [&](StateId x, StateId y) -> StateId {
-    bool inserted = false;
-    const StateId id =
-        index.FindOrInsert(PackPair(x, y), out.num_states, &inserted);
-    if (inserted) {
+    const uint64_t key = PackPair(x, y);
+    const StateId id = pairs.Intern<1>(&key);
+    if (id == out.num_states) {
       out.AddState();
       out.accepting[id] = a.accepting[x] && b.accepting[y];
       worklist.push_back({x, y});
     }
     return id;
+  };
+  auto find = [&](StateId x, StateId y) {
+    const uint64_t key = PackPair(x, y);
+    return pairs.Find<1>(&key);
   };
 
   // Leaf pairs seed the worklist.
@@ -569,10 +504,10 @@ void IntersectSerial(const NbtaIndex& ia, const NbtaIndex& ib,
     const auto& ra = a.rules[ra_i];
     const auto& rb = b.rules[rb_i];
     if (ra.symbol != rb.symbol) return;
-    const StateId l = index.Find(PackPair(ra.left, rb.left));
-    if (l == kPairNotFound) return;
-    const StateId r = index.Find(PackPair(ra.right, rb.right));
-    if (r == kPairNotFound) return;
+    const StateId l = find(ra.left, rb.left);
+    if (l == PackedSetTable::kNone) return;
+    const StateId r = find(ra.right, rb.right);
+    if (r == PackedSetTable::kNone) return;
     if (!emitted.Mark(ra_i, ra.symbol, rb_i)) return;
     const StateId to = intern(ra.to, rb.to);
     out.AddRule(ra.symbol, l, r, to);
@@ -775,38 +710,15 @@ std::optional<BinaryTree> WitnessTree(const NbtaIndex& idx, TaOpContext* ctx) {
   }
   if (target == kNoSymbol) return std::nullopt;
 
-  BinaryTree tree;
-  // Build iteratively (post-order) from the recorded realizing rules.
-  struct Frame {
-    StateId state;
-    bool expanded;
-  };
-  std::vector<Frame> stack = {{target, false}};
-  std::vector<NodeId> results;
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    if (via_rule[f.state] < 0) {
-      PEBBLETC_CHECK(via_leaf[f.state] >= 0) << "no realizing rule";
-      results.push_back(
-          tree.AddLeaf(static_cast<SymbolId>(via_leaf[f.state])));
-    } else if (!f.expanded) {
-      const auto& r = a.rules[via_rule[f.state]];
-      stack.push_back({f.state, true});
-      stack.push_back({r.right, false});
-      stack.push_back({r.left, false});
-    } else {
-      const auto& r = a.rules[via_rule[f.state]];
-      NodeId right = results.back();
-      results.pop_back();
-      NodeId left = results.back();
-      results.pop_back();
-      results.push_back(tree.AddInternal(r.symbol, left, right));
+  // Unfold the recorded realizing rules from the target.
+  return UnfoldTree(target, [&](StateId q) {
+    if (via_rule[q] < 0) {
+      PEBBLETC_CHECK(via_leaf[q] >= 0) << "no realizing rule";
+      return TreeNodeRef{static_cast<SymbolId>(via_leaf[q]), kNoNode, kNoNode};
     }
-  }
-  PEBBLETC_CHECK(results.size() == 1) << "witness stack imbalance";
-  tree.SetRoot(results.back());
-  return tree;
+    const Nbta::BinaryRule& r = a.rules[via_rule[q]];
+    return TreeNodeRef{r.symbol, r.left, r.right};
+  });
 }
 
 std::optional<BinaryTree> WitnessTree(const Nbta& a) {

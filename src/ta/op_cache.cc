@@ -9,7 +9,7 @@ namespace pebbletc {
 
 namespace {
 
-// splitmix64 finalizer: the repo's standard bit mixer (MixSeed, HashPairKey).
+// splitmix64 finalizer, the bit mixer diffcheck's MixSeed uses too.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -71,9 +71,8 @@ struct TaOpBudgets {
   /// the cap is crossed.
   size_t max_antichain_pairs = 200000;
   /// 1-pebble behavior composition: refuse automata beyond this many state
-  /// bits (tables are 2^bits entries), and this many distinct behaviors.
+  /// bits (tables are 2^bits entries).
   uint32_t behavior_max_state_bits = 12;
-  size_t behavior_max_behaviors = 4096;
   /// Absolute wall-clock deadline; checkpoints return kDeadlineExceeded once
   /// steady_clock::now() passes it. Unset = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;

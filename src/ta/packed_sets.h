@@ -1,9 +1,14 @@
 // Sets of automaton states as packed 64-bit words, and the one table that
-// interns them. The subset construction (DeterminizeNbta, src/ta/nbta.h;
-// docs/DETERMINIZE.md) numbers its DBTA states with it, the antichain
-// engine (src/ta/antichain.h; docs/INCLUSION.md) the sets of its pairs, and
-// the tree enumeration (src/ta/enumerate.h) its hash-consed tree nodes, two
-// words each.
+// interns fixed-width keys of such words to dense ids. Its users:
+//   - the subset construction (DeterminizeNbta, src/ta/nbta.h;
+//     docs/DETERMINIZE.md): its subsets, the DBTA states;
+//   - the antichain engine (src/ta/antichain.h; docs/INCLUSION.md): the
+//     sets of its pairs, its offered (state, set) pairs, one word each, and
+//     its Post keys (left set, right set, symbol), two words;
+//   - the tree enumeration (src/ta/enumerate.h): its hash-consed tree
+//     nodes, two words, and its (state, tree) pairs, one word;
+//   - the product construction (IntersectNbta, src/ta/nbta.h): its state
+//     pairs, one word, whose ids are the product's states.
 
 #ifndef PEBBLETC_TA_PACKED_SETS_H_
 #define PEBBLETC_TA_PACKED_SETS_H_
@@ -51,11 +56,14 @@ void ForEachBit(const uint64_t* words, size_t n, Fn&& fn) {
 /// sets). A set has at least one word: a table over zero states still
 /// holds the empty set.
 ///
-/// Intern<kWords> with kWords = words() lets a caller that knows the width
-/// at compile time have the hash and the comparison unrolled; kWords = 0
-/// reads the width at run time.
+/// Find<kWords> and Intern<kWords> with kWords = words() let a caller that
+/// knows the width at compile time have the hash and the comparison
+/// unrolled; kWords = 0 reads the width at run time.
 class PackedSetTable {
  public:
+  /// The id Find returns for a set never interned.
+  static constexpr uint32_t kNone = 0xffffffffu;
+
   // The arena starts with room for the 8 sets the first 16 slots admit.
   explicit PackedSetTable(size_t words)
       : words_(std::max<size_t>(words, 1)), slots_(16) {
@@ -68,23 +76,22 @@ class PackedSetTable {
     return arena_.data() + static_cast<size_t>(id) * words_;
   }
 
+  /// The id of `set`, or kNone when it was never interned.
+  template <size_t kWords = 0>
+  uint32_t Find(const uint64_t* set) const {
+    return slots_[Probe<kWords>(set)].id;
+  }
+
   /// The id of `set`, interning a copy when it is new (the id is then the
   /// size() before the call). Interning a new set invalidates pointers
   /// from Set().
   template <size_t kWords = 0>
   uint32_t Intern(const uint64_t* set) {
-    const size_t w = kWords != 0 ? kWords : words_;
-    const size_t mask = slots_.size() - 1;
-    size_t i = Hash<kWords>(set) >> shift_;
-    for (; slots_[i].id != kNone; i = (i + 1) & mask) {
-      if (slots_[i].head == set[0] &&
-          std::equal(set + 1, set + w, Set(slots_[i].id) + 1)) {
-        return slots_[i].id;
-      }
-    }
+    const size_t i = Probe<kWords>(set);
+    if (slots_[i].id != kNone) return slots_[i].id;
     const uint32_t id = size_++;
     slots_[i] = {set[0], id};
-    arena_.insert(arena_.end(), set, set + w);
+    arena_.insert(arena_.end(), set, set + (kWords != 0 ? kWords : words_));
     if (2 * size_ > slots_.size()) Rehash(2 * slots_.size());
     return id;
   }
@@ -99,12 +106,25 @@ class PackedSetTable {
   }
 
  private:
-  static constexpr uint32_t kNone = 0xffffffffu;
-
   struct Slot {
     uint64_t head = 0;  // the set's first word
     uint32_t id = kNone;
   };
+
+  // The slot holding `set`, or the empty slot where it would go.
+  template <size_t kWords>
+  size_t Probe(const uint64_t* set) const {
+    const size_t w = kWords != 0 ? kWords : words_;
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash<kWords>(set) >> shift_;
+    for (; slots_[i].id != kNone; i = (i + 1) & mask) {
+      if (slots_[i].head == set[0] &&
+          std::equal(set + 1, set + w, Set(slots_[i].id) + 1)) {
+        break;
+      }
+    }
+    return i;
+  }
 
   // One multiply per word; the slot index is the top bits of the product.
   template <size_t kWords>

@@ -138,36 +138,12 @@ size_t BinaryTree::Depth() const {
 }
 
 NodeId BinaryTree::CopySubtree(const BinaryTree& src, NodeId src_node) {
-  // Iterative post-order (children before parents) so deep trees do not
-  // overflow the call stack.
-  struct Frame {
-    NodeId src;
-    bool expanded;
-  };
-  std::vector<Frame> stack = {{src_node, false}};
-  std::vector<NodeId> results;  // post-order result stack
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    if (src.IsLeaf(f.src)) {
-      results.push_back(AddLeaf(src.symbol(f.src)));
-    } else if (!f.expanded) {
-      stack.push_back({f.src, true});
-      stack.push_back({src.right(f.src), false});
-      stack.push_back({src.left(f.src), false});
-    } else {
-      // Children were pushed left-then-right, so they pop off `results` in
-      // reverse: right first.
-      PEBBLETC_CHECK(results.size() >= 2) << "copy stack underflow";
-      NodeId r = results.back();
-      results.pop_back();
-      NodeId l = results.back();
-      results.pop_back();
-      results.push_back(AddInternal(src.symbol(f.src), l, r));
-    }
-  }
-  PEBBLETC_CHECK(results.size() == 1) << "copy stack imbalance";
-  return results.back();
+  return *AppendTree(
+      *this, src_node,
+      [&](NodeId n) {
+        return TreeNodeRef{src.symbol(n), src.left(n), src.right(n)};
+      },
+      [] { return Status::OK(); });
 }
 
 }  // namespace pebbletc

@@ -4,16 +4,21 @@
 // dense NodeId. Every node labelled with a Σ0 symbol is a leaf; every node
 // labelled with a Σ2 symbol has exactly two children. Parent pointers are
 // maintained so pebble transducers can walk up as well as down.
+//
+// AppendTree is the one builder that turns a DAG of ids (witness
+// provenance, hash-consed trees, another tree's nodes) into a BinaryTree.
 
 #ifndef PEBBLETC_TREE_BINARY_TREE_H_
 #define PEBBLETC_TREE_BINARY_TREE_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/check.h"
+#include "src/common/result.h"
 #include "src/common/status.h"
 
 namespace pebbletc {
@@ -96,6 +101,61 @@ class BinaryTree {
   std::vector<NodeId> parent_;
   NodeId root_ = kNoNode;
 };
+
+/// One node of an id DAG as AppendTree reads it: its symbol and its
+/// children's ids, `left == kNoNode` for a leaf.
+struct TreeNodeRef {
+  SymbolId symbol;
+  uint32_t left;
+  uint32_t right;
+};
+
+/// Appends to `out` the tree that id `root` unfolds to, where `node(id)`
+/// gives id's TreeNodeRef, and returns the appended root (which has no
+/// parent yet). A shared id unfolds once per occurrence. Nodes are
+/// appended in post-order (left subtree, right subtree, node), the layout
+/// CopySubtree produces; the walk is iterative, so depth costs heap, not
+/// stack. `step()` returns a Status and runs before each visit: once for a
+/// leaf and three times for an internal node (before its left child, before
+/// its right child, before appending it); the first non-OK status ends the
+/// walk and is returned.
+template <typename NodeFn, typename StepFn>
+Result<NodeId> AppendTree(BinaryTree& out, uint32_t root, NodeFn&& node,
+                          StepFn&& step) {
+  struct Frame {
+    TreeNodeRef ref;
+    int children_done;  // 0, 1 or 2 children unfolded
+  };
+  std::vector<Frame> stack = {{node(root), 0}};
+  std::vector<NodeId> built;  // appended subtrees not yet under a parent
+  for (;;) {
+    PEBBLETC_RETURN_IF_ERROR(step());
+    Frame& f = stack.back();
+    if (f.ref.left == kNoNode) {
+      built.push_back(out.AddLeaf(f.ref.symbol));
+    } else if (f.children_done < 2) {
+      const uint32_t child = f.children_done++ == 0 ? f.ref.left : f.ref.right;
+      stack.push_back({node(child), 0});
+      continue;
+    } else {
+      const NodeId right = built.back();
+      built.pop_back();
+      built.back() = out.AddInternal(f.ref.symbol, built.back(), right);
+    }
+    stack.pop_back();
+    if (stack.empty()) return built.back();
+  }
+}
+
+/// The tree that id `root` unfolds to (AppendTree into an empty tree, with
+/// no step hook), its root set.
+template <typename NodeFn>
+BinaryTree UnfoldTree(uint32_t root, NodeFn&& node) {
+  BinaryTree out;
+  out.SetRoot(*AppendTree(out, root, std::forward<NodeFn>(node),
+                          [] { return Status::OK(); }));
+  return out;
+}
 
 }  // namespace pebbletc
 

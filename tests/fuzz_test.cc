@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -203,6 +205,153 @@ TEST(ParserFuzz, DeeplyNestedInputsDoNotOverflow) {
   auto empty =
       std::move(ParseUnrankedTerm("r", compiled->mutable_tags())).ValueOrDie();
   EXPECT_FALSE(compiled->Validate(empty).ok());
+}
+
+// Applies 1-4 random byte edits to `text`: a bit flip, an overwrite, an
+// insert, a delete or a truncation each.
+std::string Mutate(std::string text, Rng& rng) {
+  const uint64_t edits = 1 + rng.NextBelow(4);
+  for (uint64_t e = 0; e < edits; ++e) {
+    const size_t n = text.size();
+    const char byte = static_cast<char>(rng.NextBelow(256));
+    switch (rng.NextBelow(5)) {
+      case 0:
+        if (n > 0) {
+          text[rng.NextBelow(n)] ^= static_cast<char>(1 << rng.NextBelow(8));
+        }
+        break;
+      case 1:
+        if (n > 0) text[rng.NextBelow(n)] = byte;
+        break;
+      case 2:
+        text.insert(text.begin() + rng.NextBelow(n + 1), byte);
+        break;
+      case 3:
+        if (n > 0) text.erase(rng.NextBelow(n), 1);
+        break;
+      default:
+        text.resize(rng.NextBelow(n + 1));
+        break;
+    }
+  }
+  return text;
+}
+
+// A parser under test, reduced to its Status; a tree it accepts must also
+// validate.
+using ParseFn = std::function<Status(std::string_view)>;
+
+template <typename TreeResult, typename Alpha>
+Status ValidTree(const TreeResult& r, const Alpha& alphabet) {
+  if (!r.ok()) return r.status();
+  return r->Validate(alphabet).ok() ? Status::OK()
+                                    : Status::Internal("parsed tree invalid");
+}
+
+Status ParseXmlStatus(std::string_view text) {
+  Alphabet sigma;
+  return ValidTree(ParseXml(text, &sigma), sigma);
+}
+
+Status ParseDtdStatus(std::string_view text) {
+  return ParseDtd(text).status();
+}
+
+Status ParseSpecializedDtdStatus(std::string_view text) {
+  return ParseSpecializedDtd(text).status();
+}
+
+Status ParseXsltStatus(std::string_view text) {
+  Alphabet in, out;
+  return ParseXslt(text, &in, &out).status();
+}
+
+Status ParseUnrankedTermStatus(std::string_view text) {
+  Alphabet sigma;
+  return ValidTree(ParseUnrankedTerm(text, &sigma), sigma);
+}
+
+Status ParseBinaryTermStatus(std::string_view text) {
+  RankedAlphabet sigma;
+  (void)sigma.AddLeaf("a");
+  (void)sigma.AddLeaf("b");
+  (void)sigma.AddBinary("f");
+  (void)sigma.AddBinary("g");
+  return ValidTree(ParseBinaryTerm(text, sigma), sigma);
+}
+
+Status ParsePatternStatus(std::string_view text) {
+  Alphabet sigma;
+  return ParsePattern(text, &sigma).status();
+}
+
+Status ParseRegexStatus(std::string_view text) {
+  Alphabet sigma;
+  return ParseRegex(text, &sigma).status();
+}
+
+TEST(ParserFuzz, SeededByteMutantsEndWithAStatusInTime) {
+  // Valid inputs of every text format, each mutated 2,000 times and fed to
+  // its parser: every call must end with OK or an error Status (no crash,
+  // no sanitizer report) and within the time bound below.
+  struct Seed {
+    const char* name;
+    std::string text;
+    ParseFn parse;
+  };
+  const std::vector<Seed> seeds = {
+      {"catalog.xml",
+       "<catalog>\n  <article> <author/> <author/> </article>\n"
+       "  <article> <author/> </article>\n</catalog>",
+       ParseXmlStatus},
+      {"q2_input.xml", "<root><a/><a/><a/></root>", ParseXmlStatus},
+      {"catalog.dtd",
+       "catalog := article*\narticle := author*\nauthor  := ()\n",
+       ParseDtdStatus},
+      {"q2_output.dtd", "result := b.a*.b.a*.b.a*\nb := ()\na := ()",
+       ParseDtdStatus},
+      {"specialized.dtd",
+       "r[a] := b1.b2\nb1[b] := c0\nb2[b] := d0\nc0[c] := ()\n"
+       "d0[d] := ()\n",
+       ParseSpecializedDtdStatus},
+      {"catalog.xslt",
+       "template catalog { list  { apply } }\n"
+       "template article { item  { apply } }\n"
+       "template author  { byline }\n",
+       ParseXsltStatus},
+      {"q2.xslt",
+       "# Example 4.3 (query Q2)\n"
+       "template root { result { b; apply; b; apply; b; apply } }\n"
+       "template a    { a }\n",
+       ParseXsltStatus},
+      {"rename.xslt", "template a { b { apply } }\ntemplate c { d }\n",
+       ParseXsltStatus},
+      {"unranked.term", "a(b(c,d),b(d),e)", ParseUnrankedTermStatus},
+      {"binary.term", "f(g(a,b),f(a,g(b,b)))", ParseBinaryTermStatus},
+      {"pattern", "[a.b]([c.(a|b)],[c*.a])", ParsePatternStatus},
+      {"regex", "(a.b*|c)*.(d|e.f)+", ParseRegexStatus},
+  };
+  constexpr int kMutantsPerSeed = 2000;
+  constexpr auto kBound = std::chrono::milliseconds(500);
+  for (size_t k = 0; k < seeds.size(); ++k) {
+    const Seed& seed = seeds[k];
+    SCOPED_TRACE(seed.name);
+    ASSERT_TRUE(seed.parse(seed.text).ok()) << "seed must parse";
+    Rng rng(k + 1);
+    int refused = 0;
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string mutant = Mutate(seed.text, rng);
+      const auto start = std::chrono::steady_clock::now();
+      const Status status = seed.parse(mutant);
+      const auto took = std::chrono::steady_clock::now() - start;
+      refused += status.ok() ? 0 : 1;
+      EXPECT_NE(status.code(), StatusCode::kInternal)
+          << status << " on mutant " << i << ": " << mutant;
+      EXPECT_LT(took, kBound) << "mutant " << i << ": " << mutant;
+    }
+    // The mutants reach the error paths, not only the accepting ones.
+    EXPECT_GT(refused, kMutantsPerSeed / 4);
+  }
 }
 
 TEST(ParserFuzz, PathologicalRegexesStayPolynomial) {

@@ -135,7 +135,9 @@ TEST(TaPropertyTest, IndexedOpsMatchConvenienceOps) {
     std::optional<BinaryTree> w1 = WitnessTree(ia, &ctx);
     std::optional<BinaryTree> w2 = WitnessTree(a);
     EXPECT_EQ(w1.has_value(), w2.has_value());
-    if (w1.has_value()) EXPECT_EQ(w1->size(), w2->size());  // both minimal
+    if (w1.has_value()) {
+      EXPECT_EQ(w1->size(), w2->size());  // both minimal
+    }
 
     auto eq = NbtaEquivalent(IntersectNbta(ia, ib, &ctx),
                              IntersectNbta(a, b), sigma);

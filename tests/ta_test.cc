@@ -22,6 +22,7 @@
 #include "src/ta/nbta_index.h"
 #include "src/ta/random_ta.h"
 #include "src/ta/op_context.h"
+#include "src/ta/packed_sets.h"
 #include "src/ta/topdown.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"
@@ -116,6 +117,36 @@ Nbta AllLeavesA0() {
   a.AddRule(2, q, q, q);
   a.AddRule(3, q, q, q);
   return a;
+}
+
+TEST(PackedSetTableTest, FindSeesOnlyInternedSetsAndChangesNothing) {
+  for (size_t words : {1, 2, 3}) {
+    PackedSetTable table(words);
+    std::vector<uint64_t> set(words);
+    auto key = [&](uint64_t i) {
+      // Wider keys share their first word among thirds, so the comparison
+      // reaches the arena.
+      for (size_t w = 0; w < words; ++w) {
+        set[w] = w == 0 && words > 1 ? i % 3 : i;
+      }
+      return set.data();
+    };
+    for (uint64_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(table.Find(key(i)), PackedSetTable::kNone) << words << " " << i;
+      EXPECT_EQ(table.size(), i);
+      EXPECT_EQ(table.Intern(key(i)), i);
+      EXPECT_EQ(table.Find(key(i)), i);
+      EXPECT_EQ(table.size(), i + 1);
+    }
+    // Looking up absent keys between interns left the numbering intact.
+    for (uint64_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(table.Find(key(i)), i);
+      EXPECT_EQ(table.Intern(key(i)), i);
+      EXPECT_TRUE(std::equal(set.begin(), set.end(), table.Set(i)));
+    }
+    EXPECT_EQ(table.Find(key(100)), PackedSetTable::kNone);
+    EXPECT_EQ(table.size(), 100u);
+  }
 }
 
 TEST(NbtaTest, AcceptsAndRejects) {

@@ -92,6 +92,93 @@ TEST(BinaryTreeTest, CopySubtree) {
   EXPECT_TRUE(dst == want);
 }
 
+// A left spine of `depth` internal nodes given by ids: node i < depth is
+// a2(i + 1, leaf), node depth is the leaf a0, and id depth + 1 is the leaf
+// b0 every internal node hangs on its right.
+TreeNodeRef SpineNode(SymbolId a2, SymbolId a0, SymbolId b0, uint32_t depth,
+                      uint32_t id) {
+  if (id == depth) return {a0, kNoNode, kNoNode};
+  if (id == depth + 1) return {b0, kNoNode, kNoNode};
+  return {a2, id + 1, depth + 1};
+}
+
+TEST(AppendTreeTest, MillionDeepSpineUnfoldsWithoutRecursion) {
+  RankedAlphabet sigma = TinyRanked();
+  const SymbolId a2 = sigma.Find("a2"), a0 = sigma.Find("a0"),
+                 b0 = sigma.Find("b0");
+  constexpr uint32_t kDepth = 1000000;
+  BinaryTree t = UnfoldTree(
+      0, [&](uint32_t id) { return SpineNode(a2, a0, b0, kDepth, id); });
+  EXPECT_EQ(t.size(), 2 * size_t{kDepth} + 1);
+  EXPECT_EQ(t.Depth(), size_t{kDepth} + 1);
+  EXPECT_TRUE(t.Validate(sigma).ok());
+  // Post-order: the deepest leaf first, the root last.
+  EXPECT_EQ(t.symbol(0), a0);
+  EXPECT_EQ(t.root(), t.size() - 1);
+}
+
+TEST(AppendTreeTest, SharedIdUnfoldsOncePerOccurrenceLikeCopySubtree) {
+  RankedAlphabet sigma = TinyRanked();
+  const SymbolId a2 = sigma.Find("a2"), b2 = sigma.Find("b2"),
+                 a0 = sigma.Find("a0"), b0 = sigma.Find("b0");
+  // 0 = a2(1, 1), 1 = b2(2, 3), 2 = a0, 3 = b0: id 1 is shared.
+  const TreeNodeRef dag[] = {
+      {a2, 1, 1}, {b2, 2, 3}, {a0, kNoNode, kNoNode}, {b0, kNoNode, kNoNode}};
+  BinaryTree out;
+  const NodeId first = out.AddLeaf(b0);  // appended after existing nodes
+  Result<NodeId> root = AppendTree(
+      out, 0, [&](uint32_t id) { return dag[id]; },
+      [] { return Status::OK(); });
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(out.parent(first), kNoNode);
+  EXPECT_EQ(out.SubtreeSize(*root), 7u);
+
+  auto shape =
+      std::move(ParseBinaryTerm("a2(b2(a0,b0),b2(a0,b0))", sigma)).ValueOrDie();
+  BinaryTree copy;
+  copy.AddLeaf(b0);
+  const NodeId copied = copy.CopySubtree(shape, shape.root());
+  EXPECT_TRUE(BinaryTree::SubtreeEquals(out, *root, shape, shape.root()));
+  // Node for node: the same ids, symbols and children.
+  ASSERT_EQ(out.size(), copy.size());
+  EXPECT_EQ(*root, copied);
+  for (NodeId n = 0; n < out.size(); ++n) {
+    EXPECT_EQ(out.symbol(n), copy.symbol(n)) << n;
+    EXPECT_EQ(out.left(n), copy.left(n)) << n;
+    EXPECT_EQ(out.right(n), copy.right(n)) << n;
+  }
+}
+
+TEST(AppendTreeTest, StepRunsOncePerLeafAndThricePerInternalNode) {
+  RankedAlphabet sigma = TinyRanked();
+  const SymbolId a2 = sigma.Find("a2"), a0 = sigma.Find("a0"),
+                 b0 = sigma.Find("b0");
+  constexpr uint32_t kDepth = 5;  // 5 internal nodes, 6 leaves
+  auto node = [&](uint32_t id) { return SpineNode(a2, a0, b0, kDepth, id); };
+  constexpr int kSteps = 6 + 3 * 5;
+  int calls = 0;
+  BinaryTree t;
+  ASSERT_TRUE(AppendTree(t, 0, node, [&] {
+                ++calls;
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(calls, kSteps);
+
+  // A step failing at its k-th call ends the walk with that status.
+  for (int k = 1; k <= kSteps; ++k) {
+    int seen = 0;
+    BinaryTree partial;
+    Result<NodeId> r = AppendTree(partial, 0, node, [&] {
+      return ++seen == k ? Status::Cancelled("step " + std::to_string(k))
+                         : Status::OK();
+    });
+    ASSERT_FALSE(r.ok()) << k;
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(r.status().message(), "step " + std::to_string(k));
+    EXPECT_EQ(seen, k);
+  }
+}
+
 TEST(UnrankedTreeTest, BuildAndNavigate) {
   Alphabet sigma;
   UnrankedTree t;
