@@ -22,9 +22,16 @@
 //    caches from ample to starved; the starved rows measure the
 //    recompute-under-thrash regime (hit_rate falls toward zero).
 //
+//  * The served typecheck: one (transducer, τ1, τ2) triple through
+//    ServerCore::HandleFrame, as the daemon answers it. The replay rows
+//    repeat a decided triple, which the server's decision map answers
+//    without compiling or typechecking; the after_load row hot-loads the
+//    output DTD before each typecheck (good and bad content in turn), so
+//    every request is the first of a new registry generation.
+//
 // CI smoke-runs this binary in the bench-smoke job and uploads the JSON as
 // the BENCH_memo.json artifact; the checked-in BENCH_memo.json records the
-// cold/warm and sensitivity rows.
+// cold/warm, sensitivity and served rows.
 
 #include <benchmark/benchmark.h>
 
@@ -38,12 +45,15 @@
 #include "src/core/typechecker.h"
 #include "src/dtd/dtd.h"
 #include "src/query/xslt.h"
+#include "src/serve/protocol.h"
+#include "src/serve/server.h"
 #include "src/ta/membership.h"
 #include "src/ta/enumerate.h"
 #include "src/ta/nbta.h"
 #include "src/ta/op_cache.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
+#include "src/ta/serialize.h"
 #include "src/tree/encode.h"
 
 namespace pebbletc {
@@ -268,6 +278,80 @@ void BM_WarmWorkingSet(benchmark::State& state) {
                                static_cast<double>(hits + misses);
 }
 BENCHMARK(BM_WarmWorkingSet)->Arg(65536)->Arg(8192)->Arg(2048);
+
+// Served typechecks of the rename program (docs/CACHING.md, "The served
+// decision map").
+enum class ServedCase { kReplayProof, kReplayRefutation, kAfterLoad };
+
+std::string EncodedFrame(const serve::Request& request) {
+  std::string payload;
+  serve::EncodeRequest(request, &payload);
+  return payload;
+}
+
+std::string DtdLoadFrame(const std::string& name, const char* text) {
+  SpecializedDtd dtd = std::move(ParseDtd(text)).ValueOrDie();
+  std::string bytes, wrapped;
+  SerializeDtdArtifact(dtd, &bytes);
+  WrapTaArtifact(TaArtifactKind::kDtd, bytes, &wrapped);
+  serve::Request load;
+  load.header.opcode = serve::Opcode::kLoadArtifact;
+  load.body = serve::LoadArtifactRequest{name, wrapped};
+  return EncodedFrame(load);
+}
+
+uint8_t ServedVerdict(const std::string& reply) {
+  Result<serve::Response> r = serve::DecodeResponse(reply);
+  PEBBLETC_CHECK(r.ok() && r->header.status == serve::WireStatus::kOk)
+      << (r.ok() ? r->header.detail : r.status().ToString());
+  return std::get<serve::TypecheckResponse>(r->body).verdict;
+}
+
+void BM_ServeTypecheck(benchmark::State& state, ServedCase served) {
+  constexpr char kGood[] = "b := d\nd := ()\n";
+  constexpr char kBad[] = "b := e\ne := ()\n";
+  TaOpCache::Global().Clear();
+  serve::ServerCore server{serve::ServeOptions{}};
+  PEBBLETC_CHECK(server.registry()
+                     .PutXsltText("rename",
+                                  "template a { b { apply } }\n"
+                                  "template c { d }")
+                     .ok());
+  PEBBLETC_CHECK(server.registry().PutDtdText("in", "a := c\nc := ()\n").ok());
+  PEBBLETC_CHECK(server.registry()
+                     .PutDtdText("out", served == ServedCase::kReplayProof
+                                            ? kGood
+                                            : kBad)
+                     .ok());
+  serve::Request typecheck;
+  typecheck.header.opcode = serve::Opcode::kTypecheck;
+  typecheck.body = serve::TypecheckRequest{"rename", "in", "out"};
+  const std::string request = EncodedFrame(typecheck);
+  const std::string loads[2] = {DtdLoadFrame("out", kGood),
+                                DtdLoadFrame("out", kBad)};
+  // Decide once, untimed: the replay rows then time the repeat.
+  ServedVerdict(server.HandleFrame(request));
+  size_t refuted = 0, loaded = 0;
+  for (auto _ : state) {
+    if (served == ServedCase::kAfterLoad) {
+      benchmark::DoNotOptimize(server.HandleFrame(loads[loaded++ % 2]));
+    }
+    refuted += ServedVerdict(server.HandleFrame(request));
+  }
+  const serve::StatsResponse stats = server.SnapshotStats();
+  state.counters["refuted_ratio"] = static_cast<double>(refuted) /
+                                    static_cast<double>(state.iterations());
+  state.counters["replay_ratio"] =
+      static_cast<double>(stats.typecheck_replays) /
+      static_cast<double>(stats.typecheck_runs + stats.typecheck_replays);
+}
+BENCHMARK_CAPTURE(BM_ServeTypecheck, replay_proof, ServedCase::kReplayProof)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServeTypecheck, replay_refutation,
+                  ServedCase::kReplayRefutation)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServeTypecheck, after_load, ServedCase::kAfterLoad)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pebbletc

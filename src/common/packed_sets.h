@@ -8,10 +8,13 @@
 //   - the tree enumeration (src/ta/enumerate.h): its hash-consed tree
 //     nodes, two words, and its (state, tree) pairs, one word;
 //   - the product construction (IntersectNbta, src/ta/nbta.h): its state
-//     pairs, one word, whose ids are the product's states.
+//     pairs, one word, whose ids are the product's states;
+//   - the content-model subset construction (DeterminizeWithin,
+//     src/regex/dfa.h): its subsets, the DFA states, and its kernels; the
+//     NFA's ε-closure (EpsilonClosure, src/regex/nfa.h) closes such sets.
 
-#ifndef PEBBLETC_TA_PACKED_SETS_H_
-#define PEBBLETC_TA_PACKED_SETS_H_
+#ifndef PEBBLETC_COMMON_PACKED_SETS_H_
+#define PEBBLETC_COMMON_PACKED_SETS_H_
 
 #include <algorithm>
 #include <bit>
@@ -157,4 +160,4 @@ class PackedSetTable {
 
 }  // namespace pebbletc
 
-#endif  // PEBBLETC_TA_PACKED_SETS_H_
+#endif  // PEBBLETC_COMMON_PACKED_SETS_H_

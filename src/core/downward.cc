@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/packed_sets.h"
 #include "src/ta/antichain.h"
-#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 

@@ -9,6 +9,8 @@
 #include <string>
 #include <utility>
 
+#include "src/common/packed_sets.h"
+
 namespace pebbletc {
 
 Dfa::Dfa(uint32_t num_states, uint32_t num_symbols)
@@ -56,67 +58,67 @@ std::vector<bool> Dfa::LiveStates() const {
 
 Result<Dfa> DeterminizeWithin(const Nfa& nfa, size_t max_states) {
   PEBBLETC_CHECK(nfa.num_states > 0) << "empty NFA";
-  // DFA states are ε-closed, sorted subsets of NFA states, numbered in the
-  // order they are first reached.
-  using Subset = std::vector<StateId>;
-  std::map<Subset, StateId> index;
-  std::vector<Subset> subsets;
-  auto intern = [&](Subset s) -> Result<StateId> {
-    auto [it, inserted] = index.emplace(std::move(s), subsets.size());
-    if (inserted) {
-      if (subsets.size() >= max_states) {
-        return Status::LimitExceeded("subset construction passed " +
-                                     std::to_string(max_states) + " states");
-      }
-      subsets.push_back(it->first);
-    }
-    return it->second;
-  };
-  // A kernel is one symbol's targets from a subset before ε-closure. Equal
-  // kernels close to the same subset, so each is closed and interned once.
-  // The empty kernel, the common case in a content model over many types,
-  // skips the map.
-  std::map<Subset, StateId> kernel_state;
+  // DFA states are ε-closed subsets of NFA states, packed sets interned in
+  // `subsets` and numbered in the order they are first reached. A kernel is
+  // one symbol's targets from a subset before ε-closure; equal kernels
+  // close to the same subset, so each is interned in `kernels` and closed
+  // once, and kernel_state[k] is the subset kernel k closes to. The empty
+  // kernel, the common case in a content model over many types, skips both.
+  const size_t words = (nfa.num_states + 63) / 64;
+  PackedSetTable subsets(words);
+  PackedSetTable kernels(words);
+  std::vector<StateId> kernel_state;
   std::optional<StateId> empty_state;
+  std::vector<uint64_t> set(words, 0);
+  std::vector<StateId> work;
+  // Interns `set` as a subset and clears it.
+  auto intern = [&]() -> Result<StateId> {
+    const StateId id = subsets.Intern(set.data());
+    std::fill(set.begin(), set.end(), 0);
+    if (id >= max_states) {
+      return Status::LimitExceeded("subset construction passed " +
+                                   std::to_string(max_states) + " states");
+    }
+    return id;
+  };
 
-  Subset init = {nfa.start};
-  EpsilonClosure(nfa, &init);
-  PEBBLETC_ASSIGN_OR_RETURN(const StateId start, intern(std::move(init)));
+  SetBit(set.data(), nfa.start);
+  EpsilonClosure(nfa, set.data(), &work);
+  PEBBLETC_ASSIGN_OR_RETURN(const StateId start, intern());
 
   // Row-major transition table, one row per subset, built as subsets are
   // discovered.
   std::vector<StateId> table;
   std::vector<bool> acc;
-  std::vector<Subset> kernels(nfa.num_symbols);
+  std::vector<std::vector<StateId>> targets(nfa.num_symbols);
   for (StateId q = 0; q < subsets.size(); ++q) {
     bool a = false;
-    for (StateId s : subsets[q]) {
+    ForEachBit(subsets.Set(q), words, [&](StateId s) {
       a = a || nfa.accepting[s];
       for (const auto& [sym, to] : nfa.transitions[s]) {
-        kernels[sym].push_back(to);
+        targets[sym].push_back(to);
       }
-    }
+    });
     acc.push_back(a);
     for (SymbolId sym = 0; sym < nfa.num_symbols; ++sym) {
-      Subset& kernel = kernels[sym];
+      std::vector<StateId>& kernel = targets[sym];
       if (kernel.empty()) {
         if (!empty_state) {
-          PEBBLETC_ASSIGN_OR_RETURN(empty_state, intern(Subset()));
+          PEBBLETC_ASSIGN_OR_RETURN(empty_state, intern());
         }
         table.push_back(*empty_state);
         continue;
       }
-      std::sort(kernel.begin(), kernel.end());
-      kernel.erase(std::unique(kernel.begin(), kernel.end()), kernel.end());
-      auto it = kernel_state.find(kernel);
-      if (it == kernel_state.end()) {
-        Subset closed = kernel;
-        EpsilonClosure(nfa, &closed);
-        PEBBLETC_ASSIGN_OR_RETURN(const StateId to,
-                                  intern(std::move(closed)));
-        it = kernel_state.emplace(kernel, to).first;
+      for (StateId t : kernel) SetBit(set.data(), t);
+      const uint32_t k = kernels.Intern(set.data());
+      if (k < kernel_state.size()) {
+        for (StateId t : kernel) set[t / 64] = 0;
+      } else {
+        EpsilonClosure(nfa, set.data(), &work);
+        PEBBLETC_ASSIGN_OR_RETURN(const StateId to, intern());
+        kernel_state.push_back(to);
       }
-      table.push_back(it->second);
+      table.push_back(kernel_state[k]);
       kernel.clear();
     }
   }

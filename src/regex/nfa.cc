@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/packed_sets.h"
 
 namespace pebbletc {
 
@@ -26,46 +27,49 @@ void Nfa::AddEpsilon(StateId from, StateId to) {
   epsilon[from].push_back(to);
 }
 
-void EpsilonClosure(const Nfa& nfa, std::vector<StateId>* set) {
-  std::vector<bool> in_set(nfa.num_states, false);
-  for (StateId q : *set) in_set[q] = true;
-  std::vector<StateId> work = *set;
-  while (!work.empty()) {
-    StateId q = work.back();
-    work.pop_back();
+void EpsilonClosure(const Nfa& nfa, uint64_t* set,
+                    std::vector<StateId>* work) {
+  work->clear();
+  ForEachBit(set, (nfa.num_states + 63) / 64,
+             [&](StateId q) { work->push_back(q); });
+  while (!work->empty()) {
+    const StateId q = work->back();
+    work->pop_back();
     for (StateId p : nfa.epsilon[q]) {
-      if (!in_set[p]) {
-        in_set[p] = true;
-        set->push_back(p);
-        work.push_back(p);
+      if (!TestBit(set, p)) {
+        SetBit(set, p);
+        work->push_back(p);
       }
     }
   }
-  std::sort(set->begin(), set->end());
 }
 
 bool Nfa::Accepts(const std::vector<SymbolId>& word) const {
-  std::vector<StateId> current = {start};
-  EpsilonClosure(*this, &current);
+  const size_t words = (num_states + 63) / 64;
+  std::vector<uint64_t> current(words, 0);
+  std::vector<uint64_t> next(words);
+  std::vector<StateId> work;
+  SetBit(current.data(), start);
+  EpsilonClosure(*this, current.data(), &work);
   for (SymbolId a : word) {
-    std::vector<bool> next_set(num_states, false);
-    std::vector<StateId> next;
-    for (StateId q : current) {
+    std::fill(next.begin(), next.end(), 0);
+    bool any = false;
+    ForEachBit(current.data(), words, [&](StateId q) {
       for (const auto& [sym, to] : transitions[q]) {
-        if (sym == a && !next_set[to]) {
-          next_set[to] = true;
-          next.push_back(to);
+        if (sym == a) {
+          SetBit(next.data(), to);
+          any = true;
         }
       }
-    }
-    EpsilonClosure(*this, &next);
-    current = std::move(next);
-    if (current.empty()) return false;
+    });
+    if (!any) return false;
+    EpsilonClosure(*this, next.data(), &work);
+    current.swap(next);
   }
-  for (StateId q : current) {
-    if (accepting[q]) return true;
-  }
-  return false;
+  bool accepted = false;
+  ForEachBit(current.data(), words,
+             [&](StateId q) { accepted = accepted || accepting[q]; });
+  return accepted;
 }
 
 namespace {
@@ -140,16 +144,19 @@ Nfa RemoveEpsilon(const Nfa& nfa) {
   out.num_symbols = nfa.num_symbols;
   for (StateId q = 0; q < nfa.num_states; ++q) out.AddState();
   out.start = nfa.start;
+  std::vector<uint64_t> closure((nfa.num_states + 63) / 64);
+  std::vector<StateId> work;
   for (StateId q = 0; q < nfa.num_states; ++q) {
-    std::vector<StateId> closure = {q};
-    EpsilonClosure(nfa, &closure);
+    std::fill(closure.begin(), closure.end(), 0);
+    SetBit(closure.data(), q);
+    EpsilonClosure(nfa, closure.data(), &work);
     bool acc = false;
-    for (StateId p : closure) {
+    ForEachBit(closure.data(), closure.size(), [&](StateId p) {
       acc = acc || nfa.accepting[p];
       for (const auto& [sym, to] : nfa.transitions[p]) {
         out.AddTransition(q, sym, to);
       }
-    }
+    });
     out.accepting[q] = acc;
   }
   // Deduplicate transitions.

@@ -40,8 +40,10 @@ struct Nfa {
   bool Accepts(const std::vector<SymbolId>& word) const;
 };
 
-/// Expands `set`, a vector of distinct states, to its ε-closure, sorted.
-void EpsilonClosure(const Nfa& nfa, std::vector<StateId>* set);
+/// Expands `set`, a packed set of (num_states + 63) / 64 words
+/// (src/common/packed_sets.h), to its ε-closure. `work` is a reused buffer.
+void EpsilonClosure(const Nfa& nfa, uint64_t* set,
+                    std::vector<StateId>* work);
 
 /// Thompson construction. The regex must only mention symbols < num_symbols.
 Nfa CompileRegexToNfa(const RegexPtr& regex, uint32_t num_symbols);

@@ -78,7 +78,8 @@ template <class Io>
 void Fields(Io& io, StatsResponse& m) {
   io(m.requests_total, m.responses_ok, m.malformed_rejected,
      m.validation_rejected, m.overload_rejected, m.degraded_verdicts,
-     m.hard_errors, m.faults_injected, m.in_flight);
+     m.hard_errors, m.faults_injected, m.in_flight, m.typecheck_runs,
+     m.typecheck_replays);
 }
 template <class Io>
 void Fields(Io& io, BatchDocVerdict& m) {

@@ -187,6 +187,10 @@ struct StatsResponse {
   uint64_t hard_errors = 0;
   uint64_t faults_injected = 0;
   uint32_t in_flight = 0;
+  /// Typechecks that ran the typechecker, and typechecks answered from the
+  /// server's decision map (docs/CACHING.md).
+  uint64_t typecheck_runs = 0;
+  uint64_t typecheck_replays = 0;
 };
 
 /// Per-document verdict inside a batch response. `status` is a WireStatus

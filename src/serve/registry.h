@@ -19,9 +19,10 @@
 // XSLT fragment's alphabets depend on which DTDs a request pairs it with
 // (the input alphabet is template heads ∪ τ1's tags, the output alphabet
 // literal tags ∪ τ2's tags — the pebbletc_cli convention), so compilation
-// happens per request. A repeated typecheck is amortized instead by the op
-// cache's downward proof (docs/CACHING.md), keyed structurally on the
-// compiled types.
+// happens per request that runs the typechecker. A repeated typecheck is
+// replayed instead from ServerCore's decision map, which holds an answer
+// only while the names resolve to the entries it was decided on
+// (docs/CACHING.md).
 
 #ifndef PEBBLETC_SERVE_REGISTRY_H_
 #define PEBBLETC_SERVE_REGISTRY_H_

@@ -110,6 +110,8 @@ StatsResponse ServerCore::SnapshotStats() const {
   stats.hard_errors = hard_errors_.load();
   stats.faults_injected = faults_injected_.load();
   stats.in_flight = admission_.in_flight();
+  stats.typecheck_runs = typecheck_runs_.load();
+  stats.typecheck_replays = typecheck_replays_.load();
   return stats;
 }
 
@@ -413,21 +415,18 @@ Result<std::shared_ptr<const RegistryEntry>> ResolveKind(
   return entry;
 }
 
-/// Resolves and compiles a (transducer, [τ1], τ2) instance. XSLT programs
-/// are compiled over alphabets extended with the paired DTDs' tags (the
-/// pebbletc_cli convention); pre-compiled transducer artifacts have fixed
-/// alphabets, so the DTDs must fit inside them.
-Result<CompiledInstance> CompileInstance(
-    const ArtifactRegistry& registry, const std::string& transducer_name,
-    const SpecializedDtd* input_dtd, const SpecializedDtd& output_dtd) {
-  PEBBLETC_ASSIGN_OR_RETURN(
-      std::shared_ptr<const RegistryEntry> entry,
-      ResolveKind(registry, transducer_name, RegistryEntry::Kind::kXslt,
-                  RegistryEntry::Kind::kTransducer));
+/// Compiles a (transducer, [τ1], τ2) instance from resolved entries. XSLT
+/// programs are compiled over alphabets extended with the paired DTDs' tags
+/// (the pebbletc_cli convention); pre-compiled transducer artifacts have
+/// fixed alphabets, so the DTDs must fit inside them.
+Result<CompiledInstance> CompileInstance(const RegistryEntry& program,
+                                         const std::string& transducer_name,
+                                         const SpecializedDtd* input_dtd,
+                                         const SpecializedDtd& output_dtd) {
   CompiledInstance instance;
-  if (entry->kind == RegistryEntry::Kind::kXslt) {
-    instance.in_tags = entry->xslt->head_tags;
-    instance.out_tags = entry->xslt->literal_tags;
+  if (program.kind == RegistryEntry::Kind::kXslt) {
+    instance.in_tags = program.xslt->head_tags;
+    instance.out_tags = program.xslt->literal_tags;
     if (input_dtd != nullptr) {
       for (SymbolId t = 0; t < input_dtd->tags().size(); ++t) {
         instance.in_tags.Intern(input_dtd->tags().Name(t));
@@ -441,7 +440,7 @@ Result<CompiledInstance> CompileInstance(
     PEBBLETC_ASSIGN_OR_RETURN(instance.out_enc,
                               MakeEncodedAlphabet(instance.out_tags));
     Result<PebbleTransducer> compiled = CompileXslt(
-        entry->xslt->program, instance.in_enc, instance.out_enc);
+        program.xslt->program, instance.in_enc, instance.out_enc);
     if (!compiled.ok()) {
       return Status::FailedPrecondition(
           "XSLT '" + transducer_name + "' does not cover these types: " +
@@ -451,15 +450,15 @@ Result<CompiledInstance> CompileInstance(
   } else {
     PEBBLETC_ASSIGN_OR_RETURN(
         RankedEncodingView in_view,
-        EncodedViewOfRanked(entry->transducer->input_alphabet));
+        EncodedViewOfRanked(program.transducer->input_alphabet));
     PEBBLETC_ASSIGN_OR_RETURN(
         RankedEncodingView out_view,
-        EncodedViewOfRanked(entry->transducer->output_alphabet));
+        EncodedViewOfRanked(program.transducer->output_alphabet));
     instance.in_enc = std::move(in_view.enc);
     instance.out_enc = std::move(out_view.enc);
     instance.in_tags = std::move(in_view.tags);
     instance.out_tags = std::move(out_view.tags);
-    instance.transducer = entry->transducer->transducer;
+    instance.transducer = program.transducer->transducer;
   }
   if (input_dtd != nullptr) {
     Result<Nbta> tau1 = CompileDtdOver(*input_dtd, instance.in_enc);
@@ -494,6 +493,7 @@ std::string RenderTree(const std::optional<BinaryTree>& tree,
 Response ServerCore::DoTypecheck(const RequestHeader& header,
                                  const TypecheckRequest& req,
                                  const std::atomic<bool>* cancel) {
+  TaFaultInjector* injector = armed_fault_.exchange(nullptr);
   Result<std::shared_ptr<const RegistryEntry>> in_entry =
       ResolveKind(registry_, req.input_type, RegistryEntry::Kind::kDtd,
                   RegistryEntry::Kind::kDtd);
@@ -502,16 +502,37 @@ Response ServerCore::DoTypecheck(const RequestHeader& header,
       ResolveKind(registry_, req.output_type, RegistryEntry::Kind::kDtd,
                   RegistryEntry::Kind::kDtd);
   if (!out_entry.ok()) return StatusResponse(header, out_entry.status());
+  Result<std::shared_ptr<const RegistryEntry>> program =
+      ResolveKind(registry_, req.transducer, RegistryEntry::Kind::kXslt,
+                  RegistryEntry::Kind::kTransducer);
+  if (!program.ok()) return StatusResponse(header, program.status());
+
+  // A fault-armed request neither replays nor stores a decision, so its
+  // checkpoint ordinals are those of a cold run.
+  const bool use_decisions =
+      injector == nullptr && options_.memo != TaMemoMode::kOff;
+  const std::array<std::string, 3> key = {req.transducer, req.input_type,
+                                          req.output_type};
+  if (use_decisions) {
+    std::lock_guard<std::mutex> lock(decided_mu_);
+    auto it = decided_.find(key);
+    if (it != decided_.end() && it->second.sources[0].lock() == *program &&
+        it->second.sources[1].lock() == *in_entry &&
+        it->second.sources[2].lock() == *out_entry) {
+      typecheck_replays_.fetch_add(1);
+      return OkResponse(header, it->second.body);
+    }
+  }
 
   Result<CompiledInstance> instance =
-      CompileInstance(registry_, req.transducer, (*in_entry)->dtd.get(),
+      CompileInstance(**program, req.transducer, (*in_entry)->dtd.get(),
                       *(*out_entry)->dtd);
   if (!instance.ok()) return StatusResponse(header, instance.status());
 
-  TaFaultInjector* injector = armed_fault_.exchange(nullptr);
   TypecheckOptions opts = RequestOptions(options_, header, cancel, injector);
   Typechecker checker(instance->transducer, instance->in_enc.ranked,
                       instance->out_enc.ranked);
+  typecheck_runs_.fetch_add(1);
   Result<TypecheckResult> result =
       checker.Typecheck(instance->tau1, instance->tau2, opts);
   if (injector != nullptr && injector->tripped) {
@@ -540,12 +561,21 @@ Response ServerCore::DoTypecheck(const RequestHeader& header,
   body.exhaustion_code = static_cast<uint8_t>(result->exhausted.code);
   body.exhaustion_pass = result->exhausted.pass;
   body.exhaustion_detail = result->exhausted.detail;
-  body.checkpoints = result->op_counters.checkpoints;
-  body.states_materialized = result->op_counters.states_materialized;
   body.counterexample_input_xml = RenderTree(
       result->counterexample_input, instance->in_enc, instance->in_tags);
   body.counterexample_output_xml = RenderTree(
       result->counterexample_output, instance->out_enc, instance->out_tags);
+  // Only an exact verdict that no pass was cut short to reach is stored:
+  // budgets are server-wide, so nothing else in a request could change it.
+  if (use_decisions && body.verdict != 2 && !body.exhausted) {
+    std::lock_guard<std::mutex> lock(decided_mu_);
+    if (decided_.size() >= kMaxDecidedTypechecks && !decided_.count(key)) {
+      decided_.erase(decided_.begin());
+    }
+    decided_[key] = DecidedTypecheck{{*program, *in_entry, *out_entry}, body};
+  }
+  body.checkpoints = result->op_counters.checkpoints;
+  body.states_materialized = result->op_counters.states_materialized;
   return OkResponse(header, std::move(body));
 }
 
@@ -557,8 +587,13 @@ Response ServerCore::DoInferInverse(const RequestHeader& header,
                   RegistryEntry::Kind::kDtd);
   if (!out_entry.ok()) return StatusResponse(header, out_entry.status());
 
-  Result<CompiledInstance> instance = CompileInstance(
-      registry_, req.transducer, nullptr, *(*out_entry)->dtd);
+  Result<std::shared_ptr<const RegistryEntry>> program =
+      ResolveKind(registry_, req.transducer, RegistryEntry::Kind::kXslt,
+                  RegistryEntry::Kind::kTransducer);
+  if (!program.ok()) return StatusResponse(header, program.status());
+
+  Result<CompiledInstance> instance =
+      CompileInstance(**program, req.transducer, nullptr, *(*out_entry)->dtd);
   if (!instance.ok()) return StatusResponse(header, instance.status());
 
   TaFaultInjector* injector = armed_fault_.exchange(nullptr);

@@ -25,6 +25,7 @@
 #ifndef PEBBLETC_SERVE_SERVER_H_
 #define PEBBLETC_SERVE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -75,10 +76,12 @@ struct ServeOptions {
   /// (docs/PARALLEL.md). Kept so existing callers that assign it still
   /// compile.
   uint32_t num_threads = 1;
-  /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
-  /// serving default: a repeated typecheck of a proven downward triple
+  /// Caching switch (docs/CACHING.md). kInMemory is the serving default: a
+  /// repeated typecheck of an unchanged name triple replays its stored
+  /// decision, a new registry generation of a proven downward triple
   /// returns from its cached proof, and a schema's validation table is
-  /// determinized once. Automatically bypassed for fault-armed requests.
+  /// determinized once. kOff turns all three off. Automatically bypassed
+  /// for fault-armed requests.
   TaMemoMode memo = TaMemoMode::kInMemory;
   /// Whether the kLoadArtifact wire op may install artifacts at runtime.
   bool allow_load = true;
@@ -86,6 +89,10 @@ struct ServeOptions {
 
 class ServerCore {
  public:
+  /// How many decided typechecks the server keeps; at the cap, storing a
+  /// new one evicts another.
+  static constexpr size_t kMaxDecidedTypechecks = 1024;
+
   explicit ServerCore(ServeOptions options);
 
   ArtifactRegistry& registry() { return registry_; }
@@ -151,6 +158,18 @@ class ServerCore {
   mutable std::mutex plan_mu_;
   std::map<std::string, CachedPlan> plans_;
 
+  /// Decided typechecks (docs/CACHING.md, "The served decision map"): the
+  /// clean, exact response for a (transducer, τ1, τ2) name triple, valid
+  /// while those names still resolve to the entries it was decided on.
+  /// Weak pointers, so a replaced entry is neither pinned nor mistaken for
+  /// a new one allocated at its address.
+  struct DecidedTypecheck {
+    std::array<std::weak_ptr<const RegistryEntry>, 3> sources;
+    TypecheckResponse body;  // checkpoints = states_materialized = 0
+  };
+  std::mutex decided_mu_;
+  std::map<std::array<std::string, 3>, DecidedTypecheck> decided_;
+
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> responses_ok_{0};
   std::atomic<uint64_t> malformed_rejected_{0};
@@ -159,6 +178,8 @@ class ServerCore {
   std::atomic<uint64_t> degraded_verdicts_{0};
   std::atomic<uint64_t> hard_errors_{0};
   std::atomic<uint64_t> faults_injected_{0};
+  std::atomic<uint64_t> typecheck_runs_{0};
+  std::atomic<uint64_t> typecheck_replays_{0};
 };
 
 /// Maps a core Status to the wire status used when that Status aborts a

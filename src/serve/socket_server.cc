@@ -104,6 +104,7 @@ void SocketServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : connections_) {
+      if (conn->done.load()) continue;
       conn->cancel.store(true);
       ::shutdown(conn->fd, SHUT_RDWR);
     }
@@ -240,6 +241,9 @@ void SocketServer::HandleConnection(std::shared_ptr<Connection> conn) {
     if (conn->cancel.load()) break;  // client gone; response undeliverable
     if (!SendFrame(conn->fd, response)) break;
   }
+  // The watchdog's probe and Stop's shutdown use the fd under mu_ and skip
+  // a done connection, so neither can reach it once closed or reused.
+  std::lock_guard<std::mutex> lock(mu_);
   ::close(conn->fd);
   conn->done.store(true);
 }

@@ -9,7 +9,7 @@
 // domain supplies the summaries and Bad(S). The engine owns the rest: sets
 // as packed 64-bit words, Post memoized per (left set, right set, symbol),
 // and the repeat-offer probe, all three interned in PackedSetTables
-// (src/ta/packed_sets.h); the rule-driven combine, the antichain, the pair
+// (src/common/packed_sets.h); the rule-driven combine, the antichain, the pair
 // budget, and the witness replay through AppendTree
 // (src/tree/binary_tree.h).
 
@@ -21,10 +21,10 @@
 #include <optional>
 
 #include "src/alphabet/alphabet.h"
+#include "src/common/packed_sets.h"
 #include "src/common/result.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
-#include "src/ta/packed_sets.h"
 #include "src/tree/binary_tree.h"
 
 namespace pebbletc {

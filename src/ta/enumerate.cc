@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/ta/packed_sets.h"
+#include "src/common/packed_sets.h"
 
 namespace pebbletc {
 

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/packed_sets.h"
 #include "src/ta/antichain.h"
 #include "src/ta/nbta_index.h"
-#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 namespace {

@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/packed_sets.h"
 #include "src/ta/nbta_index.h"
-#include "src/ta/packed_sets.h"
 
 namespace pebbletc {
 
@@ -204,7 +204,7 @@ constexpr size_t kPollPairs = 4096;
 constexpr size_t kPollWords = size_t{1} << 20;
 
 // Subsets are packed sets of w = ⌈n/64⌉ words interned in a PackedSetTable
-// (src/ta/packed_sets.h); kWords = 1 fixes w at compile time for inputs of
+// (src/common/packed_sets.h); kWords = 1 fixes w at compile time for inputs of
 // at most 64 states, kWords = 0 reads it at run time. When S_p leaves the
 // frontier, each binary symbol folds it once, through the (symbol, child)
 // adjacency, into rows indexed by state: left row q2 is δ(S_p, {q2}), right
@@ -401,8 +401,8 @@ namespace {
 // Flat product-construction machinery (docs/PARALLEL.md).
 //
 // Every (a-rule, b-rule) candidate touches two structures: the pair
-// interner — the shared PackedSetTable (src/ta/packed_sets.h) over one-word
-// keys x << 32 | y, whose ids are the product's states — and the
+// interner — the shared PackedSetTable (src/common/packed_sets.h) over
+// one-word keys x << 32 | y, whose ids are the product's states — and the
 // emitted-combination guard below. Both are flat arrays; the node-based
 // std::map / std::set they replaced dominated the product's profile the
 // same way the determinization maps did before the frontier rewrite

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -355,7 +356,7 @@ TEST(ServeGoldenTest, OkResponsesEncodeToPinnedBytes) {
   typecheck.states_materialized = 0x1112131415161718;
   typecheck.counterexample_input_xml = "<a/>";
   typecheck.counterexample_output_xml = "<b/>";
-  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 0x0807060504030201, 9};
+  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 0x0807060504030201, 9, 10, 11};
   ValidateBatchResponse batch;
   batch.verdicts = {{0, true, ""}, {13, false, "x"}};
   batch.fast_path_docs = 0x100;
@@ -377,7 +378,8 @@ TEST(ServeGoldenTest, OkResponsesEncodeToPinnedBytes) {
       {stats,
        "01060d0c0b0a00000000000100000000000000020000000000000003"
        "00000000000000040000000000000005000000000000000600000000"
-       "0000000700000000000000010203040506070809000000"},
+       "00000007000000000000000102030405060708090000000a00000000"
+       "0000000b00000000000000"},
       {batch,
        "01070d0c0b0a0000000000020000000001000000000d000100000078"
        "00010000000000000002000000000000"},
@@ -1175,6 +1177,262 @@ TEST(ServeAgreementTest, ValidateAndBatchSlotAgreeWithDtdAccepts) {
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(malformed_docs, 15u);
   EXPECT_EQ(server.SnapshotStats().validation_rejected, 0u);
+}
+
+// A second input type (any number of c's) and a second program (c → e):
+// hot loads swap them in under the example names.
+constexpr char kManyInDtd[] = "a := c*\nc := ()\n";
+constexpr char kRenameToEXslt[] = R"(
+  template a { b { apply } }
+  template c { e }
+)";
+
+ServeOptions MemoOffOptions() {
+  ServeOptions options = TestOptions();
+  options.memo = TaMemoMode::kOff;
+  return options;
+}
+
+// The served form of check_memo_sweep's rule that a memo typecheck returns
+// the cold decision. A seeded sequence of typechecks and hot loads runs
+// against a memo-on server, which sends each typecheck twice, and a memo-off
+// server holding the same contents, which sends it once. The answers agree
+// field for field. A replay reports 0 checkpoints and 0 states; a first run
+// reports the cold server's counters, unless a downward proof cached for
+// the same content answers it.
+TEST(ServeAgreementTest, TypecheckReplaysAgreeWithAColdServer) {
+  TaOpCache::Global().Clear();
+  ServerCore warm(TestOptions());
+  ServerCore cold(MemoOffOptions());
+  LoadExampleRegistry(&warm);
+  LoadExampleRegistry(&cold);
+  struct Load {
+    std::string name;
+    std::string text;
+    bool xslt;
+  };
+  const std::vector<Load> loads = {
+      {"good_out", kGoodOutDtd, false}, {"good_out", kBadOutDtd, false},
+      {"bad_out", kBadOutDtd, false},   {"bad_out", kGoodOutDtd, false},
+      {"in", kInDtd, false},            {"in", kManyInDtd, false},
+      {"rename", kRenameXslt, true},    {"rename", kRenameToEXslt, true}};
+  const std::vector<std::array<std::string, 3>> triples = {
+      {"rename", "in", "good_out"},
+      {"rename", "in", "bad_out"},
+      {"copy", "micro", "micro"},
+      {"copy", "micro", "good_out"}};  // the copy alphabet lacks b and d
+
+  Rng rng(20261019);
+  uint32_t id = 1;
+  size_t replays = 0, proof_hits = 0, verdicts[2] = {0, 0};
+  for (int step = 0; step < 120; ++step) {
+    if (rng.NextBelow(4) == 0) {
+      const Load& load = loads[rng.NextBelow(loads.size())];
+      for (ServerCore* server : {&warm, &cold}) {
+        ASSERT_TRUE(load.xslt
+                        ? server->registry().PutXsltText(load.name, load.text)
+                              .ok()
+                        : server->registry().PutDtdText(load.name, load.text)
+                              .ok());
+      }
+      continue;
+    }
+    const auto& [t, in, out] = triples[rng.NextBelow(triples.size())];
+    SCOPED_TRACE(t + " " + in + " " + out + " at step " +
+                 std::to_string(step));
+    const uint64_t replays_before = warm.SnapshotStats().typecheck_replays;
+    const Response first = warm.Handle(MakeTypecheck(id++, t, in, out));
+    const bool first_replayed =
+        warm.SnapshotStats().typecheck_replays > replays_before;
+    const Response again = warm.Handle(MakeTypecheck(id++, t, in, out));
+    const Response base = cold.Handle(MakeTypecheck(id++, t, in, out));
+    ASSERT_EQ(first.header.status, base.header.status) << base.header.detail;
+    ASSERT_EQ(again.header.status, base.header.status) << base.header.detail;
+    EXPECT_EQ(first.header.detail, base.header.detail);
+    if (base.header.status != WireStatus::kOk) {
+      EXPECT_FALSE(first_replayed) << "an error is never stored";
+      continue;
+    }
+    const auto& want = std::get<TypecheckResponse>(base.body);
+    ASSERT_NE(want.verdict, 2);
+    ++verdicts[want.verdict];
+    for (const Response* r : {&first, &again}) {
+      const auto& got = std::get<TypecheckResponse>(r->body);
+      EXPECT_EQ(got.verdict, want.verdict);
+      EXPECT_EQ(got.method, want.method);
+      EXPECT_EQ(got.exhausted, want.exhausted);
+      EXPECT_EQ(got.exhaustion_code, want.exhaustion_code);
+      EXPECT_EQ(got.exhaustion_pass, want.exhaustion_pass);
+      EXPECT_EQ(got.exhaustion_detail, want.exhaustion_detail);
+      EXPECT_EQ(got.counterexample_input_xml, want.counterexample_input_xml);
+      EXPECT_EQ(got.counterexample_output_xml,
+                want.counterexample_output_xml);
+    }
+    const auto& again_body = std::get<TypecheckResponse>(again.body);
+    EXPECT_EQ(again_body.checkpoints, 0u);
+    EXPECT_EQ(again_body.states_materialized, 0u);
+    ++replays;
+    const auto& first_body = std::get<TypecheckResponse>(first.body);
+    if (first_replayed) {
+      EXPECT_EQ(first_body.checkpoints, 0u);
+      EXPECT_EQ(first_body.states_materialized, 0u);
+      ++replays;
+    } else if (first_body.checkpoints == 0) {
+      EXPECT_EQ(first_body.method, "downward-fastpath");
+      EXPECT_GT(want.checkpoints, 0u);
+      ++proof_hits;
+    } else {
+      EXPECT_EQ(first_body.checkpoints, want.checkpoints);
+      EXPECT_EQ(first_body.states_materialized, want.states_materialized);
+    }
+  }
+  EXPECT_EQ(warm.SnapshotStats().typecheck_replays, replays);
+  EXPECT_GT(replays, 0u);
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
+  EXPECT_GT(proof_hits, 0u) << "the sequence revisits proven content";
+  EXPECT_EQ(cold.SnapshotStats().typecheck_replays, 0u);
+}
+
+// The decision map's storage rules, one case each.
+class ServeDecisionTest : public ServeDispatchTest {
+ protected:
+  // The checkpoints an armed, never-tripping injector counts for `request`.
+  uint64_t ArmedCheckpoints(const Request& request) {
+    TaFaultInjector probe;
+    probe.trip_at = ~uint64_t{0};
+    server_.ArmFaultForNextRequest(&probe);
+    Response response = server_.Handle(request);
+    EXPECT_EQ(response.header.status, WireStatus::kOk)
+        << response.header.detail;
+    EXPECT_GT(std::get<TypecheckResponse>(response.body).checkpoints, 0u)
+        << "an armed request never replays";
+    return probe.seen;
+  }
+};
+
+TEST_F(ServeDecisionTest, FaultArmedRequestsSkipTheMap) {
+  const Request bad = MakeTypecheck(1, "rename", "in", "bad_out");
+  const uint64_t before = ArmedCheckpoints(bad);
+  const StatsResponse armed = server_.SnapshotStats();
+  EXPECT_EQ(armed.typecheck_runs, 1u);
+  EXPECT_EQ(armed.typecheck_replays, 0u) << "an armed run stores nothing";
+  ASSERT_EQ(server_.Handle(bad).header.status, WireStatus::kOk);
+  ASSERT_EQ(server_.Handle(bad).header.status, WireStatus::kOk);
+  EXPECT_EQ(server_.SnapshotStats().typecheck_replays, 1u);
+  EXPECT_EQ(ArmedCheckpoints(bad), before);
+  EXPECT_EQ(server_.SnapshotStats().typecheck_runs, 3u);
+}
+
+TEST_F(ServeDecisionTest, CancelledAndExhaustedRunsStoreNothing) {
+  const Request good = MakeTypecheck(1, "rename", "in", "good_out");
+  std::atomic<bool> cancel{true};
+  const Response cancelled = server_.Handle(good, &cancel);
+  ASSERT_EQ(cancelled.header.status, WireStatus::kOk);
+  ASSERT_EQ(std::get<TypecheckResponse>(cancelled.body).verdict, 2);
+  const Response decided = server_.Handle(good);
+  ASSERT_EQ(decided.header.status, WireStatus::kOk);
+  EXPECT_EQ(std::get<TypecheckResponse>(decided.body).verdict, 0);
+  EXPECT_GT(std::get<TypecheckResponse>(decided.body).checkpoints, 0u);
+  EXPECT_EQ(server_.SnapshotStats().typecheck_replays, 0u);
+
+  // Budgets too small for any pass: every answer is exhausted, and each
+  // request runs again.
+  ServeOptions starved = TestOptions();
+  starved.max_det_states = 1;
+  starved.max_antichain_pairs = 1;
+  ServerCore server(starved);
+  LoadExampleRegistry(&server);
+  for (int i = 0; i < 3; ++i) {
+    const Response r = server.Handle(good);
+    ASSERT_EQ(r.header.status, WireStatus::kOk) << r.header.detail;
+    EXPECT_TRUE(std::get<TypecheckResponse>(r.body).exhausted);
+  }
+  EXPECT_EQ(server.SnapshotStats().typecheck_runs, 3u);
+  EXPECT_EQ(server.SnapshotStats().typecheck_replays, 0u);
+}
+
+TEST_F(ServeDecisionTest, MemoOffNeverReplays) {
+  ServerCore server(MemoOffOptions());
+  LoadExampleRegistry(&server);
+  for (int i = 0; i < 3; ++i) {
+    for (const char* out : {"good_out", "bad_out"}) {
+      const Response r = server.Handle(MakeTypecheck(i, "rename", "in", out));
+      ASSERT_EQ(r.header.status, WireStatus::kOk) << r.header.detail;
+      EXPECT_GT(std::get<TypecheckResponse>(r.body).checkpoints, 0u);
+    }
+  }
+  EXPECT_EQ(server.SnapshotStats().typecheck_runs, 6u);
+  EXPECT_EQ(server.SnapshotStats().typecheck_replays, 0u);
+}
+
+// More distinct name triples than the cap: a second sweep over them can
+// replay at most the cap's worth.
+TEST_F(ServeDecisionTest, TheMapHoldsAtMostTheCap) {
+  const size_t names = ServerCore::kMaxDecidedTypechecks + 64;
+  for (size_t i = 0; i < names; ++i) {
+    ASSERT_TRUE(server_.registry()
+                    .PutDtdText("out" + std::to_string(i), kGoodOutDtd)
+                    .ok());
+  }
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (size_t i = 0; i < names; ++i) {
+      const Response r = server_.Handle(MakeTypecheck(
+          static_cast<uint32_t>(i), "rename", "in", "out" + std::to_string(i)));
+      ASSERT_EQ(r.header.status, WireStatus::kOk) << r.header.detail;
+      ASSERT_EQ(std::get<TypecheckResponse>(r.body).verdict, 0);
+    }
+  }
+  const StatsResponse stats = server_.SnapshotStats();
+  EXPECT_EQ(stats.typecheck_runs + stats.typecheck_replays, 2 * names);
+  EXPECT_GT(stats.typecheck_replays, 0u);
+  EXPECT_LE(stats.typecheck_replays, ServerCore::kMaxDecidedTypechecks);
+}
+
+// Four threads repeat one typecheck while a fifth swaps the output type
+// between the good and the bad content. Each reply is one of the two exact
+// answers, and once the good content is back for good, no stale refutation
+// is replayed. CI runs the serve suites under TSan.
+TEST(ServeConcurrencyTest, RepeatsRaceHotLoads) {
+  ServeOptions options = TestOptions();
+  options.max_in_flight = 8;
+  ServerCore server(options);
+  LoadExampleRegistry(&server);
+  std::atomic<bool> loading{true};
+  std::atomic<int> bad_replies{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; loading.load() || i < 50; ++i) {
+        const Response r = server.Handle(MakeTypecheck(
+            static_cast<uint32_t>(t * 100000 + i), "rename", "in", "out"));
+        if (r.header.status == WireStatus::kNotFound) continue;  // not yet
+        ASSERT_EQ(r.header.status, WireStatus::kOk) << r.header.detail;
+        const auto& body = std::get<TypecheckResponse>(r.body);
+        ASSERT_LE(body.verdict, 1);
+        if (body.verdict == 1) {
+          ASSERT_EQ(body.counterexample_input_xml, "<a><c/></a>");
+          ASSERT_EQ(body.counterexample_output_xml, "<b><d/></b>");
+          bad_replies.fetch_add(1);
+        }
+      }
+    });
+  }
+  // EXPECT, not ASSERT: the workers must be joined on every path.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(server.registry()
+                    .PutDtdText("out", i % 2 == 0 ? kBadOutDtd : kGoodOutDtd)
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  loading.store(false);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(bad_replies.load(), 0);
+  const Response last =
+      server.Handle(MakeTypecheck(1, "rename", "in", "out"));
+  ASSERT_EQ(last.header.status, WireStatus::kOk) << last.header.detail;
+  EXPECT_EQ(std::get<TypecheckResponse>(last.body).verdict, 0);
+  EXPECT_GT(server.SnapshotStats().typecheck_replays, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "src/alphabet/alphabet.h"
 #include "src/check/reference_ops.h"
+#include "src/common/packed_sets.h"
 #include "src/common/rng.h"
 #include "src/graph/agap.h"
 #include "src/ta/convert.h"
@@ -22,7 +23,6 @@
 #include "src/ta/nbta_index.h"
 #include "src/ta/random_ta.h"
 #include "src/ta/op_context.h"
-#include "src/ta/packed_sets.h"
 #include "src/ta/topdown.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"

@@ -160,7 +160,8 @@ void PrintResponse(const Response& response) {
     }
   } else if (const auto* s = std::get_if<StatsResponse>(&response.body)) {
     std::printf("  total=%llu ok=%llu malformed=%llu invalid=%llu "
-                "shed=%llu degraded=%llu hard=%llu in_flight=%u\n",
+                "shed=%llu degraded=%llu hard=%llu in_flight=%u "
+                "typecheck_runs=%llu typecheck_replays=%llu\n",
                 static_cast<unsigned long long>(s->requests_total),
                 static_cast<unsigned long long>(s->responses_ok),
                 static_cast<unsigned long long>(s->malformed_rejected),
@@ -168,7 +169,9 @@ void PrintResponse(const Response& response) {
                 static_cast<unsigned long long>(s->overload_rejected),
                 static_cast<unsigned long long>(s->degraded_verdicts),
                 static_cast<unsigned long long>(s->hard_errors),
-                s->in_flight);
+                s->in_flight,
+                static_cast<unsigned long long>(s->typecheck_runs),
+                static_cast<unsigned long long>(s->typecheck_replays));
   }
 }
 

@@ -173,13 +173,15 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "pebbletc_serve: served %llu request(s): %llu ok, "
                "%llu malformed, %llu invalid, %llu shed, %llu degraded, "
-               "%llu hard error(s)\n",
+               "%llu hard error(s); %llu typecheck run(s), %llu replay(s)\n",
                static_cast<unsigned long long>(stats.requests_total),
                static_cast<unsigned long long>(stats.responses_ok),
                static_cast<unsigned long long>(stats.malformed_rejected),
                static_cast<unsigned long long>(stats.validation_rejected),
                static_cast<unsigned long long>(stats.overload_rejected),
                static_cast<unsigned long long>(stats.degraded_verdicts),
-               static_cast<unsigned long long>(stats.hard_errors));
+               static_cast<unsigned long long>(stats.hard_errors),
+               static_cast<unsigned long long>(stats.typecheck_runs),
+               static_cast<unsigned long long>(stats.typecheck_replays));
   return 0;
 }
