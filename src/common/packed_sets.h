@@ -12,6 +12,11 @@
 //   - the content-model subset construction (DeterminizeWithin,
 //     src/regex/dfa.h): its subsets, the DFA states, and its kernels; the
 //     NFA's ε-closure (EpsilonClosure, src/regex/nfa.h) closes such sets.
+//   - the pebble machines' configuration space (ConfigTable,
+//     src/pt/machine.h): a configuration, one word for the state and one
+//     per pebble slot, whose ids are A_t's states (BuildOutputAutomaton),
+//     G_{A,t}'s or-nodes (PebbleAutomatonAccepts) and the branch walker's
+//     divergence set (RunDeterministicBranches).
 
 #ifndef PEBBLETC_COMMON_PACKED_SETS_H_
 #define PEBBLETC_COMMON_PACKED_SETS_H_

@@ -77,13 +77,8 @@ Result<bool> Typechecker::CheckOnInputAntichain(
     const BinaryTree& input, const NbtaIndex& tau2_idx, TaOpContext* ctx,
     std::optional<BinaryTree>* violating_output) const {
   PEBBLETC_ASSIGN_OR_RETURN(
-      OutputAutomaton a_t,
-      BuildOutputAutomaton(transducer_, input, ctx->budgets.max_configs, ctx));
-  // Trim first: the search interns a pair per inhabited A-state, and most
-  // of A_t's configurations never reach an output (the paper's Q1 on a^5:
-  // 436,514 states, 153 useful), which would blow the pair budget.
-  Nbta outputs =
-      TrimNbta(NbtaIndex(TopDownToNbta(a_t.automaton, ctx), ctx), ctx);
+      Nbta outputs,
+      BuildOutputNbta(transducer_, input, ctx->budgets.max_configs, ctx));
   NbtaIndex outputs_idx(outputs, ctx);
   // The per-input inclusion bypasses the op cache: every enumerated tree
   // yields a distinct operand hash that would never be re-hit

@@ -1,8 +1,7 @@
 #include "src/pa/automaton.h"
 
-#include <map>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/graph/agap.h"
@@ -52,84 +51,45 @@ Result<bool> PebbleAutomatonAccepts(const PebbleAutomaton& a,
                                     const BinaryTree& tree,
                                     size_t max_configs) {
   if (tree.empty()) return Status::InvalidArgument("empty tree");
-  using Config = PebbleAutomaton::Config;
-  using TKind = PebbleAutomaton::TransitionKind;
-
-  // Reachable configurations.
-  std::map<Config, AgapNodeId> index;
-  std::vector<Config> configs;
-  auto intern = [&](Config c) -> AgapNodeId {
-    auto [it, inserted] = index.emplace(std::move(c), configs.size());
-    if (inserted) configs.push_back(it->first);
-    return it->second;
-  };
-  intern(a.InitialConfig(tree));
-
-  // Edge records, materialized into the graph after interning finishes (node
-  // ids for configs are their interning order, which is stable).
-  struct Edge {
-    AgapNodeId from;
-    AgapNodeId to1;
-    AgapNodeId to2;  // == kNoEdge unless a branch pair
-    bool accept;
-  };
-  constexpr AgapNodeId kNoEdge = static_cast<AgapNodeId>(-1);
-  std::vector<Edge> edges;
-
-  for (size_t i = 0; i < configs.size(); ++i) {
-    if (max_configs != 0 && configs.size() > max_configs) {
-      return Status::ResourceExhausted(
-          "configuration budget of " + std::to_string(max_configs) +
-          " exceeded");
-    }
-    const Config current = configs[i];  // copy: vector grows below
-    for (const auto* tr : a.Applicable(tree, current)) {
-      switch (tr->kind) {
-        case TKind::kMove: {
-          AgapNodeId to = intern(a.ApplyMove(*tr, tree, current));
-          edges.push_back(
-              {static_cast<AgapNodeId>(i), to, kNoEdge, false});
-          break;
-        }
-        case TKind::kAccept:
-          edges.push_back({static_cast<AgapNodeId>(i), kNoEdge, kNoEdge, true});
-          break;
-        case TKind::kBranch: {
-          Config l = current;
-          l.state = tr->left;
-          Config r = current;
-          r.state = tr->right;
-          AgapNodeId li = intern(std::move(l));
-          AgapNodeId ri = intern(std::move(r));
-          edges.push_back({static_cast<AgapNodeId>(i), li, ri, false});
-          break;
-        }
-      }
-    }
-  }
-
-  // Build G_{A,t}: configurations are or-nodes; each branch2 instance gets an
-  // and-node; branch0 points at the universal (empty and) accept node.
+  using NodeType = AlternatingGraph::NodeType;
+  // G_{A,t}, built as the configurations are explored: each configuration
+  // is an or-node, each branch0 points at the universal accept node (an
+  // and-node with no successors), and each branch2 at an and-node over its
+  // two configurations.
   AlternatingGraph g;
-  for (size_t i = 0; i < configs.size(); ++i) {
-    g.AddNode(AlternatingGraph::NodeType::kOr);
-  }
-  AgapNodeId accept = g.AddNode(AlternatingGraph::NodeType::kAnd);
-  for (const Edge& e : edges) {
-    if (e.accept) {
-      g.AddEdge(e.from, accept);
-    } else if (e.to2 == kNoEdge) {
-      g.AddEdge(e.from, e.to1);
-    } else {
-      AgapNodeId pair = g.AddNode(AlternatingGraph::NodeType::kAnd);
-      g.AddEdge(e.from, pair);
-      g.AddEdge(pair, e.to1);
-      g.AddEdge(pair, e.to2);
+  const AgapNodeId accept = g.AddNode(NodeType::kAnd);
+  std::vector<AgapNodeId> node_of;  // configuration id → its or-node
+  auto node = [&](uint32_t config) {
+    while (node_of.size() <= config) {
+      node_of.push_back(g.AddNode(NodeType::kOr));
     }
-  }
-  std::vector<bool> accessible = g.ComputeAccessible();
-  // The initial configuration was interned first (node id 0).
-  return static_cast<bool>(accessible[0]);
+    return node_of[config];
+  };
+  ConfigTable configs(a.max_pebbles());
+  PEBBLETC_RETURN_IF_ERROR(a.ExploreConfigs(
+      tree, max_configs, /*ctx=*/nullptr, configs,
+      [&](uint32_t from, const PebbleAutomaton::Config& config,
+          const PebbleAutomaton::Transition& tr, uint32_t to) {
+        switch (tr.kind) {
+          case PebbleAutomaton::TransitionKind::kMove:
+            g.AddEdge(node(from), node(to));
+            break;
+          case PebbleAutomaton::TransitionKind::kAccept:
+            g.AddEdge(node(from), accept);
+            break;
+          case PebbleAutomaton::TransitionKind::kBranch: {
+            const uint32_t left = configs.Intern(tr.left, config.pebbles);
+            const uint32_t right = configs.Intern(tr.right, config.pebbles);
+            const AgapNodeId pair = g.AddNode(NodeType::kAnd);
+            g.AddEdge(node(from), pair);
+            g.AddEdge(pair, node(left));
+            g.AddEdge(pair, node(right));
+            break;
+          }
+        }
+      }));
+  // The initial configuration was interned first (id 0).
+  return static_cast<bool>(g.ComputeAccessible()[node(0)]);
 }
 
 }  // namespace pebbletc

@@ -1,7 +1,5 @@
 #include "src/pt/eval.h"
 
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -28,89 +26,41 @@ Result<OutputAutomaton> BuildOutputAutomaton(const PebbleTransducer& t,
   if (input.empty()) {
     return Status::InvalidArgument("empty input tree");
   }
-  // Intern reachable configurations.
-  std::map<Config, StateId> index;
-  std::vector<Config> configs;
-  auto intern = [&](Config c) -> StateId {
-    auto [it, inserted] = index.emplace(std::move(c), configs.size());
-    if (inserted) configs.push_back(it->first);
-    return it->second;
-  };
-  intern(t.InitialConfig(input));
-
-  // Transition records gathered during the BFS; emitted into the automaton
-  // once the final state id (qf = #configs) is known.
-  struct SilentRec {
-    StateId from;
-    StateId to;          // config id, or kNoSymbol marker for qf
-    SymbolId symbol;     // specific symbol, or kAnySymbol for "every symbol"
-  };
-  std::vector<SilentRec> silents;
-  struct BinaryRec {
-    StateId from;
-    SymbolId symbol;
-    StateId left;
-    StateId right;
-  };
-  std::vector<BinaryRec> binaries;
-  constexpr StateId kFinalMarker = static_cast<StateId>(-2);
-
-  for (size_t i = 0; i < configs.size(); ++i) {
-    PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
-    if (max_configs != 0 && configs.size() > max_configs) {
-      return Status::ResourceExhausted(
-          "configuration budget of " + std::to_string(max_configs) +
-          " exceeded");
-    }
-    const Config current = configs[i];  // copy: `configs` grows below
-    for (const auto* tr : t.Applicable(input, current)) {
-      switch (tr->kind) {
-        case TKind::kMove: {
-          StateId to = intern(t.ApplyMove(*tr, input, current));
-          silents.push_back(
-              {static_cast<StateId>(i), to, kAnySymbol});
-          break;
-        }
-        case TKind::kOutputLeaf:
-          silents.push_back(
-              {static_cast<StateId>(i), kFinalMarker, tr->output_symbol});
-          break;
-        case TKind::kOutputBinary: {
-          Config l = current;
-          l.state = tr->out_left;
-          Config r = current;
-          r.state = tr->out_right;
-          StateId li = intern(std::move(l));
-          StateId ri = intern(std::move(r));
-          binaries.push_back(
-              {static_cast<StateId>(i), tr->output_symbol, li, ri});
-          break;
-        }
-      }
-    }
-  }
-
+  // A_t's states are the configurations, numbered as interned (the initial
+  // one, 0, is the start), and the leaf state qf = #configs. Rules are
+  // written as the configurations are explored; a leaf output names qf as
+  // kNoConfig until the count is known.
   OutputAutomaton out;
-  out.num_configs = configs.size();
   TopDownTA& a = out.automaton;
   a.num_symbols = t.num_output_symbols();
-  for (size_t i = 0; i < configs.size(); ++i) a.AddState();
-  const StateId qf = a.AddState();
-  a.start = 0;  // the initial configuration was interned first
-
-  for (const SilentRec& s : silents) {
-    const StateId to = (s.to == kFinalMarker) ? qf : s.to;
-    if (s.symbol == kAnySymbol) {
-      // Pebble moves are independent of the output label.
-      for (SymbolId sym = 0; sym < a.num_symbols; ++sym) {
-        a.AddSilent(sym, s.from, to);
-      }
-    } else {
-      a.AddSilent(s.symbol, s.from, to);
-    }
-  }
-  for (const BinaryRec& b : binaries) {
-    a.AddRule(b.symbol, b.from, b.left, b.right);
+  ConfigTable configs(t.max_pebbles());
+  PEBBLETC_RETURN_IF_ERROR(t.ExploreConfigs(
+      input, max_configs, ctx, configs,
+      [&](StateId from, const Config& config,
+          const PebbleTransducer::Transition& tr, StateId to) {
+        switch (tr.kind) {
+          case TKind::kMove:
+            // Pebble moves are independent of the output label.
+            for (SymbolId sym = 0; sym < a.num_symbols; ++sym) {
+              a.AddSilent(sym, from, to);
+            }
+            break;
+          case TKind::kOutputLeaf:
+            a.AddSilent(tr.output_symbol, from, kNoConfig);
+            break;
+          case TKind::kOutputBinary: {
+            const StateId left = configs.Intern(tr.out_left, config.pebbles);
+            a.AddRule(tr.output_symbol, from, left,
+                      configs.Intern(tr.out_right, config.pebbles));
+            break;
+          }
+        }
+      }));
+  out.num_configs = configs.size();
+  const StateId qf = configs.size();
+  a.num_states = qf + 1;
+  for (TopDownTA::SilentRule& s : a.silent) {
+    if (s.to == kNoConfig) s.to = qf;
   }
   // qf accepts exactly at leaves (the output0 symbol was already checked by
   // the label-specific silent transition into qf).
@@ -120,6 +70,14 @@ Result<OutputAutomaton> BuildOutputAutomaton(const PebbleTransducer& t,
   TaCountStates(ctx, a.num_states);
   TaCountRules(ctx, a.rules.size() + a.silent.size() + a.final_pairs.size());
   return out;
+}
+
+Result<Nbta> BuildOutputNbta(const PebbleTransducer& t,
+                             const BinaryTree& input, size_t max_configs,
+                             TaOpContext* ctx) {
+  PEBBLETC_ASSIGN_OR_RETURN(OutputAutomaton a,
+                            BuildOutputAutomaton(t, input, max_configs, ctx));
+  return TrimNbta(NbtaIndex(TopDownToNbta(a.automaton, ctx), ctx), ctx);
 }
 
 Result<bool> OutputContains(const PebbleTransducer& t, const BinaryTree& input,
@@ -136,9 +94,8 @@ Result<std::vector<BinaryTree>> EnumerateOutputs(const PebbleTransducer& t,
                                                  size_t max_count,
                                                  size_t max_configs,
                                                  TaOpContext* ctx) {
-  PEBBLETC_ASSIGN_OR_RETURN(OutputAutomaton a,
-                            BuildOutputAutomaton(t, input, max_configs, ctx));
-  Nbta nbta = TrimNbta(NbtaIndex(TopDownToNbta(a.automaton, ctx), ctx), ctx);
+  PEBBLETC_ASSIGN_OR_RETURN(Nbta nbta,
+                            BuildOutputNbta(t, input, max_configs, ctx));
   std::vector<BinaryTree> trees =
       EnumerateAcceptedTrees(nbta, max_nodes, max_count, ctx);
   // An interrupted enumeration yields genuine-but-fewer outputs; surface the
@@ -171,7 +128,7 @@ Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
     work.pop_back();
     // Configurations seen on this branch since its last output; revisiting
     // one means the (deterministic) run diverges.
-    std::set<Config> seen;
+    ConfigTable seen(t.max_pebbles());
     while (true) {
       PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
       if (++steps > max_steps) {
@@ -182,13 +139,13 @@ Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
       PEBBLETC_ASSIGN_OR_RETURN(const PebbleTransducer::Transition tr,
                                 next(branch.config));
       if (tr.kind == TKind::kMove) {
-        Config moved = t.ApplyMove(tr, input, branch.config);
-        if (!seen.insert(std::move(branch.config)).second) {
+        const uint32_t seen_before = seen.size();
+        if (seen.Intern(branch.config) < seen_before) {
           return Status::FailedPrecondition(
               "transducer diverges on this input (configuration revisited "
               "without output)");
         }
-        branch.config = std::move(moved);
+        branch.config = t.ApplyMove(tr, input, branch.config);
         continue;
       }
       // Output: allocate the proto node and wire it to the parent slot.
@@ -209,7 +166,7 @@ Result<BinaryTree> RunDeterministicBranches(const PebbleTransducer& t,
       branch.config.state = tr.out_left;
       branch.parent = node;
       branch.is_left = true;
-      seen.clear();
+      seen = ConfigTable(t.max_pebbles());
     }
   }
   PEBBLETC_CHECK(root_index != kNoNode) << "no output produced";

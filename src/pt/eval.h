@@ -20,6 +20,7 @@
 
 #include "src/common/result.h"
 #include "src/pt/transducer.h"
+#include "src/ta/nbta.h"
 #include "src/ta/topdown.h"
 #include "src/tree/binary_tree.h"
 
@@ -35,11 +36,20 @@ struct OutputAutomaton {
 
 /// Builds A_t. `max_configs` (0 = unlimited) bounds the configuration space.
 /// A `ctx` threads deadline/cancel checkpoints and counters through the
-/// configuration BFS.
+/// configuration BFS (PebbleMachine::ExploreConfigs).
 Result<OutputAutomaton> BuildOutputAutomaton(const PebbleTransducer& t,
                                              const BinaryTree& input,
                                              size_t max_configs = 0,
                                              TaOpContext* ctx = nullptr);
+
+/// A_t in the form the antichain engine and the enumeration read: an NBTA
+/// without silent moves, trimmed to the states that reach an output. Most
+/// of A_t's configurations never do (the paper's Q1 on a^5: 436,514 states,
+/// 153 useful), and the antichain search interns a pair per inhabited
+/// state, so the trim keeps that search within its pair budget.
+Result<Nbta> BuildOutputNbta(const PebbleTransducer& t,
+                             const BinaryTree& input, size_t max_configs = 0,
+                             TaOpContext* ctx = nullptr);
 
 /// Membership test: candidate ∈ T(input)? (PTIME in |input| and |candidate|.)
 Result<bool> OutputContains(const PebbleTransducer& t, const BinaryTree& input,

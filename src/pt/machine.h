@@ -12,20 +12,29 @@
 // and which of pebbles 1..i-1 share its node (the paper's b-vector; here a
 // mask/value pair so "don't care" bits need not be enumerated).
 //
+// The machines share one configuration space too: a ConfigTable interns
+// configurations, and ExploreConfigs walks the ones a machine reaches on a
+// tree. That walk is the configuration graph under Proposition 3.8's A_t
+// (src/pt/eval.h) and Theorem 4.7's G_{A,t} (src/pa/automaton.h).
+//
 // Everything here is inline so that the per-configuration calls of the
 // evaluators (Applicable above all) compile into their loops.
 
 #ifndef PEBBLETC_PT_MACHINE_H_
 #define PEBBLETC_PT_MACHINE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/check.h"
+#include "src/common/packed_sets.h"
 #include "src/common/status.h"
 #include "src/regex/nfa.h"  // StateId
+#include "src/ta/op_context.h"
 #include "src/tree/binary_tree.h"
 
 namespace pebbletc {
@@ -59,14 +68,45 @@ enum class PebbleMoveKind {
 struct PebbleConfig {
   StateId state;
   std::vector<NodeId> pebbles;
+};
 
-  friend bool operator==(const PebbleConfig& a, const PebbleConfig& b) {
-    return a.state == b.state && a.pebbles == b.pebbles;
+/// The id no configuration gets.
+inline constexpr uint32_t kNoConfig = PackedSetTable::kNone;
+
+/// Interns the configurations of a machine with up to `max_pebbles` pebbles
+/// and numbers them 0, 1, … in the order they are first seen. A key is one
+/// word for the state and one per pebble slot, the slots above the state's
+/// level holding kNoNode, so equal configurations pack to equal keys.
+class ConfigTable {
+ public:
+  explicit ConfigTable(uint32_t max_pebbles)
+      : table_(1 + max_pebbles), key_(1 + max_pebbles) {}
+
+  uint32_t size() const { return table_.size(); }
+
+  /// The id of (state, pebbles), interning it when new.
+  uint32_t Intern(StateId state, std::span<const NodeId> pebbles) {
+    PEBBLETC_DCHECK(pebbles.size() < key_.size()) << "too many pebbles";
+    key_[0] = state;
+    std::fill(std::copy(pebbles.begin(), pebbles.end(), key_.begin() + 1),
+              key_.end(), kNoNode);
+    return table_.Intern(key_.data());
   }
-  friend bool operator<(const PebbleConfig& a, const PebbleConfig& b) {
-    if (a.state != b.state) return a.state < b.state;
-    return a.pebbles < b.pebbles;
+  uint32_t Intern(const PebbleConfig& c) { return Intern(c.state, c.pebbles); }
+
+  /// Writes configuration `id` into `*c`, reusing its pebble buffer.
+  void Get(uint32_t id, PebbleConfig* c) const {
+    const uint64_t* key = table_.Set(id);
+    c->state = static_cast<StateId>(key[0]);
+    c->pebbles.clear();
+    for (size_t j = 1; j < key_.size() && key[j] != kNoNode; ++j) {
+      c->pebbles.push_back(static_cast<NodeId>(key[j]));
+    }
   }
+
+ private:
+  PackedSetTable table_;
+  std::vector<uint64_t> key_;
 };
 
 /// Whether `guard` holds in `config` on `tree`.
@@ -204,6 +244,39 @@ class PebbleMachine {
       if (Applies(t, tree, config)) out.push_back(&t);
     }
     return out;
+  }
+
+  /// Explores breadth first the configurations reachable on `tree`,
+  /// interning them in the empty `configs`: the initial configuration gets
+  /// id 0. For each configuration `from`, in id order, and each transition
+  /// `t` applicable there, in declaration order, calls
+  /// visit(from, config, t, to), where `config` is configuration `from` and
+  /// `to` is the id of a move's successor (kNoConfig for other kinds). A
+  /// visitor interns the configurations its transitions spawn, a branch's
+  /// left one first. One checkpoint per configuration; more than
+  /// `max_configs` (0 = unlimited) configurations is kResourceExhausted.
+  template <typename Visit>
+  Status ExploreConfigs(const BinaryTree& tree, size_t max_configs,
+                        TaOpContext* ctx, ConfigTable& configs,
+                        Visit&& visit) const {
+    configs.Intern(InitialConfig(tree));
+    Config config{};
+    for (uint32_t from = 0; from < configs.size(); ++from) {
+      PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
+      if (max_configs != 0 && configs.size() > max_configs) {
+        return Status::ResourceExhausted("configuration budget of " +
+                                         std::to_string(max_configs) +
+                                         " exceeded");
+      }
+      configs.Get(from, &config);
+      for (const Transition* t : Applicable(tree, config)) {
+        const uint32_t to = t->kind == decltype(t->kind)::kMove
+                                ? configs.Intern(ApplyMove(*t, tree, config))
+                                : kNoConfig;
+        visit(from, config, *t, to);
+      }
+    }
+    return Status::OK();
   }
 
  protected:

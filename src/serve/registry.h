@@ -27,10 +27,14 @@
 #ifndef PEBBLETC_SERVE_REGISTRY_H_
 #define PEBBLETC_SERVE_REGISTRY_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -111,6 +115,52 @@ class ArtifactRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const RegistryEntry>, std::less<>>
       entries_;
+};
+
+/// A bounded cache of values derived from registry entries, keyed by the N
+/// names they were derived from (docs/CACHING.md). A value hits while each
+/// name still resolves to the entry it was derived from. The cache holds
+/// weak pointers, so a replaced entry is neither kept alive nor mistaken
+/// for a new one allocated at its address. Storing a new key when `cap`
+/// values are held evicts the least key.
+template <size_t N, typename Value>
+class RegistryKeyedCache {
+ public:
+  using Names = std::array<std::string, N>;
+  using Entries = std::array<std::shared_ptr<const RegistryEntry>, N>;
+
+  explicit RegistryKeyedCache(size_t cap) : cap_(cap) {}
+
+  /// The value stored under `names` from exactly `entries`, if any.
+  std::optional<Value> Find(const Names& names, const Entries& entries) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = values_.find(names);
+    if (it == values_.end()) return std::nullopt;
+    for (size_t i = 0; i < N; ++i) {
+      if (it->second.sources[i].lock() != entries[i]) return std::nullopt;
+    }
+    return it->second.value;
+  }
+
+  /// Stores `value` under `names`, derived from `entries`.
+  void Store(const Names& names, const Entries& entries, Value value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (values_.size() >= cap_ && !values_.contains(names)) {
+      values_.erase(values_.begin());
+    }
+    Slot& slot = values_[names];
+    std::copy(entries.begin(), entries.end(), slot.sources.begin());
+    slot.value = std::move(value);
+  }
+
+ private:
+  struct Slot {
+    std::array<std::weak_ptr<const RegistryEntry>, N> sources;
+    Value value;
+  };
+  const size_t cap_;
+  mutable std::mutex mu_;
+  std::map<Names, Slot> values_;
 };
 
 /// An EncodedAlphabet reconstructed from a stored ranked alphabet, plus the

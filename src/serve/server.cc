@@ -1,6 +1,9 @@
 #include "src/serve/server.h"
 
+#include <array>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/core/typechecker.h"
@@ -302,14 +305,10 @@ Result<std::shared_ptr<const ValidationPlan>> ServerCore::PlanFor(
         "artifact '" + name + "' is a " + RegistryKindName(entry->kind) +
         ", not a schema or DTD");
   }
+  // A hot-swapped artifact gets a different entry object, so its stale plan
+  // misses here.
   if (!bypass_cache) {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    auto it = plans_.find(name);
-    // Pointer identity against the registry snapshot: a hot-swapped artifact
-    // gets a different entry object, so its stale plan misses here.
-    if (it != plans_.end() && it->second.source == entry) {
-      return it->second.plan;
-    }
+    if (auto plan = plans_.Find({name}, {entry})) return *std::move(plan);
   }
   // Compile outside the lock: determinization can be slow and other
   // artifacts' requests must not stall behind it.
@@ -320,8 +319,7 @@ Result<std::shared_ptr<const ValidationPlan>> ServerCore::PlanFor(
   if (!plan.ok()) return plan.status();
   auto shared = std::make_shared<const ValidationPlan>(std::move(*plan));
   if (!bypass_cache && TaInterruptStatus(ctx).ok()) {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    plans_[name] = CachedPlan{std::move(entry), shared};
+    plans_.Store({name}, {std::move(entry)}, shared);
   }
   return shared;
 }
@@ -513,14 +511,12 @@ Response ServerCore::DoTypecheck(const RequestHeader& header,
       injector == nullptr && options_.memo != TaMemoMode::kOff;
   const std::array<std::string, 3> key = {req.transducer, req.input_type,
                                           req.output_type};
+  const std::array<std::shared_ptr<const RegistryEntry>, 3> sources = {
+      *program, *in_entry, *out_entry};
   if (use_decisions) {
-    std::lock_guard<std::mutex> lock(decided_mu_);
-    auto it = decided_.find(key);
-    if (it != decided_.end() && it->second.sources[0].lock() == *program &&
-        it->second.sources[1].lock() == *in_entry &&
-        it->second.sources[2].lock() == *out_entry) {
+    if (auto body = decided_.Find(key, sources)) {
       typecheck_replays_.fetch_add(1);
-      return OkResponse(header, it->second.body);
+      return OkResponse(header, *std::move(body));
     }
   }
 
@@ -568,11 +564,7 @@ Response ServerCore::DoTypecheck(const RequestHeader& header,
   // Only an exact verdict that no pass was cut short to reach is stored:
   // budgets are server-wide, so nothing else in a request could change it.
   if (use_decisions && body.verdict != 2 && !body.exhausted) {
-    std::lock_guard<std::mutex> lock(decided_mu_);
-    if (decided_.size() >= kMaxDecidedTypechecks && !decided_.count(key)) {
-      decided_.erase(decided_.begin());
-    }
-    decided_[key] = DecidedTypecheck{{*program, *in_entry, *out_entry}, body};
+    decided_.Store(key, sources, body);
   }
   body.checkpoints = result->op_counters.checkpoints;
   body.states_materialized = result->op_counters.states_materialized;

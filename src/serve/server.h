@@ -25,13 +25,10 @@
 #ifndef PEBBLETC_SERVE_SERVER_H_
 #define PEBBLETC_SERVE_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -89,8 +86,8 @@ struct ServeOptions {
 
 class ServerCore {
  public:
-  /// How many decided typechecks the server keeps; at the cap, storing a
-  /// new one evicts another.
+  /// How many decided typechecks, and how many validation plans, the
+  /// server keeps; at the cap, storing a new one evicts another.
   static constexpr size_t kMaxDecidedTypechecks = 1024;
 
   explicit ServerCore(ServeOptions options);
@@ -150,25 +147,15 @@ class ServerCore {
   std::atomic<TaFaultInjector*> armed_fault_{nullptr};
 
   /// Validation plan cache (docs/VALIDATION.md): one compiled plan per
-  /// artifact name, keyed to the registry snapshot it was built from.
-  struct CachedPlan {
-    std::shared_ptr<const RegistryEntry> source;
-    std::shared_ptr<const ValidationPlan> plan;
-  };
-  mutable std::mutex plan_mu_;
-  std::map<std::string, CachedPlan> plans_;
+  /// artifact name, valid while the name resolves to the entry it was
+  /// compiled from.
+  RegistryKeyedCache<1, std::shared_ptr<const ValidationPlan>> plans_{
+      kMaxDecidedTypechecks};
 
   /// Decided typechecks (docs/CACHING.md, "The served decision map"): the
-  /// clean, exact response for a (transducer, τ1, τ2) name triple, valid
-  /// while those names still resolve to the entries it was decided on.
-  /// Weak pointers, so a replaced entry is neither pinned nor mistaken for
-  /// a new one allocated at its address.
-  struct DecidedTypecheck {
-    std::array<std::weak_ptr<const RegistryEntry>, 3> sources;
-    TypecheckResponse body;  // checkpoints = states_materialized = 0
-  };
-  std::mutex decided_mu_;
-  std::map<std::array<std::string, 3>, DecidedTypecheck> decided_;
+  /// clean, exact response for a (transducer, τ1, τ2) name triple, with
+  /// checkpoints = states_materialized = 0.
+  RegistryKeyedCache<3, TypecheckResponse> decided_{kMaxDecidedTypechecks};
 
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> responses_ok_{0};

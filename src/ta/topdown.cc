@@ -138,16 +138,6 @@ TopDownTA EliminateSilentTransitions(const TopDownIndex& idx,
 }
 
 TopDownTA EliminateSilentTransitions(const TopDownTA& a, TaOpContext* ctx) {
-  // Fast path: nothing to eliminate, skip index construction entirely.
-  if (a.silent.empty()) {
-    TopDownTA out;
-    out.num_states = a.num_states;
-    out.num_symbols = a.num_symbols;
-    out.start = a.start;
-    out.final_pairs = a.final_pairs;
-    out.rules = a.rules;
-    return out;
-  }
   return EliminateSilentTransitions(TopDownIndex(a), ctx);
 }
 

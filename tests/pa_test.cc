@@ -102,6 +102,18 @@ TEST(PebbleAutomatonTest, WalkDownLeftSpine) {
       a, std::move(ParseBinaryTerm("a2(b2(a0,b0),b0)", sigma)).ValueOrDie()));
 }
 
+TEST(PebbleAutomatonTest, ConfigBudgetEnforced) {
+  RankedAlphabet sigma = TinyRanked();
+  PebbleAutomaton a = LeftSpineAutomaton(sigma, sigma.Find("b0"));
+  // The walk visits three configurations: the root, a2's left child, b0.
+  auto tree =
+      std::move(ParseBinaryTerm("a2(b2(b0,a0),a0)", sigma)).ValueOrDie();
+  EXPECT_TRUE(*PebbleAutomatonAccepts(a, tree, /*max_configs=*/3));
+  auto r = PebbleAutomatonAccepts(a, tree, /*max_configs=*/2);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
 // --- Theorem 4.7: MSO translation agrees with direct simulation ---
 
 TEST(Theorem47Test, LeftSpineAutomatonCompiles) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
@@ -12,8 +16,11 @@
 #include "src/pt/eval.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
+#include "src/query/pattern.h"
+#include "src/query/selection.h"
 #include "src/ta/convert.h"
 #include "src/ta/nbta.h"
+#include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"
 
@@ -157,6 +164,39 @@ TEST(PebbleTransducerTest, DivergenceDetected) {
   t.AddMove({}, q, M::kStay, q);  // spin forever
   auto tree = std::move(ParseBinaryTerm("a0", sigma)).ValueOrDie();
   auto r = EvalDeterministic(t, tree);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Pebble 2 walks down the left spine and, on the right-hand machine, back
+// up: the configurations share the state and pebble 1 and differ only in
+// pebble 2, so the divergence check must read every pebble slot.
+TEST(PebbleTransducerTest, DivergenceSeesEveryPebble) {
+  RankedAlphabet sigma = TinyRanked();
+  auto build = [&](bool climb) {
+    PebbleTransducer t(2, 4, 4);
+    StateId q1 = t.AddState(1);
+    StateId walk = t.AddState(2);
+    t.SetStart(q1);
+    t.AddMove({}, q1, M::kPlacePebble, walk);
+    for (SymbolId s : sigma.BinarySymbols()) {
+      t.AddMove({.symbol = s}, walk, M::kDownLeft, walk);
+    }
+    for (SymbolId s : sigma.LeafSymbols()) {
+      if (climb) {
+        t.AddMove({.symbol = s}, walk, M::kUpLeft, walk);
+      } else {
+        t.AddOutputLeaf({.symbol = s}, walk, s);
+      }
+    }
+    return t;
+  };
+  auto tree =
+      std::move(ParseBinaryTerm("a2(b2(b0,a0),a0)", sigma)).ValueOrDie();
+  auto walked = EvalDeterministic(build(false), tree);
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(BinaryTermString(*walked, sigma), "b0");
+  auto r = EvalDeterministic(build(true), tree);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -371,9 +411,8 @@ TEST(PreorderTest, SingleLeafInput) {
 
 TEST(OutputAutomatonTest, ConfigCountPolynomialInPebbles) {
   RankedAlphabet sigma = TinyRanked();
-  // A 2-pebble machine that walks pebble 2 over the whole tree for every
-  // position of pebble 1 would have Θ(n²) configurations; here we just check
-  // the interface reports sane counts for the copy machine (Θ(n)).
+  // The copy machine has Θ(n) configurations; PinnedForSelectionQuery
+  // below pins a 3-pebble machine's Θ(n²).
   PebbleTransducer copy = MakeCopyTransducer(sigma);
   Rng rng(11);
   size_t prev = 0;
@@ -383,6 +422,100 @@ TEST(OutputAutomatonTest, ConfigCountPolynomialInPebbles) {
     EXPECT_LE(dag.num_configs, 3 * input.size() + 3);
     EXPECT_GT(dag.num_configs, prev);
     prev = dag.num_configs;
+  }
+}
+
+// --- Prop. 3.8: A_t pinned rule for rule ---
+
+// A_t's sizes, its trimmed NBTA's, and an FNV-1a hash over both automata's
+// rule lists in order, which any change to the configuration numbering or
+// to the rule order moves.
+std::string PinOf(const PebbleTransducer& t, const BinaryTree& input) {
+  const OutputAutomaton dag =
+      std::move(BuildOutputAutomaton(t, input)).ValueOrDie();
+  const TopDownTA& a = dag.automaton;
+  const Nbta trimmed = std::move(BuildOutputNbta(t, input)).ValueOrDie();
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto add = [&h](std::initializer_list<uint32_t> words) {
+    for (uint32_t w : words) h = (h ^ w) * 0x100000001b3ull;
+  };
+  add({a.start});
+  for (const auto& r : a.rules) add({r.symbol, r.from, r.left, r.right});
+  for (const auto& s : a.silent) add({s.symbol, s.from, s.to});
+  for (const auto& f : a.final_pairs) add({f.symbol, f.state});
+  for (const auto& r : trimmed.leaf_rules) add({r.symbol, r.to});
+  for (const auto& r : trimmed.rules) add({r.symbol, r.left, r.right, r.to});
+  for (bool acc : trimmed.accepting) add({acc ? 1u : 0u});
+  char hash[17];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(h));
+  return "configs=" + std::to_string(dag.num_configs) +
+         " states=" + std::to_string(a.num_states) +
+         " binary=" + std::to_string(a.rules.size()) +
+         " silent=" + std::to_string(a.silent.size()) +
+         " finals=" + std::to_string(a.final_pairs.size()) +
+         " trimmed=" + std::to_string(trimmed.num_states) + "/" +
+         std::to_string(trimmed.rules.size()) + "/" +
+         std::to_string(trimmed.leaf_rules.size()) + " hash=" + hash;
+}
+
+TEST(OutputAutomatonTest, PinnedForPaperMachines) {
+  RankedAlphabet sigma = TinyRanked();
+  auto input = std::move(ParseBinaryTerm(
+                             "a2(b2(a0,b2(b0,a0)),a2(a2(b0,b0),a0))", sigma))
+                   .ValueOrDie();
+  EXPECT_EQ(PinOf(MakeCopyTransducer(sigma), input),
+            "configs=21 states=22 binary=5 silent=46 finals=4 "
+            "trimmed=11/5/6 hash=a73e646710927e88");
+  RankedAlphabet out_sigma = TinyRanked();
+  SymbolId x = std::move(out_sigma.AddBinary("x")).ValueOrDie();
+  auto doubling =
+      std::move(MakeDoublingTransducer(sigma, out_sigma, x)).ValueOrDie();
+  EXPECT_EQ(PinOf(doubling, input),
+            "configs=32 states=33 binary=16 silent=56 finals=5 "
+            "trimmed=22/16/6 hash=fc673f7ec25f7932");
+  RotationFixture f;
+  auto rot_input = std::move(ParseBinaryTerm(
+                                 "r(x(y(x(s,e),e),y(e,e)),x(e,e))", f.sigma))
+                       .ValueOrDie();
+  EXPECT_EQ(PinOf(f.t, rot_input),
+            "configs=36 states=37 binary=7 silent=176 finals=8 "
+            "trimmed=15/7/8 hash=14a24868aa15f518");
+}
+
+// The 3-pebble selection query of E2 (bench_eval) on its inputs, r with n
+// children a, a, b, a, b, ...: the configurations grow as Θ(n²), about
+// fourfold per doubling of n.
+TEST(OutputAutomatonTest, PinnedForSelectionQuery) {
+  Alphabet tags;
+  for (const char* n : {"r", "a", "b"}) tags.Intern(n);
+  SelectionQuery q;
+  q.pattern = std::move(ParsePattern("[r.(a|b)*.a]", &tags)).ValueOrDie();
+  q.selected = 0;
+  Alphabet out_tags;
+  SelectionOutputTags ot = ExtendAlphabetForSelection(tags, &out_tags);
+  auto in_enc = std::move(MakeEncodedAlphabet(tags)).ValueOrDie();
+  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
+  auto t = std::move(CompileSelectionQuery(q, in_enc, out_enc, ot))
+               .ValueOrDie();
+  ASSERT_EQ(t.max_pebbles(), 3u);
+  const std::vector<std::pair<int, std::string>> pins = {
+      {2, "configs=242 states=243 binary=8 silent=1823 finals=8 "
+          "trimmed=15/8/7 hash=9eadc3f89b432a6c"},
+      {4, "configs=726 states=727 binary=11 silent=5650 finals=8 "
+          "trimmed=21/11/10 hash=f33763e2c52b6fb9"},
+      {8, "configs=2492 states=2493 binary=17 silent=19688 finals=8 "
+          "trimmed=33/17/16 hash=7f2e896c8aa9ae1b"},
+      {16, "configs=9216 states=9217 binary=29 silent=73300 finals=8 "
+           "trimmed=57/29/28 hash=2923f8d4452a4fc3"},
+  };
+  for (const auto& [n, pin] : pins) {
+    std::string text = "r(a";
+    for (int i = 1; i < n; ++i) text += i % 2 ? ",a" : ",b";
+    text += ")";
+    auto doc = std::move(ParseUnrankedTerm(text, &tags)).ValueOrDie();
+    auto input = std::move(EncodeTree(doc, in_enc)).ValueOrDie();
+    EXPECT_EQ(PinOf(t, input), pin) << text;
   }
 }
 
