@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -19,7 +20,9 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/common/str_util.h"
 #include "src/core/typechecker.h"
+#include "src/dtd/dtd.h"
 #include "src/pt/eval.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/print.h"
@@ -28,6 +31,8 @@
 #include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
+#include "src/serve/protocol.h"
+#include "src/serve/server.h"
 #include "src/serve/validate.h"
 #include "src/ta/membership.h"
 #include "src/ta/op_cache.h"
@@ -112,6 +117,97 @@ bool HasAcceptedPreimage(const Nbta& a, const BinaryTree& u,
     return false;
   };
   return assign(0);
+}
+
+// A random DTD over `tags` for the membership/dtd-plan law. Each content
+// model concatenates 0-3 factors of the forms x, x?, x*, x+ and (x|y). About
+// one draw in four is specialized: one tag gets a second type, named by the
+// tag plus "2". The first declaration, the root, is drawn too.
+std::string DrawDtdText(const Alphabet& tags, Rng& rng) {
+  std::vector<std::string> types;
+  std::vector<std::string> type_tag;
+  for (SymbolId t = 0; t < tags.size(); ++t) {
+    types.push_back(tags.Name(t));
+    type_tag.push_back(tags.Name(t));
+  }
+  if (rng.NextBool(0.25)) {
+    type_tag.push_back(tags.Name(static_cast<SymbolId>(
+        rng.NextBelow(tags.size()))));
+    types.push_back(type_tag.back() + "2");
+  }
+  const size_t root = rng.NextBelow(types.size());
+  std::swap(types[0], types[root]);
+  std::swap(type_tag[0], type_tag[root]);
+  auto any_type = [&]() -> const std::string& {
+    return types[rng.NextBelow(types.size())];
+  };
+  std::string text;
+  for (size_t i = 0; i < types.size(); ++i) {
+    text += types[i];
+    if (types[i] != type_tag[i]) text += "[" + type_tag[i] + "]";
+    text += " := ";
+    const size_t factors = rng.NextBelow(4);
+    if (factors == 0) text += "()";
+    for (size_t f = 0; f < factors; ++f) {
+      if (f > 0) text += " . ";
+      const std::string& x = any_type();
+      switch (rng.NextBelow(5)) {
+        case 0: text += x; break;
+        case 1: text += x + "?"; break;
+        case 2: text += x + "*"; break;
+        case 3: text += x + "+"; break;
+        default: text += "(" + x + " | " + any_type() + ")"; break;
+      }
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+// `tree` with one random edit at a random node: its tag swapped for tag id
+// `tag`, a `tag` leaf inserted among its children, or one child (with its
+// subtree) deleted. Dropped subtrees stay in the node table unreachable,
+// which rendering ignores.
+UnrankedTree MutateTree(const UnrankedTree& tree, SymbolId tag, Rng& rng) {
+  const NodeId at = static_cast<NodeId>(rng.NextBelow(tree.size()));
+  const uint64_t kind = rng.NextBelow(3);
+  UnrankedTree out;
+  std::vector<NodeId> copied(tree.size());
+  for (NodeId n = 0; n < tree.size(); ++n) {
+    std::vector<NodeId> kids;
+    for (NodeId c : tree.children(n)) kids.push_back(copied[c]);
+    SymbolId label = tree.tag(n);
+    if (n == at) {
+      if (kind == 0 || (kind == 2 && kids.empty())) {
+        label = tag;
+      } else if (kind == 1) {
+        kids.insert(kids.begin() + rng.NextBelow(kids.size() + 1),
+                    out.AddNode(tag));
+      } else {
+        kids.erase(kids.begin() + rng.NextBelow(kids.size()));
+      }
+    }
+    copied[n] = out.AddNode(label, std::move(kids));
+  }
+  out.SetRoot(copied[tree.root()]);
+  return out;
+}
+
+// `xml` with a comment spliced in after a random '>' (or before the root).
+std::string WithComment(const std::string& xml, Rng& rng) {
+  std::vector<size_t> cuts = {0};
+  for (size_t i = 0; i < xml.size(); ++i) {
+    if (xml[i] == '>') cuts.push_back(i + 1);
+  }
+  std::string out = xml;
+  out.insert(cuts[rng.NextBelow(cuts.size())], "<!-- c -->");
+  return out;
+}
+
+std::string VerdictString(StatusCode code, bool valid,
+                          const std::string& diagnostic) {
+  return "{" + std::string(StatusCodeName(code)) + ", " +
+         (valid ? "valid" : "invalid") + ", \"" + diagnostic + "\"}";
 }
 
 TaOpContext BudgetCtx(const DiffcheckOptions& opts) {
@@ -382,6 +478,7 @@ class Harness {
   void CheckMembership(size_t iter, bool extended, const Nbta& a,
                        const std::vector<BinaryTree>& exhaustive,
                        const std::vector<BinaryTree>& samples, Rng& rng);
+  void CheckDtdPlan(size_t iter);
   void CheckRelabelInverse(size_t iter, const Nbta& a);
   void CheckRelabelImage(size_t iter, const Nbta& a);
   void CheckCounts(size_t iter, bool extended, const Nbta& a,
@@ -429,6 +526,10 @@ class Harness {
   /// iterations, so later iterations genuinely hit entries inserted by
   /// earlier ones (the content-addressed trust the laws arbitrate).
   std::optional<TaOpCache> memo_cache_;
+  /// The daemon core the membership/dtd-plan law sends its documents
+  /// through, built on first use. Memo off, so nothing it compiles enters
+  /// the process-wide op cache the other laws read.
+  std::unique_ptr<serve::ServerCore> dtd_server_;
 };
 
 void Harness::RunIteration(size_t iter) {
@@ -839,6 +940,7 @@ void Harness::RunIteration(size_t iter) {
   CheckEnumerate(iter, extended, a, exhaustive, truncated);
   CheckEncodeDecode(iter, rng);
   CheckMembership(iter, extended, a, exhaustive, samples, rng);
+  CheckDtdPlan(iter);
   if (!extended) CheckRelabelInverse(iter, a);
   if (extended) CheckRelabelImage(iter, a);
   if (opts_.typecheck_every != 0 && iter % opts_.typecheck_every == 0) {
@@ -1273,6 +1375,212 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
            os.str());
     }
   }
+}
+
+// Law "membership/dtd-plan": a DTD artifact served through its compiled
+// plan answers every document as the DTD itself does. The DTD is drawn over
+// p/q/r (DrawDtdText). The documents are conforming trees (the compiled
+// NBTA's accepted trees, decoded), a tag-swap, insert or delete mutant of
+// each, random trees over p/q/r plus the undeclared s, and truncations, each
+// rendered flat and indented, some with a comment spliced in. Then:
+//   * ValidateDoc's verdict is SpecializedDtd::Accepts on the ParseXmlKnown
+//     tree, and a rejection's diagnostic is Validate(tree)'s message, byte
+//     for byte; an unknown tag is named as such;
+//   * a malformed document answers kInvalidArgument with "document: " and
+//     ParseXml's status;
+//   * the same documents sent through ServerCore::HandleFrame, one kValidate
+//     each and all of them in one kValidateBatch, answer the same code,
+//     validity and diagnostic.
+// The law draws from its own Rng stream, so the other laws' draws, and with
+// them the pinned sweeps' counts, do not depend on it.
+void Harness::CheckDtdPlan(size_t iter) {
+  if (LawDone("membership/dtd-plan")) return;
+  constexpr uint64_t kDtdPlanStream = 0x6474642d706c616eull;  // "dtd-plan"
+  Rng rng(MixSeed(opts_.seed ^ kDtdPlanStream, iter));
+  const std::string text = DrawDtdText(tags_, rng);
+  if (dtd_server_ == nullptr) {
+    serve::ServeOptions options;
+    options.memo = TaMemoMode::kOff;
+    dtd_server_ = std::make_unique<serve::ServerCore>(options);
+  }
+  const std::string name = "dtdplan";
+  const Status put = dtd_server_->registry().PutDtdText(name, text);
+  if (!put.ok()) {
+    Fail("harness/op-error", iter, "PutDtdText: " + put.ToString(),
+         "// dtd:\n" + text);
+    return;
+  }
+  const std::shared_ptr<const SpecializedDtd> dtd =
+      dtd_server_->registry().Get(name)->dtd;
+  const Alphabet& dtd_tags = dtd->tags();
+  TaOpContext ctx = BudgetCtx(opts_);
+  Result<serve::ValidationPlan> plan = serve::CompileDtdPlan(dtd, &ctx);
+  Result<EncodedAlphabet> enc = MakeEncodedAlphabet(dtd_tags);
+  Result<Nbta> nbta = enc.ok() ? CompileDtdToNbta(*dtd, *enc)
+                               : Result<Nbta>(enc.status());
+  if (!plan.ok() || !nbta.ok()) {
+    Fail("harness/op-error", iter,
+         "CompileDtdPlan / CompileDtdToNbta: " +
+             (plan.ok() ? nbta.status() : plan.status()).ToString(),
+         "// dtd:\n" + text);
+    return;
+  }
+
+  std::vector<std::string> docs;
+  auto render = [&](const UnrankedTree& t, const Alphabet& alphabet) {
+    for (bool indent : {false, true}) {
+      std::string xml = XmlString(t, alphabet, indent);
+      if (rng.NextBool(0.25)) xml = WithComment(xml, rng);
+      docs.push_back(std::move(xml));
+    }
+  };
+  std::vector<BinaryTree> accepted = EnumerateAcceptedTrees(*nbta, 21, 8);
+  for (int k = 0; k < 3 && !accepted.empty(); ++k) {
+    Result<UnrankedTree> t =
+        DecodeTree(accepted[rng.NextBelow(accepted.size())], *enc);
+    if (!t.ok()) continue;
+    render(*t, dtd_tags);
+    render(MutateTree(*t,
+                      static_cast<SymbolId>(rng.NextBelow(dtd_tags.size())),
+                      rng),
+           dtd_tags);
+  }
+  Alphabet doc_tags = tags_;
+  doc_tags.Intern("s");
+  for (int k = 0; k < 2; ++k) {
+    RandomUnrankedOptions uo;
+    uo.target_size = 1 + rng.NextBelow(10);
+    uo.max_children = 3;
+    render(RandomUnrankedTree(doc_tags, rng, uo), doc_tags);
+  }
+  const size_t whole = docs.size();
+  for (int k = 0; k < 2; ++k) {
+    const std::string& xml = docs[rng.NextBelow(whole)];
+    docs.push_back(xml.substr(0, 1 + rng.NextBelow(xml.size() - 1)));
+  }
+
+  // The oracle's verdict for each document, from the tree the DTD judges.
+  std::vector<serve::DocVerdict> want(docs.size());
+  for (size_t k = 0; k < docs.size(); ++k) {
+    serve::DocVerdict& w = want[k];
+    Result<KnownXmlParse> known = ParseXmlKnown(docs[k], dtd_tags);
+    if (!known.ok()) {
+      Alphabet any;
+      w.code = StatusCode::kInvalidArgument;
+      w.diagnostic = "document: " + ParseXml(docs[k], &any).status().ToString();
+    } else if (!known->unknown_tag.empty()) {
+      w.diagnostic = "document uses tag '" + known->unknown_tag +
+                     "' which the DTD does not declare";
+    } else {
+      Result<bool> conforms = dtd->Accepts(known->tree);
+      w.valid = conforms.ok() && *conforms;
+      if (!w.valid) {
+        w.diagnostic = std::string(dtd->Validate(known->tree).message());
+      }
+    }
+  }
+  auto wire_status = [](const serve::DocVerdict& w) {
+    return w.code == StatusCode::kOk
+               ? serve::WireStatus::kOk
+               : serve::WireStatusOf(Status(w.code, w.diagnostic));
+  };
+  auto send = [this](serve::Request request) {
+    std::string payload;
+    serve::EncodeRequest(request, &payload);
+    return serve::DecodeResponse(dtd_server_->HandleFrame(payload));
+  };
+
+  std::string mismatch;
+  uint32_t request_id = 1;
+  for (size_t k = 0; mismatch.empty() && k < docs.size(); ++k) {
+    ++report_.comparisons;
+    const serve::DocVerdict& w = want[k];
+    const serve::DocVerdict got = serve::ValidateDoc(*plan, docs[k]);
+    if (got.code != w.code || got.valid != w.valid ||
+        got.diagnostic != w.diagnostic) {
+      mismatch = "document " + std::to_string(k) + ": ValidateDoc " +
+                 VerdictString(got.code, got.valid, got.diagnostic) +
+                 " vs the DTD " + VerdictString(w.code, w.valid, w.diagnostic);
+      break;
+    }
+    serve::Request request;
+    request.header.opcode = serve::Opcode::kValidate;
+    request.header.request_id = request_id++;
+    request.body = serve::ValidateRequest{name, docs[k]};
+    Result<serve::Response> single = send(std::move(request));
+    bool agrees = single.ok() && single->header.status == wire_status(w);
+    if (agrees && w.code == StatusCode::kOk) {
+      const auto* body = std::get_if<serve::ValidateResponse>(&single->body);
+      agrees = body != nullptr && body->valid == w.valid &&
+               body->diagnostic == w.diagnostic;
+    } else if (agrees) {
+      agrees = single->header.detail ==
+               Status(w.code, w.diagnostic).ToString();
+    }
+    if (!agrees) {
+      mismatch = "document " + std::to_string(k) + ": kValidate answers " +
+                 (single.ok() ? std::string(WireStatusName(
+                                    single->header.status)) +
+                                    " \"" + single->header.detail + "\""
+                              : single.status().ToString()) +
+                 " vs the DTD " + VerdictString(w.code, w.valid, w.diagnostic);
+    }
+  }
+  if (mismatch.empty()) {
+    serve::Request request;
+    request.header.opcode = serve::Opcode::kValidateBatch;
+    request.header.request_id = request_id++;
+    request.body = serve::ValidateBatchRequest{name, docs};
+    Result<serve::Response> batch = send(std::move(request));
+    const auto* body =
+        batch.ok() ? std::get_if<serve::ValidateBatchResponse>(&batch->body)
+                   : nullptr;
+    if (body == nullptr || body->verdicts.size() != docs.size()) {
+      mismatch = "kValidateBatch answers " +
+                 (batch.ok() ? std::string(WireStatusName(
+                                   batch->header.status)) +
+                                   " \"" + batch->header.detail + "\""
+                             : batch.status().ToString());
+    }
+    for (size_t k = 0; mismatch.empty() && k < docs.size(); ++k) {
+      const serve::BatchDocVerdict& slot = body->verdicts[k];
+      const serve::DocVerdict& w = want[k];
+      if (slot.status != static_cast<uint8_t>(wire_status(w)) ||
+          slot.valid != w.valid || slot.diagnostic != w.diagnostic) {
+        mismatch = "document " + std::to_string(k) +
+                   ": kValidateBatch slot {" +
+                   WireStatusName(static_cast<serve::WireStatus>(slot.status)) +
+                   ", " + (slot.valid ? "valid" : "invalid") + ", \"" +
+                   slot.diagnostic + "\"} vs the DTD " +
+                   VerdictString(w.code, w.valid, w.diagnostic);
+      }
+    }
+  }
+  if (mismatch.empty()) return;
+  std::ostringstream os;
+  os << "// law \"membership/dtd-plan\" violated at iteration " << iter
+     << " (seed " << opts_.seed << ").\n"
+     << "// replay: ta_diffcheck --seed=" << opts_.seed << " --start=" << iter
+     << " --iters=1\n"
+     << "// dtd (ParseSpecializedDtd):\n";
+  for (const std::string& line : SplitAndTrim(text, '\n')) {
+    os << "//   " << line << "\n";
+  }
+  for (size_t k = 0; k < docs.size(); ++k) {
+    os << "// doc[" << k << "]: ";
+    for (char c : docs[k]) {
+      if (c == '\n') {
+        os << "\\n";
+      } else {
+        os << c;
+      }
+    }
+    os << "\n";
+  }
+  os << "// expect: ValidateDoc, kValidate and kValidateBatch == the DTD's "
+        "Accepts / Validate on the parsed tree\n";
+  Fail("membership/dtd-plan", iter,
+       "served DTD validation agrees with the DTD: " + mismatch, os.str());
 }
 
 void Harness::CheckRelabelInverse(size_t iter, const Nbta& a) {
