@@ -83,9 +83,12 @@ Result<Nbta> BuildOutputNbta(const PebbleTransducer& t,
 Result<bool> OutputContains(const PebbleTransducer& t, const BinaryTree& input,
                             const BinaryTree& candidate, size_t max_configs,
                             TaOpContext* ctx) {
-  PEBBLETC_ASSIGN_OR_RETURN(OutputAutomaton a,
-                            BuildOutputAutomaton(t, input, max_configs, ctx));
-  return TopDownAccepts(a.automaton, candidate);
+  // The trimmed NBTA, not the raw A_t: most of A_t's configurations never
+  // reach an output, and a top-down run over them costs far more than
+  // building the trim.
+  PEBBLETC_ASSIGN_OR_RETURN(Nbta a,
+                            BuildOutputNbta(t, input, max_configs, ctx));
+  return NbtaAccepts(NbtaIndex(a), candidate);
 }
 
 Result<std::vector<BinaryTree>> EnumerateOutputs(const PebbleTransducer& t,

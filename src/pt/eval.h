@@ -52,6 +52,7 @@ Result<Nbta> BuildOutputNbta(const PebbleTransducer& t,
                              TaOpContext* ctx = nullptr);
 
 /// Membership test: candidate ∈ T(input)? (PTIME in |input| and |candidate|.)
+/// Decided on BuildOutputNbta's trimmed NBTA.
 Result<bool> OutputContains(const PebbleTransducer& t, const BinaryTree& input,
                             const BinaryTree& candidate,
                             size_t max_configs = 0,

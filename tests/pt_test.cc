@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -481,6 +482,89 @@ TEST(OutputAutomatonTest, PinnedForPaperMachines) {
   EXPECT_EQ(PinOf(f.t, rot_input),
             "configs=36 states=37 binary=7 silent=176 finals=8 "
             "trimmed=15/7/8 hash=14a24868aa15f518");
+}
+
+// OutputContains decides on the trimmed NBTA; it must agree with a top-down
+// run of the untrimmed A_t, for each machine's own output (a member) and for
+// random trees and one-leaf edits of the output (mostly non-members).
+TEST(OutputAutomatonTest, OutputContainsAgreesWithTopDownRunOfAt) {
+  RankedAlphabet sigma = TinyRanked();
+  RankedAlphabet out_sigma = TinyRanked();
+  SymbolId x = std::move(out_sigma.AddBinary("x")).ValueOrDie();
+  auto doubling =
+      std::move(MakeDoublingTransducer(sigma, out_sigma, x)).ValueOrDie();
+  RotationFixture f;
+  struct Machine {
+    const char* name;
+    const PebbleTransducer* t;
+    const RankedAlphabet* in;
+    const RankedAlphabet* out;
+  };
+  const PebbleTransducer copy = MakeCopyTransducer(sigma);
+  const Machine machines[] = {{"copy", &copy, &sigma, &sigma},
+                              {"doubling", &doubling, &sigma, &out_sigma},
+                              {"rotation", &f.t, &f.sigma, &f.out_sigma}};
+  Rng rng(20261021);
+  size_t members = 0;
+  size_t non_members = 0;
+  for (const Machine& m : machines) {
+    SCOPED_TRACE(m.name);
+    for (int i = 0; i < 8; ++i) {
+      BinaryTree input;
+      if (m.t == &f.t) {
+        // Rotation reads right-linear inputs under an r root.
+        input = std::move(ParseBinaryTerm(
+                              i % 2 == 0 ? "r(x(y(x(s,e),e),y(e,e)),x(e,e))"
+                                         : "r(x(s,e),e)",
+                              f.sigma))
+                    .ValueOrDie();
+      } else {
+        input = RandomBinaryTree(*m.in, rng, rng.NextBelow(6));
+      }
+      auto at = std::move(BuildOutputAutomaton(*m.t, input)).ValueOrDie();
+      std::vector<BinaryTree> candidates;
+      auto outputs = std::move(EnumerateOutputs(*m.t, input, 200, 2))
+                         .ValueOrDie();
+      for (const BinaryTree& out : outputs) {
+        candidates.push_back(out);
+        // The same output with its first leaf relabelled.
+        BinaryTree edited;
+        bool done = false;
+        std::vector<NodeId> copied(out.size());
+        for (NodeId n = 0; n < out.size(); ++n) {
+          SymbolId s = out.symbol(n);
+          if (out.IsLeaf(n)) {
+            if (!done) {
+              const auto& leaves = m.out->LeafSymbols();
+              s = leaves[(std::find(leaves.begin(), leaves.end(), s) -
+                          leaves.begin() + 1) %
+                         leaves.size()];
+              done = true;
+            }
+            copied[n] = edited.AddLeaf(s);
+          } else {
+            copied[n] =
+                edited.AddInternal(s, copied[out.left(n)], copied[out.right(n)]);
+          }
+        }
+        edited.SetRoot(copied[out.root()]);
+        candidates.push_back(std::move(edited));
+      }
+      for (int k = 0; k < 3; ++k) {
+        candidates.push_back(RandomBinaryTree(*m.out, rng, rng.NextBelow(6)));
+      }
+      for (const BinaryTree& c : candidates) {
+        const bool want = TopDownAccepts(at.automaton, c);
+        Result<bool> got = OutputContains(*m.t, input, c);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, want) << BinaryTermString(input, *m.in) << " -> "
+                              << BinaryTermString(c, *m.out);
+        ++(want ? members : non_members);
+      }
+    }
+  }
+  EXPECT_GT(members, 0u);
+  EXPECT_GT(non_members, 0u);
 }
 
 // The 3-pebble selection query of E2 (bench_eval) on its inputs, r with n
