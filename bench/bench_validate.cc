@@ -10,7 +10,10 @@
 //
 // XML series over the p/q/r document alphabet: parsing a ~2000-node
 // document into a tree, then streaming validation (DBTA folded over parse
-// events, no tree) vs the materialize-encode-Accepts route.
+// events, no tree) vs the materialize-encode-Accepts route. Over a fixed
+// mix of 64 served-size documents (100 B-4 KB, flat, indented and
+// commented): the reader alone (BM_XmlTokenize), and ValidateDoc on the
+// ones a DTD plan rejects, diagnostics included (BM_ValidateRejected).
 //
 // Batch series: kValidateBatch through a warm ServerCore (plan compiled on
 // the first request, cached after) at batch sizes {1, 8, 64, 256};
@@ -31,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +47,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
+#include "src/serve/validate.h"
 #include "src/ta/membership.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
@@ -193,6 +198,82 @@ void BM_ValidateStreaming(benchmark::State& state) {
   state.counters["accepted"] = accepted ? 1 : 0;
 }
 BENCHMARK(BM_ValidateStreaming);
+
+// A fixed mix of served-size documents, 100 B to 4 KB, over p/q/r: flat,
+// indented, and with a comment after the root's open tag.
+std::vector<std::string> MixedDocuments(const Alphabet& tags) {
+  Rng rng(31);
+  std::vector<std::string> docs;
+  while (docs.size() < 64) {
+    RandomUnrankedOptions uo;
+    uo.target_size = 8 + rng.NextBelow(400);
+    uo.max_children = 5;
+    const UnrankedTree t = RandomUnrankedTree(tags, rng, uo);
+    std::string xml = XmlString(t, tags, /*indent=*/docs.size() % 3 == 1);
+    if (docs.size() % 3 == 2) {
+      const size_t at = xml.find('>') + 1;
+      xml.insert(at, "<!-- a comment -->");
+    }
+    if (xml.size() < 100 || xml.size() > 4096) continue;
+    docs.push_back(std::move(xml));
+  }
+  return docs;
+}
+
+// The reader alone over the mix, through the Result-returning Next.
+void BM_XmlTokenize(benchmark::State& state) {
+  Alphabet tags;
+  for (const char* t : {"p", "q", "r"}) tags.Intern(t);
+  const std::vector<std::string> docs = MixedDocuments(tags);
+  size_t bytes = 0;
+  for (const std::string& d : docs) bytes += d.size();
+  size_t events = 0;
+  for (auto _ : state) {
+    for (const std::string& d : docs) {
+      XmlEventReader reader(d);
+      while (true) {
+        Result<XmlEventReader::Event> e = reader.Next();
+        PEBBLETC_CHECK(e.ok());
+        if (e->kind == XmlEventReader::Kind::kEnd) break;
+        ++events;
+      }
+    }
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) *
+                          static_cast<int64_t>(state.iterations()));
+  state.counters["docs"] = static_cast<double>(docs.size());
+  state.counters["doc_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_XmlTokenize);
+
+// ValidateDoc on documents of the mix that a DTD plan rejects, so every
+// call also words its per-node diagnostic.
+void BM_ValidateRejected(benchmark::State& state) {
+  auto dtd = std::make_shared<const SpecializedDtd>(
+      std::move(ParseDtd("p := (q | r)*\nq := (p | r)*\nr := ()\n"))
+          .ValueOrDie());
+  const serve::ValidationPlan plan =
+      std::move(serve::CompileDtdPlan(dtd)).ValueOrDie();
+  PEBBLETC_CHECK(plan.engine.fast());
+  std::vector<std::string> docs;
+  for (std::string& d : MixedDocuments(dtd->tags())) {
+    const serve::DocVerdict v = serve::ValidateDoc(plan, d);
+    PEBBLETC_CHECK(v.code == StatusCode::kOk);
+    if (!v.valid) docs.push_back(std::move(d));
+  }
+  PEBBLETC_CHECK(docs.size() >= 16) << docs.size() << " rejected documents";
+  for (auto _ : state) {
+    for (const std::string& d : docs) {
+      serve::DocVerdict v = serve::ValidateDoc(plan, d);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(docs.size()) *
+                          static_cast<int64_t>(state.iterations()));
+  state.counters["docs"] = static_cast<double>(docs.size());
+}
+BENCHMARK(BM_ValidateRejected);
 
 // ------------------------------------------------------- batch serve -------
 

@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
+#include "src/xml/xml.h"
 
 namespace pebbletc {
 
@@ -81,56 +82,65 @@ Status SpecializedDtd::Finalize() {
     content_dfa_.push_back(std::make_unique<Dfa>(Minimize(*dfa)));
     table_entries += static_cast<size_t>(content_dfa_.back()->num_states()) * n;
   }
+  types_by_tag_.assign(tags_.size(), {});
+  for (SymbolId p = 0; p < n; ++p) types_by_tag_[type_tag_[p]].push_back(p);
   finalized_ = true;
   return Status::OK();
 }
 
+std::span<const SymbolId> SpecializedDtd::NodeTypesOf(
+    SymbolId tag, std::span<const std::span<const SymbolId>> kids,
+    StepScratch* scratch) const {
+  // A child step costs live states × the child's types, not the DFA's size.
+  std::vector<StateId>& live = scratch->live;
+  std::vector<StateId>& next = scratch->next;
+  std::vector<uint64_t>& seen = scratch->seen;
+  scratch->types.clear();
+  for (SymbolId p : TypesOfTag(tag)) {
+    const Dfa& dfa = *content_dfa_[p];
+    if (seen.size() < dfa.num_states()) seen.resize(dfa.num_states());
+    live.assign(1, dfa.start());
+    for (std::span<const SymbolId> child : kids) {
+      const uint64_t stamp = ++scratch->stamp;
+      next.clear();
+      for (StateId s : live) {
+        for (SymbolId q : child) {
+          const StateId to = dfa.Next(s, q);
+          if (seen[to] != stamp) {
+            seen[to] = stamp;
+            next.push_back(to);
+          }
+        }
+      }
+      live.swap(next);
+      if (live.empty()) break;
+    }
+    if (std::any_of(live.begin(), live.end(),
+                    [&dfa](StateId s) { return dfa.accepting(s); })) {
+      scratch->types.push_back(p);
+    }
+  }
+  return scratch->types;
+}
+
 Result<SpecializedDtd::NodeTypes> SpecializedDtd::PossibleTypes(
     const UnrankedTree& tree) const {
-  std::vector<std::vector<SymbolId>> types_by_tag(tags_.size());
-  for (SymbolId p = 0; p < num_types(); ++p) {
-    types_by_tag[type_tag_[p]].push_back(p);
-  }
   // Bottom-up, since children have smaller NodeIds than their parents.
   NodeTypes possible;
   possible.start.reserve(tree.size() + 1);
   possible.start.push_back(0);
-  // A content DFA's live states over the children read so far, listed once
-  // each by a per-state stamp: a child step costs live states × the child's
-  // types, not the DFA's size.
-  std::vector<StateId> live, next;
-  std::vector<uint64_t> seen;
-  uint64_t stamp = 0;
+  StepScratch scratch;
+  std::vector<std::span<const SymbolId>> kids;
   for (NodeId n = 0; n < tree.size(); ++n) {
     SymbolId tag = tree.tag(n);
     if (tag >= tags_.size()) {
       return Status::InvalidArgument("node " + std::to_string(n) +
                                      " has a tag outside the DTD alphabet");
     }
-    for (SymbolId p : types_by_tag[tag]) {
-      const Dfa& dfa = *content_dfa_[p];
-      if (seen.size() < dfa.num_states()) seen.resize(dfa.num_states());
-      live.assign(1, dfa.start());
-      for (NodeId child : tree.children(n)) {
-        ++stamp;
-        next.clear();
-        for (StateId s : live) {
-          for (SymbolId q : possible.of(child)) {
-            const StateId to = dfa.Next(s, q);
-            if (seen[to] != stamp) {
-              seen[to] = stamp;
-              next.push_back(to);
-            }
-          }
-        }
-        live.swap(next);
-        if (live.empty()) break;
-      }
-      if (std::any_of(live.begin(), live.end(),
-                      [&dfa](StateId s) { return dfa.accepting(s); })) {
-        possible.types.push_back(p);
-      }
-    }
+    kids.clear();
+    for (NodeId child : tree.children(n)) kids.push_back(possible.of(child));
+    std::span<const SymbolId> mine = NodeTypesOf(tag, kids, &scratch);
+    possible.types.insert(possible.types.end(), mine.begin(), mine.end());
     possible.start.push_back(possible.types.size());
   }
   return possible;
@@ -158,19 +168,71 @@ Status SpecializedDtd::Validate(const UnrankedTree& tree) const {
   if (HasRootType(possible.of(tree.root()))) return Status::OK();
   // Diagnose: find the lowest node with no assignable type.
   for (NodeId n = 0; n < tree.size(); ++n) {
-    if (possible.of(n).empty()) {
-      SymbolId tag = tree.tag(n);
-      if (std::find(type_tag_.begin(), type_tag_.end(), tag) ==
-          type_tag_.end()) {
-        return Status::InvalidArgument("element '" + tags_.Name(tag) +
-                                       "' (node " + std::to_string(n) +
-                                       ") is not declared in the DTD");
-      }
-      return Status::InvalidArgument(
-          "content of element '" + tags_.Name(tag) + "' (node " +
-          std::to_string(n) + ") violates its content model");
-    }
+    if (possible.of(n).empty()) return NodeDiagnostic(tree.tag(n), n);
   }
+  return Status::InvalidArgument(
+      "document root does not match the DTD root type");
+}
+
+Status SpecializedDtd::NodeDiagnostic(SymbolId tag, size_t n) const {
+  if (TypesOfTag(tag).empty()) {
+    return Status::InvalidArgument("element '" + tags_.Name(tag) +
+                                   "' (node " + std::to_string(n) +
+                                   ") is not declared in the DTD");
+  }
+  return Status::InvalidArgument("content of element '" + tags_.Name(tag) +
+                                 "' (node " + std::to_string(n) +
+                                 ") violates its content model");
+}
+
+Status SpecializedDtd::ValidateXml(std::string_view xml) const {
+  if (!finalized_) return Status::FailedPrecondition("DTD not finalized");
+  // The closed elements whose parent is still open, in document order:
+  // their type lists concatenated in `types`, element i's starting at
+  // kid_start[i]. Each open element remembers where its children start.
+  std::vector<SymbolId> types;
+  std::vector<size_t> kid_start;
+  struct Frame {
+    SymbolId tag;
+    size_t first_kid;
+  };
+  std::vector<Frame> open;
+  std::vector<std::span<const SymbolId>> kids;
+  StepScratch scratch;
+  size_t closed = 0;  // the next element's node number
+  XmlEventReader reader(xml);
+  XmlEventReader::Event ev;
+  while (true) {
+    if (!reader.Next(&ev)) return reader.status();
+    if (ev.kind == XmlEventReader::Kind::kEnd) break;
+    if (ev.kind == XmlEventReader::Kind::kOpen) {
+      const SymbolId tag = tags_.Find(ev.name);
+      if (tag == kNoSymbol) {
+        return Status::InvalidArgument("element '" + std::string(ev.name) +
+                                       "' is not declared in the DTD");
+      }
+      open.push_back({tag, kid_start.size()});
+      continue;
+    }
+    const Frame f = open.back();
+    open.pop_back();
+    kids.clear();
+    for (size_t i = f.first_kid; i < kid_start.size(); ++i) {
+      const size_t end = i + 1 < kid_start.size() ? kid_start[i + 1]
+                                                  : types.size();
+      kids.emplace_back(types.data() + kid_start[i], end - kid_start[i]);
+    }
+    std::span<const SymbolId> mine = NodeTypesOf(f.tag, kids, &scratch);
+    if (mine.empty()) return NodeDiagnostic(f.tag, closed);
+    if (f.first_kid < kid_start.size()) {
+      types.resize(kid_start[f.first_kid]);
+      kid_start.resize(f.first_kid);
+    }
+    kid_start.push_back(types.size());
+    types.insert(types.end(), mine.begin(), mine.end());
+    ++closed;
+  }
+  if (HasRootType(types)) return Status::OK();
   return Status::InvalidArgument(
       "document root does not match the DTD root type");
 }

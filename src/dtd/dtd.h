@@ -81,6 +81,14 @@ class SpecializedDtd {
   /// root as a whole).
   Status Validate(const UnrankedTree& tree) const;
 
+  /// Validate for an XML document, without building its tree: the same DP
+  /// runs over the reader's events, each element's types computed at its
+  /// close. Node numbers are close order, as ParseXml numbers them, so the
+  /// status is Validate's on the parsed tree, byte for byte. A malformed
+  /// document returns the reader's parse error; a tag outside tags() is
+  /// reported as undeclared.
+  Status ValidateXml(std::string_view xml) const;
+
  private:
   friend Result<Nbta> CompileDtdToNbta(const SpecializedDtd& dtd,
                                        const EncodedAlphabet& enc);
@@ -94,14 +102,37 @@ class SpecializedDtd {
       return {types.data() + start[n], types.data() + start[n + 1]};
     }
   };
+  /// Scratch of the content-model step: a content DFA's live states, listed
+  /// once each by a per-state stamp, and the step's answer.
+  struct StepScratch {
+    std::vector<StateId> live, next;
+    std::vector<uint64_t> seen;
+    uint64_t stamp = 0;
+    std::vector<SymbolId> types;
+  };
+  /// One node of the possible-types DP, shared by the tree and the stream:
+  /// the types of `tag` whose content model accepts some sequence of the
+  /// children's types (child i may take any type of kids[i]), in increasing
+  /// id order. The span views `scratch`, valid until its next step.
+  std::span<const SymbolId> NodeTypesOf(
+      SymbolId tag, std::span<const std::span<const SymbolId>> kids,
+      StepScratch* scratch) const;
   /// The bottom-up DP behind Accepts and Validate.
   Result<NodeTypes> PossibleTypes(const UnrankedTree& tree) const;
+  /// The types carrying `tag`; none for a tag interned after Finalize.
+  std::span<const SymbolId> TypesOfTag(SymbolId tag) const {
+    if (tag >= types_by_tag_.size()) return {};
+    return types_by_tag_[tag];
+  }
+  /// Validate's message for node `n`, tagged `tag`, which has no type.
+  Status NodeDiagnostic(SymbolId tag, size_t n) const;
   /// Is a root type among `types` (sorted)?
   bool HasRootType(std::span<const SymbolId> types) const;
 
   Alphabet tags_;
   Alphabet types_;
   std::vector<SymbolId> type_tag_;
+  std::vector<std::vector<SymbolId>> types_by_tag_;  // set by Finalize
   std::vector<RegexPtr> content_;
   std::vector<std::unique_ptr<Dfa>> content_dfa_;  // over the type alphabet
   std::vector<SymbolId> root_types_;

@@ -37,12 +37,12 @@ DocVerdict UnknownTagVerdict(const ValidationPlan& plan,
 }
 
 // Diagnostic for a document the automaton rejected. DTD plans re-derive the
-// per-node message from the DTD itself; schema plans have only the automaton
-// to point at.
+// per-node message from the DTD itself, reading the document's events once
+// more; schema plans have only the automaton to point at.
 std::string RejectionDiagnostic(const ValidationPlan& plan,
-                                const UnrankedTree& doc) {
+                                std::string_view document) {
   if (plan.dtd != nullptr) {
-    Status conforms = plan.dtd->Validate(doc);
+    Status conforms = plan.dtd->ValidateXml(document);
     if (!conforms.ok()) return std::string(conforms.message());
     // Engine and DTD disagree — a diffcheck-law violation if it ever
     // happens; stay honest rather than inventing a node.
@@ -84,8 +84,9 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
                        TaOpContext* ctx, Arena* /*arena*/) {
   DocVerdict v;
   if (plan.engine.fast()) {
-    // Streaming: fold the compiled table over the parse events; the tree is
-    // materialized only when a DTD rejection needs its diagnostic.
+    // Streaming: fold the compiled table over the parse events. No tree is
+    // built: a DTD rejection is worded by reading the bytes again with the
+    // DTD's possible-types DP over the events.
     Result<StreamVerdict> stream = StreamingValidateXml(
         document, *plan.engine.table(), plan.enc, plan.tags, ctx);
     if (!stream.ok()) return ErrorVerdict(stream.status());
@@ -93,17 +94,7 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
       return UnknownTagVerdict(plan, stream->unknown_tag);
     }
     v.valid = stream->accepted;
-    if (!v.valid) {
-      if (plan.dtd != nullptr) {
-        Result<KnownXmlParse> parsed = ParseXmlKnown(document, plan.tags);
-        // The stream already proved the document well-formed over known tags.
-        PEBBLETC_CHECK(parsed.ok() && parsed->unknown_tag.empty())
-            << "streamed document failed to re-parse";
-        v.diagnostic = RejectionDiagnostic(plan, parsed->tree);
-      } else {
-        v.diagnostic = RejectionDiagnostic(plan, UnrankedTree());
-      }
-    }
+    if (!v.valid) v.diagnostic = RejectionDiagnostic(plan, document);
     return v;
   }
   // Fallback route: materialize, encode, NbtaAccepts — correct under any
@@ -118,7 +109,7 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
   Result<bool> accepted = plan.engine.Accepts(*encoded, ctx);
   if (!accepted.ok()) return ErrorVerdict(accepted.status());
   v.valid = *accepted;
-  if (!v.valid) v.diagnostic = RejectionDiagnostic(plan, parsed->tree);
+  if (!v.valid) v.diagnostic = RejectionDiagnostic(plan, document);
   return v;
 }
 

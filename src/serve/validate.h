@@ -6,8 +6,11 @@
 // ValidateDoc is the only place a served document is parsed: its streaming
 // DBTA fold decides well-formedness and membership in one pass, so a
 // malformed document gets its answer (kInvalidArgument, "document: "
-// diagnostic) from the same parse that would have validated it. The
-// NbtaAccepts fallback runs when determinization blew its budget.
+// diagnostic) from the same parse that would have validated it. A DTD
+// rejection reads the bytes once more, through the same reader, to word its
+// per-node diagnostic (SpecializedDtd::ValidateXml); no tree is built. The
+// NbtaAccepts fallback, which runs when determinization blew its budget,
+// materializes the tree it encodes.
 // ValidateBatch runs one plan over N documents in order, on the caller's
 // context.
 

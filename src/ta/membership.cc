@@ -88,9 +88,10 @@ Result<StreamVerdict> StreamingValidateXml(std::string_view xml,
   XmlEventReader reader(xml);
   StreamVerdict verdict;
   bool folding = true;  // false once an unknown tag stops the fold
+  XmlEventReader::Event ev;
   while (true) {
     PEBBLETC_RETURN_IF_ERROR(TaCheckpoint(ctx));
-    PEBBLETC_ASSIGN_OR_RETURN(XmlEventReader::Event ev, reader.Next());
+    if (!reader.Next(&ev)) return reader.status();
     if (ev.kind == XmlEventReader::Kind::kEnd) break;
     if (!folding) continue;  // draining for well-formedness only
     if (ev.kind == XmlEventReader::Kind::kOpen) {

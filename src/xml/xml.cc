@@ -1,6 +1,7 @@
 #include "src/xml/xml.h"
 
-#include <cctype>
+#include <array>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -8,116 +9,174 @@ namespace pebbletc {
 
 namespace {
 
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == '.' || c == ':';
+// Byte classes: name bytes [A-Za-z0-9_.:-] and the six C-locale whitespace
+// bytes.
+constexpr uint8_t kNameByte = 1;
+constexpr uint8_t kSpaceByte = 2;
+
+constexpr std::array<uint8_t, 256> MakeByteClasses() {
+  std::array<uint8_t, 256> cls{};
+  for (int c = 'a'; c <= 'z'; ++c) cls[c] = kNameByte;
+  for (int c = 'A'; c <= 'Z'; ++c) cls[c] = kNameByte;
+  for (int c = '0'; c <= '9'; ++c) cls[c] = kNameByte;
+  for (unsigned char c : {'_', '-', '.', ':'}) cls[c] = kNameByte;
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    cls[c] = kSpaceByte;
+  }
+  return cls;
+}
+
+constexpr std::array<uint8_t, 256> kByteClass = MakeByteClasses();
+
+bool IsNameByte(char c) {
+  return kByteClass[static_cast<unsigned char>(c)] & kNameByte;
+}
+
+bool IsSpaceByte(char c) {
+  return kByteClass[static_cast<unsigned char>(c)] & kSpaceByte;
+}
+
+const char* SkipName(const char* p, const char* end) {
+  while (p != end && IsNameByte(*p)) ++p;
+  return p;
+}
+
+const char* SkipSpace(const char* p, const char* end) {
+  while (p != end && IsSpaceByte(*p)) ++p;
+  return p;
 }
 
 }  // namespace
 
+// Only failures build a message. A failure is sticky: with no element open
+// and done_ set, every later Next returns false again.
+bool XmlEventReader::Fail(std::string message) {
+  status_ = Status::ParseError(std::move(message));
+  open_.clear();
+  pending_close_ = false;
+  done_ = true;
+  return false;
+}
+
+// Skips a comment; `cur_` is at "<!--".
+bool XmlEventReader::SkipComment() {
+  const std::string_view rest(cur_ + 4, static_cast<size_t>(end_ - cur_ - 4));
+  const size_t close = rest.find("-->");
+  if (close == std::string_view::npos) {
+    return Fail("unterminated comment at offset " + Offset());
+  }
+  cur_ += 4 + close + 3;
+  return true;
+}
+
 // Skips whitespace and comments.
-Status XmlEventReader::SkipMisc() {
-  while (pos_ < text_.size()) {
-    if (std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    } else if (text_.substr(pos_).substr(0, 4) == "<!--") {
-      auto end = text_.find("-->", pos_ + 4);
-      if (end == std::string_view::npos) {
-        return Status::ParseError("unterminated comment at offset " +
-                                  std::to_string(pos_));
-      }
-      pos_ = end + 3;
-    } else {
-      break;
-    }
+bool XmlEventReader::SkipMisc() {
+  while (true) {
+    cur_ = SkipSpace(cur_, end_);
+    if (!AtComment()) return true;
+    if (!SkipComment()) return false;
   }
-  return Status::OK();
 }
 
-Result<std::string_view> XmlEventReader::ParseName() {
-  size_t start = pos_;
-  while (pos_ < text_.size() && IsNameChar(text_[pos_])) ++pos_;
-  if (pos_ == start) {
-    return Status::ParseError("expected tag name at offset " +
-                              std::to_string(pos_));
+// One element head: '<name' then S? and '/>' (kOpen with the kClose owed) or
+// '>' (kOpen, element pushed).
+bool XmlEventReader::ParseHead(Event* event) {
+  if (cur_ == end_ || *cur_ != '<') {
+    return Fail("expected '<' at offset " + Offset());
   }
-  return text_.substr(start, pos_ - start);
-}
-
-// One element head: '<name' then '/>' (kOpen with the kClose owed) or '>'
-// (kOpen, element pushed).
-Result<XmlEventReader::Event> XmlEventReader::ParseHead() {
-  if (pos_ >= text_.size() || text_[pos_] != '<') {
-    return Status::ParseError("expected '<' at offset " + std::to_string(pos_));
+  const char* name = ++cur_;
+  cur_ = SkipName(cur_, end_);
+  if (cur_ == name) return Fail("expected tag name at offset " + Offset());
+  event->kind = Kind::kOpen;
+  event->name = std::string_view(name, static_cast<size_t>(cur_ - name));
+  cur_ = SkipSpace(cur_, end_);
+  // No attributes in this fragment: a name after the space is one.
+  if (cur_ != end_ && IsNameByte(*cur_)) {
+    return Fail("attributes are not supported (element '" +
+                std::string(event->name) + "')");
   }
-  ++pos_;
-  PEBBLETC_ASSIGN_OR_RETURN(std::string_view name, ParseName());
-  // No attributes in this fragment: next must be '/>' or '>'.
-  if (pos_ < text_.size() &&
-      std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-    return Status::ParseError("attributes are not supported (element '" +
-                              std::string(name) + "')");
+  if (cur_ != end_ && *cur_ == '>') {
+    ++cur_;
+    open_.push_back(event->name);
+    return true;
   }
-  if (text_.substr(pos_).substr(0, 2) == "/>") {
-    pos_ += 2;
+  if (end_ - cur_ >= 2 && cur_[0] == '/' && cur_[1] == '>') {
+    cur_ += 2;
     pending_close_ = true;
-    return Event{Kind::kOpen, name};
+    return true;
   }
-  if (pos_ >= text_.size() || text_[pos_] != '>') {
-    return Status::ParseError("expected '>' at offset " + std::to_string(pos_));
-  }
-  ++pos_;
-  open_.push_back(name);
-  return Event{Kind::kOpen, name};
+  return Fail("expected '>' at offset " + Offset());
 }
 
-Result<XmlEventReader::Event> XmlEventReader::Next() {
-  if (done_) return Event{Kind::kEnd, {}};
+// '</name' S? '>' closing the innermost open element; `cur_` is at "</".
+bool XmlEventReader::ParseClose(Event* event) {
+  cur_ += 2;
+  const std::string_view open = open_.back();
+  const size_t rest = static_cast<size_t>(end_ - cur_);
+  if (rest >= open.size() && std::memcmp(cur_, open.data(), open.size()) == 0 &&
+      (rest == open.size() || !IsNameByte(cur_[open.size()]))) {
+    cur_ += open.size();
+  } else {
+    const char* name = cur_;
+    cur_ = SkipName(cur_, end_);
+    if (cur_ == name) return Fail("expected tag name at offset " + Offset());
+    return Fail("mismatched </" +
+                std::string(name, static_cast<size_t>(cur_ - name)) +
+                ">, expected </" + std::string(open) + ">");
+  }
+  cur_ = SkipSpace(cur_, end_);
+  if (cur_ == end_ || *cur_ != '>') {
+    return Fail("expected '>' after closing tag");
+  }
+  ++cur_;
+  open_.pop_back();
+  event->kind = Kind::kClose;
+  event->name = {};
+  return true;
+}
+
+bool XmlEventReader::Next(Event* event) {
   if (pending_close_) {
     pending_close_ = false;
-    return Event{Kind::kClose, {}};
+    event->kind = Kind::kClose;
+    event->name = {};
+    return true;
+  }
+  if (!open_.empty()) {
+    // Content position inside the innermost open element: whitespace and
+    // comments, then a close tag or a child's head.
+    while (true) {
+      cur_ = SkipSpace(cur_, end_);
+      if (cur_ == end_) {
+        return Fail("unexpected end of input inside <" +
+                    std::string(open_.back()) + ">");
+      }
+      if (*cur_ != '<') {
+        return Fail("text content is not supported (inside <" +
+                    std::string(open_.back()) + ">)");
+      }
+      if (end_ - cur_ >= 2 && cur_[1] == '/') return ParseClose(event);
+      if (!AtComment()) return ParseHead(event);
+      if (!SkipComment()) return false;
+    }
+  }
+  if (done_) {
+    if (!status_.ok()) return false;
+    event->kind = Kind::kEnd;
+    event->name = {};
+    return true;
   }
   if (!started_) {
     started_ = true;
-    PEBBLETC_RETURN_IF_ERROR(SkipMisc());
-    return ParseHead();
+    return SkipMisc() && ParseHead(event);
   }
-  if (open_.empty()) {
-    // The root has closed: verify the epilogue.
-    PEBBLETC_RETURN_IF_ERROR(SkipMisc());
-    if (pos_ < text_.size()) {
-      return Status::ParseError("trailing content at offset " +
-                                std::to_string(pos_));
-    }
-    done_ = true;
-    return Event{Kind::kEnd, {}};
-  }
-  // Content position inside the innermost open element.
-  PEBBLETC_RETURN_IF_ERROR(SkipMisc());
-  if (text_.substr(pos_).substr(0, 2) == "</") {
-    pos_ += 2;
-    PEBBLETC_ASSIGN_OR_RETURN(std::string_view close, ParseName());
-    if (close != open_.back()) {
-      return Status::ParseError("mismatched </" + std::string(close) +
-                                ">, expected </" + std::string(open_.back()) +
-                                ">");
-    }
-    if (pos_ >= text_.size() || text_[pos_] != '>') {
-      return Status::ParseError("expected '>' after closing tag");
-    }
-    ++pos_;
-    open_.pop_back();
-    return Event{Kind::kClose, {}};
-  }
-  if (pos_ >= text_.size()) {
-    return Status::ParseError("unexpected end of input inside <" +
-                              std::string(open_.back()) + ">");
-  }
-  if (text_[pos_] != '<') {
-    return Status::ParseError("text content is not supported (inside <" +
-                              std::string(open_.back()) + ">)");
-  }
-  return ParseHead();
+  // The root has closed: verify the epilogue.
+  if (!SkipMisc()) return false;
+  if (cur_ != end_) return Fail("trailing content at offset " + Offset());
+  done_ = true;
+  event->kind = Kind::kEnd;
+  event->name = {};
+  return true;
 }
 
 namespace {
@@ -136,8 +195,9 @@ Result<UnrankedTree> BuildTree(std::string_view text, Intern&& intern,
   std::vector<Frame> stack;
   NodeId root = kNoNode;
   bool building = true;
+  XmlEventReader::Event ev;
   while (true) {
-    PEBBLETC_ASSIGN_OR_RETURN(XmlEventReader::Event ev, reader.Next());
+    if (!reader.Next(&ev)) return reader.status();
     if (ev.kind == XmlEventReader::Kind::kEnd) break;
     if (!building) continue;  // draining for well-formedness only
     if (ev.kind == XmlEventReader::Kind::kOpen) {

@@ -1179,6 +1179,26 @@ TEST(ServeAgreementTest, ValidateAndBatchSlotAgreeWithDtdAccepts) {
   EXPECT_EQ(server.SnapshotStats().validation_rejected, 0u);
 }
 
+// Whitespace before a tag's '>' or '/>' is well-formed XML 1.0, served like
+// any other document; an attribute after it still answers kInvalidArgument.
+TEST(ServeValidateTest, WhitespaceInsideTagsIsWellFormed) {
+  ServerCore server{ServeOptions{}};
+  ASSERT_TRUE(server.registry().PutDtdText("ws", "a := b*\nb := ()\n").ok());
+  Response ok = server.Handle(MakeValidate(1, "ws", "<a ><b /><b\n/></a >"));
+  ASSERT_EQ(ok.header.status, WireStatus::kOk) << ok.header.detail;
+  EXPECT_TRUE(std::get<ValidateResponse>(ok.body).valid);
+  Response bad = server.Handle(MakeValidate(2, "ws", "<a ><a /></a >"));
+  ASSERT_EQ(bad.header.status, WireStatus::kOk) << bad.header.detail;
+  EXPECT_FALSE(std::get<ValidateResponse>(bad.body).valid);
+  EXPECT_EQ(std::get<ValidateResponse>(bad.body).diagnostic,
+            "content of element 'a' (node 1) violates its content model");
+  Response attr = server.Handle(MakeValidate(3, "ws", "<a b='1' />"));
+  EXPECT_EQ(attr.header.status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(attr.header.detail,
+            "invalid-argument: document: parse-error: attributes are not "
+            "supported (element 'a')");
+}
+
 // A second input type (any number of c's) and a second program (c → e):
 // hot loads swap them in under the example names.
 constexpr char kManyInDtd[] = "a := c*\nc := ()\n";

@@ -167,6 +167,54 @@ TEST(XmlReaderPins, PrefixesAgreeAcrossRoutes) {
   }
 }
 
+// XML 1.0's STag, EmptyElemTag and ETag allow S? before '>' and '/>'. A name
+// after the space is still an attribute.
+TEST(XmlReaderPins, WhitespaceBeforeTagCloseIsAccepted) {
+  const serve::ValidationPlan& plan = PinPlan();
+  const Pin accepted[] = {
+      {"<a />", "+a - $"},
+      {"<a >", "parse-error: unexpected end of input inside <a>"},
+      {"<a ></a >", "+a - $"},
+      {"<a\t/>", "+a - $"},
+      {"<a\n>\n<b\r\n/>\n</a\n>", "+a +b - - $"},
+      {"<a ><b /><c ></c\t></a >", "+a +b - +c - - $"},
+  };
+  for (const Pin& pin : accepted) {
+    SCOPED_TRACE(pin.text);
+    EXPECT_EQ(Events(pin.text), pin.want);
+    Alphabet tags;
+    EXPECT_EQ(ParseXml(pin.text, &tags).ok(), pin.want[0] == '+');
+    Result<StreamVerdict> stream = StreamingValidateXml(
+        pin.text, *plan.engine.table(), plan.enc, plan.tags);
+    EXPECT_EQ(stream.ok(), pin.want[0] == '+');
+    if (stream.ok()) {
+      EXPECT_TRUE(stream->accepted);
+    }
+  }
+  const Pin refused[] = {
+      {"<a x />", "parse-error: attributes are not supported (element 'a')"},
+      {"<a\nx='1'>", "parse-error: attributes are not supported (element 'a')"},
+      {"<a / >", "parse-error: expected '>' at offset 3"},
+      {"<a ", "parse-error: expected '>' at offset 3"},
+      {"<a  ?>", "parse-error: expected '>' at offset 4"},
+      {"<a></a x>", "parse-error: expected '>' after closing tag"},
+      {"<a></a ", "parse-error: expected '>' after closing tag"},
+      {"<a></ a>", "parse-error: expected tag name at offset 5"},
+      {"< a/>", "parse-error: expected tag name at offset 1"},
+  };
+  for (const Pin& pin : refused) {
+    SCOPED_TRACE(pin.text);
+    EXPECT_EQ(Events(pin.text), pin.want);
+    Alphabet tags;
+    EXPECT_EQ(ParseXml(pin.text, &tags).status().ToString(), pin.want);
+    EXPECT_EQ(StreamingValidateXml(pin.text, *plan.engine.table(), plan.enc,
+                                   plan.tags)
+                  .status()
+                  .ToString(),
+              pin.want);
+  }
+}
+
 // A 100,000-deep chain that the DTD rejects at its innermost element: the
 // stream and the tree route both name node 0 without recursing.
 TEST(XmlReaderPins, DeepRejectedDocumentIsDiagnosedIteratively) {
