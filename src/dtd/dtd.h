@@ -83,10 +83,11 @@ class SpecializedDtd {
 
   /// Validate for an XML document, without building its tree: the same DP
   /// runs over the reader's events, each element's types computed at its
-  /// close. Node numbers are close order, as ParseXml numbers them, so the
-  /// status is Validate's on the parsed tree, byte for byte. A malformed
-  /// document returns the reader's parse error; a tag outside tags() is
-  /// reported as undeclared.
+  /// close, and stops at the first element that closes with no type. Node
+  /// numbers are close order, as ParseXml numbers them, so on a well-formed
+  /// document the status is Validate's on the parsed tree, byte for byte.
+  /// A parse error met before that stop is returned as is; a tag outside
+  /// tags() is reported as undeclared.
   Status ValidateXml(std::string_view xml) const;
 
  private:
